@@ -3,7 +3,8 @@
 Exit codes: 0 success (verify: zero violations), 1 verify found
 violations, 2 search exceeded 1 + tol, 64 usage error, 65 infeasible
 parameters. The OPINEQ_SEED environment variable overrides the default
-seed when --seed is not given.
+seed when --seed is not given; a value that is not an integer is a usage
+error.
 """
 
 from __future__ import annotations
@@ -52,14 +53,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
+def _default_seed(parser: _Parser) -> int:
     raw = os.environ.get(_SEED_ENV)
     if raw is None:
         return 42
     try:
         return int(raw)
     except ValueError:
-        return 42
+        parser.error(f"{_SEED_ENV} must be an integer, got {raw!r}")
 
 
 def _build_parser() -> _Parser:
@@ -144,7 +145,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
         parser.error(f"--samples must be > 0, got {args.samples}")
     if not (args.tol >= 0.0 and math.isfinite(args.tol)):
         parser.error(f"--tol must be finite and >= 0, got {args.tol}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed(parser)
 
     grids = None
     overrides = {"m": args.m, "m_prime": args.mp, "M_prime": args.Mp, "M": args.M}
@@ -199,7 +200,7 @@ def _cmd_search(args, parser: _Parser) -> int:
             box[key] = value
     if "m" not in box or "M" not in box:
         parser.error("search needs at least --m and --M (scalars or lo:hi ranges)")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed(parser)
     result = maximize_ratio(args.theorem, box, budget=args.budget,
                             rng=seed, dim=args.dim, classical=args.classical,
                             tol=args.tol)

@@ -48,12 +48,6 @@ def arithmetic_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     return make_spd(0.5 * (a.entries + b.entries))
 
 
-def harmonic_like(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
-    """(A^{-1} + B^{-1}) / 2, the inverse-average used by the chain bounds."""
-    _require_same_dim(a, b)
-    return make_spd(0.5 * (a.inv().entries + b.inv().entries))
-
-
 @dataclass(frozen=True)
 class PositiveMapSpec:
     """A representable positive unital linear map.

@@ -5,6 +5,10 @@ instance degrees of freedom (eigenvalues, orthogonal frames via Givens
 rotations, unit vectors, auxiliary mixing scalars, and the regime
 parameters inside a user box), reporting the largest attained
 lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
+Restarts run in sequence, each from its own seed drawn from the
+caller's generator. A proposal copies only the array it changes, and
+each state memoises the matrices built from its arrays, so an
+evaluation rebuilds only what its proposal changed.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -14,8 +18,6 @@ its refinement argument.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,8 +89,22 @@ def _ratio(record: IneqRecord, classical: bool) -> float:
     return record.ratio * record.improvement_ratio if classical else record.ratio
 
 
+def _memo(state: dict, key: str, deps: tuple, build):
+    """build(), kept in the state's memo while ``deps`` are the same objects.
+
+    That is enough because no array is written after it joins a state.
+    """
+    hit = state["memo"].get(key)
+    if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
+        return hit[1]
+    value = build()
+    state["memo"][key] = (deps, value)
+    return value
+
+
 def _spd(state: dict, name: str) -> SpdMatrix:
-    return SpdMatrix.from_eigh(state["spectra"][name], state["frames"][name])
+    vals, frame = state["spectra"][name], state["frames"][name]
+    return _memo(state, name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
 
 
 def _add_spd(state, name, size, window, rng):
@@ -119,12 +135,17 @@ def _add_frame(state, name, size, rng):
 
 
 def _shifted_pair(state, params):
-    vals = np.sort(state["spectra"]["a"])
+    spectrum = state["spectra"]["a"]
     frame = state["frames"]["a"]
     t = state["scalars"]["t"]
-    a = SpdMatrix.from_eigh(vals, frame)
-    b = SpdMatrix.from_eigh((1.0 - t) * params.m_prime * vals + t * params.M, frame)
-    return a, b
+
+    def build():
+        vals = np.sort(spectrum)
+        a = SpdMatrix.from_eigh(vals, frame)
+        b = SpdMatrix.from_eigh((1.0 - t) * params.m_prime * vals + t * params.M, frame)
+        return a, b
+
+    return _memo(state, "shifted_pair", (spectrum, frame, t, params), build)
 
 
 @dataclass(frozen=True)
@@ -414,21 +435,9 @@ def _draw_params(box, regime, rng) -> BoundParams:
     return params
 
 
-def _clone(state: dict) -> dict:
-    return {
-        "params": state["params"],
-        "spectra": {k: v.copy() for k, v in state["spectra"].items()},
-        "windows": dict(state["windows"]),
-        "frames": {k: v.copy() for k, v in state["frames"].items()},
-        "vectors": {k: v.copy() for k, v in state["vectors"].items()},
-        "scalars": dict(state["scalars"]),
-        "boxes": dict(state["boxes"]),
-    }
-
-
 def _fresh_state(params) -> dict:
     return {"params": params, "spectra": {}, "windows": {}, "frames": {},
-            "vectors": {}, "scalars": {}, "boxes": {}}
+            "vectors": {}, "scalars": {}, "boxes": {}, "memo": {}}
 
 
 def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -442,47 +451,55 @@ def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
 
 
 def _propose(problem, state, dim, box, regime, classical, delta, rng):
-    new = _clone(state)
+    """A neighbour of state, or None when its parameter move is infeasible.
+
+    Copy-on-write: the neighbour shares every array it does not change.
+    """
     kinds = []
-    if new["spectra"]:
+    if state["spectra"]:
         kinds.append("spectrum")
-    rotatable = [k for k, f in new["frames"].items() if f.shape[0] >= 2]
+    rotatable = [k for k, f in state["frames"].items() if f.shape[0] >= 2]
     if rotatable:
         kinds.append("frame")
-    if new["vectors"]:
+    if state["vectors"]:
         kinds.append("vector")
-    if new["scalars"]:
+    if state["scalars"]:
         kinds.append("scalar")
     free = [k for k, (lo, hi) in box.items() if lo < hi]
     if free:
         kinds.append("param")
     kind = kinds[int(rng.integers(len(kinds)))]
+    new = dict(state, memo=dict(state["memo"]))
 
     if kind == "spectrum":
-        name = sorted(new["spectra"])[int(rng.integers(len(new["spectra"])))]
-        vals = new["spectra"][name]
+        spectra = state["spectra"]
+        name = sorted(spectra)[int(rng.integers(len(spectra)))]
+        vals = spectra[name].copy()
         idx = int(rng.integers(vals.size))
         factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        window = new["windows"][name]
+        window = state["windows"][name]
         vals[idx] = min(max(vals[idx] * factor, window.lo), window.hi)
+        new["spectra"] = {**spectra, name: vals}
     elif kind == "frame":
         name = sorted(rotatable)[int(rng.integers(len(rotatable)))]
-        f = new["frames"][name]
+        f = state["frames"][name]
         size = f.shape[0]
         i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
         theta = delta if rng.random() < 0.5 else -delta
         rotated = f @ _givens(size, i, j, theta)
         q, r = np.linalg.qr(rotated)
-        new["frames"][name] = q * np.sign(np.diag(r))
+        new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
     elif kind == "vector":
-        name = sorted(new["vectors"])[int(rng.integers(len(new["vectors"])))]
-        v = new["vectors"][name] + delta * rng.standard_normal(new["vectors"][name].size)
-        new["vectors"][name] = v / np.linalg.norm(v)
+        vectors = state["vectors"]
+        name = sorted(vectors)[int(rng.integers(len(vectors)))]
+        v = vectors[name] + delta * rng.standard_normal(vectors[name].size)
+        new["vectors"] = {**vectors, name: v / np.linalg.norm(v)}
     elif kind == "scalar":
-        name = sorted(new["scalars"])[int(rng.integers(len(new["scalars"])))]
-        lo, hi = new["boxes"][name]
+        scalars = state["scalars"]
+        name = sorted(scalars)[int(rng.integers(len(scalars)))]
+        lo, hi = state["boxes"][name]
         factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        new["scalars"][name] = min(max(new["scalars"][name] * factor, lo), hi)
+        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, lo), hi)}
     else:
         key = free[int(rng.integers(len(free)))]
         factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
@@ -494,11 +511,15 @@ def _propose(problem, state, dim, box, regime, classical, delta, rng):
             return None
         if not regime_feasible(regime, candidate)[0]:
             return None
+        windows = problem.windows(dim, candidate, classical)
         new["params"] = candidate
-        new["windows"] = problem.windows(dim, candidate, classical)
-        for name, vals in new["spectra"].items():
-            window = new["windows"][name]
-            np.clip(vals, window.lo, window.hi, out=vals)
+        new["windows"] = windows
+        spectra = {}
+        for name, vals in state["spectra"].items():
+            clipped = np.clip(vals, windows[name].lo, windows[name].hi)
+            # Share what the new window leaves alone, so its memo entries hold.
+            spectra[name] = vals if np.array_equal(clipped, vals) else clipped
+        new["spectra"] = spectra
     return new
 
 
@@ -555,6 +576,10 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     unpacks as (best instance, best ratio). classical=True targets the
     unrefined constant (and, for the Kantorovich family, the plain
     spectral window where its equality cases live).
+
+    The budget is split over max(1, budget // 2000) restarts. They run in
+    sequence, each from its own seed drawn from ``rng`` (a Generator, an
+    int seed, or None for seed 0), so a seed fixes the result.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
@@ -579,17 +604,9 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     allocations = [base + (1 if i < extra else 0) for i in range(restarts)]
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=restarts)]
 
-    def job(args):
-        allocation, seed = args
-        return _run_restart(problem, theorem_id, dim, norm_box, regime, classical,
-                            tol, allocation, seed)
-
-    if restarts > 1:
-        workers = min(restarts, os.cpu_count() or 1, 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, zip(allocations, seeds)))
-    else:
-        outcomes = [job((allocations[0], seeds[0]))]
+    outcomes = [_run_restart(problem, theorem_id, dim, norm_box, regime, classical,
+                             tol, allocation, seed)
+                for allocation, seed in zip(allocations, seeds)]
 
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
     best_ratio, best_instance, _ = outcomes[best_index]

@@ -15,14 +15,11 @@ from .errors import NotPositiveDefinite
 
 DEFAULT_TOL = 1e-8
 
-MATRIX_FUNCTIONS = ("sqrt", "inv", "inv_sqrt", "square", "log")
-
 _SCALAR_FUNCS = {
     "sqrt": np.sqrt,
     "inv": lambda v: 1.0 / v,
     "inv_sqrt": lambda v: 1.0 / np.sqrt(v),
     "square": np.square,
-    "log": np.log,
 }
 
 
@@ -32,6 +29,17 @@ def symmetrize(raw) -> np.ndarray:
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
     return 0.5 * (raw + raw.T)
+
+
+def _require_positive(vals: np.ndarray) -> None:
+    if (vals <= 0.0).any():
+        raise NotPositiveDefinite(f"eigenvalues must be > 0, got min {vals.min()}")
+
+
+def _require_orthonormal(vecs: np.ndarray) -> None:
+    gram_defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[0])).max()
+    if gram_defect > 1e-10:
+        raise ValueError(f"eigenvector columns not orthonormal (defect {gram_defect:.3e})")
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,19 @@ class SpdMatrix:
     Instances are immutable. Positivity is checked at construction via a
     Cholesky factorization; the eigendecomposition is computed lazily on
     first use, or inherited directly when built with :meth:`from_eigh`.
+
+    The derived matrices ``sqrt``, ``inv``, ``inv_sqrt`` and ``square``
+    are memoised on the instance and share its eigenframe. Each frame's
+    orthonormality (a Gram check) is verified once: by ``from_eigh`` for
+    the frame it is given, and on first use for a frame computed by
+    ``eigh``. Every derived matrix still has its eigenvalues checked for
+    positivity and sorted.
     """
 
-    __slots__ = ("_entries", "_eigenvalues", "_eigenvectors")
+    __slots__ = ("_entries", "_eigenvalues", "_eigenvectors", "_frame_checked", "_derived")
 
     def __init__(self, entries, _eig=None):
+        # _eig, when given, is an ascending spectrum on a checked frame.
         entries = symmetrize(entries)
         if _eig is None:
             try:
@@ -84,6 +100,8 @@ class SpdMatrix:
             self._eigenvectors = None
         else:
             self._eigenvalues, self._eigenvectors = _eig
+        self._frame_checked = _eig is not None
+        self._derived = {}
         entries.setflags(write=False)
         self._entries = entries
 
@@ -99,13 +117,16 @@ class SpdMatrix:
         vecs = np.asarray(eigenvectors, dtype=float)
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        if np.any(vals <= 0.0):
-            raise NotPositiveDefinite(f"eigenvalues must be > 0, got min {vals.min()}")
-        gram_defect = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
-        if gram_defect > 1e-10:
-            raise ValueError(f"eigenvector columns not orthonormal (defect {gram_defect:.3e})")
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order].copy()
+        _require_positive(vals)
+        _require_orthonormal(vecs)
+        return cls._sorted(vals, vecs)
+
+    @classmethod
+    def _sorted(cls, vals, vecs) -> "SpdMatrix":
+        """Build from a positive spectrum on a checked frame, sorting both."""
+        order = vals.argsort(kind="stable")
+        vals = vals[order]
+        # Column indexing yields Fortran order; keep frames C-contiguous.
         vecs = vecs[:, order].copy()
         entries = (vecs * vals) @ vecs.T
         vals.setflags(write=False)
@@ -119,6 +140,14 @@ class SpdMatrix:
             vecs.setflags(write=False)
             self._eigenvalues = vals
             self._eigenvectors = vecs
+
+    def _on_frame(self, vals) -> "SpdMatrix":
+        """The matrix with eigenvalues ``vals`` on this one's eigenframe."""
+        _require_positive(vals)
+        if not self._frame_checked:
+            _require_orthonormal(self._eigenvectors)
+            self._frame_checked = True
+        return SpdMatrix._sorted(vals, self._eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -141,8 +170,10 @@ class SpdMatrix:
         return self._eigenvectors
 
     def _apply(self, name: str) -> "SpdMatrix":
-        vals = _SCALAR_FUNCS[name](self.eigenvalues)
-        return SpdMatrix.from_eigh(vals, self.eigenvectors)
+        derived = self._derived.get(name)
+        if derived is None:
+            derived = self._derived[name] = self._on_frame(_SCALAR_FUNCS[name](self.eigenvalues))
+        return derived
 
     def sqrt(self) -> "SpdMatrix":
         return self._apply("sqrt")
@@ -159,7 +190,7 @@ class SpdMatrix:
     def scaled(self, factor: float) -> "SpdMatrix":
         """Return factor * A for factor > 0, reusing the cached frame."""
         if self._eigenvalues is not None:
-            return SpdMatrix.from_eigh(factor * self._eigenvalues, self._eigenvectors)
+            return self._on_frame(factor * self._eigenvalues)
         return SpdMatrix(factor * self._entries)
 
     def quad_form(self, x: np.ndarray) -> float:
@@ -177,20 +208,6 @@ def make_spd(raw) -> SpdMatrix:
     <= 0, and ValueError for non-square input.
     """
     return SpdMatrix(raw)
-
-
-def matrix_function(a: SpdMatrix, name: str) -> np.ndarray:
-    """Apply f(A) = Q f(Lambda) Q^T for f in MATRIX_FUNCTIONS.
-
-    Returns plain symmetric entries; all functions except ``log`` stay
-    positive definite, ``log`` may be indefinite.
-    """
-    if name not in _SCALAR_FUNCS:
-        raise ValueError(f"unknown matrix function {name!r}; expected one of {MATRIX_FUNCTIONS}")
-    if name == "log":
-        vecs = a.eigenvectors
-        return symmetrize((vecs * np.log(a.eigenvalues)) @ vecs.T)
-    return a._apply(name).entries
 
 
 def _as_entries(x) -> np.ndarray:

@@ -11,7 +11,6 @@ from opineq import (
     compression_map,
     congruence_sum_map,
     geometric_mean,
-    harmonic_like,
     identity_map,
     loewner_ratio,
     make_spd,
@@ -59,11 +58,10 @@ def test_geometric_mean_congruence_covariance(rng):
     assert np.allclose(direct, mapped.entries)
 
 
-def test_arithmetic_and_harmonic_means():
+def test_arithmetic_mean():
     a = make_spd(np.diag([1.0, 2.0]))
     b = make_spd(np.diag([3.0, 6.0]))
     assert np.allclose(arithmetic_mean(a, b).entries, np.diag([2.0, 4.0]))
-    assert np.allclose(harmonic_like(a, b).entries, np.diag([2.0 / 3.0, 1.0 / 3.0]))
 
 
 def test_mean_dimension_mismatch():

@@ -182,8 +182,9 @@ def test_cli_seed_env_override(capsys, monkeypatch):
     cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2"])
     assert "seed=7" in capsys.readouterr().out
     monkeypatch.setenv("OPINEQ_SEED", "not-a-number")
-    cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2"])
-    assert "seed=42" in capsys.readouterr().out
+    code = cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2"])
+    assert code == EXIT_USAGE
+    assert "OPINEQ_SEED" in capsys.readouterr().err
 
 
 def test_cli_search_ok(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -30,6 +32,22 @@ BOXES = {
     "wielandt_refined": {"m": 1.5, "m_prime": 4.0, "M": 4.0},
     "choi": {"m": 0.5, "M": 4.0},
     "norm_amgm": {"m": 0.5, "M": 4.0},
+}
+
+
+# The benchmark's three search jobs at budget 4000 and seed 42. Each
+# restart draws its own seed from the caller's generator, so these values
+# pin the whole hill-climb: every proposal, evaluation and acceptance.
+GOLDEN_JOBS = {
+    "kantorovich": (dict(box={"m": 1.0, "M": 4.0}, dim=2, classical=True),
+                    "0x1.ffffffffff2a4p-1",
+                    "c2bafbfc603274fbd52c4e15b4f4752574aac74ac84e5021d96fbfc96c6457a6"),
+    "polya_szego": (dict(box={"m": 1.0, "m_prime": 2.0, "M": 8.0}, dim=4),
+                    "0x1.55239c6610aeap-1",
+                    "9873853bed50f8ade0f37ca1ff1a7e064253516d0ca9023ba814b9d9db5de1c6"),
+    "lemma_amgm": (dict(box={"m": (3.0, 4.0), "M": (8.0, 9.0)}, dim=8),
+                   "0x1.fbff2ccb3c155p-1",
+                   "498c3c6642ca48b0dd74d5ecf424ca943d32a105e8c3e62c48ba98885ce10312"),
 }
 
 
@@ -71,6 +89,17 @@ def test_multi_restart_search_is_deterministic():
     assert first.restarts > 1
     assert first.ratio == second.ratio
     assert first.instance == second.instance
+
+
+@pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
+def test_search_is_bit_exact_on_golden_jobs(theorem_id):
+    kwargs, ratio_hex, instance_sha256 = GOLDEN_JOBS[theorem_id]
+    result = maximize_ratio(theorem_id, budget=4000, rng=42, tol=1e-8, **kwargs)
+    assert result.ratio.hex() == ratio_hex
+    assert (result.evaluations, result.restarts) == (4000, 2)
+    # json.dumps writes floats by repr, which round-trips every bit.
+    dumped = json.dumps(result.instance, sort_keys=True).encode()
+    assert hashlib.sha256(dumped).hexdigest() == instance_sha256
 
 
 def test_search_result_unpacks():

@@ -9,7 +9,6 @@ from opineq import (
     loewner_leq,
     loewner_ratio,
     make_spd,
-    matrix_function,
     operator_norm,
     scalar_leq,
     spectral_bounds,
@@ -70,11 +69,11 @@ def test_matrix_functions_match_2x2_closed_form():
     lo, hi = eig2_symmetric(p, q)
     assert np.allclose(a.eigenvalues, [lo, hi])
     frame = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    for name, f in (("sqrt", np.sqrt), ("inv", lambda v: 1.0 / v),
-                    ("inv_sqrt", lambda v: 1.0 / np.sqrt(v)),
-                    ("square", np.square), ("log", np.log)):
+    for method, f in ((SpdMatrix.sqrt, np.sqrt), (SpdMatrix.inv, lambda v: 1.0 / v),
+                      (SpdMatrix.inv_sqrt, lambda v: 1.0 / np.sqrt(v)),
+                      (SpdMatrix.square, np.square)):
         expected = (frame * f(np.array([lo, hi]))) @ frame.T
-        assert np.allclose(matrix_function(a, name), expected), name
+        assert np.allclose(method(a).entries, expected), method.__name__
 
 
 def test_matrix_function_roundtrips(rng):
@@ -85,10 +84,46 @@ def test_matrix_function_roundtrips(rng):
     assert np.allclose(a.inv_sqrt().entries, a.inv().sqrt().entries)
 
 
-def test_matrix_function_unknown_name():
-    a = make_spd(np.eye(2))
-    with pytest.raises(ValueError, match="unknown matrix function"):
-        matrix_function(a, "exp")
+def test_derived_matrices_are_memoised():
+    a = make_spd(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for method in (SpdMatrix.sqrt, SpdMatrix.inv, SpdMatrix.inv_sqrt, SpdMatrix.square):
+        assert method(a) is method(a), method.__name__
+    assert a.sqrt() is not a.inv_sqrt()
+
+
+@pytest.mark.parametrize("built_by", ["from_eigh", "eigh"])
+def test_derived_matrices_match_a_fresh_from_eigh(rng, built_by):
+    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    vals = rng.uniform(0.2, 6.0, size=5)
+    a = SpdMatrix.from_eigh(vals, q) if built_by == "from_eigh" else make_spd((q * vals) @ q.T)
+    for method, f in ((SpdMatrix.sqrt, np.sqrt), (SpdMatrix.inv, lambda v: 1.0 / v),
+                      (SpdMatrix.inv_sqrt, lambda v: 1.0 / np.sqrt(v)),
+                      (SpdMatrix.square, np.square)):
+        derived = method(a)
+        fresh = SpdMatrix.from_eigh(f(a.eigenvalues), a.eigenvectors)
+        for field in ("entries", "eigenvalues", "eigenvectors"):
+            assert np.array_equal(getattr(derived, field), getattr(fresh, field)), \
+                (method.__name__, field)
+    fresh = SpdMatrix.from_eigh(2.5 * a.eigenvalues, a.eigenvectors)
+    assert np.array_equal(a.scaled(2.5).entries, fresh.entries)
+
+
+def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
+    # The Gram check must also cover frames that eigh computes.
+    true_eigh = np.linalg.eigh
+
+    def skewed_eigh(x):
+        vals, vecs = true_eigh(x)
+        return vals, vecs + 1e-6 * np.triu(np.ones_like(vecs))
+
+    x = np.array([[2.0, 0.5], [0.5, 1.0]])
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(ValueError, match="orthonormal"):
+        make_spd(x).sqrt()
+    eig_known = make_spd(x)
+    eig_known.eigenvalues  # scaled() reuses the frame only once it exists
+    with pytest.raises(ValueError, match="orthonormal"):
+        eig_known.scaled(2.0)
 
 
 def test_scaled_rescales_spectrum():
