@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import pytest
 
@@ -9,6 +11,7 @@ from opineq import (
     CampaignConfig,
     run_campaign,
 )
+from opineq.cli import cli_main
 
 
 def test_default_grids_cover_every_theorem():
@@ -155,3 +158,15 @@ def test_total_checks_counts_every_record():
     assert by_id["scalar_amgm"].samples == 3
     assert by_id["lin_chain"].samples == 3 * 7
     assert report.total_checks == 3 + 21
+
+
+def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
+    # Every theorem's campaign draw, on every default cell, at four dims.
+    out = tmp_path / "report.json"
+    code = cli_main(["verify", "--theorems", "all", "--dims", "2,3,4,8", "--samples", "2",
+                     "--seed", "42", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
+    assert hashlib.sha256(raw).hexdigest() == (
+        "02dbcc6a4e73674c81bb023bca6b704754daa981c2e5310a7ed31075bb816da7")

@@ -68,11 +68,40 @@ def test_degenerate_scalar_box_is_immediately_tight():
     assert result.ratio == pytest.approx(1.0, abs=1e-14)
 
 
+# ratio.hex() of every BOXES search at budget 250, rng 9, dim 2, refined
+# and, for the bounds whose classical search moves onto the plain window,
+# classical.
+SMALL_GOLDEN = {
+    ("scalar_amgm", False): "0x1.0000000000002p+0",
+    ("lemma_amgm", False): "0x1.fec57f4c80840p-1",
+    ("kantorovich", False): "0x1.dc961ab68327dp-2",
+    ("kantorovich_product", False): "0x1.f26bf74ee7fc2p-2",
+    ("holder_mccarthy", False): "0x1.dc961ab55c7e7p-2",
+    ("square_order", False): "0x1.aac67a8e75f1cp-2",
+    ("polya_szego", False): "0x1.6395fc7db257fp-1",
+    ("isometry_family", False): "0x1.5582eae6795fcp-1",
+    ("lin_squared_mapped", False): "0x1.4c4a7b6dda190p-1",
+    ("lin_squared_means", False): "0x1.4c4a7b6dda186p-1",
+    ("lin_chain", False): "0x1.0000000000001p+0",
+    ("wielandt_scalar", False): "0x1.be10fadd89834p-1",
+    ("wielandt_bhatia_davis", False): "0x1.ffffffd3eee8bp-1",
+    ("wielandt_gumus", False): "0x1.c80cea65370bdp-1",
+    ("wielandt_refined", False): "0x1.bef1ada1d38fep-4",
+    ("choi", False): "0x1.0000000000009p+0",
+    ("norm_amgm", False): "0x1.fffffff86d6cap-1",
+    ("kantorovich", True): "0x1.b44a5d3401eecp-2",
+    ("holder_mccarthy", True): "0x1.b3f2623f4f503p-2",
+    ("kantorovich_product", True): "0x1.ab6ed362c1e3ep-2",
+}
+
+
 def test_search_never_exceeds_one_plus_tol():
-    for theorem_id, box in BOXES.items():
-        result = maximize_ratio(theorem_id, box, budget=250, rng=9, dim=2)
+    for (theorem_id, classical), ratio_hex in SMALL_GOLDEN.items():
+        result = maximize_ratio(theorem_id, BOXES[theorem_id], budget=250, rng=9, dim=2,
+                                classical=classical)
         assert result.ratio <= 1.0 + 1e-8, theorem_id
         assert result.evaluations == 250
+        assert result.ratio.hex() == ratio_hex, (theorem_id, classical)
 
 
 def test_search_is_deterministic():
