@@ -2,8 +2,11 @@
 
 A campaign draws instances per (theorem, dimension, parameter cell),
 runs the matching checker on each, and aggregates verdicts, attained
-ratios, and slack statistics. Draws are reproducible: every draw gets
-its own generator seeded by (seed, theorem index, dim, cell, draw).
+ratios, and slack statistics. Everything it knows about a theorem (its
+regime, default cells, minimum dimension and how to draw one instance)
+comes from that theorem's TheoremSpec in ``inequalities.THEOREMS``.
+Draws are reproducible: every draw gets its own generator seeded by
+(seed, theorem index, dim, cell, draw).
 """
 
 from __future__ import annotations
@@ -14,82 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import (
-    REGIME_FOR_THEOREM,
-    THEOREM_IDS,
-    check_choi_record,
-    check_holder_mccarthy_refined,
-    check_isometry_family_bound,
-    check_kantorovich_product_refined,
-    check_kantorovich_refined,
-    check_lemma_refined_amgm,
-    check_lin_chain,
-    check_lin_refined_squared,
-    check_norm_amgm_record,
-    check_polya_szego_refined,
-    check_square_order_refined,
-    check_wielandt_operator,
-    check_wielandt_scalar,
-    scalar_refined_amgm,
-)
-from .means_maps import (
-    compression_map,
-    congruence_sum_map,
-    geometric_mean,
-    identity_map,
-    pinching_map,
-    trace_normalize_map,
-)
-from .samplers import (
-    BoundParams,
-    haar_orthogonal,
-    regime_feasible,
-    sample_congruence_family,
-    sample_orthogonal_isometries,
-    sample_orthonormal_pair,
-    sample_relative_pair,
-    sample_sandwich_pair,
-    sample_self_inverse,
-    sample_shifted_pair,
-    sample_spd,
-    sample_unit_vector,
-)
-from .spd import DEFAULT_TOL, SpectralInterval, make_spd
+from .inequalities import THEOREM_IDS, THEOREMS
+from .samplers import BoundParams, regime_feasible
+from .spd import DEFAULT_TOL
 
 # Relative slack below which an instance counts as near tight.
 NEAR_TIGHT_REL = 1e-3
-
-# Orthonormal pairs and isometry ranges need at least two dimensions.
-_MIN_DIM = {
-    "wielandt_scalar": 2,
-    "wielandt_bhatia_davis": 2,
-    "wielandt_gumus": 2,
-    "wielandt_refined": 2,
-}
-
-_LOW_CELL = (BoundParams(m=0.5, M=4.0, m_prime=1.5),)
-_SHIFTED_CELL = (BoundParams(m=1.0, M=8.0, m_prime=2.0),)
-_SANDWICH_CELL = (BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0),)
-
-DEFAULT_GRIDS: dict[str, tuple[BoundParams, ...]] = {
-    "scalar_amgm": (BoundParams(m=0.25, M=4.0),),
-    "lemma_amgm": (BoundParams(m=4.0, M=9.0),),
-    "kantorovich": _LOW_CELL,
-    "kantorovich_product": _SHIFTED_CELL,
-    "holder_mccarthy": _LOW_CELL,
-    "square_order": _LOW_CELL,
-    "polya_szego": _SHIFTED_CELL,
-    "isometry_family": _LOW_CELL,
-    "lin_squared_mapped": _SANDWICH_CELL,
-    "lin_squared_means": _SANDWICH_CELL,
-    "lin_chain": _SANDWICH_CELL,
-    "wielandt_scalar": (BoundParams(m=1.0, M=4.0),),
-    "wielandt_bhatia_davis": (BoundParams(m=1.5, M=4.0),),
-    "wielandt_gumus": (BoundParams(m=1.5, M=4.0),),
-    "wielandt_refined": (BoundParams(m=1.5, M=4.0, m_prime=4.0),),
-    "choi": (BoundParams(m=0.5, M=4.0),),
-    "norm_amgm": (BoundParams(m=0.5, M=4.0),),
-}
 
 
 @dataclass(frozen=True)
@@ -123,7 +56,7 @@ class CampaignConfig:
             if isinstance(cells, BoundParams):
                 return (cells,)
             return tuple(cells)
-        return DEFAULT_GRIDS[theorem_id]
+        return THEOREMS[theorem_id].cells
 
 
 @dataclass(frozen=True)
@@ -169,201 +102,6 @@ class CampaignReport:
         return self.total_violations == 0
 
 
-def _draw_map(dim: int, rng: np.random.Generator):
-    """Rotate through the positive unital map catalog at this dimension."""
-    kinds = ["identity", "trace_normalize"]
-    if dim >= 2:
-        kinds += ["compression", "congruence_sum", "pinching"]
-    kind = kinds[int(rng.integers(len(kinds)))]
-    if kind == "identity":
-        return identity_map(dim)
-    if kind == "trace_normalize":
-        return trace_normalize_map(dim)
-    if kind == "compression":
-        q = haar_orthogonal(dim, rng)
-        return compression_map(q[:, : dim - 1])
-    if kind == "congruence_sum":
-        k = int(rng.integers(2, 4))
-        return congruence_sum_map(sample_congruence_family(dim, k, rng))
-    half = dim // 2
-    return pinching_map((tuple(range(half)), tuple(range(half, dim))))
-
-
-def _vectors(a, cfg: CampaignConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random unit vectors plus the eigenvectors, where extremes live."""
-    xs = [sample_unit_vector(a.dim, rng) for _ in range(cfg.vectors_per_instance)]
-    xs.extend(a.eigenvectors[:, j].copy() for j in range(a.dim))
-    return xs
-
-
-def _map_payload(spec) -> dict:
-    payload = {"map_kind": spec.kind}
-    if spec.isometry is not None:
-        payload["map_isometry"] = np.asarray(spec.isometry)
-    if spec.family is not None:
-        payload["map_family"] = np.stack([np.asarray(u) for u in spec.family])
-    if spec.blocks is not None:
-        payload["map_blocks"] = [list(block) for block in spec.blocks]
-    return payload
-
-
-def _build_scalar_amgm(dim, params, rng, cfg, first):
-    a = float(rng.uniform(params.m, params.M))
-    b = a if rng.random() < 0.1 else float(rng.uniform(params.m, params.M))
-    return [scalar_refined_amgm(a, b, cfg.tol)], {"a": a, "b": b}
-
-
-def _build_lemma(dim, params, rng, cfg, first):
-    a, b = sample_relative_pair(dim, params.m, params.M, rng)
-    records = [check_lemma_refined_amgm(a, b, params.m, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries}
-
-
-def _build_kantorovich(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, cfg, rng)
-    records = [
-        check_kantorovich_refined(a, x, params.m, params.m_prime, params.M, cfg.tol,
-                                  validate=(first and i == 0))
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
-
-
-def _build_product(dim, params, rng, cfg, first):
-    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
-    mean_ab = geometric_mean(a, b)
-    xs = _vectors(a, cfg, rng)
-    records = [
-        check_kantorovich_product_refined(a, b, x, params, cfg.tol,
-                                          validate=(first and i == 0), mean_ab=mean_ab)
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "b": b.entries, "vectors": np.column_stack(xs)}
-
-
-def _build_holder(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, cfg, rng)
-    records = [
-        check_holder_mccarthy_refined(a, x, params, cfg.tol, validate=(first and i == 0))
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
-
-
-def _build_square_order(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    if rng.random() < 0.25:
-        b = a
-    else:
-        bump = sample_spd(dim, SpectralInterval(0.05, 1.0), rng)
-        b = make_spd(a.entries + float(rng.uniform(0.0, 0.5)) * bump.entries)
-    records = [check_square_order_refined(a, b, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries}
-
-
-def _build_polya(dim, params, rng, cfg, first):
-    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
-    spec = _draw_map(dim, rng)
-    records = [check_polya_szego_refined(spec, a, b, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-
-def _build_isometry_family(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    family = sample_congruence_family(dim, int(rng.integers(1, 4)), rng)
-    records = [check_isometry_family_bound(family, a, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "family": np.stack(family)}
-
-
-def _build_lin_squared(variant):
-    def build(dim, params, rng, cfg, first):
-        a, b = sample_sandwich_pair(dim, params, rng)
-        spec = _draw_map(dim, rng)
-        records = [check_lin_refined_squared(spec, a, b, params, variant, cfg.tol,
-                                             validate=first)]
-        return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-    return build
-
-
-def _build_lin_chain(dim, params, rng, cfg, first):
-    a, b = sample_sandwich_pair(dim, params, rng)
-    spec = _draw_map(dim, rng)
-    records = check_lin_chain(spec, a, b, params, cfg.tol, validate=first)
-    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-
-def _build_wielandt_scalar(dim, params, rng, cfg, first):
-    a = sample_spd(dim, SpectralInterval(params.m, params.M), rng)
-    pairs = [sample_orthonormal_pair(dim, rng) for _ in range(cfg.vectors_per_instance)]
-    vecs = a.eigenvectors
-    for i, j in sorted({(0, dim - 1)} | {(k, k + 1) for k in range(dim - 1)}):
-        x = (vecs[:, i] + vecs[:, j]) / math.sqrt(2.0)
-        y = (vecs[:, i] - vecs[:, j]) / math.sqrt(2.0)
-        pairs.append((x, y))
-    records = [
-        check_wielandt_scalar(a, x, y, params.m, params.M, cfg.tol,
-                              validate=(first and i == 0))
-        for i, (x, y) in enumerate(pairs)
-    ]
-    payload = {"a": a.entries,
-               "pair_x": np.column_stack([p[0] for p in pairs]),
-               "pair_y": np.column_stack([p[1] for p in pairs])}
-    return records, payload
-
-
-def _build_wielandt_operator(variant):
-    def build(dim, params, rng, cfg, first):
-        if variant == "refined":
-            a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "high", rng)
-        else:
-            a = sample_spd(dim, SpectralInterval(params.m, params.M), rng)
-        pair = sample_orthogonal_isometries(dim, dim // 2, rng)
-        spec = _draw_map(dim // 2, rng)
-        records = [check_wielandt_operator(spec, a, pair, params, variant, cfg.tol,
-                                           validate=first)]
-        return records, {"a": a.entries, "x": pair.x, "y": pair.y, **_map_payload(spec)}
-
-    return build
-
-
-def _build_choi(dim, params, rng, cfg, first):
-    t = sample_spd(dim, SpectralInterval(params.m, params.M), rng)
-    spec = _draw_map(dim, rng)
-    records = [check_choi_record(spec, t, cfg.tol)]
-    return records, {"t": t.entries, **_map_payload(spec)}
-
-
-def _build_norm_amgm(dim, params, rng, cfg, first):
-    window = SpectralInterval(params.m, params.M)
-    a = sample_spd(dim, window, rng)
-    b = sample_spd(dim, window, rng)
-    return [check_norm_amgm_record(a, b, cfg.tol)], {"a": a.entries, "b": b.entries}
-
-
-_BUILDERS = {
-    "scalar_amgm": _build_scalar_amgm,
-    "lemma_amgm": _build_lemma,
-    "kantorovich": _build_kantorovich,
-    "kantorovich_product": _build_product,
-    "holder_mccarthy": _build_holder,
-    "square_order": _build_square_order,
-    "polya_szego": _build_polya,
-    "isometry_family": _build_isometry_family,
-    "lin_squared_mapped": _build_lin_squared("mapped_mean"),
-    "lin_squared_means": _build_lin_squared("mean_of_maps"),
-    "lin_chain": _build_lin_chain,
-    "wielandt_scalar": _build_wielandt_scalar,
-    "wielandt_bhatia_davis": _build_wielandt_operator("bhatia_davis"),
-    "wielandt_gumus": _build_wielandt_operator("gumus"),
-    "wielandt_refined": _build_wielandt_operator("refined"),
-    "choi": _build_choi,
-    "norm_amgm": _build_norm_amgm,
-}
-
-
 def _serialize_payload(payload: dict) -> dict:
     out = {}
     for key, value in payload.items():
@@ -378,7 +116,7 @@ def _serialize_payload(payload: dict) -> dict:
 
 def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
               params: BoundParams, cfg: CampaignConfig) -> CellStats:
-    builder = _BUILDERS[theorem_id]
+    draw_instance = THEOREMS[theorem_id].draw
     checks = violations = classical_violations = near_tight = 0
     max_ratio = -math.inf
     min_slack = math.inf
@@ -387,7 +125,7 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
     extremal_payload = None
     for draw in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, theorem_index, dim, cell_index, draw])
-        records, payload = builder(dim, params, rng, cfg, first=(draw == 0))
+        records, payload = draw_instance(dim, params, rng, cfg, first=(draw == 0))
         for item, record in enumerate(records):
             checks += 1
             slack = 1.0 - record.ratio
@@ -443,17 +181,16 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     for theorem_id in config.theorem_ids:
         theorem_index = THEOREM_IDS.index(theorem_id)
         grid = config.grid_for(theorem_id)
-        regime = REGIME_FOR_THEOREM[theorem_id]
+        spec = THEOREMS[theorem_id]
         for dim in config.dims:
             for cell_index, params in enumerate(grid):
-                feasible, reason = regime_feasible(regime, params)
+                feasible, reason = regime_feasible(spec.regime, params)
                 if not feasible:
                     skipped.append(SkippedCell(theorem_id, dim, params, reason))
                     continue
-                if dim < _MIN_DIM.get(theorem_id, 1):
+                if dim < spec.min_dim:
                     skipped.append(SkippedCell(
-                        theorem_id, dim, params,
-                        f"needs dim >= {_MIN_DIM[theorem_id]}, got {dim}"))
+                        theorem_id, dim, params, f"needs dim >= {spec.min_dim}, got {dim}"))
                     continue
                 cells.append(_run_cell(theorem_id, theorem_index, dim, cell_index,
                                        params, config))

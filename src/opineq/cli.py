@@ -4,7 +4,9 @@ Exit codes: 0 success (verify: zero violations), 1 verify found
 violations, 2 search exceeded 1 + tol, 64 usage error, 65 infeasible
 parameters. The OPINEQ_SEED environment variable overrides the default
 seed when --seed is not given; a value that is not an integer is a usage
-error.
+error. Run as a program, opineq ends quietly by the default SIGPIPE
+action when the reader of its output closes the pipe (``opineq search
+... | head -1``); cli_main leaves signal handling to its caller.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 
 import numpy as np
@@ -20,8 +23,8 @@ from . import __version__
 from .campaign import CampaignConfig, run_campaign
 from .errors import InfeasibleRegime
 from .inequalities import (
-    REGIME_FOR_THEOREM,
     THEOREM_IDS,
+    THEOREMS,
     check_kantorovich_refined,
     check_lin_chain,
     check_lin_refined_squared,
@@ -159,7 +162,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
             print(f"infeasible parameters: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         for tid in theorems:
-            feasible, reason = regime_feasible(REGIME_FOR_THEOREM[tid], params)
+            feasible, reason = regime_feasible(THEOREMS[tid].regime, params)
             if not feasible:
                 print(f"infeasible parameters for {tid}: {reason}", file=sys.stderr)
                 return EXIT_INFEASIBLE
@@ -309,4 +312,6 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(cli_main())

@@ -1,15 +1,22 @@
-"""One checkable predicate per operator bound in scope.
+"""One checkable predicate per operator bound in scope, and the registry.
 
 Every checker evaluates both the classical constant and its refined
 counterpart on the same instance, verifies the hypothesis regime, and
 returns an IneqRecord carrying verdicts, the attained scale-free ratio,
 and the improvement factor. Refinement factors use the natural log.
+
+THEOREMS holds one TheoremSpec per bound, registered next to its
+checker: its regime, default campaign cells, minimum dimension, how a
+campaign draws an instance, and how a search parameterises and scores
+one. The campaign and search engines read nothing else about a theorem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,10 +27,31 @@ from .means_maps import (
     arithmetic_mean,
     check_choi,
     check_norm_amgm,
+    compression_map,
     congruence_sum_map,
     geometric_mean,
+    identity_map,
+    pinching_map,
+    trace_normalize_map,
 )
-from .samplers import BoundParams, RegimeId, regime_window, require_feasible
+from .samplers import (
+    RELATIVE_BASE_WINDOW,
+    BoundParams,
+    IsometryPair,
+    RegimeId,
+    haar_orthogonal,
+    regime_window,
+    require_feasible,
+    sample_congruence_family,
+    sample_orthogonal_isometries,
+    sample_orthonormal_pair,
+    sample_relative_pair,
+    sample_sandwich_pair,
+    sample_self_inverse,
+    sample_shifted_pair,
+    sample_spd,
+    sample_unit_vector,
+)
 from .spd import (
     DEFAULT_TOL,
     CheckVerdict,
@@ -37,47 +65,6 @@ from .spd import (
     spectral_norm,
     symmetrize,
 )
-
-# Stable report identifiers, in campaign order.
-THEOREM_IDS = (
-    "scalar_amgm",
-    "lemma_amgm",
-    "kantorovich",
-    "kantorovich_product",
-    "holder_mccarthy",
-    "square_order",
-    "polya_szego",
-    "isometry_family",
-    "lin_squared_mapped",
-    "lin_squared_means",
-    "lin_chain",
-    "wielandt_scalar",
-    "wielandt_bhatia_davis",
-    "wielandt_gumus",
-    "wielandt_refined",
-    "choi",
-    "norm_amgm",
-)
-
-REGIME_FOR_THEOREM = {
-    "scalar_amgm": RegimeId.PLAIN,
-    "lemma_amgm": RegimeId.RELATIVE,
-    "kantorovich": RegimeId.SELF_INVERSE_LOW,
-    "kantorovich_product": RegimeId.SHIFTED,
-    "holder_mccarthy": RegimeId.SELF_INVERSE_LOW,
-    "square_order": RegimeId.SELF_INVERSE_LOW,
-    "polya_szego": RegimeId.SHIFTED,
-    "isometry_family": RegimeId.SELF_INVERSE_LOW,
-    "lin_squared_mapped": RegimeId.SANDWICH,
-    "lin_squared_means": RegimeId.SANDWICH,
-    "lin_chain": RegimeId.SANDWICH,
-    "wielandt_scalar": RegimeId.PLAIN,
-    "wielandt_bhatia_davis": RegimeId.PLAIN,
-    "wielandt_gumus": RegimeId.PLAIN,
-    "wielandt_refined": RegimeId.SELF_INVERSE_HIGH,
-    "choi": RegimeId.PLAIN,
-    "norm_amgm": RegimeId.PLAIN,
-}
 
 LOG_BASE_NOTE = "natural (base e)"
 
@@ -122,10 +109,6 @@ class IneqRecord:
     improvement_ratio: float
     detail: str = ""
     extras: dict = field(default_factory=dict)
-    fingerprint: dict | None = None
-
-    def with_fingerprint(self, fingerprint: dict) -> "IneqRecord":
-        return replace(self, fingerprint=fingerprint)
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:
@@ -168,6 +151,124 @@ def _require_sandwich(a: SpdMatrix, b: SpdMatrix, params: BoundParams):
     _require_spectrum(b, SpectralInterval(params.M_prime, params.M), "B")
 
 
+class SearchVar(NamedTuple):
+    """One variable of a search state, as a TheoremSpec's space declares it.
+
+    kind is "spd" (a spectrum kept in ``window``, on an orthogonal frame),
+    "weights" (numbers kept in ``window``, no frame), "vector" (a unit
+    vector), "frame" (an orthogonal matrix) or "scalar" (a number kept in
+    ``window``). ``start`` is the range a spectrum's first values are drawn
+    from (default: the window), or a scalar's first value or the range it
+    is drawn from. ``size`` 0 means the search dim.
+    """
+
+    kind: str
+    window: SpectralInterval | None = None
+    start: float | tuple[float, float] | None = None
+    size: int = 0
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """Everything the package knows about one bound, written once.
+
+    ``regime`` is the hypothesis every cell and search box must satisfy
+    and ``cells`` the default campaign grid. A classical search moves to
+    ``classical_regime`` when it is set, where the unrefined constant has
+    its equality cases. ``draw(dim, params, rng, cfg, first)`` makes one
+    campaign draw and returns (records, payload); ``first`` asks the
+    checker to validate the hypotheses. ``space(dim, params, classical)``
+    maps each search variable's name to its SearchVar, in the order their
+    first values are drawn, and ``evaluate(view, tol)`` checks the
+    instance a search view holds, returning a record or a list of them.
+    """
+
+    theorem_id: str
+    regime: RegimeId
+    cells: tuple[BoundParams, ...]
+    draw: Callable
+    space: Callable
+    evaluate: Callable
+    min_dim: int = 1
+    classical_regime: RegimeId | None = None
+
+
+# One spec per bound, each registered below next to its checker, in
+# campaign order: a theorem's index here seeds its campaign draws.
+THEOREMS: dict[str, TheoremSpec] = {}
+
+
+def _register(*args, **kwargs):
+    spec = TheoremSpec(*args, **kwargs)
+    THEOREMS[spec.theorem_id] = spec
+
+
+_LOW_CELL = (BoundParams(m=0.5, M=4.0, m_prime=1.5),)
+_SHIFTED_CELL = (BoundParams(m=1.0, M=8.0, m_prime=2.0),)
+_SANDWICH_CELL = (BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0),)
+
+_VECTOR = SearchVar("vector")
+_FRAME = SearchVar("frame")
+# The mixing weight t of the shifted pair B = (1-t) m' A + t M I.
+_SHIFT = SearchVar("scalar", SpectralInterval(1e-6, 1.0), (0.25, 1.0))
+
+
+def _plain(params: BoundParams) -> SpectralInterval:
+    return SpectralInterval(params.m, params.M)
+
+
+def _draw_map(dim: int, rng: np.random.Generator):
+    """Rotate through the positive unital map catalog at this dimension."""
+    kinds = ["identity", "trace_normalize"]
+    if dim >= 2:
+        kinds += ["compression", "congruence_sum", "pinching"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "identity":
+        return identity_map(dim)
+    if kind == "trace_normalize":
+        return trace_normalize_map(dim)
+    if kind == "compression":
+        q = haar_orthogonal(dim, rng)
+        return compression_map(q[:, : dim - 1])
+    if kind == "congruence_sum":
+        k = int(rng.integers(2, 4))
+        return congruence_sum_map(sample_congruence_family(dim, k, rng))
+    half = dim // 2
+    return pinching_map((tuple(range(half)), tuple(range(half, dim))))
+
+
+def _vectors(a, cfg, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random unit vectors plus the eigenvectors, where extremes live."""
+    xs = [sample_unit_vector(a.dim, rng) for _ in range(cfg.vectors_per_instance)]
+    xs.extend(a.eigenvectors[:, j].copy() for j in range(a.dim))
+    return xs
+
+
+def _map_payload(spec) -> dict:
+    payload = {"map_kind": spec.kind}
+    if spec.isometry is not None:
+        payload["map_isometry"] = np.asarray(spec.isometry)
+    if spec.family is not None:
+        payload["map_family"] = np.stack([np.asarray(u) for u in spec.family])
+    if spec.blocks is not None:
+        payload["map_blocks"] = [list(block) for block in spec.blocks]
+    return payload
+
+
+def _search_shifted_pair(view):
+    """The shifted pair A, B = (1-t) m' A + t M I a search view holds."""
+    spectrum, frame = view.spectra["a"], view.frames["a"]
+    t, params = view.scalars["t"], view.params
+
+    def build():
+        vals = np.sort(spectrum)
+        a = SpdMatrix.from_eigh(vals, frame)
+        b = SpdMatrix.from_eigh((1.0 - t) * params.m_prime * vals + t * params.M, frame)
+        return a, b
+
+    return view.memo("shifted_pair", (spectrum, frame, t, params), build)
+
+
 def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRecord:
     """(1 + (ln b - ln a)^2 / 8) sqrt(ab) <= (a + b) / 2 for a, b > 0."""
     if a <= 0.0 or b <= 0.0:
@@ -189,6 +290,25 @@ def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRec
         refined_rhs_scale=1.0 / kappa,
         improvement_ratio=1.0 / kappa,
     )
+
+
+def _draw_scalar_amgm(dim, params, rng, cfg, first):
+    a = float(rng.uniform(params.m, params.M))
+    b = a if rng.random() < 0.1 else float(rng.uniform(params.m, params.M))
+    return [scalar_refined_amgm(a, b, cfg.tol)], {"a": a, "b": b}
+
+
+def _space_scalar_amgm(dim, params, classical):
+    return {"a": SearchVar("spd", _plain(params), size=1),
+            "b": SearchVar("spd", _plain(params), size=1)}
+
+
+def _eval_scalar_amgm(view, tol):
+    return scalar_refined_amgm(float(view.spectra["a"][0]), float(view.spectra["b"][0]), tol)
+
+
+_register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),),
+          _draw_scalar_amgm, _space_scalar_amgm, _eval_scalar_amgm)
 
 
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
@@ -219,6 +339,85 @@ def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
         refined_rhs_scale=1.0 / kappa,
         improvement_ratio=1.0 / kappa,
     )
+
+
+def _draw_lemma_amgm(dim, params, rng, cfg, first):
+    a, b = sample_relative_pair(dim, params.m, params.M, rng)
+    records = [check_lemma_refined_amgm(a, b, params.m, cfg.tol, validate=first)]
+    return records, {"a": a.entries, "b": b.entries}
+
+
+def _space_lemma_amgm(dim, params, classical):
+    return {"a": SearchVar("spd", RELATIVE_BASE_WINDOW), "c": SearchVar("spd", _plain(params))}
+
+
+def _eval_lemma_amgm(view, tol):
+    """B = A^{1/2} C A^{1/2} with C on [m, M] keeps mA <= B <= MA."""
+    a = view.spd("a")
+    root = a.sqrt().entries
+    b = make_spd(root @ view.spd("c").entries @ root)
+    return check_lemma_refined_amgm(a, b, view.params.m, tol, validate=False)
+
+
+_register("lemma_amgm", RegimeId.RELATIVE, (BoundParams(m=4.0, M=9.0),),
+          _draw_lemma_amgm, _space_lemma_amgm, _eval_lemma_amgm)
+
+
+def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: float,
+                              M: float, tol: float = DEFAULT_TOL,
+                              validate: bool = True) -> IneqRecord:
+    """<Ax,x><A^{-1}x,x> <= (M+m)^2 / (4Mm kappa(m')^2).
+
+    Regime: mI <= m'A <= A^{-1} <= MI with m' > 1; the classical
+    Kantorovich constant is the same bound without the divisor.
+    """
+    params = BoundParams(m=m, M=M, m_prime=m_prime)
+    if validate:
+        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
+        _require_unit(x)
+    lhs = a.quad_form(x) * a.inv().quad_form(x)
+    kappa = refinement_factor(m_prime)
+    classical_scale = kantorovich_constant(M / m)
+    refined_scale = classical_scale / kappa ** 2
+    verdict = scalar_leq(lhs, refined_scale, tol)
+    classical = scalar_leq(lhs, classical_scale, tol)
+    return IneqRecord(
+        theorem_id="kantorovich",
+        lhs_value=lhs,
+        rhs_value=refined_scale,
+        ratio=_safe_ratio(lhs, refined_scale),
+        verdict=verdict,
+        classical_verdict=classical,
+        classical_rhs_scale=classical_scale,
+        refined_rhs_scale=refined_scale,
+        improvement_ratio=1.0 / kappa ** 2,
+    )
+
+
+def _draw_kantorovich(dim, params, rng, cfg, first):
+    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
+    xs = _vectors(a, cfg, rng)
+    records = [
+        check_kantorovich_refined(a, x, params.m, params.m_prime, params.M, cfg.tol,
+                                  validate=(first and i == 0))
+        for i, x in enumerate(xs)
+    ]
+    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
+
+
+def _space_low_vector(dim, params, classical):
+    window = _plain(params) if classical else regime_window(RegimeId.SELF_INVERSE_LOW, params)
+    return {"a": SearchVar("spd", window), "x": _VECTOR}
+
+
+def _eval_kantorovich(view, tol):
+    p = view.params
+    return check_kantorovich_refined(view.spd("a"), view.vectors["x"], p.m, p.m_prime, p.M,
+                                     tol, validate=False)
+
+
+_register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_kantorovich,
+          _space_low_vector, _eval_kantorovich, classical_regime=RegimeId.PLAIN)
 
 
 def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
@@ -255,35 +454,38 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
     )
 
 
-def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: float,
-                              M: float, tol: float = DEFAULT_TOL,
-                              validate: bool = True) -> IneqRecord:
-    """<Ax,x><A^{-1}x,x> <= (M+m)^2 / (4Mm kappa(m')^2).
+def _draw_kantorovich_product(dim, params, rng, cfg, first):
+    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
+    mean_ab = geometric_mean(a, b)
+    xs = _vectors(a, cfg, rng)
+    records = [
+        check_kantorovich_product_refined(a, b, x, params, cfg.tol,
+                                          validate=(first and i == 0), mean_ab=mean_ab)
+        for i, x in enumerate(xs)
+    ]
+    return records, {"a": a.entries, "b": b.entries, "vectors": np.column_stack(xs)}
 
-    Regime: mI <= m'A <= A^{-1} <= MI with m' > 1; the classical
-    Kantorovich constant is the same bound without the divisor.
-    """
-    params = BoundParams(m=m, M=M, m_prime=m_prime)
-    if validate:
-        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
-        _require_unit(x)
-    lhs = a.quad_form(x) * a.inv().quad_form(x)
-    kappa = refinement_factor(m_prime)
-    classical_scale = kantorovich_constant(M / m)
-    refined_scale = classical_scale / kappa ** 2
-    verdict = scalar_leq(lhs, refined_scale, tol)
-    classical = scalar_leq(lhs, classical_scale, tol)
-    return IneqRecord(
-        theorem_id="kantorovich",
-        lhs_value=lhs,
-        rhs_value=refined_scale,
-        ratio=_safe_ratio(lhs, refined_scale),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+
+def _space_shifted(dim, params, classical):
+    return {"a": SearchVar("spd", regime_window(RegimeId.SHIFTED, params)), "t": _SHIFT}
+
+
+def _space_kantorovich_product(dim, params, classical):
+    if classical:
+        return {"a": SearchVar("spd", _plain(params)), "b": SearchVar("spd", _plain(params)),
+                "x": _VECTOR}
+    return {**_space_shifted(dim, params, classical), "x": _VECTOR}
+
+
+def _eval_kantorovich_product(view, tol):
+    a, b = (view.spd("a"), view.spd("b")) if view.classical else _search_shifted_pair(view)
+    return check_kantorovich_product_refined(a, b, view.vectors["x"], view.params, tol,
+                                             validate=False)
+
+
+_register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _draw_kantorovich_product,
+          _space_kantorovich_product, _eval_kantorovich_product,
+          classical_regime=RegimeId.PLAIN)
 
 
 def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundParams,
@@ -311,6 +513,25 @@ def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundPara
         refined_rhs_scale=refined_scale,
         improvement_ratio=1.0 / kappa ** 2,
     )
+
+
+def _draw_holder_mccarthy(dim, params, rng, cfg, first):
+    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
+    xs = _vectors(a, cfg, rng)
+    records = [
+        check_holder_mccarthy_refined(a, x, params, cfg.tol, validate=(first and i == 0))
+        for i, x in enumerate(xs)
+    ]
+    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
+
+
+def _eval_holder_mccarthy(view, tol):
+    return check_holder_mccarthy_refined(view.spd("a"), view.vectors["x"], view.params, tol,
+                                         validate=False)
+
+
+_register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_holder_mccarthy,
+          _space_low_vector, _eval_holder_mccarthy, classical_regime=RegimeId.PLAIN)
 
 
 def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
@@ -341,6 +562,34 @@ def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
     )
 
 
+def _draw_square_order(dim, params, rng, cfg, first):
+    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
+    if rng.random() < 0.25:
+        b = a
+    else:
+        bump = sample_spd(dim, SpectralInterval(0.05, 1.0), rng)
+        b = make_spd(a.entries + float(rng.uniform(0.0, 0.5)) * bump.entries)
+    records = [check_square_order_refined(a, b, params, cfg.tol, validate=first)]
+    return records, {"a": a.entries, "b": b.entries}
+
+
+def _space_square_order(dim, params, classical):
+    return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_LOW, params)),
+            "bump": SearchVar("spd", SpectralInterval(1e-3, 1.0)),
+            "eps": SearchVar("scalar", SpectralInterval(1e-6, 0.5), 0.1)}
+
+
+def _eval_square_order(view, tol):
+    """B = A + eps * bump keeps A <= B."""
+    a = view.spd("a")
+    b = make_spd(a.entries + view.scalars["eps"] * view.spd("bump").entries)
+    return check_square_order_refined(a, b, view.params, tol, validate=False)
+
+
+_register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_square_order,
+          _space_square_order, _eval_square_order)
+
+
 def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
                               params: BoundParams, tol: float = DEFAULT_TOL,
                               validate: bool = True) -> IneqRecord:
@@ -367,6 +616,23 @@ def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
         refined_rhs_scale=refined_scale,
         improvement_ratio=1.0 / kappa,
     )
+
+
+def _draw_polya_szego(dim, params, rng, cfg, first):
+    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
+    spec = _draw_map(dim, rng)
+    records = [check_polya_szego_refined(spec, a, b, params, cfg.tol, validate=first)]
+    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
+
+
+def _eval_polya_szego(view, tol):
+    a, b = _search_shifted_pair(view)
+    return check_polya_szego_refined(identity_map(view.dim), a, b, view.params, tol,
+                                     validate=False)
+
+
+_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _draw_polya_szego, _space_shifted,
+          _eval_polya_szego)
 
 
 def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
@@ -399,6 +665,31 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
         refined_rhs_scale=refined_scale,
         improvement_ratio=1.0 / kappa,
     )
+
+
+def _draw_isometry_family(dim, params, rng, cfg, first):
+    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
+    family = sample_congruence_family(dim, int(rng.integers(1, 4)), rng)
+    records = [check_isometry_family_bound(family, a, params, cfg.tol, validate=first)]
+    return records, {"a": a.entries, "family": np.stack(family)}
+
+
+def _space_isometry_family(dim, params, classical):
+    return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_LOW, params)),
+            "w": SearchVar("weights", SpectralInterval(0.01, 0.99), (0.2, 0.8)),
+            "q": _FRAME}
+
+
+def _eval_isometry_family(view, tol):
+    """The family (sqrt(w) Q, sqrt(1-w) Q) sums to the identity."""
+    w = np.clip(view.spectra["w"], 0.01, 0.99)
+    q = view.frames["q"]
+    family = (np.sqrt(w)[:, None] * q, np.sqrt(1.0 - w)[:, None] * q)
+    return check_isometry_family_bound(family, view.spd("a"), view.params, tol, validate=False)
+
+
+_register("isometry_family", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_isometry_family,
+          _space_isometry_family, _eval_isometry_family)
 
 
 LIN_VARIANTS = ("mapped_mean", "mean_of_maps")
@@ -442,6 +733,31 @@ def check_lin_refined_squared(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
         refined_rhs_scale=refined_scale,
         improvement_ratio=1.0 / kappa ** 2,
     )
+
+
+def _draw_lin_squared(variant, dim, params, rng, cfg, first):
+    a, b = sample_sandwich_pair(dim, params, rng)
+    spec = _draw_map(dim, rng)
+    records = [check_lin_refined_squared(spec, a, b, params, variant, cfg.tol, validate=first)]
+    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
+
+
+def _space_sandwich(dim, params, classical):
+    return {"a": SearchVar("spd", SpectralInterval(params.m, params.m_prime)),
+            "b": SearchVar("spd", SpectralInterval(params.M_prime, params.M))}
+
+
+def _eval_lin_squared(variant, view, tol):
+    return check_lin_refined_squared(identity_map(view.dim), view.spd("a"), view.spd("b"),
+                                     view.params, variant, tol, validate=False)
+
+
+_register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL,
+          partial(_draw_lin_squared, "mapped_mean"), _space_sandwich,
+          partial(_eval_lin_squared, "mapped_mean"))
+_register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL,
+          partial(_draw_lin_squared, "mean_of_maps"), _space_sandwich,
+          partial(_eval_lin_squared, "mean_of_maps"))
 
 
 LIN_CHAIN_LINKS = (
@@ -535,6 +851,22 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
     return records
 
 
+def _draw_lin_chain(dim, params, rng, cfg, first):
+    a, b = sample_sandwich_pair(dim, params, rng)
+    spec = _draw_map(dim, rng)
+    records = check_lin_chain(spec, a, b, params, cfg.tol, validate=first)
+    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
+
+
+def _eval_lin_chain(view, tol):
+    return check_lin_chain(identity_map(view.dim), view.spd("a"), view.spd("b"), view.params,
+                           tol, validate=False)
+
+
+_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _draw_lin_chain, _space_sandwich,
+          _eval_lin_chain)
+
+
 def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, M: float,
                           tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """<x,Ay>^2 <= ((M-m)/(M+m))^2 <x,Ax><y,Ay> for orthonormal x, y.
@@ -565,6 +897,41 @@ def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, 
         refined_rhs_scale=scale,
         improvement_ratio=1.0,
     )
+
+
+def _draw_wielandt_scalar(dim, params, rng, cfg, first):
+    a = sample_spd(dim, _plain(params), rng)
+    pairs = [sample_orthonormal_pair(dim, rng) for _ in range(cfg.vectors_per_instance)]
+    vecs = a.eigenvectors
+    for i, j in sorted({(0, dim - 1)} | {(k, k + 1) for k in range(dim - 1)}):
+        x = (vecs[:, i] + vecs[:, j]) / math.sqrt(2.0)
+        y = (vecs[:, i] - vecs[:, j]) / math.sqrt(2.0)
+        pairs.append((x, y))
+    records = [
+        check_wielandt_scalar(a, x, y, params.m, params.M, cfg.tol,
+                              validate=(first and i == 0))
+        for i, (x, y) in enumerate(pairs)
+    ]
+    payload = {"a": a.entries,
+               "pair_x": np.column_stack([p[0] for p in pairs]),
+               "pair_y": np.column_stack([p[1] for p in pairs])}
+    return records, payload
+
+
+def _space_plain_pair(dim, params, classical):
+    return {"a": SearchVar("spd", _plain(params)), "pair": _FRAME}
+
+
+def _eval_wielandt_scalar(view, tol):
+    p = view.params
+    f = view.frames["pair"]
+    return check_wielandt_scalar(view.spd("a"), f[:, 0], f[:, 1], p.m, p.M, tol,
+                                 validate=False)
+
+
+# Orthonormal pairs and isometry ranges need at least two dimensions.
+_register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),),
+          _draw_wielandt_scalar, _space_plain_pair, _eval_wielandt_scalar, min_dim=2)
 
 
 WIELANDT_VARIANTS = ("bhatia_davis", "gumus", "refined")
@@ -660,6 +1027,44 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
     )
 
 
+def _draw_wielandt_operator(variant, dim, params, rng, cfg, first):
+    if variant == "refined":
+        a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "high", rng)
+    else:
+        a = sample_spd(dim, _plain(params), rng)
+    pair = sample_orthogonal_isometries(dim, dim // 2, rng)
+    spec = _draw_map(dim // 2, rng)
+    records = [check_wielandt_operator(spec, a, pair, params, variant, cfg.tol,
+                                       validate=first)]
+    return records, {"a": a.entries, "x": pair.x, "y": pair.y, **_map_payload(spec)}
+
+
+def _space_high_pair(dim, params, classical):
+    return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_HIGH, params)),
+            "pair": _FRAME}
+
+
+def _eval_wielandt_operator(variant, view, tol):
+    """X and Y are the first and last dim // 2 columns of one frame."""
+    r = view.dim // 2
+    f = view.frames["pair"]
+    pair = IsometryPair(f[:, :r].copy(), f[:, view.dim - r:].copy())
+    return check_wielandt_operator(identity_map(r), view.spd("a"), pair, view.params, variant,
+                                   tol, validate=False)
+
+
+_register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
+          partial(_draw_wielandt_operator, "bhatia_davis"), _space_plain_pair,
+          partial(_eval_wielandt_operator, "bhatia_davis"), min_dim=2)
+_register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
+          partial(_draw_wielandt_operator, "gumus"), _space_plain_pair,
+          partial(_eval_wielandt_operator, "gumus"), min_dim=2)
+_register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
+          (BoundParams(m=1.5, M=4.0, m_prime=4.0),),
+          partial(_draw_wielandt_operator, "refined"), _space_high_pair,
+          partial(_eval_wielandt_operator, "refined"), min_dim=2)
+
+
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
                       tol: float = DEFAULT_TOL) -> IneqRecord:
     """(Phi(T))^{-1} <= Phi(T^{-1}) wrapped as a campaign record."""
@@ -680,6 +1085,25 @@ def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
     )
 
 
+def _draw_choi(dim, params, rng, cfg, first):
+    t = sample_spd(dim, _plain(params), rng)
+    spec = _draw_map(dim, rng)
+    records = [check_choi_record(spec, t, cfg.tol)]
+    return records, {"t": t.entries, **_map_payload(spec)}
+
+
+def _space_plain(dim, params, classical):
+    return {"a": SearchVar("spd", _plain(params))}
+
+
+def _eval_choi(view, tol):
+    return check_choi_record(identity_map(view.dim), view.spd("a"), tol)
+
+
+_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _draw_choi, _space_plain,
+          _eval_choi)
+
+
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
     """||AB|| <= ||A+B||^2 / 4 wrapped as a campaign record."""
     verdict = check_norm_amgm(a, b, tol)
@@ -696,6 +1120,27 @@ def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL)
         refined_rhs_scale=1.0,
         improvement_ratio=1.0,
     )
+
+
+def _draw_norm_amgm(dim, params, rng, cfg, first):
+    a = sample_spd(dim, _plain(params), rng)
+    b = sample_spd(dim, _plain(params), rng)
+    return [check_norm_amgm_record(a, b, cfg.tol)], {"a": a.entries, "b": b.entries}
+
+
+def _space_plain_two(dim, params, classical):
+    return {"a": SearchVar("spd", _plain(params)), "b": SearchVar("spd", _plain(params))}
+
+
+def _eval_norm_amgm(view, tol):
+    return check_norm_amgm_record(view.spd("a"), view.spd("b"), tol)
+
+
+_register("norm_amgm", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _draw_norm_amgm,
+          _space_plain_two, _eval_norm_amgm)
+
+# Stable report identifiers, in campaign order.
+THEOREM_IDS = tuple(THEOREMS)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ instance degrees of freedom (eigenvalues, orthogonal frames via Givens
 rotations, unit vectors, auxiliary mixing scalars, and the regime
 parameters inside a user box), reporting the largest attained
 lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
+The variables, their windows and the score come from the theorem's
+TheoremSpec in ``inequalities.THEOREMS``: its space declares the
+variables and its evaluate reads them through a view of the state.
 Restarts run in sequence, each from its own seed drawn from the
 caller's generator. A proposal copies only the array it changes, and
 each state memoises the matrices built from its arrays, so an
@@ -23,39 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleRegime, NotPositiveDefinite
-from .inequalities import (
-    REGIME_FOR_THEOREM,
-    THEOREM_IDS,
-    IneqRecord,
-    check_choi_record,
-    check_holder_mccarthy_refined,
-    check_isometry_family_bound,
-    check_kantorovich_product_refined,
-    check_kantorovich_refined,
-    check_lemma_refined_amgm,
-    check_lin_chain,
-    check_lin_refined_squared,
-    check_norm_amgm_record,
-    check_polya_szego_refined,
-    check_square_order_refined,
-    check_wielandt_operator,
-    check_wielandt_scalar,
-    refinement_constants,
-    scalar_refined_amgm,
-)
-from .means_maps import identity_map
+from .inequalities import THEOREMS, IneqRecord, refinement_constants
 from .samplers import (
-    RELATIVE_BASE_WINDOW,
     BoundParams,
-    IsometryPair,
-    RegimeId,
     haar_orthogonal,
     regime_feasible,
-    regime_window,
     require_feasible,
     sample_unit_vector,
 )
-from .spd import DEFAULT_TOL, SpdMatrix, SpectralInterval, make_spd
+from .spd import DEFAULT_TOL, SpdMatrix
 
 SEARCH_DIM_CAP = 8
 DEFAULT_BUDGET = 10_000
@@ -63,9 +42,6 @@ _DELTA_START = 0.1
 _DELTA_END = 1e-4
 _EVALS_PER_RESTART = 2000
 _PARAM_KEYS = ("m", "m_prime", "M_prime", "M")
-# classical=True moves these onto the plain window, where the unrefined
-# constants have their equality cases.
-_CLASSICAL_PLAIN = ("kantorovich", "holder_mccarthy", "kantorovich_product")
 
 
 @dataclass(frozen=True)
@@ -102,305 +78,52 @@ def _memo(state: dict, key: str, deps: tuple, build):
     return value
 
 
-def _spd(state: dict, name: str) -> SpdMatrix:
-    vals, frame = state["spectra"][name], state["frames"][name]
-    return _memo(state, name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
+class _View:
+    """What a TheoremSpec's evaluate reads of one search state."""
+
+    __slots__ = ("_state", "dim", "classical", "params", "spectra", "frames", "vectors",
+                 "scalars")
+
+    def __init__(self, state: dict, dim: int, classical: bool):
+        self._state = state
+        self.dim = dim
+        self.classical = classical
+        self.params = state["params"]
+        self.spectra = state["spectra"]
+        self.frames = state["frames"]
+        self.vectors = state["vectors"]
+        self.scalars = state["scalars"]
+
+    def spd(self, name: str) -> SpdMatrix:
+        """The matrix with spectrum ``name`` on frame ``name``."""
+        vals, frame = self.spectra[name], self.frames[name]
+        return self.memo(name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
+
+    def memo(self, key: str, deps: tuple, build):
+        return _memo(self._state, key, deps, build)
 
 
-def _add_spd(state, name, size, window, rng):
-    state["windows"][name] = window
-    state["spectra"][name] = rng.uniform(window.lo, window.hi, size=size)
-    if size >= 2:
-        state["frames"][name] = haar_orthogonal(size, rng)
-    else:
-        state["frames"][name] = np.eye(size)
+def _windows(spec, dim, params, classical) -> dict:
+    space = spec.space(dim, params, classical)
+    return {name: var.window for name, var in space.items() if var.window is not None}
 
 
-def _add_weights(state, name, size, rng):
-    state["windows"][name] = SpectralInterval(0.01, 0.99)
-    state["spectra"][name] = rng.uniform(0.2, 0.8, size=size)
-
-
-def _add_scalar(state, name, lo, hi, value):
-    state["boxes"][name] = (lo, hi)
-    state["scalars"][name] = value
-
-
-def _add_vector(state, name, dim, rng):
-    state["vectors"][name] = sample_unit_vector(dim, rng)
-
-
-def _add_frame(state, name, size, rng):
-    state["frames"][name] = haar_orthogonal(size, rng)
-
-
-def _shifted_pair(state, params):
-    spectrum = state["spectra"]["a"]
-    frame = state["frames"]["a"]
-    t = state["scalars"]["t"]
-
-    def build():
-        vals = np.sort(spectrum)
-        a = SpdMatrix.from_eigh(vals, frame)
-        b = SpdMatrix.from_eigh((1.0 - t) * params.m_prime * vals + t * params.M, frame)
-        return a, b
-
-    return _memo(state, "shifted_pair", (spectrum, frame, t, params), build)
-
-
-@dataclass(frozen=True)
-class _Problem:
-    windows: callable
-    init: callable
-    evaluate: callable
-    min_dim: int = 1
-
-
-def _plain(params):
-    return SpectralInterval(params.m, params.M)
-
-
-def _build_problems() -> dict[str, _Problem]:
-    problems: dict[str, _Problem] = {}
-
-    def scalar_windows(dim, p, classical):
-        return {"a": _plain(p), "b": _plain(p)}
-
-    def scalar_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", 1, _plain(p), rng)
-        _add_spd(state, "b", 1, _plain(p), rng)
-
-    def scalar_eval(state, dim, classical, tol):
-        a = float(state["spectra"]["a"][0])
-        b = float(state["spectra"]["b"][0])
-        return _ratio(scalar_refined_amgm(a, b, tol), classical)
-
-    problems["scalar_amgm"] = _Problem(scalar_windows, scalar_init, scalar_eval)
-
-    def lemma_windows(dim, p, classical):
-        return {"a": RELATIVE_BASE_WINDOW, "c": SpectralInterval(p.m, p.M)}
-
-    def lemma_init(state, dim, p, rng, classical):
-        for name, window in lemma_windows(dim, p, classical).items():
-            _add_spd(state, name, dim, window, rng)
-
-    def lemma_eval(state, dim, classical, tol):
-        p = state["params"]
-        root = _spd(state, "a").sqrt().entries
-        b = make_spd(root @ _spd(state, "c").entries @ root)
-        rec = check_lemma_refined_amgm(_spd(state, "a"), b, p.m, tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["lemma_amgm"] = _Problem(lemma_windows, lemma_init, lemma_eval)
-
-    def kant_windows(dim, p, classical):
-        window = _plain(p) if classical else regime_window(RegimeId.SELF_INVERSE_LOW, p)
-        return {"a": window}
-
-    def kant_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, kant_windows(dim, p, classical)["a"], rng)
-        _add_vector(state, "x", dim, rng)
-
-    def kant_eval(state, dim, classical, tol):
-        p = state["params"]
-        rec = check_kantorovich_refined(_spd(state, "a"), state["vectors"]["x"],
-                                        p.m, p.m_prime, p.M, tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["kantorovich"] = _Problem(kant_windows, kant_init, kant_eval)
-
-    def product_windows(dim, p, classical):
-        if classical:
-            return {"a": _plain(p), "b": _plain(p)}
-        return {"a": regime_window(RegimeId.SHIFTED, p)}
-
-    def product_init(state, dim, p, rng, classical):
-        if classical:
-            _add_spd(state, "a", dim, _plain(p), rng)
-            _add_spd(state, "b", dim, _plain(p), rng)
+def _init_values(state, spec, dim, rng, classical):
+    """Draw the first value of every variable, in the order the space lists them."""
+    for name, var in spec.space(dim, state["params"], classical).items():
+        if var.kind in ("spd", "weights"):
+            size = var.size or dim
+            lo, hi = var.start or (var.window.lo, var.window.hi)
+            state["spectra"][name] = rng.uniform(lo, hi, size=size)
+            if var.kind == "spd":
+                state["frames"][name] = haar_orthogonal(size, rng) if size >= 2 else np.eye(size)
+        elif var.kind == "vector":
+            state["vectors"][name] = sample_unit_vector(dim, rng)
+        elif var.kind == "frame":
+            state["frames"][name] = haar_orthogonal(dim, rng)
         else:
-            _add_spd(state, "a", dim, regime_window(RegimeId.SHIFTED, p), rng)
-            _add_scalar(state, "t", 1e-6, 1.0, float(rng.uniform(0.25, 1.0)))
-        _add_vector(state, "x", dim, rng)
-
-    def product_eval(state, dim, classical, tol):
-        p = state["params"]
-        if classical:
-            a, b = _spd(state, "a"), _spd(state, "b")
-        else:
-            a, b = _shifted_pair(state, p)
-        rec = check_kantorovich_product_refined(a, b, state["vectors"]["x"], p, tol,
-                                                validate=False)
-        return _ratio(rec, classical)
-
-    problems["kantorovich_product"] = _Problem(product_windows, product_init, product_eval)
-
-    def holder_eval(state, dim, classical, tol):
-        p = state["params"]
-        rec = check_holder_mccarthy_refined(_spd(state, "a"), state["vectors"]["x"], p,
-                                            tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["holder_mccarthy"] = _Problem(kant_windows, kant_init, holder_eval)
-
-    def square_windows(dim, p, classical):
-        return {"a": regime_window(RegimeId.SELF_INVERSE_LOW, p),
-                "bump": SpectralInterval(1e-3, 1.0)}
-
-    def square_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, regime_window(RegimeId.SELF_INVERSE_LOW, p), rng)
-        _add_spd(state, "bump", dim, SpectralInterval(1e-3, 1.0), rng)
-        _add_scalar(state, "eps", 1e-6, 0.5, 0.1)
-
-    def square_eval(state, dim, classical, tol):
-        p = state["params"]
-        a = _spd(state, "a")
-        b = make_spd(a.entries + state["scalars"]["eps"] * _spd(state, "bump").entries)
-        rec = check_square_order_refined(a, b, p, tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["square_order"] = _Problem(square_windows, square_init, square_eval)
-
-    def shifted_only_windows(dim, p, classical):
-        return {"a": regime_window(RegimeId.SHIFTED, p)}
-
-    def polya_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, regime_window(RegimeId.SHIFTED, p), rng)
-        _add_scalar(state, "t", 1e-6, 1.0, float(rng.uniform(0.25, 1.0)))
-
-    def polya_eval(state, dim, classical, tol):
-        p = state["params"]
-        a, b = _shifted_pair(state, p)
-        rec = check_polya_szego_refined(identity_map(dim), a, b, p, tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["polya_szego"] = _Problem(shifted_only_windows, polya_init, polya_eval)
-
-    def family_windows(dim, p, classical):
-        return {"a": regime_window(RegimeId.SELF_INVERSE_LOW, p),
-                "w": SpectralInterval(0.01, 0.99)}
-
-    def family_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, regime_window(RegimeId.SELF_INVERSE_LOW, p), rng)
-        _add_weights(state, "w", dim, rng)
-        _add_frame(state, "q", dim, rng)
-
-    def family_eval(state, dim, classical, tol):
-        p = state["params"]
-        w = np.clip(state["spectra"]["w"], 0.01, 0.99)
-        q = state["frames"]["q"]
-        family = (np.sqrt(w)[:, None] * q, np.sqrt(1.0 - w)[:, None] * q)
-        rec = check_isometry_family_bound(family, _spd(state, "a"), p, tol, validate=False)
-        return _ratio(rec, classical)
-
-    problems["isometry_family"] = _Problem(family_windows, family_init, family_eval)
-
-    def sandwich_windows(dim, p, classical):
-        return {"a": SpectralInterval(p.m, p.m_prime),
-                "b": SpectralInterval(p.M_prime, p.M)}
-
-    def sandwich_init(state, dim, p, rng, classical):
-        for name, window in sandwich_windows(dim, p, classical).items():
-            _add_spd(state, name, dim, window, rng)
-
-    def lin_eval(variant):
-        def evaluate(state, dim, classical, tol):
-            p = state["params"]
-            rec = check_lin_refined_squared(identity_map(dim), _spd(state, "a"),
-                                            _spd(state, "b"), p, variant, tol,
-                                            validate=False)
-            return _ratio(rec, classical)
-
-        return evaluate
-
-    problems["lin_squared_mapped"] = _Problem(sandwich_windows, sandwich_init,
-                                              lin_eval("mapped_mean"))
-    problems["lin_squared_means"] = _Problem(sandwich_windows, sandwich_init,
-                                             lin_eval("mean_of_maps"))
-
-    def chain_eval(state, dim, classical, tol):
-        p = state["params"]
-        records = check_lin_chain(identity_map(dim), _spd(state, "a"), _spd(state, "b"),
-                                  p, tol, validate=False)
-        return max(_ratio(rec, classical) for rec in records)
-
-    problems["lin_chain"] = _Problem(sandwich_windows, sandwich_init, chain_eval)
-
-    def plain_windows(dim, p, classical):
-        return {"a": _plain(p)}
-
-    def wscalar_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, _plain(p), rng)
-        _add_frame(state, "pair", dim, rng)
-
-    def wscalar_eval(state, dim, classical, tol):
-        p = state["params"]
-        f = state["frames"]["pair"]
-        rec = check_wielandt_scalar(_spd(state, "a"), f[:, 0], f[:, 1], p.m, p.M, tol,
-                                    validate=False)
-        return _ratio(rec, classical)
-
-    problems["wielandt_scalar"] = _Problem(plain_windows, wscalar_init, wscalar_eval,
-                                           min_dim=2)
-
-    def wop_windows(variant):
-        def windows(dim, p, classical):
-            if variant == "refined":
-                return {"a": regime_window(RegimeId.SELF_INVERSE_HIGH, p)}
-            return {"a": _plain(p)}
-
-        return windows
-
-    def wop_init(variant):
-        def init(state, dim, p, rng, classical):
-            _add_spd(state, "a", dim, wop_windows(variant)(dim, p, classical)["a"], rng)
-            _add_frame(state, "pair", dim, rng)
-
-        return init
-
-    def wop_eval(variant):
-        def evaluate(state, dim, classical, tol):
-            p = state["params"]
-            r = dim // 2
-            f = state["frames"]["pair"]
-            pair = IsometryPair(f[:, :r].copy(), f[:, dim - r:].copy())
-            rec = check_wielandt_operator(identity_map(r), _spd(state, "a"), pair, p,
-                                          variant, tol, validate=False)
-            return _ratio(rec, classical)
-
-        return evaluate
-
-    for variant, tid in (("bhatia_davis", "wielandt_bhatia_davis"),
-                         ("gumus", "wielandt_gumus"),
-                         ("refined", "wielandt_refined")):
-        problems[tid] = _Problem(wop_windows(variant), wop_init(variant),
-                                 wop_eval(variant), min_dim=2)
-
-    def choi_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, _plain(p), rng)
-
-    def choi_eval(state, dim, classical, tol):
-        rec = check_choi_record(identity_map(dim), _spd(state, "a"), tol)
-        return _ratio(rec, classical)
-
-    problems["choi"] = _Problem(plain_windows, choi_init, choi_eval)
-
-    def norm_windows(dim, p, classical):
-        return {"a": _plain(p), "b": _plain(p)}
-
-    def norm_init(state, dim, p, rng, classical):
-        _add_spd(state, "a", dim, _plain(p), rng)
-        _add_spd(state, "b", dim, _plain(p), rng)
-
-    def norm_eval(state, dim, classical, tol):
-        rec = check_norm_amgm_record(_spd(state, "a"), _spd(state, "b"), tol)
-        return _ratio(rec, classical)
-
-    problems["norm_amgm"] = _Problem(norm_windows, norm_init, norm_eval)
-    return problems
-
-
-_PROBLEMS = _build_problems()
+            start = var.start
+            state["scalars"][name] = float(rng.uniform(*start)) if isinstance(start, tuple) else start
 
 
 def _normalize_box(box) -> dict[str, tuple[float, float]]:
@@ -437,7 +160,7 @@ def _draw_params(box, regime, rng) -> BoundParams:
 
 def _fresh_state(params) -> dict:
     return {"params": params, "spectra": {}, "windows": {}, "frames": {},
-            "vectors": {}, "scalars": {}, "boxes": {}, "memo": {}}
+            "vectors": {}, "scalars": {}, "memo": {}}
 
 
 def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -450,7 +173,7 @@ def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
     return g
 
 
-def _propose(problem, state, dim, box, regime, classical, delta, rng):
+def _propose(spec, state, dim, box, regime, classical, delta, rng):
     """A neighbour of state, or None when its parameter move is infeasible.
 
     Copy-on-write: the neighbour shares every array it does not change.
@@ -497,9 +220,10 @@ def _propose(problem, state, dim, box, regime, classical, delta, rng):
     elif kind == "scalar":
         scalars = state["scalars"]
         name = sorted(scalars)[int(rng.integers(len(scalars)))]
-        lo, hi = state["boxes"][name]
+        window = state["windows"][name]
         factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, lo), hi)}
+        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, window.lo),
+                                                 window.hi)}
     else:
         key = free[int(rng.integers(len(free)))]
         factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
@@ -511,7 +235,7 @@ def _propose(problem, state, dim, box, regime, classical, delta, rng):
             return None
         if not regime_feasible(regime, candidate)[0]:
             return None
-        windows = problem.windows(dim, candidate, classical)
+        windows = _windows(spec, dim, candidate, classical)
         new["params"] = candidate
         new["windows"] = windows
         spectra = {}
@@ -523,11 +247,14 @@ def _propose(problem, state, dim, box, regime, classical, delta, rng):
     return new
 
 
-def _safe_eval(problem, state, dim, classical, tol):
+def _safe_eval(spec, state, dim, classical, tol):
     try:
-        return problem.evaluate(state, dim, classical, tol)
+        records = spec.evaluate(_View(state, dim, classical), tol)
     except (InfeasibleRegime, NotPositiveDefinite):
         return -math.inf
+    if isinstance(records, IneqRecord):
+        return _ratio(records, classical)
+    return max(_ratio(rec, classical) for rec in records)
 
 
 def _snapshot(state: dict) -> dict:
@@ -540,13 +267,13 @@ def _snapshot(state: dict) -> dict:
     }
 
 
-def _run_restart(problem, theorem_id, dim, box, regime, classical, tol, budget, seed):
+def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     state = _fresh_state(params)
-    problem.init(state, dim, params, rng, classical)
-    state["windows"] = problem.windows(dim, params, classical)
-    best_ratio = _safe_eval(problem, state, dim, classical, tol)
+    _init_values(state, spec, dim, rng, classical)
+    state["windows"] = _windows(spec, dim, params, classical)
+    best_ratio = _safe_eval(spec, state, dim, classical, tol)
     best_state = state
     used = 1
     if budget > 1:
@@ -555,10 +282,10 @@ def _run_restart(problem, theorem_id, dim, box, regime, classical, tol, budget, 
         decay = 1.0
     delta = _DELTA_START
     while used < budget:
-        candidate = _propose(problem, best_state, dim, box, regime, classical, delta, rng)
+        candidate = _propose(spec, best_state, dim, box, regime, classical, delta, rng)
         used += 1
         if candidate is not None:
-            ratio = _safe_eval(problem, candidate, dim, classical, tol)
+            ratio = _safe_eval(spec, candidate, dim, classical, tol)
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_state = candidate
@@ -581,19 +308,19 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     sequence, each from its own seed drawn from ``rng`` (a Generator, an
     int seed, or None for seed 0), so a seed fixes the result.
     """
-    if theorem_id not in THEOREM_IDS:
+    spec = THEOREMS.get(theorem_id)
+    if spec is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not 1 <= dim <= SEARCH_DIM_CAP:
         raise ValueError(f"search dims are capped at {SEARCH_DIM_CAP}, got {dim}")
-    problem = _PROBLEMS[theorem_id]
-    if dim < problem.min_dim:
-        raise ValueError(f"{theorem_id} needs dim >= {problem.min_dim}, got {dim}")
+    if dim < spec.min_dim:
+        raise ValueError(f"{theorem_id} needs dim >= {spec.min_dim}, got {dim}")
     norm_box = _normalize_box(box)
-    regime = REGIME_FOR_THEOREM[theorem_id]
-    if classical and theorem_id in _CLASSICAL_PLAIN:
-        regime = RegimeId.PLAIN
+    regime = spec.regime
+    if classical and spec.classical_regime is not None:
+        regime = spec.classical_regime
     mid = BoundParams(**{k: 0.5 * (lo + hi) for k, (lo, hi) in norm_box.items()})
     require_feasible(regime, mid)
     if rng is None or isinstance(rng, (int, np.integer)):
@@ -604,8 +331,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     allocations = [base + (1 if i < extra else 0) for i in range(restarts)]
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=restarts)]
 
-    outcomes = [_run_restart(problem, theorem_id, dim, norm_box, regime, classical,
-                             tol, allocation, seed)
+    outcomes = [_run_restart(spec, dim, norm_box, regime, classical, tol, allocation, seed)
                 for allocation, seed in zip(allocations, seeds)]
 
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))

@@ -5,17 +5,22 @@ import re
 import pytest
 
 from opineq import (
-    DEFAULT_GRIDS,
     THEOREM_IDS,
+    THEOREMS,
     BoundParams,
     CampaignConfig,
+    maximize_ratio,
+    regime_feasible,
     run_campaign,
 )
 from opineq.cli import cli_main
 
 
 def test_default_grids_cover_every_theorem():
-    assert set(DEFAULT_GRIDS) == set(THEOREM_IDS)
+    for spec in THEOREMS.values():
+        assert spec.cells, spec.theorem_id
+        for cell in spec.cells:
+            assert regime_feasible(spec.regime, cell) == (True, ""), spec.theorem_id
 
 
 def test_config_validation():
@@ -35,7 +40,7 @@ def test_grid_for_accepts_single_params():
     cell = BoundParams(m=1.0, M=2.0)
     config = CampaignConfig(grids={"scalar_amgm": cell})
     assert config.grid_for("scalar_amgm") == (cell,)
-    assert config.grid_for("choi") == DEFAULT_GRIDS["choi"]
+    assert config.grid_for("choi") == THEOREMS["choi"].cells
 
 
 def test_small_campaign_across_all_theorems_has_no_violations():
@@ -81,13 +86,20 @@ def test_lemma_cell_runs_clean():
 
 
 def test_wielandt_below_min_dim_is_skipped_not_dropped():
-    config = CampaignConfig(theorem_ids=("wielandt_scalar",), dims=(1, 2), samples=3,
-                            seed=0)
-    report = run_campaign(config)
-    assert len(report.cells) == 1 and report.cells[0].dim == 2
-    (skip,) = report.skipped
-    assert skip.dim == 1
-    assert "dim >= 2" in skip.reason
+    bounded = [spec for spec in THEOREMS.values() if spec.min_dim > 1]
+    assert {spec.theorem_id for spec in bounded} >= {"wielandt_scalar", "wielandt_refined"}
+    for spec in bounded:
+        low, ok = spec.min_dim - 1, spec.min_dim
+        config = CampaignConfig(theorem_ids=(spec.theorem_id,), dims=(low, ok), samples=3,
+                                seed=0)
+        report = run_campaign(config)
+        assert len(report.cells) == 1 and report.cells[0].dim == ok
+        (skip,) = report.skipped
+        assert skip.dim == low
+        assert f"dim >= {ok}" in skip.reason
+        box = spec.cells[0].as_dict()
+        with pytest.raises(ValueError, match=f"dim >= {ok}"):
+            maximize_ratio(spec.theorem_id, box, budget=10, dim=low)
 
 
 def test_infeasible_cell_is_skipped_with_reason():

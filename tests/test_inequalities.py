@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from opineq import (
     LIN_CHAIN_LINKS,
-    REGIME_FOR_THEOREM,
     THEOREM_IDS,
+    THEOREMS,
     BoundParams,
     InfeasibleRegime,
     IsometryPair,
@@ -49,8 +49,12 @@ from oracles import big_k, kappa
 
 
 def test_theorem_catalog_is_consistent():
-    assert len(THEOREM_IDS) == 17
-    assert set(REGIME_FOR_THEOREM) == set(THEOREM_IDS)
+    assert len(THEOREMS) == 17
+    assert THEOREM_IDS == tuple(THEOREMS)
+    for theorem_id, spec in THEOREMS.items():
+        assert spec.theorem_id == theorem_id
+        assert isinstance(spec.regime, RegimeId)
+        assert spec.min_dim >= 1
 
 
 def test_kantorovich_constant_values():
@@ -338,14 +342,6 @@ def test_choi_and_norm_records(rng):
     record = check_norm_amgm_record(a, b)
     assert record.verdict.holds
     assert record.ratio <= 1.0 + 1e-10
-
-
-def test_record_fingerprint_roundtrip():
-    record = scalar_refined_amgm(1.0, 2.0)
-    assert record.fingerprint is None
-    stamped = record.with_fingerprint({"draw": 3})
-    assert stamped.fingerprint == {"draw": 3}
-    assert stamped.lhs_value == record.lhs_value
 
 
 def test_refinement_constants_table():

@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +262,18 @@ def test_bound_params_flow_through_reports():
     row = doc.results[0]
     assert (row["m"], row["M"]) == (1.0, 4.0)
     assert (row["m_prime"], row["M_prime"]) == (1.0, 4.0)
+
+
+def test_cli_into_a_closed_pipe_exits_quietly():
+    # As in `opineq search ... | head -1` once head has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "opineq", "search", "--theorem", "choi",
+                               "--m", "0.5", "--M", "4", "--budget", "20"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in proc.stderr

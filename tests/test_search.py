@@ -52,7 +52,7 @@ GOLDEN_JOBS = {
 
 
 def test_boxes_cover_catalog():
-    assert set(BOXES) == set(THEOREM_IDS)
+    assert tuple(BOXES) == THEOREM_IDS
 
 
 def test_classical_kantorovich_search_approaches_equality():
