@@ -257,16 +257,11 @@ def _map_payload(spec) -> dict:
 
 def _search_shifted_pair(view):
     """The shifted pair A, B = (1-t) m' A + t M I a search view holds."""
-    spectrum, frame = view.spectra["a"], view.frames["a"]
+    a = view.spd("a")
     t, params = view.scalars["t"], view.params
-
-    def build():
-        vals = np.sort(spectrum)
-        a = SpdMatrix.from_eigh(vals, frame)
-        b = SpdMatrix.from_eigh((1.0 - t) * params.m_prime * vals + t * params.M, frame)
-        return a, b
-
-    return view.memo("shifted_pair", (spectrum, frame, t, params), build)
+    b = view.memo("shifted_b", (a, t, params), lambda: SpdMatrix.from_eigh(
+        (1.0 - t) * params.m_prime * a.eigenvalues + t * params.M, a.eigenvectors))
+    return a, b
 
 
 def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRecord:

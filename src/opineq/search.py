@@ -260,7 +260,7 @@ def _safe_eval(spec, state, dim, classical, tol):
 def _snapshot(state: dict) -> dict:
     return {
         "params": state["params"].as_dict(),
-        "spectra": {k: [float(x) for x in np.sort(v)] for k, v in state["spectra"].items()},
+        "spectra": {k: [float(x) for x in v] for k, v in state["spectra"].items()},
         "frames": {k: v.tolist() for k, v in state["frames"].items()},
         "vectors": {k: v.tolist() for k, v in state["vectors"].items()},
         "scalars": {k: float(v) for k, v in state["scalars"].items()},

@@ -4,11 +4,19 @@ import math
 
 import pytest
 
+import numpy as np
+
 from opineq import (
     THEOREM_IDS,
     BoundParams,
     InfeasibleRegime,
+    SpdMatrix,
+    check_kantorovich_refined,
+    check_lemma_refined_amgm,
+    check_polya_szego_refined,
     compare_bounds,
+    identity_map,
+    make_spd,
     maximize_ratio,
 )
 from oracles import big_k, kappa
@@ -41,13 +49,13 @@ BOXES = {
 GOLDEN_JOBS = {
     "kantorovich": (dict(box={"m": 1.0, "M": 4.0}, dim=2, classical=True),
                     "0x1.ffffffffff2a4p-1",
-                    "c2bafbfc603274fbd52c4e15b4f4752574aac74ac84e5021d96fbfc96c6457a6"),
+                    "1b90e4a7b8f87fd6939ec659a9061fd2636592c314eb9f0a17ceca3863c90c80"),
     "polya_szego": (dict(box={"m": 1.0, "m_prime": 2.0, "M": 8.0}, dim=4),
-                    "0x1.55239c6610aeap-1",
-                    "9873853bed50f8ade0f37ca1ff1a7e064253516d0ca9023ba814b9d9db5de1c6"),
+                    "0x1.55239c6610af2p-1",
+                    "60019ee900a6049a4d46156f7714f4f702bf3e265904e644c6b982b68c9b5a1b"),
     "lemma_amgm": (dict(box={"m": (3.0, 4.0), "M": (8.0, 9.0)}, dim=8),
                    "0x1.fbff2ccb3c155p-1",
-                   "498c3c6642ca48b0dd74d5ecf424ca943d32a105e8c3e62c48ba98885ce10312"),
+                   "d284e48b1c8c87b16cfe2eaebc396f7e9ab5c01421d3547f5d5c9be38f4efe05"),
 }
 
 
@@ -129,6 +137,41 @@ def test_search_is_bit_exact_on_golden_jobs(theorem_id):
     # json.dumps writes floats by repr, which round-trips every bit.
     dumped = json.dumps(result.instance, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == instance_sha256
+
+
+def _rebuild(instance, name):
+    return SpdMatrix.from_eigh(instance["spectra"][name], instance["frames"][name])
+
+
+def _recheck(result):
+    """The ratio of the matrices rebuilt from a result's instance alone."""
+    instance = result.instance
+    p = BoundParams(**instance["params"])
+    a = _rebuild(instance, "a")
+    if result.theorem_id == "kantorovich":
+        x = np.asarray(instance["vectors"]["x"])
+        rec = check_kantorovich_refined(a, x, p.m, p.m_prime, p.M, validate=False)
+    elif result.theorem_id == "lemma_amgm":
+        root = a.sqrt().entries
+        b = make_spd(root @ _rebuild(instance, "c").entries @ root)
+        rec = check_lemma_refined_amgm(a, b, p.m, validate=False)
+    else:
+        t = instance["scalars"]["t"]
+        b = SpdMatrix.from_eigh((1.0 - t) * p.m_prime * a.eigenvalues + t * p.M,
+                                a.eigenvectors)
+        rec = check_polya_szego_refined(identity_map(result.dim), a, b, p, validate=False)
+    return rec.ratio * rec.improvement_ratio if result.classical else rec.ratio
+
+
+@pytest.mark.parametrize("theorem_id, kwargs, seeds", [
+    ("kantorovich", dict(box={"m": 1.0, "M": 4.0}, dim=4, classical=True), range(6)),
+    ("lemma_amgm", dict(box=BOXES["lemma_amgm"], dim=3), range(3)),
+    ("polya_szego", dict(box=BOXES["polya_szego"], dim=3), range(3)),
+])
+def test_search_instance_rebuilds_the_reported_ratio(theorem_id, kwargs, seeds):
+    for seed in seeds:
+        result = maximize_ratio(theorem_id, budget=50, rng=seed, **kwargs)
+        assert _recheck(result) == result.ratio, (theorem_id, seed)
 
 
 def test_search_result_unpacks():
