@@ -103,14 +103,13 @@ class _View:
         return _memo(self._state, key, deps, build)
 
 
-def _windows(spec, dim, params, classical) -> dict:
-    space = spec.space(dim, params, classical)
+def _windows(space: dict) -> dict:
     return {name: var.window for name, var in space.items() if var.window is not None}
 
 
-def _init_values(state, spec, dim, rng, classical):
+def _init_values(state, space, dim, rng):
     """Draw the first value of every variable, in the order the space lists them."""
-    for name, var in spec.space(dim, state["params"], classical).items():
+    for name, var in space.items():
         if var.kind in ("spd", "weights"):
             size = var.size or dim
             lo, hi = var.start or (var.window.lo, var.window.hi)
@@ -235,7 +234,7 @@ def _propose(spec, state, dim, box, regime, classical, delta, rng):
             return None
         if not regime_feasible(regime, candidate)[0]:
             return None
-        windows = _windows(spec, dim, candidate, classical)
+        windows = _windows(spec.space(dim, candidate, classical))
         new["params"] = candidate
         new["windows"] = windows
         spectra = {}
@@ -271,8 +270,9 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     state = _fresh_state(params)
-    _init_values(state, spec, dim, rng, classical)
-    state["windows"] = _windows(spec, dim, params, classical)
+    space = spec.space(dim, params, classical)
+    _init_values(state, space, dim, rng)
+    state["windows"] = _windows(space)
     best_ratio = _safe_eval(spec, state, dim, classical, tol)
     best_state = state
     used = 1
