@@ -301,8 +301,9 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     box maps parameter names (m, m_prime, M_prime, M) to a scalar or a
     (lo, hi) range; m and M are required. Returns a SearchResult that
     unpacks as (best instance, best ratio). classical=True targets the
-    unrefined constant (and, for the Kantorovich family, the plain
-    spectral window where its equality cases live).
+    unrefined constant, and moves to the spec's classical_regime where one
+    is set (for the Kantorovich family, the plain spectral window where
+    its equality cases live).
 
     The budget is split over max(1, budget // 2000) restarts. They run in
     sequence, each from its own seed drawn from ``rng`` (a Generator, an
