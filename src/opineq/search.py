@@ -65,27 +65,14 @@ def _ratio(record: IneqRecord, classical: bool) -> float:
     return record.ratio * record.improvement_ratio if classical else record.ratio
 
 
-def _memo(state: dict, key: str, deps: tuple, build):
-    """build(), kept in the state's memo while ``deps`` are the same objects.
-
-    That is enough because no array is written after it joins a state.
-    """
-    hit = state["memo"].get(key)
-    if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
-        return hit[1]
-    value = build()
-    state["memo"][key] = (deps, value)
-    return value
-
-
 class _View:
     """What a TheoremSpec's evaluate reads of one search state."""
 
-    __slots__ = ("_state", "dim", "classical", "params", "spectra", "frames", "vectors",
+    __slots__ = ("_memo", "dim", "classical", "params", "spectra", "frames", "vectors",
                  "scalars")
 
     def __init__(self, state: dict, dim: int, classical: bool):
-        self._state = state
+        self._memo = state["memo"]
         self.dim = dim
         self.classical = classical
         self.params = state["params"]
@@ -100,7 +87,16 @@ class _View:
         return self.memo(name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
 
     def memo(self, key: str, deps: tuple, build):
-        return _memo(self._state, key, deps, build)
+        """build(), kept in the state's memo while ``deps`` are the same objects.
+
+        That is enough because no array is written after it joins a state.
+        """
+        hit = self._memo.get(key)
+        if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
+            return hit[1]
+        value = build()
+        self._memo[key] = (deps, value)
+        return value
 
 
 def _windows(space: dict) -> dict:
