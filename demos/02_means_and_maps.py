@@ -1,7 +1,9 @@
 """Operator means and positive unital linear maps.
 
 Shows the geometric mean's congruence covariance, a few map
-constructions, and the two order facts every map here satisfies.
+constructions, and two facts every map here satisfies, checked as
+records: Choi's inequality Phi(A)^-1 <= Phi(A^-1) and the norm AM-GM
+bound ||AB|| <= ||A+B||^2 / 4.
 
 Run with: python3 demos/02_means_and_maps.py
 """
@@ -11,8 +13,8 @@ import numpy as np
 from opineq import (
     apply_map,
     arithmetic_mean,
-    check_choi,
-    check_norm_amgm,
+    check_choi_record,
+    check_norm_amgm_record,
     compression_map,
     geometric_mean,
     haar_orthogonal,
@@ -47,12 +49,12 @@ def main():
 
     # inverse of the image sits below the image of the inverse
     spec = trace_normalize_map(3)
-    verdict = check_choi(spec, a)
+    verdict = check_choi_record(spec, a).verdict
     print("Phi(A)^-1 <= Phi(A^-1):", verdict.holds,
           " slack:", f"{verdict.min_gap_eig:.4f}")
 
     # norm arithmetic-geometric mean bound, tight when A = B
-    same = check_norm_amgm(a, a)
+    same = check_norm_amgm_record(a, a).verdict
     print("||A.A|| <= ||A+A||^2/4 slack at A = B:", f"{same.min_gap_eig:.2e}")
 
 

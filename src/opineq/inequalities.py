@@ -1,9 +1,15 @@
 """One checkable predicate per operator bound in scope, and the registry.
 
-Every checker evaluates both the classical constant and its refined
-counterpart on the same instance, verifies the hypothesis regime, and
-returns an IneqRecord carrying verdicts, the attained scale-free ratio,
-and the improvement factor. Refinement factors use the natural log.
+Every refined bound divides a classical constant c by kappa^p, with
+kappa = 1 + (ln x)^2 / 8 (natural log); each family's c, x and p are
+written once, in _FAMILIES, which the checkers and refinement_constants
+both read. A checker verifies the hypothesis regime, states its left
+side and its core, and hands them to one of three record builders, by
+the shape of the comparison: scalar (lhs <= (c/kappa^p) core), Loewner
+(L <= (c/kappa^p) CORE) or scaled identity (L <= (c/kappa^p) I). The
+builder checks both the refined and the classical bound on the same
+instance and returns an IneqRecord carrying both verdicts, the attained
+scale-free ratio and the improvement factor.
 
 THEOREMS holds one TheoremSpec per bound, registered next to its
 checker: its regime, default campaign cells, minimum dimension, how a
@@ -25,8 +31,6 @@ from .means_maps import (
     PositiveMapSpec,
     apply_map,
     arithmetic_mean,
-    check_choi,
-    check_norm_amgm,
     compression_map,
     congruence_sum_map,
     geometric_mean,
@@ -111,10 +115,115 @@ class IneqRecord:
     extras: dict = field(default_factory=dict)
 
 
-def _safe_ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs <= 0.0 else math.inf
+# Every refined family: its classical constant c at the params, the
+# argument x of kappa = refinement_factor(x), and the power p of kappa
+# that divides c.
+_FAMILIES = {
+    "kantorovich": (lambda p: p.K_h, lambda p: p.m_prime, 2),
+    "polya_szego": (lambda p: (p.M + p.m) / (2.0 * math.sqrt(p.M * p.m)),
+                    lambda p: p.m_prime, 1),
+    "lin_squared": (lambda p: p.K_h ** 2, lambda p: p.M_prime / p.m_prime, 2),
+    "lin_norm": (lambda p: (p.M + p.m) ** 2 / (4.0 * (p.m * p.M)),
+                 lambda p: p.M_prime / p.m_prime, 1),
+    "wielandt": (lambda p: (p.M - p.m) ** 2 / (2.0 * math.sqrt(p.M * p.m) * (p.M + p.m)),
+                 lambda p: p.m_prime, 1),
+}
+
+
+def _refined(family: str, params: BoundParams) -> tuple[float, float]:
+    """A family's classical constant c and the kappa^p dividing it, at params."""
+    constant, argument, power = _FAMILIES[family]
+    return constant(params), refinement_factor(argument(params)) ** power
+
+
+def _degenerate_ratio(verdict: CheckVerdict) -> float:
+    """The ratio when the right side is exactly 0: 1 if the left vanishes too."""
+    return 1.0 if verdict.holds else math.inf
+
+
+def _scalar_record(theorem_id: str, lhs: float, core: float, tol: float, c: float = 1.0,
+                   kappa_pow: float | None = None, detail: str = "", extras=None,
+                   **leq) -> IneqRecord:
+    """lhs <= (c / kappa_pow) core; the classical check (c core) only when refined.
+
+    ``leq`` goes to both scalar_leq calls (``scale``, ``atol``).
+    """
+    refined = c if kappa_pow is None else c / kappa_pow
+    rhs = refined * core
+    verdict = scalar_leq(lhs, rhs, tol, **leq)
+    classical = None if kappa_pow is None else scalar_leq(lhs, c * core, tol, **leq)
+    return IneqRecord(
+        theorem_id=theorem_id,
+        lhs_value=lhs,
+        rhs_value=rhs,
+        ratio=lhs / rhs if rhs != 0.0 else _degenerate_ratio(verdict),
+        verdict=verdict,
+        classical_verdict=classical,
+        classical_rhs_scale=c,
+        refined_rhs_scale=refined,
+        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
+        detail=detail,
+        extras=extras or {},
+    )
+
+
+def _loewner_record(theorem_id: str, lhs, core: SpdMatrix, tol: float, c: float = 1.0,
+                    kappa_pow: float | None = None, extras=None, **leq) -> IneqRecord:
+    """L <= (c / kappa_pow) CORE; the classical check (c CORE) only when refined.
+
+    ``lhs`` is an SpdMatrix or a symmetric array; ``leq`` goes to both
+    loewner_leq calls (``atol``).
+    """
+    refined = c if kappa_pow is None else c / kappa_pow
+    verdict = loewner_leq(lhs, refined * core.entries, tol, **leq)
+    classical = None if kappa_pow is None else loewner_leq(lhs, c * core.entries, tol, **leq)
+    top = operator_norm(lhs)
+    # CORE's eigenframe first, so that scaled() builds on it.
+    rhs = refined * operator_norm(core)
+    return IneqRecord(
+        theorem_id=theorem_id,
+        lhs_value=top,
+        rhs_value=rhs,
+        ratio=(loewner_ratio(lhs, core.scaled(refined)) if refined != 0.0
+               else _degenerate_ratio(verdict)),
+        verdict=verdict,
+        classical_verdict=classical,
+        classical_rhs_scale=c,
+        refined_rhs_scale=refined,
+        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
+        extras=extras or {},
+    )
+
+
+def _identity_record(theorem_id: str, lhs, tol: float, c: float,
+                     kappa_pow: float | None = None, classical_lhs=None, detail: str = "",
+                     extras=None) -> IneqRecord:
+    """L <= (c / kappa_pow) I, with classical_lhs (default L) <= c I as the classical check.
+
+    When neither kappa_pow nor classical_lhs is given the two checks are
+    the same, and the refined verdict serves as the classical one.
+    """
+    refined = c if kappa_pow is None else c / kappa_pow
+    eye = np.eye(lhs.dim if isinstance(lhs, SpdMatrix) else lhs.shape[0])
+    verdict = loewner_leq(lhs, refined * eye, tol)
+    if kappa_pow is None and classical_lhs is None:
+        classical = verdict
+    else:
+        classical = loewner_leq(lhs if classical_lhs is None else classical_lhs, c * eye, tol)
+    top = operator_norm(lhs)
+    return IneqRecord(
+        theorem_id=theorem_id,
+        lhs_value=top,
+        rhs_value=refined,
+        ratio=top / refined if refined != 0.0 else _degenerate_ratio(verdict),
+        verdict=verdict,
+        classical_verdict=classical,
+        classical_rhs_scale=c,
+        refined_rhs_scale=refined,
+        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
+        detail=detail,
+        extras=extras or {},
+    )
 
 
 def _require_unit(x: np.ndarray):
@@ -278,7 +387,7 @@ def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRec
         theorem_id="scalar_amgm",
         lhs_value=lhs,
         rhs_value=rhs,
-        ratio=_safe_ratio(lhs, rhs),
+        ratio=lhs / rhs,
         verdict=verdict,
         classical_verdict=classical,
         classical_rhs_scale=1.0,
@@ -371,22 +480,7 @@ def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: fl
         _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
         _require_unit(x)
     lhs = a.quad_form(x) * a.inv().quad_form(x)
-    kappa = refinement_factor(m_prime)
-    classical_scale = kantorovich_constant(M / m)
-    refined_scale = classical_scale / kappa ** 2
-    verdict = scalar_leq(lhs, refined_scale, tol)
-    classical = scalar_leq(lhs, classical_scale, tol)
-    return IneqRecord(
-        theorem_id="kantorovich",
-        lhs_value=lhs,
-        rhs_value=refined_scale,
-        ratio=_safe_ratio(lhs, refined_scale),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+    return _scalar_record("kantorovich", lhs, 1.0, tol, *_refined("kantorovich", params))
 
 
 def _draw_kantorovich(dim, params, rng, cfg, first):
@@ -431,22 +525,8 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
         mean_ab = geometric_mean(a, b)
     lhs = a.quad_form(x) * b.quad_form(x)
     core = mean_ab.quad_form(x) ** 2
-    kappa = refinement_factor(params.m_prime)
-    classical_scale = params.K_h
-    refined_scale = classical_scale / kappa ** 2
-    verdict = scalar_leq(lhs, refined_scale * core, tol)
-    classical = scalar_leq(lhs, classical_scale * core, tol)
-    return IneqRecord(
-        theorem_id="kantorovich_product",
-        lhs_value=lhs,
-        rhs_value=refined_scale * core,
-        ratio=_safe_ratio(lhs, refined_scale * core),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+    return _scalar_record("kantorovich_product", lhs, core, tol,
+                          *_refined("kantorovich", params))
 
 
 def _draw_kantorovich_product(dim, params, rng, cfg, first):
@@ -491,23 +571,8 @@ def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundPara
         _require_unit(x)
     ax = a.entries @ x
     lhs = float(ax @ ax)
-    core = a.quad_form(x) ** 2
-    kappa = refinement_factor(params.m_prime)
-    classical_scale = params.K_h
-    refined_scale = classical_scale / kappa ** 2
-    verdict = scalar_leq(lhs, refined_scale * core, tol)
-    classical = scalar_leq(lhs, classical_scale * core, tol)
-    return IneqRecord(
-        theorem_id="holder_mccarthy",
-        lhs_value=lhs,
-        rhs_value=refined_scale * core,
-        ratio=_safe_ratio(lhs, refined_scale * core),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+    return _scalar_record("holder_mccarthy", lhs, a.quad_form(x) ** 2, tol,
+                          *_refined("kantorovich", params))
 
 
 def _draw_holder_mccarthy(dim, params, rng, cfg, first):
@@ -537,24 +602,8 @@ def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
         order = loewner_leq(a, b, _REGIME_TOL)
         if not order.holds:
             raise InfeasibleRegime(f"square_order needs A <= B: min eig of B - A is {order.min_gap_eig:.3e}")
-    kappa = refinement_factor(params.m_prime)
-    classical_scale = params.K_h
-    refined_scale = classical_scale / kappa ** 2
-    a_sq = a.square()
-    b_sq = b.square()
-    verdict = loewner_leq(a_sq.entries, refined_scale * b_sq.entries, tol)
-    classical = loewner_leq(a_sq.entries, classical_scale * b_sq.entries, tol)
-    return IneqRecord(
-        theorem_id="square_order",
-        lhs_value=operator_norm(a_sq),
-        rhs_value=refined_scale * operator_norm(b_sq),
-        ratio=loewner_ratio(a_sq.entries, b_sq.scaled(refined_scale)),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+    return _loewner_record("square_order", a.square(), b.square(), tol,
+                           *_refined("kantorovich", params))
 
 
 def _draw_square_order(dim, params, rng, cfg, first):
@@ -595,22 +644,7 @@ def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
     mapped_b = make_spd(apply_map(map_spec, b.entries))
     lhs = geometric_mean(mapped_a, mapped_b)
     target = make_spd(apply_map(map_spec, geometric_mean(a, b).entries))
-    kappa = refinement_factor(params.m_prime)
-    classical_scale = (params.M + params.m) / (2.0 * math.sqrt(params.M * params.m))
-    refined_scale = classical_scale / kappa
-    verdict = loewner_leq(lhs.entries, refined_scale * target.entries, tol)
-    classical = loewner_leq(lhs.entries, classical_scale * target.entries, tol)
-    return IneqRecord(
-        theorem_id="polya_szego",
-        lhs_value=operator_norm(lhs),
-        rhs_value=refined_scale * operator_norm(target),
-        ratio=loewner_ratio(lhs.entries, target.scaled(refined_scale)),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa,
-    )
+    return _loewner_record("polya_szego", lhs, target, tol, *_refined("polya_szego", params))
 
 
 def _draw_polya_szego(dim, params, rng, cfg, first):
@@ -642,24 +676,7 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
     mapped = make_spd(apply_map(spec, a.entries))
     mapped_inv = make_spd(apply_map(spec, a.inv().entries))
     lhs = geometric_mean(mapped, mapped_inv)
-    kappa = refinement_factor(params.m_prime)
-    classical_scale = (params.M + params.m) / (2.0 * math.sqrt(params.M * params.m))
-    refined_scale = classical_scale / kappa
-    eye = np.eye(a.dim)
-    verdict = loewner_leq(lhs.entries, refined_scale * eye, tol)
-    classical = loewner_leq(lhs.entries, classical_scale * eye, tol)
-    top = operator_norm(lhs)
-    return IneqRecord(
-        theorem_id="isometry_family",
-        lhs_value=top,
-        rhs_value=refined_scale,
-        ratio=_safe_ratio(top, refined_scale),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa,
-    )
+    return _identity_record("isometry_family", lhs, tol, *_refined("polya_szego", params))
 
 
 def _draw_isometry_family(dim, params, rng, cfg, first):
@@ -710,24 +727,8 @@ def check_lin_refined_squared(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
         target = geometric_mean(make_spd(apply_map(map_spec, a.entries)),
                                 make_spd(apply_map(map_spec, b.entries)))
         theorem_id = "lin_squared_means"
-    kappa = refinement_factor(params.M_prime / params.m_prime)
-    classical_scale = params.K_h ** 2
-    refined_scale = classical_scale / kappa ** 2
-    lhs = mapped_half.square()
-    rhs_core = target.square()
-    verdict = loewner_leq(lhs.entries, refined_scale * rhs_core.entries, tol)
-    classical = loewner_leq(lhs.entries, classical_scale * rhs_core.entries, tol)
-    return IneqRecord(
-        theorem_id=theorem_id,
-        lhs_value=operator_norm(lhs),
-        rhs_value=refined_scale * operator_norm(rhs_core),
-        ratio=loewner_ratio(lhs.entries, rhs_core.scaled(refined_scale)),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=classical_scale,
-        refined_rhs_scale=refined_scale,
-        improvement_ratio=1.0 / kappa ** 2,
-    )
+    return _loewner_record(theorem_id, mapped_half.square(), target.square(), tol,
+                           *_refined("lin_squared", params))
 
 
 def _draw_lin_squared(variant, dim, params, rng, cfg, first):
@@ -786,7 +787,8 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
         _require_sandwich(a, b, params)
     m, M = params.m, params.M
     mm = m * M
-    kappa = refinement_factor(params.M_prime / params.m_prime)
+    # lin_norm divides by kappa itself (power 1), the factor every link uses.
+    norm_bound, kappa = _refined("lin_norm", params)
     a_inv = a.inv().entries
     b_inv = b.inv().entries
     half = 0.5 * (a.entries + b.entries)
@@ -796,24 +798,9 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
     mapped_geo = make_spd(apply_map(map_spec, mean_geo.entries))
     mapped_geo_inv = symmetrize(apply_map(map_spec, geo_inv))
 
-    def loewner_link(name, lhs, bound, classical_lhs=None, improvement=1.0, extras=None):
-        rhs = bound * np.eye(lhs.shape[0])
-        verdict = loewner_leq(lhs, rhs, tol)
-        classical = verdict if classical_lhs is None else loewner_leq(classical_lhs, rhs, tol)
-        top = operator_norm(lhs)
-        return IneqRecord(
-            theorem_id="lin_chain",
-            lhs_value=top,
-            rhs_value=bound,
-            ratio=_safe_ratio(top, bound),
-            verdict=verdict,
-            classical_verdict=classical,
-            classical_rhs_scale=bound,
-            refined_rhs_scale=bound,
-            improvement_ratio=improvement,
-            detail=name,
-            extras=extras or {},
-        )
+    def loewner_link(name, lhs, bound, classical_lhs=None, extras=None):
+        return _identity_record("lin_chain", lhs, tol, bound, classical_lhs=classical_lhs,
+                                detail=name, extras=extras)
 
     records = [
         loewner_link("half_a", 0.5 * a.entries + 0.5 * mm * a_inv, 0.5 * (M + m)),
@@ -829,20 +816,8 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
     ]
 
     norm_lhs = spectral_norm(mapped_half @ mapped_geo.inv().entries)
-    classical_bound = (M + m) ** 2 / (4.0 * mm)
-    refined_bound = classical_bound / kappa
-    records.append(IneqRecord(
-        theorem_id="lin_chain",
-        lhs_value=norm_lhs,
-        rhs_value=refined_bound,
-        ratio=_safe_ratio(norm_lhs, refined_bound),
-        verdict=scalar_leq(norm_lhs, refined_bound, tol),
-        classical_verdict=scalar_leq(norm_lhs, classical_bound, tol),
-        classical_rhs_scale=classical_bound,
-        refined_rhs_scale=refined_bound,
-        improvement_ratio=1.0 / kappa,
-        detail="norm_product",
-    ))
+    records.append(_scalar_record("lin_chain", norm_lhs, 1.0, tol, norm_bound, kappa,
+                                  detail="norm_product"))
     return records
 
 
@@ -878,20 +853,8 @@ def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, 
     cross = float(x @ a.entries @ y)
     lhs = cross ** 2
     product = a.quad_form(x) * a.quad_form(y)
-    scale = ((M - m) / (M + m)) ** 2
-    rhs = scale * product
-    verdict = scalar_leq(lhs, rhs, tol, scale=product)
-    return IneqRecord(
-        theorem_id="wielandt_scalar",
-        lhs_value=lhs,
-        rhs_value=rhs,
-        ratio=_safe_ratio(lhs, rhs),
-        verdict=verdict,
-        classical_verdict=None,
-        classical_rhs_scale=scale,
-        refined_rhs_scale=scale,
-        improvement_ratio=1.0,
-    )
+    return _scalar_record("wielandt_scalar", lhs, product, tol, ((M - m) / (M + m)) ** 2,
+                          scale=product)
 
 
 def _draw_wielandt_scalar(dim, params, rng, cfg, first):
@@ -966,60 +929,17 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
     conjecture_scale = ((M - m) / (M + m)) ** 2
 
     if variant == "bhatia_davis":
-        rhs = conjecture_scale * mapped_xx.entries
         floor = _DEGENERATE_ATOL * operator_norm(mapped_xx)
-        verdict = loewner_leq(triple, rhs, tol, atol=floor)
-        top = operator_norm(triple)
-        ratio = (loewner_ratio(triple, mapped_xx.scaled(conjecture_scale))
-                 if conjecture_scale > 0.0 else _safe_ratio(top, 0.0))
-        return IneqRecord(
-            theorem_id="wielandt_bhatia_davis",
-            lhs_value=top,
-            rhs_value=conjecture_scale * operator_norm(mapped_xx),
-            ratio=ratio,
-            verdict=verdict,
-            classical_verdict=None,
-            classical_rhs_scale=conjecture_scale,
-            refined_rhs_scale=conjecture_scale,
-            improvement_ratio=1.0,
-            extras={"conjecture_scale": conjecture_scale},
-        )
+        return _loewner_record("wielandt_bhatia_davis", triple, mapped_xx, tol,
+                               conjecture_scale, atol=floor,
+                               extras={"conjecture_scale": conjecture_scale})
 
     norm_lhs = spectral_norm(triple @ mapped_xx.inv().entries)
-    gumus_bound = (M - m) ** 2 / (2.0 * math.sqrt(M * m) * (M + m))
-    if variant == "gumus":
-        verdict = scalar_leq(norm_lhs, gumus_bound, tol, atol=_DEGENERATE_ATOL)
-        return IneqRecord(
-            theorem_id="wielandt_gumus",
-            lhs_value=norm_lhs,
-            rhs_value=gumus_bound,
-            ratio=_safe_ratio(norm_lhs, gumus_bound),
-            verdict=verdict,
-            classical_verdict=None,
-            classical_rhs_scale=gumus_bound,
-            refined_rhs_scale=gumus_bound,
-            improvement_ratio=1.0,
-            extras={"conjecture_scale": conjecture_scale,
-                    "within_conjecture": bool(norm_lhs <= conjecture_scale)},
-        )
-
-    kappa = refinement_factor(params.m_prime)
-    refined_bound = gumus_bound / kappa
-    verdict = scalar_leq(norm_lhs, refined_bound, tol, atol=_DEGENERATE_ATOL)
-    classical = scalar_leq(norm_lhs, gumus_bound, tol, atol=_DEGENERATE_ATOL)
-    return IneqRecord(
-        theorem_id="wielandt_refined",
-        lhs_value=norm_lhs,
-        rhs_value=refined_bound,
-        ratio=_safe_ratio(norm_lhs, refined_bound),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=gumus_bound,
-        refined_rhs_scale=refined_bound,
-        improvement_ratio=1.0 / kappa,
-        extras={"conjecture_scale": conjecture_scale,
-                "within_conjecture": bool(norm_lhs <= conjecture_scale)},
-    )
+    gumus, kappa_pow = _refined("wielandt", params)
+    return _scalar_record(f"wielandt_{variant}", norm_lhs, 1.0, tol, gumus,
+                          kappa_pow if variant == "refined" else None, atol=_DEGENERATE_ATOL,
+                          extras={"conjecture_scale": conjecture_scale,
+                                  "within_conjecture": bool(norm_lhs <= conjecture_scale)})
 
 
 def _draw_wielandt_operator(variant, dim, params, rng, cfg, first):
@@ -1062,22 +982,10 @@ _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
 
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
                       tol: float = DEFAULT_TOL) -> IneqRecord:
-    """(Phi(T))^{-1} <= Phi(T^{-1}) wrapped as a campaign record."""
-    verdict = check_choi(map_spec, t, tol)
+    """(Phi(T))^{-1} <= Phi(T^{-1}) for a unital positive map Phi and T > 0."""
     mapped = make_spd(apply_map(map_spec, t.entries))
     mapped_inv_arg = make_spd(apply_map(map_spec, t.inv().entries))
-    lhs = mapped.inv()
-    return IneqRecord(
-        theorem_id="choi",
-        lhs_value=operator_norm(lhs),
-        rhs_value=operator_norm(mapped_inv_arg),
-        ratio=loewner_ratio(lhs.entries, mapped_inv_arg),
-        verdict=verdict,
-        classical_verdict=None,
-        classical_rhs_scale=1.0,
-        refined_rhs_scale=1.0,
-        improvement_ratio=1.0,
-    )
+    return _loewner_record("choi", mapped.inv(), mapped_inv_arg, tol)
 
 
 def _draw_choi(dim, params, rng, cfg, first):
@@ -1100,21 +1008,12 @@ _register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _draw_choi, _spa
 
 
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
-    """||AB|| <= ||A+B||^2 / 4 wrapped as a campaign record."""
-    verdict = check_norm_amgm(a, b, tol)
+    """||AB|| <= ||A+B||^2 / 4; the norm is the largest singular value, as AB is not symmetric."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     lhs = spectral_norm(a.entries @ b.entries)
-    rhs = 0.25 * spectral_norm(a.entries + b.entries) ** 2
-    return IneqRecord(
-        theorem_id="norm_amgm",
-        lhs_value=lhs,
-        rhs_value=rhs,
-        ratio=_safe_ratio(lhs, rhs),
-        verdict=verdict,
-        classical_verdict=None,
-        classical_rhs_scale=1.0,
-        refined_rhs_scale=1.0,
-        improvement_ratio=1.0,
-    )
+    return _scalar_record("norm_amgm", lhs, 0.25 * spectral_norm(a.entries + b.entries) ** 2,
+                          tol)
 
 
 def _draw_norm_amgm(dim, params, rng, cfg, first):
@@ -1170,24 +1069,14 @@ def refinement_constants(params: BoundParams) -> ConstantsTable:
     argument is well defined.
     """
     require_feasible(RegimeId.SANDWICH, params)
-    m, mp, Mp, M = params.m, params.m_prime, params.M_prime, params.M
-    k_h = params.K_h
-    polya = (M + m) / (2.0 * math.sqrt(M * m))
-    gumus = (M - m) ** 2 / (2.0 * math.sqrt(M * m) * (M + m))
     rows = []
-    for name, classical, argument, power in (
-        ("kantorovich", k_h, mp, 2),
-        ("polya_szego", polya, mp, 1),
-        ("lin_squared", k_h ** 2, Mp / mp, 2),
-        ("lin_norm", k_h, Mp / mp, 1),
-        ("wielandt", gumus, mp, 1),
-    ):
-        kappa_pow = refinement_factor(argument) ** power
+    for name, (_, argument, power) in _FAMILIES.items():
+        classical, kappa_pow = _refined(name, params)
         rows.append(ConstantRow(
             name=name,
             classical=classical,
             refined=classical / kappa_pow,
-            argument=argument,
+            argument=argument(params),
             power=power,
             improvement_ratio=1.0 / kappa_pow,
         ))

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spd import (
-    DEFAULT_TOL,
-    CheckVerdict,
-    SpdMatrix,
-    loewner_leq,
-    make_spd,
-    scalar_leq,
-    spectral_norm,
-    symmetrize,
-)
+from .spd import SpdMatrix, make_spd
 
 MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pinching")
 
@@ -139,24 +130,3 @@ def apply_map(spec: PositiveMapSpec, t) -> np.ndarray:
         return out
     raise ValueError(f"unknown map kind {spec.kind!r}")
 
-
-def check_choi(spec: PositiveMapSpec, t: SpdMatrix, tol: float = DEFAULT_TOL) -> CheckVerdict:
-    """(Phi(T))^{-1} <= Phi(T^{-1}) for unital positive Phi and T > 0."""
-    mapped = make_spd(apply_map(spec, t.entries))
-    mapped_inv = symmetrize(apply_map(spec, t.inv().entries))
-    return loewner_leq(mapped.inv(), mapped_inv, tol)
-
-
-def check_norm_amgm(a, b, tol: float = DEFAULT_TOL) -> CheckVerdict:
-    """||AB|| <= ||A + B||^2 / 4 for positive semidefinite A, B.
-
-    Scalar verdict; the norm is the largest singular value since AB is
-    generally not symmetric.
-    """
-    a = a.entries if isinstance(a, SpdMatrix) else np.asarray(a, dtype=float)
-    b = b.entries if isinstance(b, SpdMatrix) else np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    lhs = spectral_norm(a @ b)
-    rhs = 0.25 * spectral_norm(a + b) ** 2
-    return scalar_leq(lhs, rhs, tol)

@@ -60,13 +60,12 @@ class CheckVerdict:
 
     ``min_gap_eig`` is the smallest eigenvalue of RHS - LHS for matrix
     comparisons, or the plain difference rhs - lhs for scalar ones.
-    The check holds when min_gap_eig >= -tol_used * ||RHS||.
+    The check holds when min_gap_eig >= -tol * ||RHS|| for the caller's tol.
     """
 
     holds: bool
     min_gap_eig: float
     rel_slack: float
-    tol_used: float
 
 
 class SpdMatrix:
@@ -251,7 +250,7 @@ def loewner_leq(lhs, rhs, tol: float = DEFAULT_TOL, atol: float = 0.0) -> CheckV
     norm = operator_norm(rhs)
     holds = gap >= -max(tol * norm, atol)
     rel = gap / norm if norm > 0.0 else gap
-    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel, tol_used=tol)
+    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel)
 
 
 def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
@@ -266,7 +265,7 @@ def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
         scale = abs(float(rhs))
     holds = gap >= -max(tol * scale, atol)
     rel = gap / scale if scale > 0.0 else gap
-    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel, tol_used=tol)
+    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel)
 
 
 def loewner_ratio(lhs, rhs: SpdMatrix) -> float:

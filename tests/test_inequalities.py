@@ -364,3 +364,46 @@ def test_refinement_constants_table():
         table.row("unknown")
     with pytest.raises(InfeasibleRegime):
         refinement_constants(BoundParams(m=3.0, m_prime=2.0, M_prime=3.0, M=4.0))
+
+
+def test_refined_checkers_share_their_family_constants(rng):
+    """Each refined checker's scales are its family's row of refinement_constants."""
+    params = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
+    table = refinement_constants(params)
+    low = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
+    high = sample_self_inverse(4, params.m, params.m_prime, params.M, "high", rng)
+    a, b = sample_shifted_pair(3, params.m, params.m_prime, params.M, rng)
+    sa, sb = sample_sandwich_pair(3, params, rng)
+    x = sample_unit_vector(3, rng)
+    family = sample_congruence_family(3, 2, rng)
+    records = {
+        "kantorovich": [
+            check_kantorovich_refined(low, x, params.m, params.m_prime, params.M),
+            check_kantorovich_product_refined(a, b, x, params),
+            check_holder_mccarthy_refined(low, x, params),
+            check_square_order_refined(low, low, params),
+        ],
+        "polya_szego": [
+            check_polya_szego_refined(identity_map(3), a, b, params),
+            check_isometry_family_bound(family, low, params),
+        ],
+        "lin_squared": [
+            check_lin_refined_squared(identity_map(3), sa, sb, params, variant)
+            for variant in ("mapped_mean", "mean_of_maps")
+        ],
+        "lin_norm": [
+            next(r for r in check_lin_chain(identity_map(3), sa, sb, params)
+                 if r.detail == "norm_product")
+        ],
+        "wielandt": [
+            check_wielandt_operator(identity_map(2), high,
+                                    sample_orthogonal_isometries(4, 2, rng), params, "refined")
+        ],
+    }
+    for name, family_records in records.items():
+        row = table.row(name)
+        for record in family_records:
+            assert record.classical_rhs_scale == pytest.approx(row.classical, rel=1e-14), name
+            assert record.refined_rhs_scale == pytest.approx(row.refined, rel=1e-14), name
+            assert record.improvement_ratio == pytest.approx(row.improvement_ratio,
+                                                             rel=1e-14), name

@@ -6,8 +6,8 @@ from opineq import (
     SpdMatrix,
     apply_map,
     arithmetic_mean,
-    check_choi,
-    check_norm_amgm,
+    check_choi_record,
+    check_norm_amgm_record,
     compression_map,
     congruence_sum_map,
     geometric_mean,
@@ -148,12 +148,12 @@ def test_pinching_map_validation():
 def test_choi_holds_across_catalog(rng):
     for kind, spec in _catalog(4, rng).items():
         t = _random_spd(4, rng)
-        assert check_choi(spec, t).holds, kind
+        assert check_choi_record(spec, t).verdict.holds, kind
 
 
 def test_choi_equality_at_identity_map(rng):
     t = _random_spd(3, rng)
-    verdict = check_choi(identity_map(3), t)
+    verdict = check_choi_record(identity_map(3), t).verdict
     assert verdict.holds
     assert abs(verdict.min_gap_eig) < 1e-12
 
@@ -165,19 +165,19 @@ def test_choi_strict_for_mixing_map():
     # strict gap for a genuinely mixing map on a spread spectrum
     ratio = loewner_ratio(np.linalg.inv(mapped), make_spd(mapped_inv))
     assert ratio < 1.0 - 1e-3
-    assert check_choi(trace_normalize_map(2), t).holds
+    assert check_choi_record(trace_normalize_map(2), t).verdict.holds
 
 
 def test_norm_amgm_holds_and_equality(rng):
     a = _random_spd(3, rng)
     b = _random_spd(3, rng)
-    assert check_norm_amgm(a, b).holds
+    assert check_norm_amgm_record(a, b).verdict.holds
     c = make_spd(2.5 * np.eye(3))
-    verdict = check_norm_amgm(c, c)
+    verdict = check_norm_amgm_record(c, c).verdict
     assert verdict.holds
     assert verdict.min_gap_eig == pytest.approx(0.0, abs=1e-12)
 
 
 def test_norm_amgm_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        check_norm_amgm(np.eye(2), np.eye(3))
+        check_norm_amgm_record(make_spd(np.eye(2)), make_spd(np.eye(3)))

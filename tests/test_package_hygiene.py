@@ -1,0 +1,49 @@
+"""Static checks that keep the package's imports and exports honest."""
+
+import ast
+import types
+from pathlib import Path
+
+import opineq
+
+PACKAGE = Path(opineq.__file__).resolve().parent
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module binds by import, with the line that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, plus the strings it lists in __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused.extend(f"{path.name}:{line} {name}"
+                      for name, line in _imported_names(tree).items() if name not in used)
+    assert not unused, unused
+
+
+def test_all_is_sorted_and_lists_every_public_name():
+    assert opineq.__all__ == sorted(opineq.__all__)
+    public = {name for name, value in vars(opineq).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(opineq.__all__) == public

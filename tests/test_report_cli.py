@@ -182,6 +182,21 @@ def test_cli_verify_writes_reports(tmp_path, capsys):
     assert csv_out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
+@pytest.mark.parametrize("box", [
+    ["--theorems", "wielandt_scalar,wielandt_bhatia_davis,wielandt_gumus"],
+    ["--theorems", "wielandt_refined", "--mp", "4"],
+])
+def test_cli_verify_degenerate_box_writes_report(tmp_path, capsys, box):
+    # at m = M every right side is exactly 0: both sides vanish, ratio 1
+    out = tmp_path / "r.json"
+    code = cli_main(["verify", *box, "--dims", "2,4", "--samples", "5",
+                     "--m", "2", "--M", "2", "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    rows = json.loads(out.read_text())["results"]
+    assert rows and all(row["max_ratio"] == 1.0 and row["violations"] == 0 for row in rows)
+
+
 def test_cli_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("OPINEQ_SEED", "7")
     cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opineq import (
-    DEFAULT_TOL,
     NotPositiveDefinite,
     SpdMatrix,
     SpectralInterval,
@@ -193,7 +192,6 @@ def test_loewner_leq_verdict_fields():
     verdict = loewner_leq(np.diag([1.0, 1.0]), np.diag([2.0, 4.0]))
     assert verdict.min_gap_eig == pytest.approx(1.0)
     assert verdict.rel_slack == pytest.approx(0.25)
-    assert verdict.tol_used == DEFAULT_TOL
 
 
 def test_scalar_leq_scale_and_atol():
