@@ -33,7 +33,6 @@ class CampaignConfig:
     seed: int = 0
     tol: float = DEFAULT_TOL
     grids: dict | None = None
-    vectors_per_instance: int = 16
 
     def __post_init__(self):
         unknown = [t for t in self.theorem_ids if t not in THEOREM_IDS]
@@ -47,8 +46,6 @@ class CampaignConfig:
             raise ValueError(f"dims must be a nonempty list of ints >= 1, got {self.dims}")
         if self.tol < 0.0 or not math.isfinite(self.tol):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.vectors_per_instance < 1:
-            raise ValueError("vectors_per_instance must be >= 1")
 
     def grid_for(self, theorem_id: str) -> tuple[BoundParams, ...]:
         if self.grids and theorem_id in self.grids:

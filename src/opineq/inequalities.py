@@ -71,6 +71,8 @@ from .spd import (
 )
 
 LOG_BASE_NOTE = "natural (base e)"
+# Random unit vectors (or orthonormal pairs) each vector-based draw checks.
+VECTORS_PER_INSTANCE = 16
 
 # Relative slack allowed when re-checking stated hypotheses on inputs.
 _REGIME_TOL = 1e-8
@@ -346,9 +348,9 @@ def _draw_map(dim: int, rng: np.random.Generator):
     return pinching_map((tuple(range(half)), tuple(range(half, dim))))
 
 
-def _vectors(a, cfg, rng: np.random.Generator) -> list[np.ndarray]:
+def _vectors(a, rng: np.random.Generator) -> list[np.ndarray]:
     """Random unit vectors plus the eigenvectors, where extremes live."""
-    xs = [sample_unit_vector(a.dim, rng) for _ in range(cfg.vectors_per_instance)]
+    xs = [sample_unit_vector(a.dim, rng) for _ in range(VECTORS_PER_INSTANCE)]
     xs.extend(a.eigenvectors[:, j].copy() for j in range(a.dim))
     return xs
 
@@ -485,7 +487,7 @@ def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: fl
 
 def _draw_kantorovich(dim, params, rng, cfg, first):
     a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, cfg, rng)
+    xs = _vectors(a, rng)
     records = [
         check_kantorovich_refined(a, x, params.m, params.m_prime, params.M, cfg.tol,
                                   validate=(first and i == 0))
@@ -532,7 +534,7 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
 def _draw_kantorovich_product(dim, params, rng, cfg, first):
     a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
     mean_ab = geometric_mean(a, b)
-    xs = _vectors(a, cfg, rng)
+    xs = _vectors(a, rng)
     records = [
         check_kantorovich_product_refined(a, b, x, params, cfg.tol,
                                           validate=(first and i == 0), mean_ab=mean_ab)
@@ -577,7 +579,7 @@ def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundPara
 
 def _draw_holder_mccarthy(dim, params, rng, cfg, first):
     a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, cfg, rng)
+    xs = _vectors(a, rng)
     records = [
         check_holder_mccarthy_refined(a, x, params, cfg.tol, validate=(first and i == 0))
         for i, x in enumerate(xs)
@@ -859,7 +861,7 @@ def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, 
 
 def _draw_wielandt_scalar(dim, params, rng, cfg, first):
     a = sample_spd(dim, _plain(params), rng)
-    pairs = [sample_orthonormal_pair(dim, rng) for _ in range(cfg.vectors_per_instance)]
+    pairs = [sample_orthonormal_pair(dim, rng) for _ in range(VECTORS_PER_INSTANCE)]
     vecs = a.eigenvectors
     for i, j in sorted({(0, dim - 1)} | {(k, k + 1) for k in range(dim - 1)}):
         x = (vecs[:, i] + vecs[:, j]) / math.sqrt(2.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spd import SpdMatrix, make_spd
+from .spd import SpdMatrix, _require_orthonormal, make_spd
 
 MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pinching")
 
@@ -71,9 +71,7 @@ def compression_map(isometry) -> PositiveMapSpec:
     v = np.asarray(isometry, dtype=float)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
         raise ValueError(f"compression isometry must be tall n x r, got {v.shape}")
-    defect = np.abs(v.T @ v - np.eye(v.shape[1])).max()
-    if defect > _MAP_TOL:
-        raise ValueError(f"compression columns not orthonormal (defect {defect:.3e})")
+    _require_orthonormal(v, "compression", _MAP_TOL)
     v = v.copy()
     v.setflags(write=False)
     return PositiveMapSpec(kind="compression", in_dim=v.shape[0], out_dim=v.shape[1], isometry=v)

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .campaign import CampaignReport
-from .inequalities import LOG_BASE_NOTE
+from .inequalities import LOG_BASE_NOTE, VECTORS_PER_INSTANCE
 
 CSV_COLUMNS = ("theorem_id", "dim", "m", "m_prime", "M_prime", "M", "samples",
                "violations", "max_ratio", "min_slack", "mean_slack")
@@ -99,7 +99,7 @@ class ReportDocument:
             "samples": cfg.samples,
             "dims": list(cfg.dims),
             "theorems": list(cfg.theorem_ids),
-            "vectors_per_instance": cfg.vectors_per_instance,
+            "vectors_per_instance": VECTORS_PER_INSTANCE,
             "log_base": LOG_BASE_NOTE,
             "timestamp": timestamp if timestamp is not None
             else datetime.now(timezone.utc).isoformat(),

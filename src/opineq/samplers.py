@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasibleRegime
-from .spd import SpdMatrix, SpectralInterval
+from .spd import SpdMatrix, SpectralInterval, _require_orthonormal
 
 # Spectrum window used for the free factor A in the relative regime,
 # where the hypothesis constrains only B relative to A.
@@ -252,11 +252,8 @@ class IsometryPair:
         x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 2:
             raise ValueError("isometries must share an n x r shape")
-        r = x.shape[1]
         for name, mat in (("x", x), ("y", y)):
-            defect = np.abs(mat.T @ mat - np.eye(r)).max()
-            if defect > 1e-12:
-                raise ValueError(f"{name} columns not orthonormal (defect {defect:.3e})")
+            _require_orthonormal(mat, name, 1e-12)
         cross = np.abs(x.T @ y).max()
         if cross > 1e-12:
             raise ValueError(f"ranges not orthogonal (|x^T y| max {cross:.3e})")

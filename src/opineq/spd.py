@@ -1,8 +1,11 @@
 """Dense symmetric positive-definite matrix algebra.
 
-Eigendecomposition is the single primitive behind every matrix function
-here; no iterative schemes. All order comparisons are tolerance-aware
-relative to the operator norm of the right-hand side.
+Eigendecomposition is the single primitive here: every SpdMatrix holds
+its spectrum and eigenframe from the moment it is made, and one test
+(every eigenvalue finite and > 0) decides positivity for raw matrices,
+given spectra and derived matrices alike. No iterative schemes. All
+order comparisons are tolerance-aware relative to the operator norm of
+the right-hand side.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import numpy as np
 from .errors import NotPositiveDefinite
 
 DEFAULT_TOL = 1e-8
+# Largest Gram defect |V^T V - I| accepted for an eigenframe.
+_FRAME_TOL = 1e-10
 
 _SCALAR_FUNCS = {
     "sqrt": np.sqrt,
@@ -32,14 +37,16 @@ def symmetrize(raw) -> np.ndarray:
 
 
 def _require_positive(vals: np.ndarray) -> None:
-    if (vals <= 0.0).any():
-        raise NotPositiveDefinite(f"eigenvalues must be > 0, got min {vals.min()}")
+    # min and max propagate NaN, which fails both comparisons.
+    if not (0.0 < vals.min() and vals.max() < np.inf):
+        raise NotPositiveDefinite(f"eigenvalues must be finite and > 0, got min {vals.min()}")
 
 
-def _require_orthonormal(vecs: np.ndarray) -> None:
-    gram_defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[0])).max()
-    if gram_defect > 1e-10:
-        raise ValueError(f"eigenvector columns not orthonormal (defect {gram_defect:.3e})")
+def _require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
+    """Raise ValueError unless the columns of ``vecs`` are orthonormal to ``tol``."""
+    defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
+    if defect > tol:
+        raise ValueError(f"{label} columns not orthonormal (defect {defect:.3e})")
 
 
 @dataclass(frozen=True)
@@ -69,37 +76,37 @@ class CheckVerdict:
 
 
 class SpdMatrix:
-    """Symmetric positive-definite matrix with a cached eigendecomposition.
+    """Symmetric positive-definite matrix with its eigendecomposition.
 
-    Instances are immutable. Positivity is checked at construction via a
-    Cholesky factorization; the eigendecomposition is computed lazily on
-    first use, or inherited directly when built with :meth:`from_eigh`.
+    Instances are immutable. A raw matrix is symmetrized and decomposed
+    by ``eigh`` once, at construction; :meth:`from_eigh` takes known
+    spectral factors instead. Either way the matrix is accepted only if
+    every eigenvalue is finite and > 0, and the ascending spectrum and
+    its frame are set before construction returns.
 
-    The derived matrices ``sqrt``, ``inv``, ``inv_sqrt`` and ``square``
-    are memoised on the instance and share its eigenframe. Each frame's
-    orthonormality (a Gram check) is verified once: by ``from_eigh`` for
-    the frame it is given, and on first use for a frame computed by
-    ``eigh``. Every derived matrix still has its eigenvalues checked for
-    positivity and sorted.
+    The derived matrices ``sqrt``, ``inv``, ``inv_sqrt``, ``square`` and
+    ``scaled`` reuse the frame, and the first four are memoised on the
+    instance. Each frame's orthonormality (a Gram check) is verified
+    once: by ``from_eigh`` for the frame it is given, and on first use
+    for a frame computed by ``eigh``. Every derived matrix has its
+    eigenvalues checked for positivity and sorted.
     """
 
     __slots__ = ("_entries", "_eigenvalues", "_eigenvectors", "_frame_checked", "_derived")
 
     def __init__(self, entries, _eig=None):
-        # _eig, when given, is an ascending spectrum on a checked frame.
+        # _eig, when given, is a positive ascending spectrum on a checked frame.
         entries = symmetrize(entries)
+        self._frame_checked = _eig is not None
         if _eig is None:
             try:
-                np.linalg.cholesky(entries)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    "matrix has an eigenvalue <= 0; not positive definite"
-                ) from None
-            self._eigenvalues = None
-            self._eigenvectors = None
-        else:
-            self._eigenvalues, self._eigenvectors = _eig
-        self._frame_checked = _eig is not None
+                _eig = np.linalg.eigh(entries)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
+            _require_positive(_eig[0])
+            for part in _eig:
+                part.setflags(write=False)
+        self._eigenvalues, self._eigenvectors = _eig
         self._derived = {}
         entries.setflags(write=False)
         self._entries = entries
@@ -108,7 +115,7 @@ class SpdMatrix:
     def from_eigh(cls, eigenvalues, eigenvectors) -> "SpdMatrix":
         """Build from known spectral factors without re-decomposing.
 
-        ``eigenvalues`` must be strictly positive; ``eigenvectors`` holds
+        ``eigenvalues`` must be finite and > 0; ``eigenvectors`` holds
         orthonormal columns. Eigenvalues are sorted ascending and the
         columns permuted to match.
         """
@@ -117,7 +124,7 @@ class SpdMatrix:
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
         _require_positive(vals)
-        _require_orthonormal(vecs)
+        _require_orthonormal(vecs, "eigenvector", _FRAME_TOL)
         return cls._sorted(vals, vecs)
 
     @classmethod
@@ -132,19 +139,11 @@ class SpdMatrix:
         vecs.setflags(write=False)
         return cls(entries, _eig=(vals, vecs))
 
-    def _ensure_eig(self):
-        if self._eigenvalues is None:
-            vals, vecs = np.linalg.eigh(self._entries)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            self._eigenvalues = vals
-            self._eigenvectors = vecs
-
     def _on_frame(self, vals) -> "SpdMatrix":
         """The matrix with eigenvalues ``vals`` on this one's eigenframe."""
         _require_positive(vals)
         if not self._frame_checked:
-            _require_orthonormal(self._eigenvectors)
+            _require_orthonormal(self._eigenvectors, "eigenvector", _FRAME_TOL)
             self._frame_checked = True
         return SpdMatrix._sorted(vals, self._eigenvectors)
 
@@ -159,13 +158,11 @@ class SpdMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        self._ensure_eig()
         return self._eigenvalues
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvectors, column i pairing with eigenvalue i."""
-        self._ensure_eig()
         return self._eigenvectors
 
     def _apply(self, name: str) -> "SpdMatrix":
@@ -187,10 +184,8 @@ class SpdMatrix:
         return self._apply("square")
 
     def scaled(self, factor: float) -> "SpdMatrix":
-        """Return factor * A for factor > 0, reusing the cached frame."""
-        if self._eigenvalues is not None:
-            return self._on_frame(factor * self._eigenvalues)
-        return SpdMatrix(factor * self._entries)
+        """Return factor * A for factor > 0, reusing the frame."""
+        return self._on_frame(factor * self._eigenvalues)
 
     def quad_form(self, x: np.ndarray) -> float:
         """<Ax, x> for a vector x."""
@@ -204,7 +199,7 @@ def make_spd(raw) -> SpdMatrix:
     """Symmetrize a square matrix and wrap it as an SpdMatrix.
 
     Raises NotPositiveDefinite if the symmetric part has an eigenvalue
-    <= 0, and ValueError for non-square input.
+    that is not finite and > 0, and ValueError for non-square input.
     """
     return SpdMatrix(raw)
 

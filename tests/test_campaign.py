@@ -32,8 +32,6 @@ def test_config_validation():
         CampaignConfig(dims=())
     with pytest.raises(ValueError, match="tol"):
         CampaignConfig(tol=-1.0)
-    with pytest.raises(ValueError, match="vectors_per_instance"):
-        CampaignConfig(vectors_per_instance=0)
 
 
 def test_grid_for_accepts_single_params():

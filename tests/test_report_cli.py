@@ -230,6 +230,15 @@ def test_cli_search_ratio_gate_exits_2(capsys):
     assert "exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_search_rejects_non_finite_tol(capsys, tol):
+    # With a NaN or infinite tol, ratio > 1 + tol could never flag a ratio.
+    code = cli_main(["search", "--theorem", "kantorovich", "--classical", "--m", "1",
+                     "--M", "4", "--budget", "50", "--tol", tol])
+    assert code == EXIT_USAGE
+    assert "tol must be finite" in capsys.readouterr().err
+
+
 def test_cli_constants_table(capsys):
     code = cli_main(["constants", "--m", "1", "--mp", "2", "--Mp", "3", "--M", "4"])
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import (
     NotPositiveDefinite,
@@ -34,6 +36,45 @@ def test_construction_rejects_indefinite():
         make_spd(np.diag([1.0, -0.5]))
     with pytest.raises(NotPositiveDefinite):
         make_spd(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_spd([[np.nan, 0.0], [0.0, 1.0]]),
+    lambda: make_spd([[np.inf, 0.0], [0.0, 1.0]]),
+    lambda: SpdMatrix.from_eigh([np.nan, 1.0], np.eye(2)),
+], ids=["nan_entry", "inf_entry", "nan_eigenvalue"])
+def test_construction_rejects_non_finite_input(build):
+    with pytest.raises(NotPositiveDefinite, match="finite"):
+        build()
+
+
+def _rejected_or_usable(raw):
+    """make_spd either refuses raw or returns a matrix whose functions are finite."""
+    try:
+        a = make_spd(raw)
+    except NotPositiveDefinite:
+        return
+    assert (a.eigenvalues > 0.0).all()
+    assert np.isfinite(a.sqrt().entries).all()
+
+
+def test_matrix_with_negative_rounded_eigenvalue_is_rejected_or_usable():
+    # Cholesky accepts this matrix, but eigh gives it lambda_min = -2.19e-16.
+    _rejected_or_usable([
+        [0.7517228797308769, -0.4181938302694806, -0.41130179477267015],
+        [-0.4181938302694806, 0.5513891686022028, -0.2677730723594696],
+        [-0.41130179477267015, -0.2677730723594696, 0.9987004962444757],
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       lam_min=st.sampled_from([0.0, 1e-17, -1e-17, 1e-16, -1e-16]),
+       rest=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=4))
+def test_spectrum_at_the_edge_of_positivity_is_rejected_or_usable(seed, lam_min, rest):
+    vals = np.array([lam_min, *rest])
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((vals.size, vals.size)))[0]
+    _rejected_or_usable((q * vals) @ q.T)
 
 
 def test_entries_are_read_only():
@@ -120,7 +161,6 @@ def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
     with pytest.raises(ValueError, match="orthonormal"):
         make_spd(x).sqrt()
     eig_known = make_spd(x)
-    eig_known.eigenvalues  # scaled() reuses the frame only once it exists
     with pytest.raises(ValueError, match="orthonormal"):
         eig_known.scaled(2.0)
 
