@@ -1,12 +1,14 @@
 """Command-line interface: verify, search, constants, demo.
 
 Exit codes: 0 success (verify: zero violations), 1 verify found
-violations, 2 search exceeded 1 + tol, 64 usage error, 65 infeasible
-parameters. The OPINEQ_SEED environment variable overrides the default
-seed when --seed is not given; a value that is not an integer is a usage
-error. Run as a program, opineq ends quietly by the default SIGPIPE
-action when the reader of its output closes the pipe (``opineq search
-... | head -1``); cli_main leaves signal handling to its caller.
+violations, 2 search exceeded 1 + tol, 64 usage error (verify: also a
+repeated theorem id or dim, and an --out report that cannot be
+written), 65 infeasible parameters. The OPINEQ_SEED environment
+variable overrides the default seed when --seed is not given; a value
+that is not an integer is a usage error. Run as a program, opineq ends
+quietly by the default SIGPIPE action when the reader of its output
+closes the pipe (``opineq search ... | head -1``); cli_main leaves
+signal handling to its caller.
 """
 
 from __future__ import annotations
@@ -188,7 +190,12 @@ def _cmd_verify(args, parser: _Parser) -> int:
         fmt = args.format
         if fmt is None:
             fmt = "csv" if str(args.out).endswith(".csv") else "json"
-        emit_report(doc, fmt, args.out)
+        try:
+            emit_report(doc, fmt, args.out)
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {args.out} ({fmt})")
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 

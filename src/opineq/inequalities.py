@@ -12,9 +12,14 @@ instance and returns an IneqRecord carrying both verdicts, the attained
 scale-free ratio and the improvement factor.
 
 THEOREMS holds one TheoremSpec per bound, registered next to its
-checker: its regime, default campaign cells, minimum dimension, how a
-campaign draws an instance, and how a search parameterises and scores
-one. The campaign and search engines read nothing else about a theorem.
+checker: its regime, default campaign cells, minimum dimension, and the
+one parameterisation of its instances that campaigns and searches share.
+Its space declares the instance's variables; first_values draws them
+into a state, and its evaluate checks the instance an InstanceView of
+that state holds. The view decides what the two engines do differently:
+a search checks the state's own probe vector or pair under the identity
+map, a campaign many random and eigenvector probes under a drawn map.
+The engines read nothing else about a theorem.
 """
 
 from __future__ import annotations
@@ -31,29 +36,19 @@ from .means_maps import (
     PositiveMapSpec,
     apply_map,
     arithmetic_mean,
-    compression_map,
     congruence_sum_map,
     geometric_mean,
     identity_map,
-    pinching_map,
-    trace_normalize_map,
 )
 from .samplers import (
     RELATIVE_BASE_WINDOW,
     BoundParams,
     IsometryPair,
     RegimeId,
+    _window_spectrum,
     haar_orthogonal,
     regime_window,
     require_feasible,
-    sample_congruence_family,
-    sample_orthogonal_isometries,
-    sample_orthonormal_pair,
-    sample_relative_pair,
-    sample_sandwich_pair,
-    sample_self_inverse,
-    sample_shifted_pair,
-    sample_spd,
     sample_unit_vector,
 )
 from .spd import (
@@ -71,8 +66,6 @@ from .spd import (
 )
 
 LOG_BASE_NOTE = "natural (base e)"
-# Random unit vectors (or orthonormal pairs) each vector-based draw checks.
-VECTORS_PER_INSTANCE = 16
 
 # Relative slack allowed when re-checking stated hypotheses on inputs.
 _REGIME_TOL = 1e-8
@@ -263,19 +256,19 @@ def _require_sandwich(a: SpdMatrix, b: SpdMatrix, params: BoundParams):
 
 
 class SearchVar(NamedTuple):
-    """One variable of a search state, as a TheoremSpec's space declares it.
+    """One variable of an instance state, as a TheoremSpec's space declares it.
 
     kind is "spd" (a spectrum kept in ``window``, on an orthogonal frame),
     "weights" (numbers kept in ``window``, no frame), "vector" (a unit
     vector), "frame" (an orthogonal matrix) or "scalar" (a number kept in
-    ``window``). ``start`` is the range a spectrum's first values are drawn
-    from (default: the window), or a scalar's first value or the range it
-    is drawn from. ``size`` 0 means the search dim.
+    ``window``). ``start`` is the range the first values of weights or of
+    a scalar are drawn from (default: the window). ``size`` 0 means the
+    instance dim.
     """
 
     kind: str
     window: SpectralInterval | None = None
-    start: float | tuple[float, float] | None = None
+    start: tuple[float, float] | None = None
     size: int = 0
 
 
@@ -286,22 +279,116 @@ class TheoremSpec:
     ``regime`` is the hypothesis every cell and search box must satisfy
     and ``cells`` the default campaign grid. A classical search moves to
     ``classical_regime`` when it is set, where the unrefined constant has
-    its equality cases. ``draw(dim, params, rng, cfg, first)`` makes one
-    campaign draw and returns (records, payload); ``first`` asks the
-    checker to validate the hypotheses. ``space(dim, params, classical)``
-    maps each search variable's name to its SearchVar, in the order their
-    first values are drawn, and ``evaluate(view, tol)`` checks the
-    instance a search view holds, returning a record or a list of them.
+    its equality cases. ``space(dim, params, classical)`` maps each
+    instance variable's name to its SearchVar, in the order first_values
+    draws them, and ``evaluate(view, tol)`` returns the list of records
+    for the instance an InstanceView holds: one per probe the view hands
+    out (one per chain link for lin_chain), checked under the view's map
+    and validating the hypotheses when the view asks for it.
     """
 
     theorem_id: str
     regime: RegimeId
     cells: tuple[BoundParams, ...]
-    draw: Callable
     space: Callable
     evaluate: Callable
     min_dim: int = 1
     classical_regime: RegimeId | None = None
+
+
+def first_values(space: dict, params: BoundParams, dim: int,
+                 rng: np.random.Generator) -> dict:
+    """A new instance state with every variable's first value, drawn in space order.
+
+    A spectrum is sorted uniform draws on its window, both ends attained
+    from size 2 on (sample_spd's rule), on a Haar frame; weights and
+    scalars are uniform on their start range; a vector is a random unit
+    vector and a frame Haar orthogonal.
+    """
+    state = {"params": params, "spectra": {}, "frames": {}, "vectors": {}, "scalars": {},
+             "memo": {}}
+    for name, var in space.items():
+        size = var.size or dim
+        if var.kind == "spd":
+            state["spectra"][name] = _window_spectrum(var.window, size, rng)
+            state["frames"][name] = haar_orthogonal(size, rng) if size >= 2 else np.eye(size)
+        elif var.kind == "vector":
+            state["vectors"][name] = sample_unit_vector(dim, rng)
+        elif var.kind == "frame":
+            state["frames"][name] = haar_orthogonal(dim, rng)
+        else:
+            lo, hi = var.start or (var.window.lo, var.window.hi)
+            if var.kind == "weights":
+                state["spectra"][name] = rng.uniform(lo, hi, size=size)
+            else:
+                state["scalars"][name] = float(rng.uniform(lo, hi))
+    return state
+
+
+def snapshot(state: dict) -> dict:
+    """A state's values as JSON lists: from_eigh(spectra[k], frames[k]) rebuilds matrix k."""
+    return {
+        "params": state["params"].as_dict(),
+        "spectra": {k: v.tolist() for k, v in state["spectra"].items()},
+        "frames": {k: v.tolist() for k, v in state["frames"].items()},
+        "vectors": {k: v.tolist() for k, v in state["vectors"].items()},
+        "scalars": dict(state["scalars"]),
+    }
+
+
+class InstanceView:
+    """What a TheoremSpec's evaluate reads of one instance state.
+
+    By default the state's own variables are the probes, as a search
+    wants: unit_vectors gives the named vector, orthonormal_pairs the
+    first two columns of the named frame, and map the identity. A
+    campaign's view overrides these three. ``validate`` asks the
+    checkers to verify the hypotheses.
+    """
+
+    __slots__ = ("_memo", "dim", "classical", "validate", "params", "spectra", "frames",
+                 "vectors", "scalars")
+
+    def __init__(self, state: dict, dim: int, classical: bool = False, validate: bool = False):
+        self._memo = state["memo"]
+        self.dim = dim
+        self.classical = classical
+        self.validate = validate
+        self.params = state["params"]
+        self.spectra = state["spectra"]
+        self.frames = state["frames"]
+        self.vectors = state["vectors"]
+        self.scalars = state["scalars"]
+
+    def spd(self, name: str) -> SpdMatrix:
+        """The matrix with spectrum ``name`` on frame ``name``."""
+        vals, frame = self.spectra[name], self.frames[name]
+        return self.memo(name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
+
+    def memo(self, key: str, deps: tuple, build):
+        """build(), kept in the state's memo while ``deps`` are the same objects.
+
+        That is enough because no array is written after it joins a state.
+        """
+        hit = self._memo.get(key)
+        if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
+            return hit[1]
+        value = build()
+        self._memo[key] = (deps, value)
+        return value
+
+    def unit_vectors(self, name: str, a: SpdMatrix) -> list:
+        """The unit vectors to check against A."""
+        return [self.vectors[name]]
+
+    def orthonormal_pairs(self, name: str, a: SpdMatrix) -> list:
+        """The orthonormal pairs (x, y) to check against A."""
+        frame = self.frames[name]
+        return [(frame[:, 0], frame[:, 1])]
+
+    def map(self, n: int) -> PositiveMapSpec:
+        """The positive unital map on n x n matrices to check under."""
+        return identity_map(n)
 
 
 # One spec per bound, each registered below next to its checker, in
@@ -328,46 +415,8 @@ def _plain(params: BoundParams) -> SpectralInterval:
     return SpectralInterval(params.m, params.M)
 
 
-def _draw_map(dim: int, rng: np.random.Generator):
-    """Rotate through the positive unital map catalog at this dimension."""
-    kinds = ["identity", "trace_normalize"]
-    if dim >= 2:
-        kinds += ["compression", "congruence_sum", "pinching"]
-    kind = kinds[int(rng.integers(len(kinds)))]
-    if kind == "identity":
-        return identity_map(dim)
-    if kind == "trace_normalize":
-        return trace_normalize_map(dim)
-    if kind == "compression":
-        q = haar_orthogonal(dim, rng)
-        return compression_map(q[:, : dim - 1])
-    if kind == "congruence_sum":
-        k = int(rng.integers(2, 4))
-        return congruence_sum_map(sample_congruence_family(dim, k, rng))
-    half = dim // 2
-    return pinching_map((tuple(range(half)), tuple(range(half, dim))))
-
-
-def _vectors(a, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random unit vectors plus the eigenvectors, where extremes live."""
-    xs = [sample_unit_vector(a.dim, rng) for _ in range(VECTORS_PER_INSTANCE)]
-    xs.extend(a.eigenvectors[:, j].copy() for j in range(a.dim))
-    return xs
-
-
-def _map_payload(spec) -> dict:
-    payload = {"map_kind": spec.kind}
-    if spec.isometry is not None:
-        payload["map_isometry"] = np.asarray(spec.isometry)
-    if spec.family is not None:
-        payload["map_family"] = np.stack([np.asarray(u) for u in spec.family])
-    if spec.blocks is not None:
-        payload["map_blocks"] = [list(block) for block in spec.blocks]
-    return payload
-
-
-def _search_shifted_pair(view):
-    """The shifted pair A, B = (1-t) m' A + t M I a search view holds."""
+def _shifted_pair(view):
+    """The shifted pair A, B = (1-t) m' A + t M I a view holds."""
     a = view.spd("a")
     t, params = view.scalars["t"], view.params
     b = view.memo("shifted_b", (a, t, params), lambda: SpdMatrix.from_eigh(
@@ -398,23 +447,17 @@ def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRec
     )
 
 
-def _draw_scalar_amgm(dim, params, rng, cfg, first):
-    a = float(rng.uniform(params.m, params.M))
-    b = a if rng.random() < 0.1 else float(rng.uniform(params.m, params.M))
-    return [scalar_refined_amgm(a, b, cfg.tol)], {"a": a, "b": b}
-
-
 def _space_scalar_amgm(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params), size=1),
             "b": SearchVar("spd", _plain(params), size=1)}
 
 
 def _eval_scalar_amgm(view, tol):
-    return scalar_refined_amgm(float(view.spectra["a"][0]), float(view.spectra["b"][0]), tol)
+    return [scalar_refined_amgm(float(view.spectra["a"][0]), float(view.spectra["b"][0]), tol)]
 
 
-_register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),),
-          _draw_scalar_amgm, _space_scalar_amgm, _eval_scalar_amgm)
+_register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_scalar_amgm,
+          _eval_scalar_amgm)
 
 
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
@@ -447,12 +490,6 @@ def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
     )
 
 
-def _draw_lemma_amgm(dim, params, rng, cfg, first):
-    a, b = sample_relative_pair(dim, params.m, params.M, rng)
-    records = [check_lemma_refined_amgm(a, b, params.m, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries}
-
-
 def _space_lemma_amgm(dim, params, classical):
     return {"a": SearchVar("spd", RELATIVE_BASE_WINDOW), "c": SearchVar("spd", _plain(params))}
 
@@ -462,11 +499,11 @@ def _eval_lemma_amgm(view, tol):
     a = view.spd("a")
     root = a.sqrt().entries
     b = make_spd(root @ view.spd("c").entries @ root)
-    return check_lemma_refined_amgm(a, b, view.params.m, tol, validate=False)
+    return [check_lemma_refined_amgm(a, b, view.params.m, tol, view.validate)]
 
 
-_register("lemma_amgm", RegimeId.RELATIVE, (BoundParams(m=4.0, M=9.0),),
-          _draw_lemma_amgm, _space_lemma_amgm, _eval_lemma_amgm)
+_register("lemma_amgm", RegimeId.RELATIVE, (BoundParams(m=4.0, M=9.0),), _space_lemma_amgm,
+          _eval_lemma_amgm)
 
 
 def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: float,
@@ -485,30 +522,19 @@ def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: fl
     return _scalar_record("kantorovich", lhs, 1.0, tol, *_refined("kantorovich", params))
 
 
-def _draw_kantorovich(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, rng)
-    records = [
-        check_kantorovich_refined(a, x, params.m, params.m_prime, params.M, cfg.tol,
-                                  validate=(first and i == 0))
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
-
-
 def _space_low_vector(dim, params, classical):
     window = _plain(params) if classical else regime_window(RegimeId.SELF_INVERSE_LOW, params)
     return {"a": SearchVar("spd", window), "x": _VECTOR}
 
 
 def _eval_kantorovich(view, tol):
-    p = view.params
-    return check_kantorovich_refined(view.spd("a"), view.vectors["x"], p.m, p.m_prime, p.M,
-                                     tol, validate=False)
+    p, a = view.params, view.spd("a")
+    return [check_kantorovich_refined(a, x, p.m, p.m_prime, p.M, tol, view.validate)
+            for x in view.unit_vectors("x", a)]
 
 
-_register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_kantorovich,
-          _space_low_vector, _eval_kantorovich, classical_regime=RegimeId.PLAIN)
+_register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
+          _eval_kantorovich, classical_regime=RegimeId.PLAIN)
 
 
 def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
@@ -531,18 +557,6 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
                           *_refined("kantorovich", params))
 
 
-def _draw_kantorovich_product(dim, params, rng, cfg, first):
-    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
-    mean_ab = geometric_mean(a, b)
-    xs = _vectors(a, rng)
-    records = [
-        check_kantorovich_product_refined(a, b, x, params, cfg.tol,
-                                          validate=(first and i == 0), mean_ab=mean_ab)
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "b": b.entries, "vectors": np.column_stack(xs)}
-
-
 def _space_shifted(dim, params, classical):
     return {"a": SearchVar("spd", regime_window(RegimeId.SHIFTED, params)), "t": _SHIFT}
 
@@ -555,14 +569,15 @@ def _space_kantorovich_product(dim, params, classical):
 
 
 def _eval_kantorovich_product(view, tol):
-    a, b = (view.spd("a"), view.spd("b")) if view.classical else _search_shifted_pair(view)
-    return check_kantorovich_product_refined(a, b, view.vectors["x"], view.params, tol,
-                                             validate=False)
+    a, b = (view.spd("a"), view.spd("b")) if view.classical else _shifted_pair(view)
+    # Every probe of the pair shares one geometric mean.
+    mean_ab = view.memo("mean_ab", (a, b), lambda: geometric_mean(a, b))
+    return [check_kantorovich_product_refined(a, b, x, view.params, tol, view.validate, mean_ab)
+            for x in view.unit_vectors("x", a)]
 
 
-_register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _draw_kantorovich_product,
-          _space_kantorovich_product, _eval_kantorovich_product,
-          classical_regime=RegimeId.PLAIN)
+_register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _space_kantorovich_product,
+          _eval_kantorovich_product, classical_regime=RegimeId.PLAIN)
 
 
 def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundParams,
@@ -577,23 +592,14 @@ def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundPara
                           *_refined("kantorovich", params))
 
 
-def _draw_holder_mccarthy(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    xs = _vectors(a, rng)
-    records = [
-        check_holder_mccarthy_refined(a, x, params, cfg.tol, validate=(first and i == 0))
-        for i, x in enumerate(xs)
-    ]
-    return records, {"a": a.entries, "vectors": np.column_stack(xs)}
-
-
 def _eval_holder_mccarthy(view, tol):
-    return check_holder_mccarthy_refined(view.spd("a"), view.vectors["x"], view.params, tol,
-                                         validate=False)
+    a = view.spd("a")
+    return [check_holder_mccarthy_refined(a, x, view.params, tol, view.validate)
+            for x in view.unit_vectors("x", a)]
 
 
-_register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_holder_mccarthy,
-          _space_low_vector, _eval_holder_mccarthy, classical_regime=RegimeId.PLAIN)
+_register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
+          _eval_holder_mccarthy, classical_regime=RegimeId.PLAIN)
 
 
 def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
@@ -603,37 +609,27 @@ def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
         _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
         order = loewner_leq(a, b, _REGIME_TOL)
         if not order.holds:
-            raise InfeasibleRegime(f"square_order needs A <= B: min eig of B - A is {order.min_gap_eig:.3e}")
+            raise InfeasibleRegime(
+                f"square_order needs A <= B: min eig of B - A is {order.min_gap_eig:.3e}")
     return _loewner_record("square_order", a.square(), b.square(), tol,
                            *_refined("kantorovich", params))
-
-
-def _draw_square_order(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    if rng.random() < 0.25:
-        b = a
-    else:
-        bump = sample_spd(dim, SpectralInterval(0.05, 1.0), rng)
-        b = make_spd(a.entries + float(rng.uniform(0.0, 0.5)) * bump.entries)
-    records = [check_square_order_refined(a, b, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries}
 
 
 def _space_square_order(dim, params, classical):
     return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_LOW, params)),
             "bump": SearchVar("spd", SpectralInterval(1e-3, 1.0)),
-            "eps": SearchVar("scalar", SpectralInterval(1e-6, 0.5), 0.1)}
+            "eps": SearchVar("scalar", SpectralInterval(1e-6, 0.5))}
 
 
 def _eval_square_order(view, tol):
     """B = A + eps * bump keeps A <= B."""
     a = view.spd("a")
     b = make_spd(a.entries + view.scalars["eps"] * view.spd("bump").entries)
-    return check_square_order_refined(a, b, view.params, tol, validate=False)
+    return [check_square_order_refined(a, b, view.params, tol, view.validate)]
 
 
-_register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_square_order,
-          _space_square_order, _eval_square_order)
+_register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_square_order,
+          _eval_square_order)
 
 
 def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
@@ -649,21 +645,13 @@ def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
     return _loewner_record("polya_szego", lhs, target, tol, *_refined("polya_szego", params))
 
 
-def _draw_polya_szego(dim, params, rng, cfg, first):
-    a, b = sample_shifted_pair(dim, params.m, params.m_prime, params.M, rng)
-    spec = _draw_map(dim, rng)
-    records = [check_polya_szego_refined(spec, a, b, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-
 def _eval_polya_szego(view, tol):
-    a, b = _search_shifted_pair(view)
-    return check_polya_szego_refined(identity_map(view.dim), a, b, view.params, tol,
-                                     validate=False)
+    a, b = _shifted_pair(view)
+    return [check_polya_szego_refined(view.map(view.dim), a, b, view.params, tol,
+                                      view.validate)]
 
 
-_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _draw_polya_szego, _space_shifted,
-          _eval_polya_szego)
+_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _eval_polya_szego)
 
 
 def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
@@ -681,13 +669,6 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
     return _identity_record("isometry_family", lhs, tol, *_refined("polya_szego", params))
 
 
-def _draw_isometry_family(dim, params, rng, cfg, first):
-    a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "low", rng)
-    family = sample_congruence_family(dim, int(rng.integers(1, 4)), rng)
-    records = [check_isometry_family_bound(family, a, params, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "family": np.stack(family)}
-
-
 def _space_isometry_family(dim, params, classical):
     return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_LOW, params)),
             "w": SearchVar("weights", SpectralInterval(0.01, 0.99), (0.2, 0.8)),
@@ -699,11 +680,11 @@ def _eval_isometry_family(view, tol):
     w = np.clip(view.spectra["w"], 0.01, 0.99)
     q = view.frames["q"]
     family = (np.sqrt(w)[:, None] * q, np.sqrt(1.0 - w)[:, None] * q)
-    return check_isometry_family_bound(family, view.spd("a"), view.params, tol, validate=False)
+    return [check_isometry_family_bound(family, view.spd("a"), view.params, tol, view.validate)]
 
 
-_register("isometry_family", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _draw_isometry_family,
-          _space_isometry_family, _eval_isometry_family)
+_register("isometry_family", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_isometry_family,
+          _eval_isometry_family)
 
 
 LIN_VARIANTS = ("mapped_mean", "mean_of_maps")
@@ -733,28 +714,19 @@ def check_lin_refined_squared(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
                            *_refined("lin_squared", params))
 
 
-def _draw_lin_squared(variant, dim, params, rng, cfg, first):
-    a, b = sample_sandwich_pair(dim, params, rng)
-    spec = _draw_map(dim, rng)
-    records = [check_lin_refined_squared(spec, a, b, params, variant, cfg.tol, validate=first)]
-    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-
 def _space_sandwich(dim, params, classical):
     return {"a": SearchVar("spd", SpectralInterval(params.m, params.m_prime)),
             "b": SearchVar("spd", SpectralInterval(params.M_prime, params.M))}
 
 
 def _eval_lin_squared(variant, view, tol):
-    return check_lin_refined_squared(identity_map(view.dim), view.spd("a"), view.spd("b"),
-                                     view.params, variant, tol, validate=False)
+    return [check_lin_refined_squared(view.map(view.dim), view.spd("a"), view.spd("b"),
+                                      view.params, variant, tol, view.validate)]
 
 
-_register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL,
-          partial(_draw_lin_squared, "mapped_mean"), _space_sandwich,
+_register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
           partial(_eval_lin_squared, "mapped_mean"))
-_register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL,
-          partial(_draw_lin_squared, "mean_of_maps"), _space_sandwich,
+_register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
           partial(_eval_lin_squared, "mean_of_maps"))
 
 
@@ -823,20 +795,12 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
     return records
 
 
-def _draw_lin_chain(dim, params, rng, cfg, first):
-    a, b = sample_sandwich_pair(dim, params, rng)
-    spec = _draw_map(dim, rng)
-    records = check_lin_chain(spec, a, b, params, cfg.tol, validate=first)
-    return records, {"a": a.entries, "b": b.entries, **_map_payload(spec)}
-
-
 def _eval_lin_chain(view, tol):
-    return check_lin_chain(identity_map(view.dim), view.spd("a"), view.spd("b"), view.params,
-                           tol, validate=False)
+    return check_lin_chain(view.map(view.dim), view.spd("a"), view.spd("b"), view.params, tol,
+                           view.validate)
 
 
-_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _draw_lin_chain, _space_sandwich,
-          _eval_lin_chain)
+_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich, _eval_lin_chain)
 
 
 def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, M: float,
@@ -859,39 +823,19 @@ def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, 
                           scale=product)
 
 
-def _draw_wielandt_scalar(dim, params, rng, cfg, first):
-    a = sample_spd(dim, _plain(params), rng)
-    pairs = [sample_orthonormal_pair(dim, rng) for _ in range(VECTORS_PER_INSTANCE)]
-    vecs = a.eigenvectors
-    for i, j in sorted({(0, dim - 1)} | {(k, k + 1) for k in range(dim - 1)}):
-        x = (vecs[:, i] + vecs[:, j]) / math.sqrt(2.0)
-        y = (vecs[:, i] - vecs[:, j]) / math.sqrt(2.0)
-        pairs.append((x, y))
-    records = [
-        check_wielandt_scalar(a, x, y, params.m, params.M, cfg.tol,
-                              validate=(first and i == 0))
-        for i, (x, y) in enumerate(pairs)
-    ]
-    payload = {"a": a.entries,
-               "pair_x": np.column_stack([p[0] for p in pairs]),
-               "pair_y": np.column_stack([p[1] for p in pairs])}
-    return records, payload
-
-
 def _space_plain_pair(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params)), "pair": _FRAME}
 
 
 def _eval_wielandt_scalar(view, tol):
-    p = view.params
-    f = view.frames["pair"]
-    return check_wielandt_scalar(view.spd("a"), f[:, 0], f[:, 1], p.m, p.M, tol,
-                                 validate=False)
+    p, a = view.params, view.spd("a")
+    return [check_wielandt_scalar(a, x, y, p.m, p.M, tol, view.validate)
+            for x, y in view.orthonormal_pairs("pair", a)]
 
 
 # Orthonormal pairs and isometry ranges need at least two dimensions.
-_register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),),
-          _draw_wielandt_scalar, _space_plain_pair, _eval_wielandt_scalar, min_dim=2)
+_register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),), _space_plain_pair,
+          _eval_wielandt_scalar, min_dim=2)
 
 
 WIELANDT_VARIANTS = ("bhatia_davis", "gumus", "refined")
@@ -944,18 +888,6 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
                                   "within_conjecture": bool(norm_lhs <= conjecture_scale)})
 
 
-def _draw_wielandt_operator(variant, dim, params, rng, cfg, first):
-    if variant == "refined":
-        a = sample_self_inverse(dim, params.m, params.m_prime, params.M, "high", rng)
-    else:
-        a = sample_spd(dim, _plain(params), rng)
-    pair = sample_orthogonal_isometries(dim, dim // 2, rng)
-    spec = _draw_map(dim // 2, rng)
-    records = [check_wielandt_operator(spec, a, pair, params, variant, cfg.tol,
-                                       validate=first)]
-    return records, {"a": a.entries, "x": pair.x, "y": pair.y, **_map_payload(spec)}
-
-
 def _space_high_pair(dim, params, classical):
     return {"a": SearchVar("spd", regime_window(RegimeId.SELF_INVERSE_HIGH, params)),
             "pair": _FRAME}
@@ -966,19 +898,16 @@ def _eval_wielandt_operator(variant, view, tol):
     r = view.dim // 2
     f = view.frames["pair"]
     pair = IsometryPair(f[:, :r].copy(), f[:, view.dim - r:].copy())
-    return check_wielandt_operator(identity_map(r), view.spd("a"), pair, view.params, variant,
-                                   tol, validate=False)
+    return [check_wielandt_operator(view.map(r), view.spd("a"), pair, view.params, variant,
+                                    tol, view.validate)]
 
 
 _register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
-          partial(_draw_wielandt_operator, "bhatia_davis"), _space_plain_pair,
-          partial(_eval_wielandt_operator, "bhatia_davis"), min_dim=2)
-_register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
-          partial(_draw_wielandt_operator, "gumus"), _space_plain_pair,
+          _space_plain_pair, partial(_eval_wielandt_operator, "bhatia_davis"), min_dim=2)
+_register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),), _space_plain_pair,
           partial(_eval_wielandt_operator, "gumus"), min_dim=2)
 _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
-          (BoundParams(m=1.5, M=4.0, m_prime=4.0),),
-          partial(_draw_wielandt_operator, "refined"), _space_high_pair,
+          (BoundParams(m=1.5, M=4.0, m_prime=4.0),), _space_high_pair,
           partial(_eval_wielandt_operator, "refined"), min_dim=2)
 
 
@@ -990,23 +919,15 @@ def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
     return _loewner_record("choi", mapped.inv(), mapped_inv_arg, tol)
 
 
-def _draw_choi(dim, params, rng, cfg, first):
-    t = sample_spd(dim, _plain(params), rng)
-    spec = _draw_map(dim, rng)
-    records = [check_choi_record(spec, t, cfg.tol)]
-    return records, {"t": t.entries, **_map_payload(spec)}
-
-
 def _space_plain(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params))}
 
 
 def _eval_choi(view, tol):
-    return check_choi_record(identity_map(view.dim), view.spd("a"), tol)
+    return [check_choi_record(view.map(view.dim), view.spd("a"), tol)]
 
 
-_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _draw_choi, _space_plain,
-          _eval_choi)
+_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _eval_choi)
 
 
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
@@ -1018,22 +939,16 @@ def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL)
                           tol)
 
 
-def _draw_norm_amgm(dim, params, rng, cfg, first):
-    a = sample_spd(dim, _plain(params), rng)
-    b = sample_spd(dim, _plain(params), rng)
-    return [check_norm_amgm_record(a, b, cfg.tol)], {"a": a.entries, "b": b.entries}
-
-
 def _space_plain_two(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params)), "b": SearchVar("spd", _plain(params))}
 
 
 def _eval_norm_amgm(view, tol):
-    return check_norm_amgm_record(view.spd("a"), view.spd("b"), tol)
+    return [check_norm_amgm_record(view.spd("a"), view.spd("b"), tol)]
 
 
-_register("norm_amgm", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _draw_norm_amgm,
-          _space_plain_two, _eval_norm_amgm)
+_register("norm_amgm", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain_two,
+          _eval_norm_amgm)
 
 # Stable report identifiers, in campaign order.
 THEOREM_IDS = tuple(THEOREMS)

@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .campaign import CampaignReport
-from .inequalities import LOG_BASE_NOTE, VECTORS_PER_INSTANCE
+from .campaign import VECTORS_PER_INSTANCE, CampaignReport
+from .inequalities import LOG_BASE_NOTE
 
 CSV_COLUMNS = ("theorem_id", "dim", "m", "m_prime", "M_prime", "M", "samples",
                "violations", "max_ratio", "min_slack", "mean_slack")

@@ -145,6 +145,16 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _window_spectrum(interval: SpectralInterval, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """size sorted uniform draws on [lo, hi]; from size 2 on, the ends are lo and hi."""
+    vals = np.sort(rng.uniform(interval.lo, interval.hi, size=size))
+    if size >= 2:
+        vals[0] = interval.lo
+        vals[-1] = interval.hi
+    return vals
+
+
 def sample_spd(dim: int, interval: SpectralInterval, rng: np.random.Generator) -> SpdMatrix:
     """Random SPD matrix with spectrum in [lo, hi] and both endpoints attained.
 
@@ -154,14 +164,7 @@ def sample_spd(dim: int, interval: SpectralInterval, rng: np.random.Generator) -
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim == 1:
-        vals = np.array([interval.lo])
-    elif interval.lo == interval.hi:
-        vals = np.full(dim, interval.lo)
-    else:
-        vals = np.sort(rng.uniform(interval.lo, interval.hi, size=dim))
-        vals[0] = interval.lo
-        vals[-1] = interval.hi
+    vals = np.array([interval.lo]) if dim == 1 else _window_spectrum(interval, dim, rng)
     return SpdMatrix.from_eigh(vals, haar_orthogonal(dim, rng))
 
 

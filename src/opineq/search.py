@@ -6,12 +6,14 @@ rotations, unit vectors, auxiliary mixing scalars, and the regime
 parameters inside a user box), reporting the largest attained
 lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
 The variables, their windows and the score come from the theorem's
-TheoremSpec in ``inequalities.THEOREMS``: its space declares the
-variables and its evaluate reads them through a view of the state.
-Restarts run in sequence, each from its own seed drawn from the
-caller's generator. A proposal copies only the array it changes, and
-each state memoises the matrices built from its arrays, so an
-evaluation rebuilds only what its proposal changed.
+TheoremSpec in ``inequalities.THEOREMS``, the same parameterisation a
+campaign draws through: first_values draws a restart's first state
+from the spec's space, and the spec's evaluate reads each state through
+an InstanceView, which checks the state's own probe vector or pair
+under the identity map. Restarts run in sequence, each from its own
+seed drawn from the caller's generator. A proposal copies only the
+array it changes, and each state memoises the matrices built from its
+arrays, so an evaluation rebuilds only what its proposal changed.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -26,15 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleRegime, NotPositiveDefinite
-from .inequalities import THEOREMS, IneqRecord, refinement_constants
-from .samplers import (
-    BoundParams,
-    haar_orthogonal,
-    regime_feasible,
-    require_feasible,
-    sample_unit_vector,
+from .inequalities import (
+    THEOREMS,
+    IneqRecord,
+    InstanceView,
+    first_values,
+    refinement_constants,
+    snapshot,
 )
-from .spd import DEFAULT_TOL, SpdMatrix
+from .samplers import BoundParams, regime_feasible, require_feasible
+from .spd import DEFAULT_TOL
 
 SEARCH_DIM_CAP = 8
 DEFAULT_BUDGET = 10_000
@@ -65,60 +68,8 @@ def _ratio(record: IneqRecord, classical: bool) -> float:
     return record.ratio * record.improvement_ratio if classical else record.ratio
 
 
-class _View:
-    """What a TheoremSpec's evaluate reads of one search state."""
-
-    __slots__ = ("_memo", "dim", "classical", "params", "spectra", "frames", "vectors",
-                 "scalars")
-
-    def __init__(self, state: dict, dim: int, classical: bool):
-        self._memo = state["memo"]
-        self.dim = dim
-        self.classical = classical
-        self.params = state["params"]
-        self.spectra = state["spectra"]
-        self.frames = state["frames"]
-        self.vectors = state["vectors"]
-        self.scalars = state["scalars"]
-
-    def spd(self, name: str) -> SpdMatrix:
-        """The matrix with spectrum ``name`` on frame ``name``."""
-        vals, frame = self.spectra[name], self.frames[name]
-        return self.memo(name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
-
-    def memo(self, key: str, deps: tuple, build):
-        """build(), kept in the state's memo while ``deps`` are the same objects.
-
-        That is enough because no array is written after it joins a state.
-        """
-        hit = self._memo.get(key)
-        if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
-            return hit[1]
-        value = build()
-        self._memo[key] = (deps, value)
-        return value
-
-
 def _windows(space: dict) -> dict:
     return {name: var.window for name, var in space.items() if var.window is not None}
-
-
-def _init_values(state, space, dim, rng):
-    """Draw the first value of every variable, in the order the space lists them."""
-    for name, var in space.items():
-        if var.kind in ("spd", "weights"):
-            size = var.size or dim
-            lo, hi = var.start or (var.window.lo, var.window.hi)
-            state["spectra"][name] = rng.uniform(lo, hi, size=size)
-            if var.kind == "spd":
-                state["frames"][name] = haar_orthogonal(size, rng) if size >= 2 else np.eye(size)
-        elif var.kind == "vector":
-            state["vectors"][name] = sample_unit_vector(dim, rng)
-        elif var.kind == "frame":
-            state["frames"][name] = haar_orthogonal(dim, rng)
-        else:
-            start = var.start
-            state["scalars"][name] = float(rng.uniform(*start)) if isinstance(start, tuple) else start
 
 
 def _normalize_box(box) -> dict[str, tuple[float, float]]:
@@ -151,11 +102,6 @@ def _draw_params(box, regime, rng) -> BoundParams:
     params = BoundParams(**mid)
     require_feasible(regime, params)
     return params
-
-
-def _fresh_state(params) -> dict:
-    return {"params": params, "spectra": {}, "windows": {}, "frames": {},
-            "vectors": {}, "scalars": {}, "memo": {}}
 
 
 def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -244,30 +190,17 @@ def _propose(spec, state, dim, box, regime, classical, delta, rng):
 
 def _safe_eval(spec, state, dim, classical, tol):
     try:
-        records = spec.evaluate(_View(state, dim, classical), tol)
+        records = spec.evaluate(InstanceView(state, dim, classical), tol)
     except (InfeasibleRegime, NotPositiveDefinite):
         return -math.inf
-    if isinstance(records, IneqRecord):
-        return _ratio(records, classical)
     return max(_ratio(rec, classical) for rec in records)
-
-
-def _snapshot(state: dict) -> dict:
-    return {
-        "params": state["params"].as_dict(),
-        "spectra": {k: [float(x) for x in v] for k, v in state["spectra"].items()},
-        "frames": {k: v.tolist() for k, v in state["frames"].items()},
-        "vectors": {k: v.tolist() for k, v in state["vectors"].items()},
-        "scalars": {k: float(v) for k, v in state["scalars"].items()},
-    }
 
 
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
-    state = _fresh_state(params)
     space = spec.space(dim, params, classical)
-    _init_values(state, space, dim, rng)
+    state = first_values(space, params, dim, rng)
     state["windows"] = _windows(space)
     best_ratio = _safe_eval(spec, state, dim, classical, tol)
     best_state = state
@@ -286,7 +219,7 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
                 best_ratio = ratio
                 best_state = candidate
         delta = max(delta * decay, _DELTA_END)
-    return best_ratio, _snapshot(best_state), used
+    return best_ratio, snapshot(best_state), used
 
 
 def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 
+import numpy as np
 import pytest
 
 from opineq import (
@@ -9,11 +10,17 @@ from opineq import (
     THEOREMS,
     BoundParams,
     CampaignConfig,
+    compression_map,
+    congruence_sum_map,
+    identity_map,
     maximize_ratio,
+    pinching_map,
     regime_feasible,
     run_campaign,
+    trace_normalize_map,
 )
 from opineq.cli import cli_main
+from opineq.inequalities import InstanceView, first_values
 
 
 def test_default_grids_cover_every_theorem():
@@ -23,9 +30,29 @@ def test_default_grids_cover_every_theorem():
             assert regime_feasible(spec.regime, cell) == (True, ""), spec.theorem_id
 
 
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_first_values_satisfy_the_hypotheses(theorem_id):
+    # Validating evaluation raises InfeasibleRegime on a first value outside the regime.
+    spec = THEOREMS[theorem_id]
+    for params in spec.cells:
+        for dim in range(spec.min_dim, 5):
+            space = spec.space(dim, params, False)
+            for seed in range(8):
+                state = first_values(space, params, dim, np.random.default_rng(seed))
+                assert spec.evaluate(InstanceView(state, dim, validate=True), 1e-8)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown theorem"):
         CampaignConfig(theorem_ids=("nope",))
+    with pytest.raises(ValueError, match="repeated theorem ids"):
+        CampaignConfig(theorem_ids=("scalar_amgm", "choi", "scalar_amgm"))
+    with pytest.raises(ValueError, match="repeated dims"):
+        CampaignConfig(dims=(2, 3, 2))
+    with pytest.raises(ValueError, match="grids name theorems not in theorem_ids"):
+        CampaignConfig(grids={"nope": BoundParams(m=1.0, M=2.0)})
+    with pytest.raises(ValueError, match="grids name theorems not in theorem_ids"):
+        CampaignConfig(theorem_ids=("choi",), grids={"norm_amgm": BoundParams(m=1.0, M=2.0)})
     with pytest.raises(ValueError, match="samples"):
         CampaignConfig(samples=0)
     with pytest.raises(ValueError, match="dims"):
@@ -135,18 +162,53 @@ def test_sandwich_grid_sweep_runs_clean():
     assert report.total_violations == 0
 
 
+class _Replay(InstanceView):
+    """A view of an extremal instance alone: its matrices, its probe and its map."""
+
+    __slots__ = ("_instance",)
+
+    def __init__(self, instance, dim):
+        state = {"params": BoundParams(**instance["params"]), "scalars": instance["scalars"],
+                 "memo": {}}
+        for key in ("spectra", "frames", "vectors"):
+            state[key] = {k: np.array(v) for k, v in instance[key].items()}
+        super().__init__(state, dim)
+        self._instance = instance
+
+    def unit_vectors(self, name, a):
+        return [np.array(self._instance["probe"]["x"])]
+
+    def orthonormal_pairs(self, name, a):
+        probe = self._instance["probe"]
+        return [(np.array(probe["x"]), np.array(probe["y"]))]
+
+    def map(self, n):
+        instance = self._instance
+        kind = instance["map_kind"]
+        if kind == "identity":
+            return identity_map(n)
+        if kind == "trace_normalize":
+            return trace_normalize_map(n)
+        if kind == "compression":
+            return compression_map(np.array(instance["map_isometry"]))
+        if kind == "congruence_sum":
+            return congruence_sum_map([np.array(u) for u in instance["map_family"]])
+        return pinching_map(instance["map_blocks"])
+
+
 def test_extremal_instance_carries_the_worst_draw():
-    config = CampaignConfig(theorem_ids=("lemma_amgm",), dims=(3,), samples=8, seed=5)
+    config = CampaignConfig(dims=(2, 4), samples=6, seed=5)
     report = run_campaign(config)
-    (cell,) = report.cells
-    ex = cell.extremal
-    assert ex is not None
-    assert ex["theorem_id"] == "lemma_amgm"
-    assert ex["ratio"] == cell.max_ratio
-    assert ex["dim"] == 3
-    instance = ex["instance"]
-    assert isinstance(instance["a"], list) and len(instance["a"]) == 3
-    assert isinstance(instance["b"], list)
+    assert len(report.cells) == 2 * len(THEOREM_IDS)
+    for cell in report.cells:
+        ex = cell.extremal
+        assert (ex["theorem_id"], ex["dim"]) == (cell.theorem_id, cell.dim)
+        assert ex["ratio"] == cell.max_ratio
+        instance = ex["instance"]
+        records = THEOREMS[cell.theorem_id].evaluate(_Replay(instance, cell.dim), config.tol)
+        # A probe instance replays its one probe; lin_chain replays every link.
+        record = records[0 if "probe" in instance else ex["item"]]
+        assert record.ratio == ex["ratio"], (cell.theorem_id, cell.dim)
 
 
 def test_eigen_pairs_make_wielandt_scalar_tight():
@@ -179,4 +241,4 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
     assert hashlib.sha256(raw).hexdigest() == (
-        "02dbcc6a4e73674c81bb023bca6b704754daa981c2e5310a7ed31075bb816da7")
+        "16e29d8ca7384124986aae48aef3c9801a5eba6ad05cbceed659c80c6843383d")

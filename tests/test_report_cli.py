@@ -197,6 +197,27 @@ def test_cli_verify_degenerate_box_writes_report(tmp_path, capsys, box):
     assert rows and all(row["max_ratio"] == 1.0 and row["violations"] == 0 for row in rows)
 
 
+def test_cli_verify_unwritable_out_exits_64(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2",
+                     "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and str(target) in err
+
+
+@pytest.mark.parametrize("cells", [
+    ["--theorems", "scalar_amgm,scalar_amgm", "--dims", "2"],
+    ["--theorems", "scalar_amgm", "--dims", "2,2"],
+])
+def test_cli_verify_rejects_repeated_cells(capsys, cells):
+    code = cli_main(["verify", *cells, "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "repeated" in captured.err
+    assert "total:" not in captured.out
+
+
 def test_cli_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("OPINEQ_SEED", "7")
     cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2", "--samples", "2"])
