@@ -1,24 +1,23 @@
-"""Constraint regimes and the matched samplers.
+"""Constraint regimes and the instances each theorem's space draws.
 
 Every refined bound holds on a specific parameter window. This script
-prints the windows, draws instances, and verifies the advertised
-constraints numerically.
+prints the windows, draws instances from the specs of theorems that use
+each regime, and verifies the advertised constraints numerically.
 
 Run with: python3 demos/03_regimes_and_samplers.py
 """
 
 import numpy as np
 
-from opineq import (
-    BoundParams,
-    RegimeId,
-    regime_feasible,
-    regime_window,
-    sample_relative_pair,
-    sample_sandwich_pair,
-    sample_self_inverse,
-    sample_shifted_pair,
-)
+from opineq import THEOREMS, BoundParams, RegimeId, make_spd, regime_feasible, regime_window
+from opineq.inequalities import InstanceView, first_values
+
+
+def draw(theorem_id, params, dim, rng):
+    """A view of one instance drawn from the theorem's space."""
+    spec = THEOREMS[theorem_id]
+    state = first_values(spec.space(dim, params, False), params, dim, rng)
+    return InstanceView(state, dim)
 
 
 def rel_spectrum(a, b):
@@ -38,28 +37,34 @@ def main():
         print(f"{regime.value:18s} feasible={regime_feasible(regime, params)[0]} "
               f"window=[{window.lo:.4f}, {window.hi:.4f}]")
 
-    # relative pair: spectrum of A^{-1/2} B A^{-1/2} lands in [m, M]
-    a, b = sample_relative_pair(3, 2.0, 5.0, rng)
+    # relative pair (lemma_amgm): B = A^{1/2} C A^{1/2} with C on [m, M], so the
+    # spectrum of A^{-1/2} B A^{-1/2} lands in [m, M]
+    view = draw("lemma_amgm", BoundParams(m=2.0, M=5.0), 3, rng)
+    a = view.spd("a")
+    root = a.sqrt().entries
+    b = make_spd(root @ view.spd("c").entries @ root)
     print("relative spectrum:", np.round(rel_spectrum(a, b), 4))
 
-    # shifted pair: m I <= m' A <= B <= M I
-    a, b = sample_shifted_pair(3, 0.5, 2.0, 4.0, rng)
-    chain = (np.linalg.eigvalsh(2.0 * a.entries - 0.5 * np.eye(3))[0],
-             np.linalg.eigvalsh(b.entries - 2.0 * a.entries)[0],
-             np.linalg.eigvalsh(4.0 * np.eye(3) - b.entries)[0])
+    # shifted pair (polya_szego): B = (1-t) m' A + t M I, so m I <= m' A <= B <= M I
+    view = draw("polya_szego", params, 3, rng)
+    a, t = view.spd("a").entries, view.scalars["t"]
+    b = (1.0 - t) * 2.0 * a + t * 4.0 * np.eye(3)
+    chain = (np.linalg.eigvalsh(2.0 * a - 0.5 * np.eye(3))[0],
+             np.linalg.eigvalsh(b - 2.0 * a)[0],
+             np.linalg.eigvalsh(4.0 * np.eye(3) - b)[0])
     print("shifted chain min eigs (all >= 0):", np.round(chain, 6))
 
-    # sandwich pair: spectra pinned inside [m, m'] and [M', M]
+    # sandwich pair (lin_chain): spectra pinned inside [m, m'] and [M', M]
     boxed = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
-    a, b = sample_sandwich_pair(3, boxed, rng)
-    print("sandwich spectra:", np.round(np.linalg.eigvalsh(a.entries), 3),
-          np.round(np.linalg.eigvalsh(b.entries), 3))
+    view = draw("lin_chain", boxed, 3, rng)
+    print("sandwich spectra:", np.round(np.linalg.eigvalsh(view.spd("a").entries), 3),
+          np.round(np.linalg.eigvalsh(view.spd("b").entries), 3))
 
-    # self-inverse windows pin A between m I and its own inverse scaled
-    low = sample_self_inverse(4, 0.5, 2.0, 4.0, "low", rng)
+    # self-inverse windows (kantorovich) pin A between m I and its own inverse scaled
+    low = draw("kantorovich", params, 4, rng).spd("a")
     print("low-window spectrum:", np.round(np.linalg.eigvalsh(low.entries), 4))
 
-    # infeasible windows refuse to sample instead of quietly clipping
+    # infeasible boxes are refused, never quietly clipped
     bad = BoundParams(m=3.0, m_prime=2.0, M=4.0)
     ok, reason = regime_feasible(RegimeId.SELF_INVERSE_LOW, bad)
     print("low window feasible at m=3, m'=2, M=4:", ok, "|", reason)

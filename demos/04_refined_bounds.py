@@ -10,24 +10,25 @@ Run with: python3 demos/04_refined_bounds.py
 import numpy as np
 
 from opineq import (
+    THEOREMS,
     BoundParams,
     check_kantorovich_refined,
-    check_lemma_refined_amgm,
     check_lin_chain,
     check_lin_refined_squared,
-    check_wielandt_operator,
     identity_map,
     kantorovich_constant,
-    make_spd,
     refinement_constants,
     refinement_factor,
-    sample_relative_pair,
-    sample_self_inverse,
-    sample_orthogonal_isometries,
-    sample_spd,
     scalar_refined_amgm,
-    SpectralInterval,
 )
+from opineq.inequalities import InstanceView, first_values
+
+
+def draw(theorem_id, params, dim, rng):
+    """A view of one instance drawn from the theorem's space, hypotheses validated."""
+    spec = THEOREMS[theorem_id]
+    state = first_values(spec.space(dim, params, False), params, dim, rng)
+    return InstanceView(state, dim, validate=True)
 
 
 def show(rec):
@@ -43,18 +44,18 @@ def main():
     show(scalar_refined_amgm(1.0, 4.0))
 
     print("matrix version under m A <= B:")
-    a, b = sample_relative_pair(3, 2.0, 6.0, rng)
-    show(check_lemma_refined_amgm(a, b, 2.0))
+    # the spec derives B = A^{1/2} C A^{1/2} from A, so its evaluate builds the pair
+    view = draw("lemma_amgm", BoundParams(m=2.0, M=6.0), 3, rng)
+    show(*THEOREMS["lemma_amgm"].evaluate(view, 1e-8))
 
     print("kantorovich with the squared divisor:")
-    a = sample_self_inverse(3, 0.5, 2.0, 4.0, "low", rng)
-    x = rng.standard_normal(3)
-    show(check_kantorovich_refined(a, x / np.linalg.norm(x), 0.5, 2.0, 4.0))
+    view = draw("kantorovich", BoundParams(m=0.5, m_prime=2.0, M=4.0), 3, rng)
+    show(check_kantorovich_refined(view.spd("a"), view.vectors["x"], 0.5, 2.0, 4.0))
 
     print("squared operator bound, both reading orders:")
     boxed = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
-    a = sample_spd(3, SpectralInterval(1.0, 2.0), rng)
-    b = sample_spd(3, SpectralInterval(3.0, 4.0), rng)
+    view = draw("lin_chain", boxed, 3, rng)
+    a, b = view.spd("a"), view.spd("b")
     for variant in ("mapped_mean", "mean_of_maps"):
         show(check_lin_refined_squared(identity_map(3), a, b, boxed, variant))
 
@@ -63,12 +64,11 @@ def main():
         print(f"  {rec.detail:20s} ratio={rec.ratio:.6f} holds={rec.verdict.holds}")
 
     print("operator wielandt, three strengths on one instance:")
-    # spectrum inside [sqrt(m'), m'/m] so the refined window also accepts it
-    big = sample_spd(4, SpectralInterval(2.0, 8.0 / 3.0), rng)
-    pair = sample_orthogonal_isometries(4, 1, rng)
+    # drawn on the refined window [sqrt(m'), m'/m], which the plain window contains
     wparams = BoundParams(m=1.5, M=4.0, m_prime=4.0)
+    view = draw("wielandt_refined", wparams, 4, rng)
     for variant in ("bhatia_davis", "gumus", "refined"):
-        show(check_wielandt_operator(identity_map(1), big, pair, wparams, variant))
+        show(*THEOREMS[f"wielandt_{variant}"].evaluate(view, 1e-8))
 
     print("classical constants next to their refined counterparts:")
     table = refinement_constants(boxed)

@@ -72,15 +72,20 @@ class CampaignConfig:
         stray = sorted(set(self.grids or ()) - set(self.theorem_ids))
         if stray:
             raise ValueError(f"grids name theorems not in theorem_ids: {stray}")
+        if self.grids is not None:
+            # One tuple per entry, read once, so a one-shot iterable keeps its cells.
+            grids = {t: (cells,) if isinstance(cells, BoundParams) else tuple(cells)
+                     for t, cells in self.grids.items()}
+            empty = sorted(t for t, cells in grids.items() if not cells)
+            if empty:
+                raise ValueError(f"grids give no cells for: {empty}")
+            object.__setattr__(self, "grids", grids)
         if self.tol < 0.0 or not math.isfinite(self.tol):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def grid_for(self, theorem_id: str) -> tuple[BoundParams, ...]:
         if self.grids and theorem_id in self.grids:
-            cells = self.grids[theorem_id]
-            if isinstance(cells, BoundParams):
-                return (cells,)
-            return tuple(cells)
+            return self.grids[theorem_id]
         return THEOREMS[theorem_id].cells
 
 

@@ -41,7 +41,6 @@ from .means_maps import (
     identity_map,
 )
 from .samplers import (
-    RELATIVE_BASE_WINDOW,
     BoundParams,
     IsometryPair,
     RegimeId,
@@ -488,6 +487,11 @@ def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
         refined_rhs_scale=1.0 / kappa,
         improvement_ratio=1.0 / kappa,
     )
+
+
+# Spectrum window used for the free factor A in the relative regime,
+# where the hypothesis constrains only B relative to A.
+RELATIVE_BASE_WINDOW = SpectralInterval(0.5, 2.0)
 
 
 def _space_lemma_amgm(dim, params, classical):

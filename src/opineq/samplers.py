@@ -1,8 +1,12 @@
-"""Hypothesis regimes and seeded samplers that satisfy them exactly.
+"""Hypothesis regimes, their windows, and seeded random primitives.
 
-Each sampler pins the spectral endpoints of what it draws, so the stated
-scalar bounds are attained rather than merely respected; near-tightness
-of the classical constants is then observable, not accidental.
+A regime is checked on a parameter box by regime_feasible, and
+regime_window gives the spectrum window of its single constrained
+operator. The samplers draw the random parts of instances, probes and
+maps: Haar frames, window spectra with both ends attained, unit vectors,
+orthonormal pairs and congruence families. An instance that satisfies a
+regime is drawn only from its theorem's TheoremSpec space, by
+``inequalities.first_values``.
 """
 
 from __future__ import annotations
@@ -15,11 +19,6 @@ import numpy as np
 
 from .errors import InfeasibleRegime
 from .spd import SpdMatrix, SpectralInterval, _require_orthonormal
-
-# Spectrum window used for the free factor A in the relative regime,
-# where the hypothesis constrains only B relative to A.
-RELATIVE_BASE_WINDOW = SpectralInterval(0.5, 2.0)
-
 
 class RegimeId(str, Enum):
     """Hypothesis regimes, one per family of theorem preconditions."""
@@ -156,16 +155,14 @@ def _window_spectrum(interval: SpectralInterval, size: int,
 
 
 def sample_spd(dim: int, interval: SpectralInterval, rng: np.random.Generator) -> SpdMatrix:
-    """Random SPD matrix with spectrum in [lo, hi] and both endpoints attained.
+    """Random SPD matrix with spectrum in [lo, hi] on a Haar orthogonal frame.
 
-    Eigenvalues are uniform in the window with the smallest pinned to lo
-    and the largest to hi (dim >= 2); eigenvectors come from a Haar
-    orthogonal frame. dim = 1 yields the single eigenvalue lo.
+    The eigenvalues are _window_spectrum's: uniform in the window, with
+    both endpoints attained from dim 2 on.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    vals = np.array([interval.lo]) if dim == 1 else _window_spectrum(interval, dim, rng)
-    return SpdMatrix.from_eigh(vals, haar_orthogonal(dim, rng))
+    return SpdMatrix.from_eigh(_window_spectrum(interval, dim, rng), haar_orthogonal(dim, rng))
 
 
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,60 +187,6 @@ def sample_orthonormal_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndar
             return x, y / norm
 
 
-def sample_relative_pair(dim: int, m: float, M: float,
-                         rng: np.random.Generator) -> tuple[SpdMatrix, SpdMatrix]:
-    """(A, B) with mA <= B <= MA and 1 < m < M.
-
-    B = A^{1/2} C A^{1/2} for C drawn in [m, M], so the relative spectrum
-    of B against A lands exactly in the stated window.
-    """
-    require_feasible(RegimeId.RELATIVE, BoundParams(m=m, M=M))
-    a = sample_spd(dim, RELATIVE_BASE_WINDOW, rng)
-    c = sample_spd(dim, SpectralInterval(m, M), rng)
-    root = a.sqrt().entries
-    b = SpdMatrix(root @ c.entries @ root)
-    return a, b
-
-
-def sample_shifted_pair(dim: int, m: float, m_prime: float, M: float,
-                        rng: np.random.Generator) -> tuple[SpdMatrix, SpdMatrix]:
-    """(A, B) with mI <= m'A <= B <= MI and m' > 1.
-
-    A is drawn in [m/m', M/m']; B = (1-t) m'A + t MI for t uniform in
-    (0, 1], a convex path that keeps both order relations exact. B is a
-    polynomial in A, so it shares A's eigenvector frame.
-    """
-    params = BoundParams(m=m, M=M, m_prime=m_prime)
-    require_feasible(RegimeId.SHIFTED, params)
-    a = sample_spd(dim, regime_window(RegimeId.SHIFTED, params), rng)
-    t = 1.0 - rng.uniform(0.0, 1.0)
-    b_vals = (1.0 - t) * m_prime * a.eigenvalues + t * M
-    return a, SpdMatrix.from_eigh(b_vals, a.eigenvectors)
-
-
-def sample_sandwich_pair(dim: int, params: BoundParams,
-                         rng: np.random.Generator) -> tuple[SpdMatrix, SpdMatrix]:
-    """(A, B) with mI <= A <= m'I <= M'I <= B <= MI."""
-    require_feasible(RegimeId.SANDWICH, params)
-    a = sample_spd(dim, SpectralInterval(params.m, params.m_prime), rng)
-    b = sample_spd(dim, SpectralInterval(params.M_prime, params.M), rng)
-    return a, b
-
-
-def sample_self_inverse(dim: int, m: float, m_prime: float, M: float, variant: str,
-                        rng: np.random.Generator) -> SpdMatrix:
-    """A satisfying mI <= m'A <= A^{-1} <= MI (low) or mI <= m'A^{-1} <= A <= MI (high).
-
-    The window algebra reduces both variants to m <= sqrt(m') <= M; an
-    empty window raises InfeasibleRegime naming the violated bound.
-    """
-    if variant not in ("low", "high"):
-        raise ValueError(f"variant must be 'low' or 'high', got {variant!r}")
-    regime = RegimeId.SELF_INVERSE_LOW if variant == "low" else RegimeId.SELF_INVERSE_HIGH
-    params = BoundParams(m=m, M=M, m_prime=m_prime)
-    return sample_spd(dim, regime_window(regime, params), rng)
-
-
 @dataclass(frozen=True)
 class IsometryPair:
     """Two n x r column-orthonormal matrices with orthogonal ranges."""
@@ -262,14 +205,6 @@ class IsometryPair:
             raise ValueError(f"ranges not orthogonal (|x^T y| max {cross:.3e})")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-
-def sample_orthogonal_isometries(n: int, r: int, rng: np.random.Generator) -> IsometryPair:
-    """First r and last r columns of a Haar orthogonal n x n matrix."""
-    if 2 * r > n:
-        raise ValueError(f"need 2r <= n, got r = {r}, n = {n}")
-    q = haar_orthogonal(n, rng)
-    return IsometryPair(x=q[:, :r].copy(), y=q[:, n - r:].copy())
 
 
 def sample_congruence_family(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

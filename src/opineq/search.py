@@ -243,8 +243,8 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    if tol < 0.0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not 1 <= dim <= SEARCH_DIM_CAP:
         raise ValueError(f"search dims are capped at {SEARCH_DIM_CAP}, got {dim}")
     if dim < spec.min_dim:

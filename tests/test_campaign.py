@@ -10,6 +10,7 @@ from opineq import (
     THEOREMS,
     BoundParams,
     CampaignConfig,
+    RegimeId,
     compression_map,
     congruence_sum_map,
     identity_map,
@@ -30,12 +31,23 @@ def test_default_grids_cover_every_theorem():
             assert regime_feasible(spec.regime, cell) == (True, ""), spec.theorem_id
 
 
+# One box per constrained regime besides the default cells.
+EXTRA_BOXES = {
+    RegimeId.RELATIVE: BoundParams(m=1.5, M=4.0),
+    RegimeId.SHIFTED: BoundParams(m=1.0, m_prime=2.0, M=8.0),
+    RegimeId.SANDWICH: BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0),
+    RegimeId.SELF_INVERSE_LOW: BoundParams(m=0.5, m_prime=2.0, M=4.0),
+    RegimeId.SELF_INVERSE_HIGH: BoundParams(m=0.5, m_prime=2.0, M=4.0),
+}
+
+
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_first_values_satisfy_the_hypotheses(theorem_id):
     # Validating evaluation raises InfeasibleRegime on a first value outside the regime.
     spec = THEOREMS[theorem_id]
-    for params in spec.cells:
-        for dim in range(spec.min_dim, 5):
+    extra = (EXTRA_BOXES[spec.regime],) if spec.regime in EXTRA_BOXES else ()
+    for params in (*spec.cells, *extra):
+        for dim in (*range(spec.min_dim, 5), 8):
             space = spec.space(dim, params, False)
             for seed in range(8):
                 state = first_values(space, params, dim, np.random.default_rng(seed))
@@ -53,6 +65,8 @@ def test_config_validation():
         CampaignConfig(grids={"nope": BoundParams(m=1.0, M=2.0)})
     with pytest.raises(ValueError, match="grids name theorems not in theorem_ids"):
         CampaignConfig(theorem_ids=("choi",), grids={"norm_amgm": BoundParams(m=1.0, M=2.0)})
+    with pytest.raises(ValueError, match="no cells"):
+        CampaignConfig(theorem_ids=("choi", "norm_amgm"), grids={"choi": ()})
     with pytest.raises(ValueError, match="samples"):
         CampaignConfig(samples=0)
     with pytest.raises(ValueError, match="dims"):
@@ -66,6 +80,7 @@ def test_grid_for_accepts_single_params():
     config = CampaignConfig(grids={"scalar_amgm": cell})
     assert config.grid_for("scalar_amgm") == (cell,)
     assert config.grid_for("choi") == THEOREMS["choi"].cells
+    assert CampaignConfig(grids={"choi": iter([cell])}).grid_for("choi") == (cell,)
 
 
 def test_small_campaign_across_all_theorems_has_no_violations():

@@ -23,7 +23,6 @@ from opineq import (
     check_lin_refined_squared,
     check_norm_amgm_record,
     check_choi_record,
-    check_polya_szego_refined,
     check_square_order_refined,
     check_wielandt_operator,
     check_wielandt_scalar,
@@ -34,18 +33,36 @@ from opineq import (
     refinement_constants,
     refinement_factor,
     sample_congruence_family,
-    sample_orthogonal_isometries,
-    sample_relative_pair,
-    sample_sandwich_pair,
-    sample_self_inverse,
-    sample_shifted_pair,
     sample_spd,
     sample_unit_vector,
     scalar_refined_amgm,
     trace_normalize_map,
 )
-from opineq.spd import SpectralInterval
+from opineq.inequalities import InstanceView, first_values
+from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
+
+
+def _view(theorem_id, params, dim, rng, view_type=InstanceView):
+    """An instance drawn from the theorem's space, hypotheses validated on evaluate."""
+    spec = THEOREMS[theorem_id]
+    state = first_values(spec.space(dim, params, False), params, dim, rng)
+    return view_type(state, dim, validate=True)
+
+
+def _evaluate(theorem_id, params, dim, rng, view_type=InstanceView):
+    """The theorem's records on one instance drawn from its space."""
+    view = _view(theorem_id, params, dim, rng, view_type)
+    return THEOREMS[theorem_id].evaluate(view, DEFAULT_TOL)
+
+
+class _TraceNormalizedView(InstanceView):
+    """Checks its instance under the trace-normalizing map."""
+
+    __slots__ = ()
+
+    def map(self, n):
+        return trace_normalize_map(n)
 
 
 def test_theorem_catalog_is_consistent():
@@ -105,15 +122,18 @@ def test_scalar_amgm_rejects_nonpositive():
 
 def test_lemma_refined_amgm_holds_on_relative_draws(rng):
     for _ in range(20):
-        a, b = sample_relative_pair(3, 2.0, 5.0, rng)
-        record = check_lemma_refined_amgm(a, b, 2.0)
+        (record,) = _evaluate("lemma_amgm", BoundParams(m=2.0, M=5.0), 3, rng)
         assert record.verdict.holds
         assert record.ratio <= 1.0 + 1e-10
         assert record.improvement_ratio == pytest.approx(1.0 / kappa(2.0))
 
 
 def test_lemma_refined_amgm_regime_checks(rng):
-    a, b = sample_relative_pair(2, 2.0, 3.0, rng)
+    view = _view("lemma_amgm", BoundParams(m=2.0, M=3.0), 2, rng)
+    a = view.spd("a")
+    root = a.sqrt().entries
+    # The spec's B = A^{1/2} C A^{1/2}, with C on [2, 3].
+    b = make_spd(root @ view.spd("c").entries @ root)
     with pytest.raises(InfeasibleRegime, match="1 < m"):
         check_lemma_refined_amgm(a, b, 1.0)
     # B barely fails mA <= B once m is pushed past the actual floor
@@ -125,9 +145,8 @@ def test_lemma_refined_amgm_regime_checks(rng):
 def test_kantorovich_refined_on_regime_draws(rng):
     m, mp, M = 0.5, 2.0, 4.0
     for _ in range(20):
-        a = sample_self_inverse(3, m, mp, M, "low", rng)
-        x = sample_unit_vector(3, rng)
-        record = check_kantorovich_refined(a, x, m, mp, M)
+        view = _view("kantorovich", BoundParams(m=m, M=M, m_prime=mp), 3, rng)
+        record = check_kantorovich_refined(view.spd("a"), view.vectors["x"], m, mp, M)
         assert record.verdict.holds
         assert record.classical_rhs_scale == pytest.approx(big_k(M / m))
         assert record.refined_rhs_scale == pytest.approx(big_k(M / m) / kappa(mp) ** 2)
@@ -138,7 +157,7 @@ def test_kantorovich_refined_validation(rng):
     x = np.array([1.0, 0.0])
     with pytest.raises(InfeasibleRegime, match="window"):
         check_kantorovich_refined(a, x, 0.5, 2.0, 4.0)
-    ok = sample_self_inverse(2, 0.5, 2.0, 4.0, "low", rng)
+    ok = _view("kantorovich", BoundParams(m=0.5, M=4.0, m_prime=2.0), 2, rng).spd("a")
     with pytest.raises(ValueError, match="unit"):
         check_kantorovich_refined(ok, 2.0 * x, 0.5, 2.0, 4.0)
 
@@ -161,9 +180,7 @@ def test_kantorovich_corner_is_a_genuine_violation():
 def test_kantorovich_product_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(20):
-        a, b = sample_shifted_pair(3, params.m, params.m_prime, params.M, rng)
-        x = sample_unit_vector(3, rng)
-        record = check_kantorovich_product_refined(a, b, x, params)
+        (record,) = _evaluate("kantorovich_product", params, 3, rng)
         assert record.verdict.holds
         assert record.ratio <= 1.0 + 1e-10
 
@@ -189,9 +206,8 @@ def test_kantorovich_product_squared_vs_literal_product_form():
 def test_holder_mccarthy_on_regime_draws(rng):
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     for _ in range(20):
-        a = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
-        x = sample_unit_vector(3, rng)
-        record = check_holder_mccarthy_refined(a, x, params)
+        view = _view("holder_mccarthy", params, 3, rng)
+        record = check_holder_mccarthy_refined(view.spd("a"), view.vectors["x"], params)
         assert record.verdict.holds
         assert record.ratio <= 1.0 + 1e-10
 
@@ -199,12 +215,9 @@ def test_holder_mccarthy_on_regime_draws(rng):
 def test_square_order_on_regime_draws(rng):
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     for _ in range(10):
-        a = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
-        bump = sample_spd(3, SpectralInterval(0.05, 0.5), rng)
-        b = make_spd(a.entries + bump.entries)
-        record = check_square_order_refined(a, b, params)
+        (record,) = _evaluate("square_order", params, 3, rng)
         assert record.verdict.holds
-    a = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
+    a = _view("square_order", params, 3, rng).spd("a")
     shrunk = make_spd(0.5 * a.entries)
     with pytest.raises(InfeasibleRegime, match="A <= B"):
         check_square_order_refined(a, shrunk, params)
@@ -213,8 +226,7 @@ def test_square_order_on_regime_draws(rng):
 def test_polya_szego_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(10):
-        a, b = sample_shifted_pair(4, params.m, params.m_prime, params.M, rng)
-        record = check_polya_szego_refined(trace_normalize_map(4), a, b, params)
+        (record,) = _evaluate("polya_szego", params, 4, rng, _TraceNormalizedView)
         assert record.verdict.holds
         assert record.improvement_ratio == pytest.approx(1.0 / kappa(2.0))
 
@@ -222,7 +234,7 @@ def test_polya_szego_on_regime_draws(rng):
 def test_isometry_family_bound_on_regime_draws(rng):
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     for _ in range(10):
-        a = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
+        a = _view("isometry_family", params, 3, rng).spd("a")
         family = sample_congruence_family(3, 2, rng)
         record = check_isometry_family_bound(family, a, params)
         assert record.verdict.holds
@@ -236,7 +248,8 @@ def test_lin_squared_variants_on_regime_draws(rng):
     params = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
     for variant in ("mapped_mean", "mean_of_maps"):
         for _ in range(10):
-            a, b = sample_sandwich_pair(3, params, rng)
+            view = _view("lin_squared_mapped", params, 3, rng)
+            a, b = view.spd("a"), view.spd("b")
             record = check_lin_refined_squared(trace_normalize_map(3), a, b, params, variant)
             assert record.verdict.holds
             assert record.classical_rhs_scale == pytest.approx(params.K_h ** 2)
@@ -247,8 +260,8 @@ def test_lin_squared_variants_on_regime_draws(rng):
 
 def test_lin_chain_links_and_extras(rng):
     params = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
-    a, b = sample_sandwich_pair(3, params, rng)
-    records = check_lin_chain(identity_map(3), a, b, params)
+    view = _view("lin_chain", params, 3, rng)
+    records = check_lin_chain(identity_map(3), view.spd("a"), view.spd("b"), params)
     assert tuple(r.detail for r in records) == LIN_CHAIN_LINKS
     for record in records:
         assert record.verdict.holds
@@ -308,17 +321,11 @@ def test_wielandt_operator_frozen_2x2_numbers():
 
 def test_wielandt_operator_on_regime_draws(rng):
     params = BoundParams(m=1.5, M=4.0, m_prime=4.0)
-    for variant in ("bhatia_davis", "gumus"):
+    # Each instance checks X, Y = the first and last two columns of a frame under Phi = id.
+    for variant in ("bhatia_davis", "gumus", "refined"):
         for _ in range(10):
-            a = sample_spd(4, SpectralInterval(params.m, params.M), rng)
-            pair = sample_orthogonal_isometries(4, 2, rng)
-            record = check_wielandt_operator(identity_map(2), a, pair, params, variant)
+            (record,) = _evaluate(f"wielandt_{variant}", params, 4, rng)
             assert record.verdict.holds, variant
-    for _ in range(10):
-        a = sample_self_inverse(4, params.m, params.m_prime, params.M, "high", rng)
-        pair = sample_orthogonal_isometries(4, 2, rng)
-        record = check_wielandt_operator(identity_map(2), a, pair, params, "refined")
-        assert record.verdict.holds
 
 
 def test_wielandt_refined_derived_precondition_always_checked(rng):
@@ -370,21 +377,20 @@ def test_refined_checkers_share_their_family_constants(rng):
     """Each refined checker's scales are its family's row of refinement_constants."""
     params = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
     table = refinement_constants(params)
-    low = sample_self_inverse(3, params.m, params.m_prime, params.M, "low", rng)
-    high = sample_self_inverse(4, params.m, params.m_prime, params.M, "high", rng)
-    a, b = sample_shifted_pair(3, params.m, params.m_prime, params.M, rng)
-    sa, sb = sample_sandwich_pair(3, params, rng)
-    x = sample_unit_vector(3, rng)
+    view = _view("kantorovich", params, 3, rng)
+    low, x = view.spd("a"), view.vectors["x"]
+    sandwich = _view("lin_chain", params, 3, rng)
+    sa, sb = sandwich.spd("a"), sandwich.spd("b")
     family = sample_congruence_family(3, 2, rng)
     records = {
         "kantorovich": [
             check_kantorovich_refined(low, x, params.m, params.m_prime, params.M),
-            check_kantorovich_product_refined(a, b, x, params),
+            *_evaluate("kantorovich_product", params, 3, rng),
             check_holder_mccarthy_refined(low, x, params),
             check_square_order_refined(low, low, params),
         ],
         "polya_szego": [
-            check_polya_szego_refined(identity_map(3), a, b, params),
+            *_evaluate("polya_szego", params, 3, rng),
             check_isometry_family_bound(family, low, params),
         ],
         "lin_squared": [
@@ -395,10 +401,7 @@ def test_refined_checkers_share_their_family_constants(rng):
             next(r for r in check_lin_chain(identity_map(3), sa, sb, params)
                  if r.detail == "norm_product")
         ],
-        "wielandt": [
-            check_wielandt_operator(identity_map(2), high,
-                                    sample_orthogonal_isometries(4, 2, rng), params, "refined")
-        ],
+        "wielandt": _evaluate("wielandt_refined", params, 4, rng),
     }
     for name, family_records in records.items():
         row = table.row(name)

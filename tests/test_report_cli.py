@@ -244,20 +244,22 @@ def test_cli_search_infeasible_box_exits_65(capsys):
 
 
 def test_cli_search_ratio_gate_exits_2(capsys):
-    # a negative tolerance forces the gate, exercising the exit path
-    code = cli_main(["search", "--theorem", "scalar_amgm", "--budget", "5",
-                     "--seed", "0", "--m", "2", "--M", "2", "--tol", "-0.5"])
+    # At m = 1, m' = 4, M = 2 the window is {1/2} and the refined Kantorovich
+    # constant is below the Cauchy-Schwarz floor of 1: every instance violates it.
+    code = cli_main(["search", "--theorem", "kantorovich", "--budget", "5",
+                     "--seed", "0", "--m", "1", "--mp", "4", "--M", "2"])
     assert code == EXIT_RATIO_EXCEEDED
     assert "exceeded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_cli_search_rejects_non_finite_tol(capsys, tol):
-    # With a NaN or infinite tol, ratio > 1 + tol could never flag a ratio.
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_search_rejects_invalid_tol(capsys, tol):
+    # With a NaN or infinite tol, ratio > 1 + tol could never flag a ratio;
+    # a negative tol would flag a sound bound that reaches ratio 1.
     code = cli_main(["search", "--theorem", "kantorovich", "--classical", "--m", "1",
                      "--M", "4", "--budget", "50", "--tol", tol])
     assert code == EXIT_USAGE
-    assert "tol must be finite" in capsys.readouterr().err
+    assert "tol must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_cli_constants_table(capsys):

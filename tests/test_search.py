@@ -206,8 +206,8 @@ def test_search_argument_validation():
         maximize_ratio("choi", {"m": 1.0, "M": 2.0, "q": 3.0}, budget=10)
     with pytest.raises(ValueError, match="0 < lo <= hi"):
         maximize_ratio("choi", {"m": (2.0, 1.0), "M": 4.0}, budget=10)
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite"):
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, tol=tol)
 
 
