@@ -5,7 +5,8 @@ violations, 2 search exceeded 1 + tol, 64 usage error (verify: also a
 repeated theorem id or dim, and an --out report that cannot be
 written), 65 infeasible parameters. The OPINEQ_SEED environment
 variable overrides the default seed when --seed is not given; a value
-that is not an integer is a usage error. Run as a program, opineq ends
+that is not an integer, or a negative seed given either way, is a
+usage error. Run as a program, opineq ends
 quietly by the default SIGPIPE action when the reader of its output
 closes the pipe (``opineq search ... | head -1``); cli_main leaves
 signal handling to its caller.
@@ -14,6 +15,7 @@ signal handling to its caller.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import signal
@@ -68,7 +70,9 @@ def _default_seed(parser: _Parser) -> int:
         parser.error(f"{_SEED_ENV} must be an integer, got {raw!r}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="opineq",
                      description="Numerical verification of refined operator "
                                  "mean and Kantorovich-type bounds.")
@@ -178,13 +182,16 @@ def _cmd_verify(args, parser: _Parser) -> int:
     for row in doc.results:
         status = "ok" if row["violations"] == 0 else "VIOLATIONS"
         print(f"{row['theorem_id']:22s} dim={row['dim']:<3d} checks={row['samples']:<6d} "
-              f"violations={row['violations']:<4d} max_ratio={row['max_ratio']:.9f} "
+              f"violations={row['violations']:<4d} "
+              f"classical_violations={row['classical_violations']:<4d} "
+              f"near_tight={row['near_tight']:<6d} max_ratio={row['max_ratio']:.9f} "
               f"min_slack={row['min_slack']:.3e}  [{status}]")
     for row in doc.skipped:
         print(f"{row['theorem_id']:22s} dim={row['dim']:<3d} skipped: {row['reason']}")
     print(f"total: {doc.meta['total_checks']} checks, "
           f"{doc.meta['total_violations']} violations, "
-          f"{len(doc.skipped)} skipped cells, seed={seed}")
+          f"{len(doc.skipped)} skipped cells, seed={seed}, "
+          f"{report.elapsed_seconds:.3f} s")
 
     if args.out:
         fmt = args.format

@@ -19,7 +19,9 @@ into a state, and its evaluate checks the instance an InstanceView of
 that state holds. The view decides what the two engines do differently:
 a search checks the state's own probe vector or pair under the identity
 map, a campaign many random and eigenvector probes under a drawn map.
-The engines read nothing else about a theorem.
+A campaign checks a whole cell's states at once through the spec's
+stacked evaluate, written in ``opineq.stacked`` with the same steps on
+stacked arrays. The engines read nothing else about a theorem.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import stacked
 from .errors import InfeasibleRegime
 from .means_maps import (
     PositiveMapSpec,
@@ -284,6 +287,14 @@ class TheoremSpec:
     for the instance an InstanceView holds: one per probe the view hands
     out (one per chain link for lin_chain), checked under the view's map
     and validating the hypotheses when the view asks for it.
+
+    ``stacked(view, tol)``, defined in ``opineq.stacked``, is evaluate
+    for many states at once, as a campaign cell uses it: it reads a
+    ``stacked.StackedView``, whose every variable has a leading axis of
+    rows, and returns ``stacked.Rows``, the ratio, both verdicts, lhs
+    and rhs of each record, with the bits evaluate gives each state. It
+    makes every check evaluate makes on every state, except the
+    hypothesis checks behind ``validate``.
     """
 
     theorem_id: str
@@ -291,6 +302,7 @@ class TheoremSpec:
     cells: tuple[BoundParams, ...]
     space: Callable
     evaluate: Callable
+    stacked: Callable
     min_dim: int = 1
     classical_regime: RegimeId | None = None
 
@@ -456,7 +468,7 @@ def _eval_scalar_amgm(view, tol):
 
 
 _register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_scalar_amgm,
-          _eval_scalar_amgm)
+          _eval_scalar_amgm, stacked.scalar_amgm)
 
 
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
@@ -507,7 +519,7 @@ def _eval_lemma_amgm(view, tol):
 
 
 _register("lemma_amgm", RegimeId.RELATIVE, (BoundParams(m=4.0, M=9.0),), _space_lemma_amgm,
-          _eval_lemma_amgm)
+          _eval_lemma_amgm, stacked.lemma_amgm)
 
 
 def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: float,
@@ -538,7 +550,7 @@ def _eval_kantorovich(view, tol):
 
 
 _register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          _eval_kantorovich, classical_regime=RegimeId.PLAIN)
+          _eval_kantorovich, stacked.kantorovich, classical_regime=RegimeId.PLAIN)
 
 
 def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
@@ -581,7 +593,8 @@ def _eval_kantorovich_product(view, tol):
 
 
 _register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _space_kantorovich_product,
-          _eval_kantorovich_product, classical_regime=RegimeId.PLAIN)
+          _eval_kantorovich_product, stacked.kantorovich_product,
+          classical_regime=RegimeId.PLAIN)
 
 
 def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundParams,
@@ -603,7 +616,7 @@ def _eval_holder_mccarthy(view, tol):
 
 
 _register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          _eval_holder_mccarthy, classical_regime=RegimeId.PLAIN)
+          _eval_holder_mccarthy, stacked.holder_mccarthy, classical_regime=RegimeId.PLAIN)
 
 
 def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
@@ -633,7 +646,7 @@ def _eval_square_order(view, tol):
 
 
 _register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_square_order,
-          _eval_square_order)
+          _eval_square_order, stacked.square_order)
 
 
 def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
@@ -655,7 +668,8 @@ def _eval_polya_szego(view, tol):
                                       view.validate)]
 
 
-_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _eval_polya_szego)
+_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _eval_polya_szego,
+          stacked.polya_szego)
 
 
 def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
@@ -688,7 +702,7 @@ def _eval_isometry_family(view, tol):
 
 
 _register("isometry_family", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_isometry_family,
-          _eval_isometry_family)
+          _eval_isometry_family, stacked.isometry_family)
 
 
 LIN_VARIANTS = ("mapped_mean", "mean_of_maps")
@@ -729,9 +743,10 @@ def _eval_lin_squared(variant, view, tol):
 
 
 _register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_eval_lin_squared, "mapped_mean"))
+          partial(_eval_lin_squared, "mapped_mean"), partial(stacked.lin_squared, "mapped_mean"))
 _register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_eval_lin_squared, "mean_of_maps"))
+          partial(_eval_lin_squared, "mean_of_maps"),
+          partial(stacked.lin_squared, "mean_of_maps"))
 
 
 LIN_CHAIN_LINKS = (
@@ -804,7 +819,8 @@ def _eval_lin_chain(view, tol):
                            view.validate)
 
 
-_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich, _eval_lin_chain)
+_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich, _eval_lin_chain,
+          stacked.lin_chain)
 
 
 def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, M: float,
@@ -839,7 +855,7 @@ def _eval_wielandt_scalar(view, tol):
 
 # Orthonormal pairs and isometry ranges need at least two dimensions.
 _register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),), _space_plain_pair,
-          _eval_wielandt_scalar, min_dim=2)
+          _eval_wielandt_scalar, stacked.wielandt_scalar, min_dim=2)
 
 
 WIELANDT_VARIANTS = ("bhatia_davis", "gumus", "refined")
@@ -907,12 +923,15 @@ def _eval_wielandt_operator(variant, view, tol):
 
 
 _register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
-          _space_plain_pair, partial(_eval_wielandt_operator, "bhatia_davis"), min_dim=2)
+          _space_plain_pair, partial(_eval_wielandt_operator, "bhatia_davis"),
+          partial(stacked.wielandt_operator, "bhatia_davis"), min_dim=2)
 _register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),), _space_plain_pair,
-          partial(_eval_wielandt_operator, "gumus"), min_dim=2)
+          partial(_eval_wielandt_operator, "gumus"), partial(stacked.wielandt_operator, "gumus"),
+          min_dim=2)
 _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
           (BoundParams(m=1.5, M=4.0, m_prime=4.0),), _space_high_pair,
-          partial(_eval_wielandt_operator, "refined"), min_dim=2)
+          partial(_eval_wielandt_operator, "refined"),
+          partial(stacked.wielandt_operator, "refined"), min_dim=2)
 
 
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
@@ -931,7 +950,8 @@ def _eval_choi(view, tol):
     return [check_choi_record(view.map(view.dim), view.spd("a"), tol)]
 
 
-_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _eval_choi)
+_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _eval_choi,
+          stacked.choi)
 
 
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
@@ -952,7 +972,7 @@ def _eval_norm_amgm(view, tol):
 
 
 _register("norm_amgm", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain_two,
-          _eval_norm_amgm)
+          _eval_norm_amgm, stacked.norm_amgm)
 
 # Stable report identifiers, in campaign order.
 THEOREM_IDS = tuple(THEOREMS)

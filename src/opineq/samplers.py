@@ -20,6 +20,13 @@ import numpy as np
 from .errors import InfeasibleRegime
 from .spd import SpdMatrix, SpectralInterval, _require_orthonormal
 
+# A Gaussian draw is redrawn when its norm is at or below the floor:
+# unit vectors at _UNIT_FLOOR, the second vector of a pair (after
+# projecting out the first) at _PAIR_FLOOR.
+_UNIT_FLOOR = 1e-12
+_PAIR_FLOOR = 1e-8
+
+
 class RegimeId(str, Enum):
     """Hypothesis regimes, one per family of theorem preconditions."""
 
@@ -110,6 +117,17 @@ def regime_feasible(regime: RegimeId, params: BoundParams) -> tuple[bool, str]:
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_seed(seed) -> None:
+    """Raise ValueError unless seed is a non-negative integer, as numpy's generators need."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def require_feasible(regime: RegimeId, params: BoundParams):
     ok, reason = regime_feasible(regime, params)
     if not ok:
@@ -170,7 +188,7 @@ def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         x = rng.standard_normal(dim)
         norm = np.linalg.norm(x)
-        if norm > 1e-12:
+        if norm > _UNIT_FLOOR:
             return x / norm
 
 
@@ -183,7 +201,7 @@ def sample_orthonormal_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndar
         y = rng.standard_normal(dim)
         y -= (x @ y) * x
         norm = np.linalg.norm(y)
-        if norm > 1e-8:
+        if norm > _PAIR_FLOOR:
             return x, y / norm
 
 

@@ -36,7 +36,7 @@ from .inequalities import (
     refinement_constants,
     snapshot,
 )
-from .samplers import BoundParams, regime_feasible, require_feasible
+from .samplers import BoundParams, _require_seed, regime_feasible, require_feasible
 from .spd import DEFAULT_TOL
 
 SEARCH_DIM_CAP = 8
@@ -235,8 +235,8 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     its equality cases live).
 
     The budget is split over max(1, budget // 2000) restarts. They run in
-    sequence, each from its own seed drawn from ``rng`` (a Generator, an
-    int seed, or None for seed 0), so a seed fixes the result.
+    sequence, each from its own seed drawn from ``rng`` (a Generator, a
+    non-negative int seed, or None for seed 0), so a seed fixes the result.
     """
     spec = THEOREMS.get(theorem_id)
     if spec is None:
@@ -256,6 +256,8 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     mid = BoundParams(**{k: 0.5 * (lo + hi) for k, (lo, hi) in norm_box.items()})
     require_feasible(regime, mid)
     if rng is None or isinstance(rng, (int, np.integer)):
+        if rng is not None:
+            _require_seed(rng)
         rng = np.random.default_rng(0 if rng is None else int(rng))
 
     restarts = max(1, budget // _EVALS_PER_RESTART)

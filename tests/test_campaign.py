@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -20,6 +21,8 @@ from opineq import (
     run_campaign,
     trace_normalize_map,
 )
+from opineq import campaign
+from opineq.campaign import NEAR_TIGHT_REL, CellStats, _DrawView
 from opineq.cli import cli_main
 from opineq.inequalities import InstanceView, first_values
 
@@ -73,6 +76,16 @@ def test_config_validation():
         CampaignConfig(dims=())
     with pytest.raises(ValueError, match="tol"):
         CampaignConfig(tol=-1.0)
+    for samples in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="samples"):
+            CampaignConfig(samples=samples)
+    for dims in ((2.0,), (2, True)):
+        with pytest.raises(ValueError, match="dims"):
+            CampaignConfig(dims=dims)
+    for seed in (-1, True, 1.5, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            CampaignConfig(seed=seed)
+    assert CampaignConfig(samples=np.int64(3), dims=(np.int32(2),), seed=np.uint8(7)).seed == 7
 
 
 def test_grid_for_accepts_single_params():
@@ -257,3 +270,116 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
     raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
     assert hashlib.sha256(raw).hexdigest() == (
         "16e29d8ca7384124986aae48aef3c9801a5eba6ad05cbceed659c80c6843383d")
+
+
+def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundParams,
+                    cfg: CampaignConfig) -> CellStats:
+    """One cell, one draw at a time through _DrawView and evaluate: the per-draw loop."""
+    spec = THEOREMS[theorem_id]
+    theorem_index = THEOREM_IDS.index(theorem_id)
+    space = spec.space(dim, params, False)
+    checks = violations = classical_violations = near_tight = 0
+    max_ratio = -math.inf
+    min_slack = math.inf
+    slack_sum = 0.0
+    extremal = None
+    worst = None
+    for draw in range(cfg.samples):
+        rng = np.random.default_rng([cfg.seed, theorem_index, dim, cell_index, draw])
+        view = _DrawView(first_values(space, params, dim, rng), dim, rng, draw == 0)
+        for item, record in enumerate(spec.evaluate(view, cfg.tol)):
+            checks += 1
+            slack = 1.0 - record.ratio
+            if not record.verdict.holds:
+                violations += 1
+            if record.classical_verdict is not None and not record.classical_verdict.holds:
+                classical_violations += 1
+            if slack < NEAR_TIGHT_REL:
+                near_tight += 1
+            if math.isfinite(slack):
+                slack_sum += slack
+                min_slack = min(min_slack, slack)
+            if record.ratio > max_ratio:
+                max_ratio = record.ratio
+                worst = view
+                extremal = {"theorem_id": theorem_id, "dim": dim, "draw": draw, "item": item,
+                            "detail": record.detail, "ratio": record.ratio,
+                            "lhs": record.lhs_value, "rhs": record.rhs_value,
+                            **params.as_dict()}
+    if extremal is not None:
+        extremal["instance"] = worst.instance(extremal["item"])
+    return CellStats(theorem_id=theorem_id, dim=dim, params=params, samples=checks,
+                     violations=violations, classical_violations=classical_violations,
+                     near_tight=near_tight, max_ratio=max_ratio, min_slack=min_slack,
+                     mean_slack=slack_sum / checks, extremal=extremal)
+
+
+def _assert_matches_reference(config: CampaignConfig) -> tuple:
+    """Every cell equals the per-draw loop's, field for field; returns the cells."""
+    report = run_campaign(config)
+    assert report.cells
+    for cell in report.cells:
+        index = config.grid_for(cell.theorem_id).index(cell.params)
+        reference = _reference_cell(cell.theorem_id, cell.dim, index, cell.params, config)
+        for field in dataclasses.fields(CellStats):
+            assert getattr(cell, field.name) == getattr(reference, field.name), (
+                cell.theorem_id, cell.dim, config.seed, field.name)
+    return report.cells
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_stacked_cells_equal_the_per_draw_loop(theorem_id):
+    spec = THEOREMS[theorem_id]
+    dims = (*range(spec.min_dim, 5), 8)
+    for seed in (0, 1, 2):
+        _assert_matches_reference(CampaignConfig(theorem_ids=(theorem_id,), dims=dims,
+                                                 samples=6, seed=seed))
+
+
+@pytest.mark.parametrize("theorem_id,dim", [("choi", 3), ("wielandt_scalar", 2)])
+def test_stacked_cells_cross_a_chunk_boundary(theorem_id, dim):
+    _assert_matches_reference(CampaignConfig(theorem_ids=(theorem_id,), dims=(dim,),
+                                             samples=campaign._CHUNK + 1, seed=4))
+
+
+PLAIN_IDS = tuple(t for t in THEOREM_IDS if THEOREMS[t].regime is RegimeId.PLAIN)
+SANDWICH_IDS = tuple(t for t in THEOREM_IDS if THEOREMS[t].regime is RegimeId.SANDWICH)
+
+
+@pytest.mark.parametrize("theorem_ids,params", [
+    # m = M: the degenerate ratio-1 rule of the plain and Wielandt theorems.
+    (PLAIN_IDS, BoundParams(m=2.0, M=2.0)),
+    (("wielandt_refined",), BoundParams(m=2.0, m_prime=4.0, M=2.0)),
+    (SANDWICH_IDS, BoundParams(m=2.0, m_prime=2.0, M_prime=2.0, M=2.0)),
+    (PLAIN_IDS, BoundParams(m=1e-4, M=1e4)),
+])
+def test_stacked_edge_boxes_equal_the_per_draw_loop(theorem_ids, params):
+    config = CampaignConfig(theorem_ids=theorem_ids, dims=(2, 3, 4, 8), samples=20, seed=42,
+                            grids={t: params for t in theorem_ids})
+    cells = _assert_matches_reference(config)
+    if params.M / params.m == 1e8:
+        # choi fails by rounding alone at h = 1e8; the counts still match.
+        assert sum(c.violations for c in cells if c.theorem_id == "choi") > 0
+
+
+def test_redrawn_probes_equal_the_per_draw_loop(monkeypatch):
+    # With floors no norm passes, every row takes the samplers' own path.
+    monkeypatch.setattr(campaign, "_UNIT_FLOOR", math.inf)
+    monkeypatch.setattr(campaign, "_PAIR_FLOOR", math.inf)
+    _assert_matches_reference(CampaignConfig(
+        theorem_ids=("kantorovich", "kantorovich_product", "wielandt_scalar"), dims=(2, 3),
+        samples=4, seed=9))
+
+
+def test_stacked_row_off_by_one_ulp_raises(monkeypatch):
+    spec = THEOREMS["kantorovich"]
+
+    def skewed(view, tol):
+        rows = spec.stacked(view, tol)
+        ratio = np.array(rows.ratio)
+        ratio[0, 0] = np.nextafter(ratio[0, 0], np.inf)
+        return rows._replace(ratio=ratio)
+
+    monkeypatch.setitem(THEOREMS, "kantorovich", dataclasses.replace(spec, stacked=skewed))
+    with pytest.raises(RuntimeError, match="kantorovich draw 0"):
+        run_campaign(CampaignConfig(theorem_ids=("kantorovich",), dims=(2,), samples=3))

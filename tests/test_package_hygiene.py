@@ -47,3 +47,12 @@ def test_all_is_sorted_and_lists_every_public_name():
     public = {name for name, value in vars(opineq).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(opineq.__all__) == public
+
+
+def test_no_line_is_over_100_characters():
+    tests = Path(__file__).resolve().parent
+    long_lines = [f"{path.name}:{number}"
+                  for path in sorted([*PACKAGE.glob("*.py"), *tests.glob("*.py")])
+                  for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                  if len(line) > 100]
+    assert not long_lines, long_lines

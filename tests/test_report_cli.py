@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -151,6 +152,39 @@ def test_cli_verify_small_run_ok(capsys):
     assert "scalar_amgm" in out
     assert "0 violations" in out
     assert "seed=0" in out
+
+
+def test_cli_verify_prints_the_report_counts_and_time(tmp_path, capsys):
+    # choi at h = 1e8 fails by rounding, so the violation counts are not all 0.
+    out_path = tmp_path / "r.json"
+    code = cli_main(["verify", "--theorems", "choi,kantorovich", "--dims", "2,3,4",
+                     "--samples", "20", "--seed", "42", "--m", "1e-4", "--M", "1e4",
+                     "--mp", "1.01", "--out", str(out_path)])
+    out = capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert code == EXIT_VIOLATIONS
+    cell_lines = re.findall(r"^(\w+) +dim=(\d+) +checks=(\d+) +violations=(\d+) +"
+                            r"classical_violations=(\d+) +near_tight=(\d+) ", out, re.M)
+    assert cell_lines == [
+        (row["theorem_id"], str(row["dim"]), str(row["samples"]), str(row["violations"]),
+         str(row["classical_violations"]), str(row["near_tight"]))
+        for row in doc["results"]]
+    assert sum(row["violations"] for row in doc["results"]) > 0
+    assert sum(row["near_tight"] for row in doc["results"]) > 0
+    total = re.search(r"^total: (\d+) checks, (\d+) violations, 0 skipped cells, seed=42, "
+                      r"(\d+\.\d{3}) s$", out, re.M)
+    assert total is not None
+    assert int(total.group(1)) == doc["meta"]["total_checks"]
+    assert int(total.group(2)) == doc["meta"]["total_violations"]
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--theorems", "choi", "--dims", "2", "--samples", "2"],
+    ["search", "--theorem", "choi", "--m", "1", "--M", "2", "--budget", "10"],
+])
+def test_cli_rejects_a_negative_seed(capsys, command):
+    assert cli_main([*command, "--seed", "-1"]) == EXIT_USAGE
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_cli_verify_infeasible_override_exits_65(capsys):

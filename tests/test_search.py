@@ -209,6 +209,9 @@ def test_search_argument_validation():
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, tol=tol)
+    for seed in (-1, True):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, rng=seed)
 
 
 def test_search_rejects_infeasible_box():
