@@ -406,6 +406,7 @@ def _require_same(records: list, row: stacked.Rows, theorem_id: str, draw: int) 
         [r.classical_verdict is None or r.classical_verdict.holds for r in records],
         [r.lhs_value for r in records],
         [r.rhs_value for r in records],
+        [r.improvement_ratio for r in records],
     )
     for name, want, got in zip(stacked.Rows._fields, ref, row):
         kind = bool if name in ("holds", "classical") else np.float64

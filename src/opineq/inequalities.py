@@ -19,9 +19,10 @@ into a state, and its evaluate checks the instance an InstanceView of
 that state holds. The view decides what the two engines do differently:
 a search checks the state's own probe vector or pair under the identity
 map, a campaign many random and eigenvector probes under a drawn map.
-A campaign checks a whole cell's states at once through the spec's
-stacked evaluate, written in ``opineq.stacked`` with the same steps on
-stacked arrays. The engines read nothing else about a theorem.
+A campaign checks a whole cell's states at once, and a search a block
+of candidate states, through the spec's stacked evaluate, written in
+``opineq.stacked`` with the same steps on stacked arrays. The engines
+read nothing else about a theorem.
 """
 
 from __future__ import annotations
@@ -289,12 +290,14 @@ class TheoremSpec:
     and validating the hypotheses when the view asks for it.
 
     ``stacked(view, tol)``, defined in ``opineq.stacked``, is evaluate
-    for many states at once, as a campaign cell uses it: it reads a
-    ``stacked.StackedView``, whose every variable has a leading axis of
-    rows, and returns ``stacked.Rows``, the ratio, both verdicts, lhs
-    and rhs of each record, with the bits evaluate gives each state. It
-    makes every check evaluate makes on every state, except the
-    hypothesis checks behind ``validate``.
+    for many states at once: the draws of a campaign cell, or the
+    candidates of a search block. It reads a ``stacked.StackedView``,
+    whose every variable has a leading axis of rows and whose params are
+    shared or each row's own, and returns ``stacked.Rows``, the ratio,
+    both verdicts, lhs, rhs and improvement ratio of each record, with
+    the bits evaluate gives each state. It makes every check evaluate
+    makes on every state, except the hypothesis checks behind
+    ``validate``.
     """
 
     theorem_id: str

@@ -8,12 +8,19 @@ lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
 The variables, their windows and the score come from the theorem's
 TheoremSpec in ``inequalities.THEOREMS``, the same parameterisation a
 campaign draws through: first_values draws a restart's first state
-from the spec's space, and the spec's evaluate reads each state through
-an InstanceView, which checks the state's own probe vector or pair
-under the identity map. Restarts run in sequence, each from its own
-seed drawn from the caller's generator. A proposal copies only the
-array it changes, and each state memoises the matrices built from its
-arrays, so an evaluation rebuilds only what its proposal changed.
+from the spec's space, and each state is checked on its own probe
+vector or frame pair under the identity map. Restarts run in sequence,
+each from its own seed drawn from the caller's generator.
+
+A restart draws all its proposals' moves up front, since no draw
+depends on the state's values, and then climbs in speculative blocks:
+it applies the next few moves to the best state, scores those
+candidates in one call of the spec's stacked evaluator (rows with a
+moved parameter carry their own params), keeps the first that beats
+the best and resumes after it. So it keeps exactly what a climb that
+scores one proposal at a time keeps, ratio, instance and evaluation
+count, bit for bit. A block whose stacked evaluation raises is scored
+state by state through the spec's evaluate and an InstanceView.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -27,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import stacked
 from .errors import InfeasibleRegime, NotPositiveDefinite
 from .inequalities import (
     THEOREMS,
@@ -36,7 +44,7 @@ from .inequalities import (
     refinement_constants,
     snapshot,
 )
-from .samplers import BoundParams, _require_seed, regime_feasible, require_feasible
+from .samplers import BoundParams, _is_int, _require_seed, regime_feasible, require_feasible
 from .spd import DEFAULT_TOL
 
 SEARCH_DIM_CAP = 8
@@ -44,12 +52,19 @@ DEFAULT_BUDGET = 10_000
 _DELTA_START = 0.1
 _DELTA_END = 1e-4
 _EVALS_PER_RESTART = 2000
+# Most proposals a restart scores in one stacked block. A restart accepts
+# few of its proposals, so blocks grow to this size between gains.
+_BLOCK_CAP = 64
 _PARAM_KEYS = ("m", "m_prime", "M_prime", "M")
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best instance found; iterates as (instance, ratio)."""
+    """Best instance found; iterates as (instance, ratio).
+
+    ``accepted`` holds each restart's number of accepted moves, in
+    restart order; a seed fixes it.
+    """
 
     theorem_id: str
     dim: int
@@ -58,6 +73,7 @@ class SearchResult:
     evaluations: int
     restarts: int
     classical: bool
+    accepted: tuple[int, ...]
 
     def __iter__(self):
         yield self.instance
@@ -114,64 +130,81 @@ def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
     return g
 
 
-def _propose(spec, state, dim, box, regime, classical, delta, rng):
-    """A neighbour of state, or None when its parameter move is infeasible.
+def _draw_moves(state: dict, box: dict, count: int, rng) -> list[tuple]:
+    """The random draws of a restart's next ``count`` proposals, in generator order.
 
-    Copy-on-write: the neighbour shares every array it does not change.
+    A move is (kind, name, *draws). Its kind, variable, index, sign,
+    Givens pair and vector noise depend only on the state's shapes and
+    the box, which a restart never changes, so a restart can draw every
+    move before it scores any. Proposal i moves by the i-th step of a
+    schedule that decays geometrically from _DELTA_START to _DELTA_END.
     """
-    kinds = []
-    if state["spectra"]:
-        kinds.append("spectrum")
-    rotatable = [k for k, f in state["frames"].items() if f.shape[0] >= 2]
-    if rotatable:
-        kinds.append("frame")
-    if state["vectors"]:
-        kinds.append("vector")
-    if state["scalars"]:
-        kinds.append("scalar")
+    spectra = sorted(state["spectra"])
+    rotatable = sorted(k for k, f in state["frames"].items() if f.shape[0] >= 2)
+    vectors = sorted(state["vectors"])
+    scalars = sorted(state["scalars"])
     free = [k for k, (lo, hi) in box.items() if lo < hi]
-    if free:
-        kinds.append("param")
-    kind = kinds[int(rng.integers(len(kinds)))]
-    new = dict(state, memo=dict(state["memo"]))
+    kinds = [kind for kind, names in (("spectrum", spectra), ("frame", rotatable),
+                                      ("vector", vectors), ("scalar", scalars), ("param", free))
+             if names]
+    decay = (_DELTA_END / _DELTA_START) ** (1.0 / max(count, 1))
+    delta = _DELTA_START
+    moves = []
+    for _ in range(count):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "spectrum":
+            name = spectra[int(rng.integers(len(spectra)))]
+            index = int(rng.integers(state["spectra"][name].size))
+            move = (kind, name, index)
+        elif kind == "frame":
+            name = rotatable[int(rng.integers(len(rotatable)))]
+            size = state["frames"][name].shape[0]
+            i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
+            move = (kind, name, i, j, delta if rng.random() < 0.5 else -delta)
+        elif kind == "vector":
+            name = vectors[int(rng.integers(len(vectors)))]
+            move = (kind, name, delta * rng.standard_normal(state["vectors"][name].size))
+        else:
+            names = scalars if kind == "scalar" else free
+            move = (kind, names[int(rng.integers(len(names)))])
+        if kind in ("spectrum", "scalar", "param"):
+            move += (1.0 + delta if rng.random() < 0.5 else 1.0 - delta,)
+        moves.append(move)
+        delta = max(delta * decay, _DELTA_END)
+    return moves
 
+
+def _apply_move(spec, state, move, dim, box, regime, classical):
+    """The neighbour of state that move makes, or None when its parameter move is infeasible.
+
+    Copy-on-write: the neighbour shares every array it does not change,
+    and the state's memo, whose entries name the arrays they came from.
+    """
+    kind, name, *draws = move
+    new = dict(state)
     if kind == "spectrum":
-        spectra = state["spectra"]
-        name = sorted(spectra)[int(rng.integers(len(spectra)))]
-        vals = spectra[name].copy()
-        idx = int(rng.integers(vals.size))
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
+        index, factor = draws
+        vals = state["spectra"][name].copy()
         window = state["windows"][name]
-        vals[idx] = min(max(vals[idx] * factor, window.lo), window.hi)
-        new["spectra"] = {**spectra, name: vals}
+        vals[index] = min(max(vals[index] * factor, window.lo), window.hi)
+        new["spectra"] = {**state["spectra"], name: vals}
     elif kind == "frame":
-        name = sorted(rotatable)[int(rng.integers(len(rotatable)))]
+        i, j, theta = draws
         f = state["frames"][name]
-        size = f.shape[0]
-        i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
-        theta = delta if rng.random() < 0.5 else -delta
-        rotated = f @ _givens(size, i, j, theta)
-        q, r = np.linalg.qr(rotated)
+        q, r = np.linalg.qr(f @ _givens(f.shape[0], i, j, theta))
         new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
     elif kind == "vector":
-        vectors = state["vectors"]
-        name = sorted(vectors)[int(rng.integers(len(vectors)))]
-        v = vectors[name] + delta * rng.standard_normal(vectors[name].size)
-        new["vectors"] = {**vectors, name: v / np.linalg.norm(v)}
+        v = state["vectors"][name] + draws[0]
+        new["vectors"] = {**state["vectors"], name: v / np.linalg.norm(v)}
     elif kind == "scalar":
-        scalars = state["scalars"]
-        name = sorted(scalars)[int(rng.integers(len(scalars)))]
         window = state["windows"][name]
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, window.lo),
-                                                 window.hi)}
+        moved = min(max(state["scalars"][name] * draws[0], window.lo), window.hi)
+        new["scalars"] = {**state["scalars"], name: moved}
     else:
-        key = free[int(rng.integers(len(free)))]
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        lo, hi = box[key]
-        moved = min(max(getattr(state["params"], key) * factor, lo), hi)
+        lo, hi = box[name]
+        moved = min(max(getattr(state["params"], name) * draws[0], lo), hi)
         try:
-            candidate = replace(state["params"], **{key: moved})
+            candidate = replace(state["params"], **{name: moved})
         except ValueError:
             return None
         if not regime_feasible(regime, candidate)[0]:
@@ -180,10 +213,10 @@ def _propose(spec, state, dim, box, regime, classical, delta, rng):
         new["params"] = candidate
         new["windows"] = windows
         spectra = {}
-        for name, vals in state["spectra"].items():
-            clipped = np.clip(vals, windows[name].lo, windows[name].hi)
+        for var, vals in state["spectra"].items():
+            clipped = np.clip(vals, windows[var].lo, windows[var].hi)
             # Share what the new window leaves alone, so its memo entries hold.
-            spectra[name] = vals if np.array_equal(clipped, vals) else clipped
+            spectra[var] = vals if np.array_equal(clipped, vals) else clipped
         new["spectra"] = spectra
     return new
 
@@ -196,30 +229,108 @@ def _safe_eval(spec, state, dim, classical, tol):
     return max(_ratio(rec, classical) for rec in records)
 
 
+class _Block(stacked.StackedView):
+    """Candidate states as the rows of one stacked evaluation, probed as InstanceView probes.
+
+    Row r checks state r's own vector, or the first two columns of its
+    frame, under the identity map. Rows share one params object unless
+    a parameter move gave some row its own.
+    """
+
+    def __init__(self, states: list, dim: int, classical: bool):
+        first = states[0]
+        params = first["params"]
+        if any(state["params"] is not params for state in states):
+            params = tuple(state["params"] for state in states)
+
+        def rows(group):
+            return {name: np.stack([state[group][name] for state in states])
+                    for name in first[group]}
+        super().__init__(params, dim, rows("spectra"), rows("frames"), rows("vectors"),
+                         {name: np.array([state["scalars"][name] for state in states])
+                          for name in first["scalars"]}, classical)
+
+    def unit_vectors(self, name, a):
+        return self.vectors[name][:, None, :]
+
+    def orthonormal_pairs(self, name, a):
+        frame = self.frames[name]
+        return frame[:, None, :, 0], frame[:, None, :, 1]
+
+    def per_map(self, n, evaluate):
+        return evaluate(self, stacked.StackedMap("identity"))
+
+
+def _scores(spec, states: list, dim, classical, tol):
+    """An iterator over each state's _safe_eval ratio, in order.
+
+    One stacked evaluation scores every state. Where it raises, the
+    states are scored one by one through _safe_eval as the iterator is
+    read: rows past the one a restart accepts are speculative, and a row
+    the one-at-a-time search never scores must not end it.
+    """
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = spec.stacked(_Block(states, dim, classical), tol)
+    except ValueError:
+        return (_safe_eval(spec, state, dim, classical, tol) for state in states)
+    ratios = rows.ratio * rows.improvement if classical else rows.ratio
+    ratios = np.reshape(ratios, (len(states), -1))
+    best = ratios[:, 0]
+    # Python's max over each row's records: a later record wins only if greater.
+    for column in ratios.T[1:]:
+        best = stacked._pymax(best, column)
+    return iter(best.tolist())
+
+
+def _first_gain(spec, candidates: list, dim, classical, tol, best_ratio):
+    """(index, ratio) of the first candidate whose ratio beats best_ratio, else None.
+
+    A None candidate, an infeasible parameter move, is never scored.
+    """
+    live = [state for state in candidates if state is not None]
+    scores = _scores(spec, live, dim, classical, tol) if live else iter(())
+    for index, state in enumerate(candidates):
+        if state is not None:
+            ratio = next(scores)
+            if ratio > best_ratio:
+                return index, ratio
+    return None
+
+
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
+    """(best ratio, its instance, evaluations, accepted moves) of one hill-climb.
+
+    Each proposal moves the best state so far and is kept when its ratio
+    beats the best. The next ``size`` proposals are applied to the best
+    state and scored in one block; the climb goes on after the first
+    that beats it, so it keeps what the one-at-a-time climb keeps. A
+    block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
+    gain halves it.
+    """
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
-    state = first_values(space, params, dim, rng)
-    state["windows"] = _windows(space)
-    best_ratio = _safe_eval(spec, state, dim, classical, tol)
-    best_state = state
-    used = 1
-    if budget > 1:
-        decay = (_DELTA_END / _DELTA_START) ** (1.0 / max(budget - 1, 1))
-    else:
-        decay = 1.0
-    delta = _DELTA_START
-    while used < budget:
-        candidate = _propose(spec, best_state, dim, box, regime, classical, delta, rng)
-        used += 1
-        if candidate is not None:
-            ratio = _safe_eval(spec, candidate, dim, classical, tol)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_state = candidate
-        delta = max(delta * decay, _DELTA_END)
-    return best_ratio, snapshot(best_state), used
+    best = first_values(space, params, dim, rng)
+    best["windows"] = _windows(space)
+    moves = _draw_moves(best, box, budget - 1, rng)
+    best_ratio = next(_scores(spec, [best], dim, classical, tol))
+    accepted = start = 0
+    size = 1
+    while start < len(moves):
+        candidates = [_apply_move(spec, best, move, dim, box, regime, classical)
+                      for move in moves[start:start + size]]
+        gain = _first_gain(spec, candidates, dim, classical, tol, best_ratio)
+        if gain is None:
+            start += len(candidates)
+            size = min(2 * size, _BLOCK_CAP)
+        else:
+            index, best_ratio = gain
+            best = candidates[index]
+            accepted += 1
+            start += index + 1
+            size = max(size // 2, 1)
+    return best_ratio, snapshot(best), budget, accepted
 
 
 def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
@@ -241,10 +352,12 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     spec = THEOREMS.get(theorem_id)
     if spec is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if not _is_int(budget) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     if tol < 0.0 or not math.isfinite(tol):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not _is_int(dim):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if not 1 <= dim <= SEARCH_DIM_CAP:
         raise ValueError(f"search dims are capped at {SEARCH_DIM_CAP}, got {dim}")
     if dim < spec.min_dim:
@@ -269,7 +382,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
                 for allocation, seed in zip(allocations, seeds)]
 
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
-    best_ratio, best_instance, _ = outcomes[best_index]
+    best_ratio, best_instance, _, _ = outcomes[best_index]
     best_instance["theorem_id"] = theorem_id
     best_instance["dim"] = dim
     best_instance["classical"] = classical
@@ -282,6 +395,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
         evaluations=sum(out[2] for out in outcomes),
         restarts=restarts,
         classical=classical,
+        accepted=tuple(out[3] for out in outcomes),
     )
 
 

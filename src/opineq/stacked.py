@@ -1,15 +1,24 @@
-"""Stacked counterparts of the per-instance algebra, for whole campaign cells.
+"""Stacked counterparts of the per-instance algebra, for many instances at once.
 
-Every array here carries a leading axis of rows, one row per campaign
-draw. Each function does, row by row, what its namesake in ``spd``,
-``means_maps`` or the record builders of ``inequalities`` does to one
-instance: the same operations, in the same order, on operands of the
-same shape, so each row gets the bits the per-instance call gets. A
-vector is a (..., 1, n) or (..., n, 1) matrix, because a stacked
-(k, n) @ (n, n) product sums in another order than k products of a
-vector with a matrix. A Python float operation that the per-instance
-code makes on each value (``x ** 2``, ``math.log``) is made value by
-value here too, since numpy's rounds differently in the last bit.
+Every array here carries a leading axis of rows, one row per instance:
+a campaign stacks the draws of a cell, a search the candidate states
+of one block of proposals. Each function does, row by row, what its
+namesake in ``spd``, ``means_maps`` or the record builders of
+``inequalities`` does to one instance: the same operations, in the
+same order, on operands of the same shape, so each row gets the bits
+the per-instance call gets. A vector is a (..., 1, n) or (..., n, 1)
+matrix, because a stacked (k, n) @ (n, n) product sums in another order
+than k products of a vector with a matrix. A Python float operation
+that the per-instance code makes on each value (``x ** 2``,
+``math.log``) is made value by value here too, since numpy's rounds
+differently in the last bit.
+
+A view's ``params`` is one BoundParams shared by every row, or a tuple
+with each row's own, as a search block has when a parameter move gave
+a row its own. The evaluators read their constants through
+``per_row``, which computes each row's with the per-instance code, and
+the record builders take a constant as a scalar or as an array of
+each row's own.
 
 Every check the per-instance code makes on every instance (finite
 positive eigenvalues, the eigenframe Gram check, the map and isometry
@@ -19,6 +28,7 @@ exception type.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +55,32 @@ def _t(x: np.ndarray) -> np.ndarray:
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + _t(x))
+
+
+def per_row(fn, params):
+    """fn(params), or fn of each row's params as an (S,) array when rows have their own.
+
+    A tuple-valued fn gives a tuple of arrays. Every value is fn's
+    Python float, as the per-instance code computes it.
+    """
+    if not isinstance(params, tuple):
+        return fn(params)
+    values = [fn(p) for p in params]
+    if isinstance(values[0], tuple):
+        return tuple(np.array(column) for column in zip(*values))
+    return np.array(values)
+
+
+def _like(value, rows):
+    """A scalar as it is; a per-row (S,) value with the axes to broadcast against ``rows``."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return value.reshape(value.shape + (1,) * (rows.ndim - 1))
+
+
+def _per_record(value, rows) -> np.ndarray:
+    """A scalar or per-row value for every record of ``rows``."""
+    return np.full(rows.shape, _like(value, rows))
 
 
 def _pymax(a, b):
@@ -74,13 +110,17 @@ def require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
         raise ValueError(f"{label} columns not orthonormal (defect {defect.max():.3e})")
 
 
-def require_spectrum(a: "StackedSpd", lo: float, hi: float, label: str, tol: float) -> None:
-    """inequalities._require_spectrum on every row: A's spectrum inside [lo, hi]."""
+def require_spectrum(a: "StackedSpd", lo, hi, label: str, tol: float) -> None:
+    """inequalities._require_spectrum on every row: A's spectrum inside [lo, hi].
+
+    lo and hi are scalars or each row's own.
+    """
     vals = a.eigenvalues
     lo_ok = vals[:, 0] >= lo * (1.0 - tol) - 1e-14
     hi_ok = vals[:, -1] <= hi * (1.0 + tol) + 1e-14
     if not (lo_ok.all() and hi_ok.all()):
         row = _first_bad(lo_ok, hi_ok)
+        lo, hi = (np.broadcast_to(bound, lo_ok.shape)[row] for bound in (lo, hi))
         raise InfeasibleRegime(
             f"{label} spectrum [{vals[row, 0]:.8g}, {vals[row, -1]:.8g}] "
             f"outside window [{lo:.8g}, {hi:.8g}]")
@@ -162,8 +202,9 @@ class StackedSpd:
     def square(self) -> "StackedSpd":
         return self._apply("square")
 
-    def scaled(self, factor: float) -> "StackedSpd":
-        return self._on_frame(factor * self.eigenvalues)
+    def scaled(self, factor) -> "StackedSpd":
+        """Each row times its factor: a scalar or each row's own."""
+        return self._on_frame(_like(factor, self.eigenvalues) * self.eigenvalues)
 
 
 def _entries(x) -> np.ndarray:
@@ -272,10 +313,11 @@ def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
 
 
 class Rows(NamedTuple):
-    """Per-record outcomes of a stack of draws, one array each.
+    """Per-record outcomes of a stack of instances, one array each.
 
     ``classical`` is True where a record has no classical verdict, so
-    that only failed classical checks count.
+    that only failed classical checks count. ``improvement`` is each
+    record's improvement_ratio, 1 / kappa^p (1 where it has none).
     """
 
     ratio: np.ndarray
@@ -283,6 +325,7 @@ class Rows(NamedTuple):
     classical: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
+    improvement: np.ndarray
 
     @classmethod
     def columns(cls, parts) -> "Rows":
@@ -295,59 +338,77 @@ def _ratio(num, den, holds) -> np.ndarray:
     return np.where(den != 0.0, num / den, np.where(holds, 1.0, np.inf))
 
 
-def scalar_rows(lhs, core, tol: float, c: float = 1.0, kappa_pow: float | None = None,
-                **leq) -> Rows:
+# The record builders take c and kappa_pow as scalars or as each row's own.
+
+
+def _improvement(kappa_pow, rows) -> np.ndarray:
+    return _per_record(1.0 if kappa_pow is None else 1.0 / kappa_pow, rows)
+
+
+def scalar_rows(lhs, core, tol: float, c=1.0, kappa_pow=None, **leq) -> Rows:
     """Rows of inequalities._scalar_record: lhs <= (c / kappa_pow) core."""
     refined = c if kappa_pow is None else c / kappa_pow
-    rhs = np.broadcast_to(refined * core, np.shape(lhs))
+    rhs = np.broadcast_to(_like(refined, lhs) * core, np.shape(lhs))
     holds = scalar_leq(lhs, rhs, tol, **leq)
     classical = (np.ones_like(holds) if kappa_pow is None
-                 else scalar_leq(lhs, c * core, tol, **leq))
-    return Rows(_ratio(lhs, rhs, holds), holds, classical, lhs, rhs)
+                 else scalar_leq(lhs, _like(c, lhs) * core, tol, **leq))
+    return Rows(_ratio(lhs, rhs, holds), holds, classical, lhs, rhs,
+                _improvement(kappa_pow, lhs))
 
 
-def loewner_rows(lhs, core: StackedSpd, tol: float, c: float = 1.0,
-                 kappa_pow: float | None = None, atol=0.0) -> Rows:
+def loewner_rows(lhs, core: StackedSpd, tol: float, c=1.0, kappa_pow=None, atol=0.0) -> Rows:
     """Rows of inequalities._loewner_record: L <= (c / kappa_pow) CORE."""
     refined = c if kappa_pow is None else c / kappa_pow
-    holds = loewner_leq(lhs, refined * core.entries, tol, atol)
+    holds = loewner_leq(lhs, _like(refined, core.entries) * core.entries, tol, atol)
     classical = (np.ones_like(holds) if kappa_pow is None
-                 else loewner_leq(lhs, c * core.entries, tol, atol))
+                 else loewner_leq(lhs, _like(c, core.entries) * core.entries, tol, atol))
     top = operator_norm(lhs)
     rhs = refined * operator_norm(core)
-    ratio = (loewner_ratio(lhs, core.scaled(refined)) if refined != 0.0
-             else np.where(holds, 1.0, np.inf))
-    return Rows(ratio, holds, classical, top, rhs)
+    # A row whose refined constant is 0 takes the degenerate ratio; scaling
+    # its CORE by 1 instead keeps the stack positive definite.
+    nonzero = refined != 0.0
+    if np.all(nonzero):
+        ratio = loewner_ratio(lhs, core.scaled(refined))
+    else:
+        ratio = np.where(nonzero, loewner_ratio(lhs, core.scaled(np.where(nonzero, refined, 1.0))),
+                         np.where(holds, 1.0, np.inf))
+    return Rows(ratio, holds, classical, top, rhs, _improvement(kappa_pow, top))
 
 
-def identity_rows(lhs, tol: float, c: float, kappa_pow: float | None = None,
-                  classical_lhs=None) -> Rows:
+def identity_rows(lhs, tol: float, c, kappa_pow=None, classical_lhs=None) -> Rows:
     """Rows of inequalities._identity_record: L <= (c / kappa_pow) I."""
     refined = c if kappa_pow is None else c / kappa_pow
-    eye = np.eye(_entries(lhs).shape[-1])
-    holds = loewner_leq(lhs, refined * eye, tol)
+    entries = _entries(lhs)
+    eye = np.eye(entries.shape[-1])
+    holds = loewner_leq(lhs, _like(refined, entries) * eye, tol)
     if kappa_pow is None and classical_lhs is None:
         classical = holds
     else:
-        classical = loewner_leq(lhs if classical_lhs is None else classical_lhs, c * eye, tol)
+        classical = loewner_leq(lhs if classical_lhs is None else classical_lhs,
+                                _like(c, entries) * eye, tol)
     top = operator_norm(lhs)
-    ratio = top / refined if refined != 0.0 else np.where(holds, 1.0, np.inf)
-    return Rows(ratio, holds, classical, top, np.full(top.shape, refined))
+    return Rows(_ratio(top, refined, holds), holds, classical, top, _per_record(refined, top),
+                _improvement(kappa_pow, top))
 
 
 class StackedView:
     """What a TheoremSpec's stacked evaluator reads of a stack of instance states.
 
     ``spectra``, ``frames``, ``vectors`` and ``scalars`` hold each state
-    variable for every row. A campaign's view adds the probes
-    (``unit_vectors``, ``orthonormal_pairs``) and ``per_map``, which
-    evaluates each group of rows whose drawn maps share a kind.
+    variable for every row; ``params`` is one BoundParams for all rows or
+    a tuple of each row's own, and ``classical`` is InstanceView's. A
+    subclass adds the probes (``unit_vectors``, ``orthonormal_pairs``)
+    and ``per_map``, which evaluates each group of rows that share a map
+    kind: a campaign's hands out many random and eigenvector probes per
+    row under drawn maps, a search's each row's own vector or frame pair
+    under the identity.
     """
 
     def __init__(self, params, dim: int, spectra: dict, frames: dict, vectors: dict,
-                 scalars: dict):
+                 scalars: dict, classical: bool = False):
         self.params = params
         self.dim = dim
+        self.classical = classical
         self.spectra = spectra
         self.frames = frames
         self.vectors = vectors
@@ -365,8 +426,11 @@ class StackedView:
         """The same states, rows ``rows`` only."""
         def pick(group):
             return {k: v[rows] for k, v in group.items()}
-        return StackedView(self.params, self.dim, pick(self.spectra), pick(self.frames),
-                           pick(self.vectors), pick(self.scalars))
+        params = self.params
+        if isinstance(params, tuple):
+            params = tuple(params[row] for row in rows.tolist())
+        return StackedView(params, self.dim, pick(self.spectra), pick(self.frames),
+                           pick(self.vectors), pick(self.scalars), self.classical)
 
 
 # The stacked evaluators, one per TheoremSpec, each registered next to
@@ -379,23 +443,26 @@ def scalar_amgm(view, tol):
     mean_geo = np.sqrt(a * b)
     lhs = kappa * mean_geo
     rhs = 0.5 * (a + b)
-    return Rows(lhs / rhs, scalar_leq(lhs, rhs, tol), scalar_leq(mean_geo, rhs, tol), lhs, rhs)
+    return Rows(lhs / rhs, scalar_leq(lhs, rhs, tol), scalar_leq(mean_geo, rhs, tol), lhs, rhs,
+                1.0 / kappa)
 
 
 def lemma_amgm(view, tol):
     a = view.spd("a")
     root = a.sqrt().entries
     b = StackedSpd(root @ view.spd("c").entries @ root)
-    kappa = inequalities.refinement_factor(view.params.m)
+    kappa = per_row(lambda p: inequalities.refinement_factor(p.m), view.params)
     mean_geo = geometric_mean(a, b)
     rhs = arithmetic_mean(a, b)
-    return Rows(kappa * loewner_ratio(mean_geo.entries, rhs),
-                loewner_leq(kappa * mean_geo.entries, rhs, tol), loewner_leq(mean_geo, rhs, tol),
-                kappa * operator_norm(mean_geo), operator_norm(rhs))
+    ratio = kappa * loewner_ratio(mean_geo.entries, rhs)
+    return Rows(ratio, loewner_leq(_like(kappa, rhs.entries) * mean_geo.entries, rhs, tol),
+                loewner_leq(mean_geo, rhs, tol), kappa * operator_norm(mean_geo),
+                operator_norm(rhs), _per_record(1.0 / kappa, ratio))
 
 
 def _constants(family: str, params):
-    return inequalities._refined(family, params)
+    """The family's c and kappa^p, as scalars or each row's own."""
+    return per_row(partial(inequalities._refined, family), params)
 
 
 def kantorovich(view, tol):
@@ -407,15 +474,15 @@ def kantorovich(view, tol):
 
 def _shifted_pair(view):
     a = view.spd("a")
-    t, params = view.scalars["t"], view.params
+    t = view.scalars["t"]
+    m_prime, big_m = per_row(lambda p: (p.m_prime, p.M), view.params)
     b = StackedSpd.from_eigh(
-        ((1.0 - t) * params.m_prime)[:, None] * a.eigenvalues + (t * params.M)[:, None],
-        a.eigenvectors)
+        ((1.0 - t) * m_prime)[:, None] * a.eigenvalues + (t * big_m)[:, None], a.eigenvectors)
     return a, b
 
 
 def kantorovich_product(view, tol):
-    a, b = _shifted_pair(view)
+    a, b = (view.spd("a"), view.spd("b")) if view.classical else _shifted_pair(view)
     x = view.unit_vectors("x", a)
     lhs = quad_form(a, x) * quad_form(b, x)
     core = squares(quad_form(geometric_mean(a, b), x))
@@ -472,9 +539,10 @@ def lin_chain(view, tol):
     """check_lin_chain's seven links, in its order."""
     def group(sub, phi):
         a, b, params = sub.spd("a"), sub.spd("b"), sub.params
-        m, M = params.m, params.M
-        mm = m * M
+        m, M = per_row(lambda p: (p.m, p.M), params)
         norm_bound, kappa = _constants("lin_norm", params)
+        # m M and kappa as factors of each row's link matrices.
+        mm, link_kappa = _like(m * M, a.entries), _like(kappa, a.entries)
         a_inv = a.inv().entries
         b_inv = b.inv().entries
         half = 0.5 * (a.entries + b.entries)
@@ -492,10 +560,10 @@ def lin_chain(view, tol):
             link(0.5 * a.entries + 0.5 * mm * a_inv, 0.5 * (M + m)),
             link(0.5 * b.entries + 0.5 * mm * b_inv, 0.5 * (M + m)),
             link(half + 0.5 * mm * (a_inv + b_inv), M + m),
-            link(half + mm * kappa * geo_inv, M + m, half + mm * geo_inv),
-            link(mapped_half + mm * kappa * mapped_geo_inv, M + m,
+            link(half + mm * link_kappa * geo_inv, M + m, half + mm * geo_inv),
+            link(mapped_half + mm * link_kappa * mapped_geo_inv, M + m,
                  mapped_half + mm * mapped_geo_inv),
-            link(mapped_half + mm * kappa * inv_mapped_geo, M + m,
+            link(mapped_half + mm * link_kappa * inv_mapped_geo, M + m,
                  mapped_half + mm * inv_mapped_geo),
             scalar_rows(spectral_norm(mapped_half @ inv_mapped_geo), 1.0, tol, norm_bound, kappa),
         ])
@@ -503,14 +571,18 @@ def lin_chain(view, tol):
 
 
 def wielandt_scalar(view, tol):
-    p, a = view.params, view.spd("a")
+    a = view.spd("a")
     x, y = view.orthonormal_pairs("pair", a)
     inner = np.abs(dot(x, y))
     if (inner > 1e-10).any():
         raise ValueError(f"x and y must be orthogonal, got |<x,y>| = {inner.max():.3e}")
     product = quad_form(a, x) * quad_form(a, y)
     return scalar_rows(squares(bilinear(a, x, y)), product, tol,
-                       ((p.M - p.m) / (p.M + p.m)) ** 2, scale=product)
+                       per_row(_conjecture_scale, view.params), scale=product)
+
+
+def _conjecture_scale(p) -> float:
+    return ((p.M - p.m) / (p.M + p.m)) ** 2
 
 
 def wielandt_operator(variant, view, tol):
@@ -532,11 +604,12 @@ def wielandt_operator(variant, view, tol):
         mapped_yy = StackedSpd(apply_map(phi, yt @ e @ y))
         mapped_xx = StackedSpd(apply_map(phi, xt @ e @ x))
         if variant == "refined":
-            require_spectrum(mapped_xx, p.m, p.M, "Phi(X^T A X)", inequalities._REGIME_TOL)
+            require_spectrum(mapped_xx, *per_row(lambda q: (q.m, q.M), p), "Phi(X^T A X)",
+                             inequalities._REGIME_TOL)
         triple = symmetrize(mapped_cross @ mapped_yy.inv().entries @ mapped_cross_t)
         atol = inequalities._DEGENERATE_ATOL
         if variant == "bhatia_davis":
-            return loewner_rows(triple, mapped_xx, tol, ((p.M - p.m) / (p.M + p.m)) ** 2,
+            return loewner_rows(triple, mapped_xx, tol, per_row(_conjecture_scale, p),
                                 atol=atol * operator_norm(mapped_xx))
         gumus, kappa_pow = _constants("wielandt", p)
         return scalar_rows(spectral_norm(triple @ mapped_xx.inv().entries), 1.0, tol, gumus,

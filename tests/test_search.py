@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,8 +9,10 @@ import numpy as np
 
 from opineq import (
     THEOREM_IDS,
+    THEOREMS,
     BoundParams,
     InfeasibleRegime,
+    NotPositiveDefinite,
     SpdMatrix,
     check_kantorovich_refined,
     check_lemma_refined_amgm,
@@ -18,7 +21,10 @@ from opineq import (
     identity_map,
     make_spd,
     maximize_ratio,
+    regime_feasible,
 )
+from opineq import search
+from opineq.inequalities import first_values, snapshot
 from oracles import big_k, kappa
 
 # Feasible search boxes, one per theorem.
@@ -43,19 +49,23 @@ BOXES = {
 }
 
 
-# The benchmark's three search jobs at budget 4000 and seed 42. Each
+# The benchmark's three search jobs at budget 4000 and seed 42, with the
+# ratio, the instance's sha256 and each restart's accepted moves. Each
 # restart draws its own seed from the caller's generator, so these values
 # pin the whole hill-climb: every proposal, evaluation and acceptance.
 GOLDEN_JOBS = {
     "kantorovich": (dict(box={"m": 1.0, "M": 4.0}, dim=2, classical=True),
                     "0x1.ffffffffff2a4p-1",
-                    "c2bafbfc603274fbd52c4e15b4f4752574aac74ac84e5021d96fbfc96c6457a6"),
+                    "c2bafbfc603274fbd52c4e15b4f4752574aac74ac84e5021d96fbfc96c6457a6",
+                    (25, 12)),
     "polya_szego": (dict(box={"m": 1.0, "m_prime": 2.0, "M": 8.0}, dim=4),
                     "0x1.55239c6610afbp-1",
-                    "2ffe63b42ac90113b1d43a11fec3862ee9700b236faa60cdd42ef9bf4ec046b5"),
+                    "2ffe63b42ac90113b1d43a11fec3862ee9700b236faa60cdd42ef9bf4ec046b5",
+                    (13, 10)),
     "lemma_amgm": (dict(box={"m": (3.0, 4.0), "M": (8.0, 9.0)}, dim=8),
                    "0x1.fdaba1b7232a9p-1",
-                   "f2d274c60d15ccaa8627dc6b228dc301b28132fb90a18b3fccda202a5ea8c796"),
+                   "f2d274c60d15ccaa8627dc6b228dc301b28132fb90a18b3fccda202a5ea8c796",
+                   (3, 6)),
 }
 
 
@@ -128,15 +138,167 @@ def test_multi_restart_search_is_deterministic():
     assert first.instance == second.instance
 
 
-@pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
-def test_search_is_bit_exact_on_golden_jobs(theorem_id):
-    kwargs, ratio_hex, instance_sha256 = GOLDEN_JOBS[theorem_id]
+def _assert_golden(theorem_id):
+    kwargs, ratio_hex, instance_sha256, accepted = GOLDEN_JOBS[theorem_id]
     result = maximize_ratio(theorem_id, budget=4000, rng=42, tol=1e-8, **kwargs)
     assert result.ratio.hex() == ratio_hex
     assert (result.evaluations, result.restarts) == (4000, 2)
+    assert result.accepted == accepted
     # json.dumps writes floats by repr, which round-trips every bit.
     dumped = json.dumps(result.instance, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == instance_sha256
+
+
+@pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
+def test_search_is_bit_exact_on_golden_jobs(theorem_id):
+    _assert_golden(theorem_id)
+
+
+@pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
+def test_search_scores_state_by_state_when_a_block_raises(theorem_id, monkeypatch):
+    calls = []
+
+    def refuse(view, tol):
+        calls.append(len(view.spectra["a"]))
+        raise NotPositiveDefinite("stacked evaluation refused")
+
+    spec = dataclasses.replace(THEOREMS[theorem_id], stacked=refuse)
+    monkeypatch.setitem(THEOREMS, theorem_id, spec)
+    _assert_golden(theorem_id)
+    assert calls and max(calls) == search._BLOCK_CAP
+
+
+def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
+    """One proposal as the one-at-a-time search drew and applied it."""
+    kinds = []
+    if state["spectra"]:
+        kinds.append("spectrum")
+    rotatable = [k for k, f in state["frames"].items() if f.shape[0] >= 2]
+    if rotatable:
+        kinds.append("frame")
+    if state["vectors"]:
+        kinds.append("vector")
+    if state["scalars"]:
+        kinds.append("scalar")
+    free = [k for k, (lo, hi) in box.items() if lo < hi]
+    if free:
+        kinds.append("param")
+    kind = kinds[int(rng.integers(len(kinds)))]
+    new = dict(state, memo=dict(state["memo"]))
+
+    if kind == "spectrum":
+        spectra = state["spectra"]
+        name = sorted(spectra)[int(rng.integers(len(spectra)))]
+        vals = spectra[name].copy()
+        idx = int(rng.integers(vals.size))
+        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
+        window = state["windows"][name]
+        vals[idx] = min(max(vals[idx] * factor, window.lo), window.hi)
+        new["spectra"] = {**spectra, name: vals}
+    elif kind == "frame":
+        name = sorted(rotatable)[int(rng.integers(len(rotatable)))]
+        f = state["frames"][name]
+        size = f.shape[0]
+        i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
+        theta = delta if rng.random() < 0.5 else -delta
+        rotated = f @ search._givens(size, i, j, theta)
+        q, r = np.linalg.qr(rotated)
+        new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
+    elif kind == "vector":
+        vectors = state["vectors"]
+        name = sorted(vectors)[int(rng.integers(len(vectors)))]
+        v = vectors[name] + delta * rng.standard_normal(vectors[name].size)
+        new["vectors"] = {**vectors, name: v / np.linalg.norm(v)}
+    elif kind == "scalar":
+        scalars = state["scalars"]
+        name = sorted(scalars)[int(rng.integers(len(scalars)))]
+        window = state["windows"][name]
+        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
+        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, window.lo),
+                                                 window.hi)}
+    else:
+        key = free[int(rng.integers(len(free)))]
+        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
+        lo, hi = box[key]
+        moved = min(max(getattr(state["params"], key) * factor, lo), hi)
+        try:
+            candidate = dataclasses.replace(state["params"], **{key: moved})
+        except ValueError:
+            return None
+        if not regime_feasible(regime, candidate)[0]:
+            return None
+        windows = search._windows(spec.space(dim, candidate, classical))
+        new["params"] = candidate
+        new["windows"] = windows
+        new["spectra"] = {name: np.clip(vals, windows[name].lo, windows[name].hi)
+                          for name, vals in state["spectra"].items()}
+    return new
+
+
+def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
+    """One restart of the one-at-a-time search: propose, score, keep it if it gains."""
+    rng = np.random.default_rng(seed)
+    params = search._draw_params(box, regime, rng)
+    space = spec.space(dim, params, classical)
+    state = first_values(space, params, dim, rng)
+    state["windows"] = search._windows(space)
+    best_ratio = search._safe_eval(spec, state, dim, classical, tol)
+    best_state = state
+    used = 1
+    accepted = 0
+    if budget > 1:
+        decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / max(budget - 1, 1))
+    else:
+        decay = 1.0
+    delta = search._DELTA_START
+    while used < budget:
+        candidate = _reference_propose(spec, best_state, dim, box, regime, classical, delta,
+                                       rng)
+        used += 1
+        if candidate is not None:
+            ratio = search._safe_eval(spec, candidate, dim, classical, tol)
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_state = candidate
+                accepted += 1
+        delta = max(delta * decay, search._DELTA_END)
+    return best_ratio, snapshot(best_state), used, accepted
+
+
+# Every SMALL_GOLDEN job, the multi-restart kantorovich job, and boxes with
+# free parameters, where parameter moves give block rows their own params.
+REFERENCE_JOBS = [
+    *((theorem_id, dict(box=BOXES[theorem_id], budget=250, rng=9, dim=2, classical=classical))
+      for theorem_id, classical in SMALL_GOLDEN),
+    ("kantorovich", dict(box={"m": 1.0, "M": 4.0}, budget=4200, rng=8, dim=2, classical=True)),
+    ("polya_szego", dict(box={"m": 1.0, "m_prime": (1.5, 3.0), "M": 8.0}, budget=1000, rng=5,
+                         dim=3)),
+    ("kantorovich", dict(box={"m": 1.0, "m_prime": (1.2, 1.8), "M": (7.0, 8.0)}, budget=1000,
+                         rng=6, dim=2)),
+    ("wielandt_refined", dict(box={"m": 1.5, "m_prime": (3.0, 4.0), "M": 4.0}, budget=1000,
+                              rng=7, dim=2)),
+]
+
+
+@pytest.mark.parametrize("theorem_id, kwargs", REFERENCE_JOBS)
+def test_block_search_keeps_what_the_one_at_a_time_search_keeps(theorem_id, kwargs,
+                                                                 monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_run_restart", _reference_restart)
+        want = maximize_ratio(theorem_id, **kwargs)
+
+    def unscored(*args):
+        raise AssertionError("a stacked block raised and was scored state by state")
+
+    # No row of these jobs makes a stacked evaluator raise.
+    monkeypatch.setattr(search, "_safe_eval", unscored)
+    for cap in (1, 2, 64):
+        monkeypatch.setattr(search, "_BLOCK_CAP", cap)
+        got = maximize_ratio(theorem_id, **kwargs)
+        assert got.ratio.hex() == want.ratio.hex(), (theorem_id, cap)
+        assert got.instance == want.instance, (theorem_id, cap)
+        assert (got.evaluations, got.restarts, got.accepted) == (
+            want.evaluations, want.restarts, want.accepted), (theorem_id, cap)
 
 
 def _rebuild(instance, name):
@@ -192,8 +354,12 @@ def test_wielandt_refined_stays_well_inside_its_bound():
 def test_search_argument_validation():
     with pytest.raises(ValueError, match="unknown theorem"):
         maximize_ratio("nope", {"m": 1.0, "M": 2.0})
-    with pytest.raises(ValueError, match="budget"):
-        maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=0)
+    for budget in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+            maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=budget)
+    for dim in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, dim=dim)
     with pytest.raises(ValueError, match="capped"):
         maximize_ratio("choi", {"m": 1.0, "M": 2.0}, dim=9)
     with pytest.raises(ValueError, match="dim >= 2"):
