@@ -14,9 +14,12 @@ generator seeded by (seed, theorem index, dim, cell, draw).
 
 A cell is evaluated in chunks of at most _CHUNK draws. Each draw of a
 chunk consumes its generator as a lone draw would (first values,
-probes, map), and the rest is done once for the chunk, on stacked
-arrays, by the spec's stacked evaluator; its rows carry the bits the
-per-draw evaluate gives. The statistics are folded in draw order. The
+probes, map), and the rest is done on stacked arrays by the spec's
+stacked evaluator, once for the chunk, or for a theorem with a map
+once per map output size: one pass for the rows whose map keeps the
+dimension, whatever its kind, and one for the compression rows. Its
+rows carry the bits the per-draw evaluate gives. The statistics are
+folded in draw order. The
 first draw also goes through ``spec.evaluate``, validating the
 hypotheses, and so does the draw with the largest ratio, which gives
 the extremal instance; both must match their stacked rows bit for bit,
@@ -251,20 +254,22 @@ def _map_draws(dim: int, rng: np.random.Generator):
     return kind, ()
 
 
-def _map_data(key, dim: int, draws: list):
-    """The kind and data of _draw_map's maps for rows sharing a key, from their raw draws."""
+def _map_part(key, dim: int, members: list) -> stacked.MapPart:
+    """_draw_map's maps for rows sharing a key, from their (row, raw draws) pairs."""
+    rows = np.array([row for row, _ in members])
+    draws = [d for _, d in members]
     kind = key if isinstance(key, str) else key[0]
     if kind == "compression":
         q = stacked.haar(np.stack([z for z, in draws]))
-        return kind, stacked.compression_isometries(q[..., : dim - 1])
+        return stacked.MapPart(rows, kind, stacked.compression_isometries(q[..., : dim - 1]))
     if kind == "congruence_sum":
         # sample_congruence_family for every row.
         q = stacked.haar(np.stack([z for z, _ in draws]))
         weights = np.stack([w for _, w in draws])
         weights /= np.sqrt((weights ** 2).sum(axis=1))[:, None, :]
-        return kind, stacked.congruence_family(tuple(weights[:, j, :, None] * q
-                                                     for j in range(key[1])))
-    return kind, _pinching_blocks(dim) if kind == "pinching" else None
+        return stacked.MapPart(rows, kind, stacked.congruence_family(
+            tuple(weights[:, j, :, None] * q for j in range(key[1]))))
+    return stacked.MapPart(rows, kind, _pinching_blocks(dim) if kind == "pinching" else None)
 
 
 def _first_values_rows(space: dict, dim: int, rngs: list) -> tuple[dict, dict, dict, dict]:
@@ -377,19 +382,23 @@ class _Stack(stacked.StackedView):
         return np.concatenate([x, ex], axis=1), np.concatenate([y, ey], axis=1)
 
     def per_map(self, n: int, evaluate) -> stacked.Rows:
-        """evaluate(view, map) on each group of rows whose maps share a kind and family size.
+        """evaluate(view, map) once per map output size, on every row of that size.
 
-        The results are put back in row order.
+        Compression maps to n - 1, every other kind to n. A pass's map
+        has one part per kind and family size, each built from its
+        rows' draws. The results are put back in row order.
         """
-        groups = {}
+        sizes = {}
         for row, rng in enumerate(self._rngs):
             key, draws = _map_draws(n, rng)
-            groups.setdefault(key, []).append((row, draws))
+            rows, kinds = sizes.setdefault(n - 1 if key == "compression" else n, ([], {}))
+            # A row's place among the rows of its size indexes the pass's view.
+            kinds.setdefault(key, []).append((len(rows), draws))
+            rows.append(row)
         out = None
-        for key, members in groups.items():
-            rows = np.array([row for row, _ in members])
-            phi = stacked.StackedMap(*_map_data(key, n, [d for _, d in members]))
-            part = evaluate(self.subset(rows), phi)
+        for rows, kinds in sizes.values():
+            phi = stacked.StackedMap(_map_part(key, n, members) for key, members in kinds.items())
+            part = evaluate(self.subset(np.array(rows)), phi)
             if out is None:
                 out = stacked.Rows(*(np.empty((len(self._rngs),) + np.shape(f)[1:],
                                               np.asarray(f).dtype) for f in part))

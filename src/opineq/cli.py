@@ -1,12 +1,13 @@
 """Command-line interface: verify, search, constants, demo.
 
 Exit codes: 0 success (verify: zero violations), 1 verify found
-violations, 2 search exceeded 1 + tol, 64 usage error (verify: also a
+violations, 2 search exceeded 1 + tol, 64 usage error (also an --m,
+--mp, --Mp or --M that is not a positive finite number; verify: also a
 repeated theorem id or dim, and an --out report that cannot be
-written), 65 infeasible parameters. The OPINEQ_SEED environment
-variable overrides the default seed when --seed is not given; a value
-that is not an integer, or a negative seed given either way, is a
-usage error. Run as a program, opineq ends
+written), 65 infeasible parameters, such as m > M. The OPINEQ_SEED
+environment variable overrides the default seed when --seed is not
+given; a value that is not an integer, or a negative seed given either
+way, is a usage error. Run as a program, opineq ends
 quietly by the default SIGPIPE action when the reader of its output
 closes the pipe (``opineq search ... | head -1``); cli_main leaves
 signal handling to its caller.
@@ -88,10 +89,10 @@ def _build_parser() -> _Parser:
                         help="instance draws per (theorem, dim, cell)")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--tol", type=float, default=1e-8)
-    verify.add_argument("--m", type=float, default=None)
-    verify.add_argument("--mp", type=float, default=None, help="m' lower refinement bound")
-    verify.add_argument("--Mp", type=float, default=None, help="M' upper inner bound")
-    verify.add_argument("--M", type=float, default=None)
+    verify.add_argument("--m", type=_positive, default=None)
+    verify.add_argument("--mp", type=_positive, default=None, help="m' lower refinement bound")
+    verify.add_argument("--Mp", type=_positive, default=None, help="M' upper inner bound")
+    verify.add_argument("--M", type=_positive, default=None)
     verify.add_argument("--out", default=None, help="write a report to this path")
     verify.add_argument("--format", choices=("json", "csv"), default=None,
                         help="report format (default: by --out extension, else json)")
@@ -110,20 +111,33 @@ def _build_parser() -> _Parser:
     search.add_argument("--M", type=_range_or_float, default=None)
 
     constants = sub.add_parser("constants", help="print classical vs refined constants")
-    constants.add_argument("--m", type=float, required=True)
-    constants.add_argument("--mp", type=float, required=True)
-    constants.add_argument("--Mp", type=float, required=True)
-    constants.add_argument("--M", type=float, required=True)
+    constants.add_argument("--m", type=_positive, required=True)
+    constants.add_argument("--mp", type=_positive, required=True)
+    constants.add_argument("--Mp", type=_positive, required=True)
+    constants.add_argument("--M", type=_positive, required=True)
 
     sub.add_parser("demo", help="run built-in worked instances and print their slack")
     return parser
 
 
+def _positive(text: str) -> float:
+    """A regime parameter: a positive finite number, else a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _range_or_float(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (float(lo), float(hi))
-    return float(text)
+    """A search parameter: a positive finite number, or a lo:hi range of them."""
+    try:
+        return tuple(map(_positive, text.split(":", 1))) if ":" in text else _positive(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number or a lo:hi range of them, got {text!r}") from None
 
 
 def _parse_theorems(raw: str, parser: _Parser) -> tuple[str, ...]:
@@ -162,11 +176,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
     if given:
         if "m" not in given or "M" not in given:
             parser.error("--m and --M are both required when overriding parameters")
-        try:
-            params = BoundParams(**given)
-        except ValueError as exc:
-            print(f"infeasible parameters: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        params = BoundParams(**given)
         for tid in theorems:
             feasible, reason = regime_feasible(THEOREMS[tid].regime, params)
             if not feasible:

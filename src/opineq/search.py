@@ -88,6 +88,21 @@ def _windows(space: dict) -> dict:
     return {name: var.window for name, var in space.items() if var.window is not None}
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _box_range(key: str, value) -> tuple:
+    """value as (lo, hi): a real number, or a length-2 sequence of them."""
+    if _is_real(value):
+        return value, value
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(items, (tuple, list)) and len(items) == 2 and all(map(_is_real, items)):
+        return tuple(items)
+    raise ValueError(f"box value for {key!r} must be a real number or a (lo, hi) pair of "
+                     f"them, got {value!r}")
+
+
 def _normalize_box(box) -> dict[str, tuple[float, float]]:
     if not box:
         raise ValueError("param box must not be empty")
@@ -95,8 +110,7 @@ def _normalize_box(box) -> dict[str, tuple[float, float]]:
     for key, value in box.items():
         if key not in _PARAM_KEYS:
             raise ValueError(f"unknown box key {key!r}, expected one of {_PARAM_KEYS}")
-        lo, hi = (value, value) if np.isscalar(value) else (value[0], value[1])
-        lo, hi = float(lo), float(hi)
+        lo, hi = (float(bound) for bound in _box_range(key, value))
         if not (0.0 < lo <= hi and math.isfinite(hi)):
             raise ValueError(f"box range for {key!r} must satisfy 0 < lo <= hi, got {value!r}")
         out[key] = (lo, hi)
@@ -258,7 +272,7 @@ class _Block(stacked.StackedView):
         return frame[:, None, :, 0], frame[:, None, :, 1]
 
     def per_map(self, n, evaluate):
-        return evaluate(self, stacked.StackedMap("identity"))
+        return evaluate(self, stacked.StackedMap.single("identity"))
 
 
 def _scores(spec, states: list, dim, classical, tol):

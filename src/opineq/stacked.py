@@ -20,6 +20,10 @@ a row its own. The evaluators read their constants through
 the record builders take a constant as a scalar or as an array of
 each row's own.
 
+A map is given per row, as a StackedMap whose parts each apply one
+kind to their own rows; all parts map to one output size, so an
+evaluator makes one pass per output size over rows of mixed kinds.
+
 Every check the per-instance code makes on every instance (finite
 positive eigenvalues, the eigenframe Gram check, the map and isometry
 checks) is made on every row, with the same tolerance and the same
@@ -249,16 +253,32 @@ def arithmetic_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
     return StackedSpd(0.5 * (a.entries + b.entries))
 
 
-class StackedMap(NamedTuple):
-    """A positive unital map of one kind per row, with each row's own data.
+class MapPart(NamedTuple):
+    """The rows of a stack whose maps share one kind, with each row's own data.
 
-    ``data`` is the (S, n, r) isometries of compression, the tuple of
-    (S, n, n) members of congruence_sum, the index partition of
-    pinching, else None.
+    ``rows`` indexes the stack. ``data`` is the isometries of
+    compression, one (n, r) per row; the members of congruence_sum, each
+    one (n, n) per row; the index partition of pinching; else None.
     """
 
+    rows: object
     kind: str
     data: object = None
+
+
+class StackedMap(tuple):
+    """Each row's positive unital map, as MapParts that partition the rows.
+
+    Every part maps to the same output size, so one evaluator pass takes
+    every row of a stack whatever its map's kind: a campaign chunk makes
+    one StackedMap per output size. A map of one kind on every row, such
+    as a search block's identity, is one part.
+    """
+
+    @classmethod
+    def single(cls, kind: str, data=None) -> "StackedMap":
+        """The map of one kind on every row."""
+        return cls((MapPart(slice(None), kind, data),))
 
 
 def compression_isometries(v: np.ndarray) -> np.ndarray:
@@ -276,10 +296,9 @@ def congruence_family(family: tuple) -> tuple:
     return family
 
 
-def apply_map(phi: StackedMap, t) -> np.ndarray:
-    kind, data, t = phi.kind, phi.data, _entries(t)
+def _apply_kind(kind: str, data, t: np.ndarray) -> np.ndarray:
     if kind == "identity":
-        return t.copy()
+        return t
     if kind == "compression":
         return _t(data) @ t @ data
     if kind == "congruence_sum":
@@ -291,6 +310,18 @@ def apply_map(phi: StackedMap, t) -> np.ndarray:
     for block in data:
         rows, cols = np.ix_(block, block)
         out[:, rows, cols] = t[:, rows, cols]
+    return out
+
+
+def apply_map(phi: StackedMap, t) -> np.ndarray:
+    """Each part's kind on its own rows, put back in row order."""
+    t = _entries(t)
+    out = None
+    for rows, kind, data in phi:
+        part = _apply_kind(kind, data, t[rows])
+        if out is None:
+            out = np.empty((len(t),) + part.shape[1:], part.dtype)
+        out[rows] = part
     return out
 
 
@@ -398,10 +429,10 @@ class StackedView:
     variable for every row; ``params`` is one BoundParams for all rows or
     a tuple of each row's own, and ``classical`` is InstanceView's. A
     subclass adds the probes (``unit_vectors``, ``orthonormal_pairs``)
-    and ``per_map``, which evaluates each group of rows that share a map
-    kind: a campaign's hands out many random and eigenvector probes per
-    row under drawn maps, a search's each row's own vector or frame pair
-    under the identity.
+    and ``per_map``, which evaluates the rows once per map output size,
+    each pass under a StackedMap: a campaign's hands out many random and
+    eigenvector probes per row under drawn maps of mixed kinds, a
+    search's each row's own vector or frame pair under the identity.
     """
 
     def __init__(self, params, dim: int, spectra: dict, frames: dict, vectors: dict,
@@ -515,7 +546,7 @@ def polya_szego(view, tol):
 def isometry_family(view, tol):
     w = np.clip(view.spectra["w"], 0.01, 0.99)
     q = view.frames["q"]
-    phi = StackedMap("congruence_sum", congruence_family(
+    phi = StackedMap.single("congruence_sum", congruence_family(
         (np.sqrt(w)[..., None] * q, np.sqrt(1.0 - w)[..., None] * q)))
     a = view.spd("a")
     lhs = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, a.inv())))

@@ -383,3 +383,77 @@ def test_stacked_row_off_by_one_ulp_raises(monkeypatch):
     monkeypatch.setitem(THEOREMS, "kantorovich", dataclasses.replace(spec, stacked=skewed))
     with pytest.raises(RuntimeError, match="kantorovich draw 0"):
         run_campaign(CampaignConfig(theorem_ids=("kantorovich",), dims=(2,), samples=3))
+
+
+def _record_passes(monkeypatch) -> list:
+    """Patch _Stack.per_map to record its evaluator passes, one list per chunk.
+
+    A pass is recorded as (output sizes of its map's parts, map groups):
+    a group is a kind, or (kind, family size) for congruence_sum.
+    """
+    chunks = []
+    per_map = campaign._Stack.per_map
+
+    def recording(self, n, evaluate):
+        passes = []
+        chunks.append(passes)
+
+        def counted(view, phi):
+            passes.append(({n - 1 if part.kind == "compression" else n for part in phi},
+                           {(part.kind, len(part.data)) if part.kind == "congruence_sum"
+                            else part.kind for part in phi}))
+            return evaluate(view, phi)
+        return per_map(self, n, counted)
+
+    monkeypatch.setattr(campaign._Stack, "per_map", recording)
+    return chunks
+
+
+ALL_MAP_GROUPS = {"identity", "trace_normalize", "compression", ("congruence_sum", 2),
+                  ("congruence_sum", 3), "pinching"}
+MAP_CELLS = [(theorem_id, dim) for theorem_id in ("lin_chain", "polya_szego", "choi")
+             for dim in (2, 3, 4, 8)] + [("wielandt_refined", 4), ("wielandt_refined", 8)]
+
+
+@pytest.mark.parametrize("theorem_id,dim", MAP_CELLS)
+def test_one_pass_over_all_six_map_groups_equals_the_per_draw_loop(theorem_id, dim,
+                                                                   monkeypatch):
+    chunks = _record_passes(monkeypatch)
+    _assert_matches_reference(CampaignConfig(theorem_ids=(theorem_id,), dims=(dim,),
+                                             samples=40, seed=3))
+    (passes,) = chunks
+    assert set().union(*(groups for _, groups in passes)) == ALL_MAP_GROUPS
+    n = dim // 2 if theorem_id == "wielandt_refined" else dim
+    assert sorted(size for sizes, _ in passes for size in sizes) == [n - 1, n]
+
+
+@pytest.mark.parametrize("theorem_id,dim", MAP_CELLS)
+def test_a_chunk_without_compression_rows_equals_the_per_draw_loop(theorem_id, dim,
+                                                                   monkeypatch):
+    kind = campaign._map_kind
+
+    def no_compression(n, rng):
+        # The draw is the catalog's, so the generators stay in step.
+        drawn = kind(n, rng)
+        return "identity" if drawn == "compression" else drawn
+
+    monkeypatch.setattr(campaign, "_map_kind", no_compression)
+    chunks = _record_passes(monkeypatch)
+    _assert_matches_reference(CampaignConfig(theorem_ids=(theorem_id,), dims=(dim,),
+                                             samples=12, seed=5))
+    ((sizes, groups),) = chunks[0]
+    assert len(sizes) == 1 and "compression" not in groups and len(groups) > 1
+
+
+def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
+    chunks = _record_passes(monkeypatch)
+    run_campaign(CampaignConfig(theorem_ids=("polya_szego", "lin_squared_mapped",
+                                             "lin_squared_means", "lin_chain",
+                                             "wielandt_bhatia_davis", "wielandt_refined",
+                                             "choi"),
+                                dims=(1, 2, 3, 4, 8), samples=campaign._CHUNK + 5, seed=1))
+    assert len(chunks) > 2 * 6
+    for passes in chunks:
+        sizes = [size for sizes, _ in passes for size in sizes]
+        assert all(len(pass_sizes) == 1 for pass_sizes, _ in passes)
+        assert 1 <= len(passes) <= 2 and len(set(sizes)) == len(passes)

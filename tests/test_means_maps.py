@@ -18,6 +18,7 @@ from opineq import (
     sample_congruence_family,
     trace_normalize_map,
 )
+from opineq import stacked
 
 
 def _random_spd(dim, rng, lo=0.5, hi=3.0):
@@ -181,3 +182,32 @@ def test_norm_amgm_holds_and_equality(rng):
 def test_norm_amgm_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         check_norm_amgm_record(make_spd(np.eye(2)), make_spd(np.eye(3)))
+
+
+def _stacked_family(dim, k, count, rng):
+    """sample_congruence_family for each of count rows, as the stacked members."""
+    families = [sample_congruence_family(dim, k, rng) for _ in range(count)]
+    return tuple(np.stack([family[j] for family in families]) for j in range(k))
+
+
+def test_stacked_map_parts_equal_each_kind_on_its_own_rows(rng):
+    dim, count = 4, 14
+    t = rng.standard_normal((count, dim, dim))
+    rows = np.split(rng.permutation(count), [3, 5, 8, 12])
+    pinch = (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
+    square = [("identity", None), ("trace_normalize", None),
+              ("congruence_sum", _stacked_family(dim, 2, len(rows[2]), rng)),
+              ("congruence_sum", _stacked_family(dim, 3, len(rows[3]), rng)),
+              ("pinching", pinch)]
+    halves = np.split(rng.permutation(count), [6])
+    # The last map is one part whose rows are not 0..k-1 in order.
+    for parts in ([stacked.MapPart(r, kind, data) for r, (kind, data) in zip(rows, square)],
+                  [stacked.MapPart(r, "compression", stacked.haar(
+                      rng.standard_normal((len(r), dim, dim)))[..., : dim - 1]) for r in halves],
+                  [stacked.MapPart(rng.permutation(count), "congruence_sum",
+                                   _stacked_family(dim, 2, count, rng))]):
+        got = stacked.apply_map(stacked.StackedMap(parts), t)
+        for part in parts:
+            want = stacked.apply_map(stacked.StackedMap.single(part.kind, part.data),
+                                     t[part.rows])
+            assert got[part.rows].tobytes() == want.tobytes(), part.kind

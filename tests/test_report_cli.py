@@ -144,6 +144,38 @@ def test_cli_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+REGIME_FLAGS = {"--m": "1", "--mp": "2", "--Mp": "3", "--M": "4"}
+REGIME_COMMANDS = {
+    "verify": ["verify", "--theorems", "choi", "--dims", "2", "--samples", "2"],
+    "search": ["search", "--theorem", "choi", "--budget", "10"],
+    "constants": ["constants"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REGIME_COMMANDS))
+@pytest.mark.parametrize("flag", sorted(REGIME_FLAGS))
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+def test_cli_regime_flag_not_positive_and_finite_exits_64(capsys, command, flag, value):
+    flags = {**REGIME_FLAGS, flag: value}
+    code = cli_main([*REGIME_COMMANDS[command], *(x for pair in flags.items() for x in pair)])
+    assert code == EXIT_USAGE
+    assert f"argument {flag}: must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # Without --Mp, M' defaults to M: the error names --M, the flag given.
+    ["verify", "--theorems", "choi", "--dims", "2", "--m", "1", "--M", "inf"],
+    ["search", "--theorem", "choi", "--m", "1:inf", "--M", "4"],
+    ["search", "--theorem", "choi", "--m", "0:1", "--M", "4"],
+])
+def test_cli_regime_flag_error_names_the_flag_given(capsys, argv):
+    assert cli_main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    flag = "--M" if argv[0] == "verify" else "--m"
+    assert f"argument {flag}: must be a positive finite number" in err
+    assert "M_prime" not in err
+
+
 def test_cli_verify_small_run_ok(capsys):
     code = cli_main(["verify", "--theorems", "scalar_amgm", "--dims", "2",
                      "--samples", "5", "--seed", "0"])

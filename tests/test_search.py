@@ -372,6 +372,10 @@ def test_search_argument_validation():
         maximize_ratio("choi", {"m": 1.0, "M": 2.0, "q": 3.0}, budget=10)
     with pytest.raises(ValueError, match="0 < lo <= hi"):
         maximize_ratio("choi", {"m": (2.0, 1.0), "M": 4.0}, budget=10)
+    for value in ((1.0, 2.0, 3.0), (1.0,), (), True, np.bool_(True), "1", (True, 2.0),
+                  [1.0, "2"], None):
+        with pytest.raises(ValueError, match="box value for 'm' must be a real number"):
+            maximize_ratio("choi", {"m": value, "M": 4.0}, budget=10)
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, tol=tol)
