@@ -9,15 +9,33 @@ Run with: python3 demos/03_regimes_and_samplers.py
 
 import numpy as np
 
-from opineq import THEOREMS, BoundParams, RegimeId, make_spd, regime_feasible, regime_window
-from opineq.inequalities import InstanceView, first_values
+from opineq import (
+    THEOREMS,
+    BoundParams,
+    RegimeId,
+    SpdMatrix,
+    make_spd,
+    regime_feasible,
+    regime_window,
+)
+from opineq.inequalities import first_values
+
+
+class Instance:
+    """One instance drawn from a theorem's space: its matrices and scalars."""
+
+    def __init__(self, theorem_id, params, dim, rng):
+        spec = THEOREMS[theorem_id]
+        self.state = first_values(spec.space(dim, params, False), params, dim, rng)
+        self.scalars = self.state["scalars"]
+
+    def spd(self, name):
+        """The matrix with spectrum ``name`` on frame ``name``."""
+        return SpdMatrix.from_eigh(self.state["spectra"][name], self.state["frames"][name])
 
 
 def draw(theorem_id, params, dim, rng):
-    """A view of one instance drawn from the theorem's space."""
-    spec = THEOREMS[theorem_id]
-    state = first_values(spec.space(dim, params, False), params, dim, rng)
-    return InstanceView(state, dim)
+    return Instance(theorem_id, params, dim, rng)
 
 
 def rel_spectrum(a, b):

@@ -12,23 +12,32 @@ import numpy as np
 from opineq import (
     THEOREMS,
     BoundParams,
+    IsometryPair,
+    SpdMatrix,
     check_kantorovich_refined,
+    check_lemma_refined_amgm,
     check_lin_chain,
     check_lin_refined_squared,
+    check_wielandt_operator,
     identity_map,
     kantorovich_constant,
+    make_spd,
     refinement_constants,
     refinement_factor,
     scalar_refined_amgm,
 )
-from opineq.inequalities import InstanceView, first_values
+from opineq.inequalities import first_values
 
 
 def draw(theorem_id, params, dim, rng):
-    """A view of one instance drawn from the theorem's space, hypotheses validated."""
+    """One instance drawn from the theorem's space, as its state dict."""
     spec = THEOREMS[theorem_id]
-    state = first_values(spec.space(dim, params, False), params, dim, rng)
-    return InstanceView(state, dim, validate=True)
+    return first_values(spec.space(dim, params, False), params, dim, rng)
+
+
+def spd(state, name):
+    """The matrix with spectrum ``name`` on frame ``name``."""
+    return SpdMatrix.from_eigh(state["spectra"][name], state["frames"][name])
 
 
 def show(rec):
@@ -44,18 +53,20 @@ def main():
     show(scalar_refined_amgm(1.0, 4.0))
 
     print("matrix version under m A <= B:")
-    # the spec derives B = A^{1/2} C A^{1/2} from A, so its evaluate builds the pair
-    view = draw("lemma_amgm", BoundParams(m=2.0, M=6.0), 3, rng)
-    show(*THEOREMS["lemma_amgm"].evaluate(view, 1e-8))
+    # the spec derives B = A^{1/2} C A^{1/2} from A, which keeps 2A <= B
+    state = draw("lemma_amgm", BoundParams(m=2.0, M=6.0), 3, rng)
+    a = spd(state, "a")
+    root = a.sqrt().entries
+    show(check_lemma_refined_amgm(a, make_spd(root @ spd(state, "c").entries @ root), 2.0))
 
     print("kantorovich with the squared divisor:")
-    view = draw("kantorovich", BoundParams(m=0.5, m_prime=2.0, M=4.0), 3, rng)
-    show(check_kantorovich_refined(view.spd("a"), view.vectors["x"], 0.5, 2.0, 4.0))
+    state = draw("kantorovich", BoundParams(m=0.5, m_prime=2.0, M=4.0), 3, rng)
+    show(check_kantorovich_refined(spd(state, "a"), state["vectors"]["x"], 0.5, 2.0, 4.0))
 
     print("squared operator bound, both reading orders:")
     boxed = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
-    view = draw("lin_chain", boxed, 3, rng)
-    a, b = view.spd("a"), view.spd("b")
+    state = draw("lin_chain", boxed, 3, rng)
+    a, b = spd(state, "a"), spd(state, "b")
     for variant in ("mapped_mean", "mean_of_maps"):
         show(check_lin_refined_squared(identity_map(3), a, b, boxed, variant))
 
@@ -66,9 +77,12 @@ def main():
     print("operator wielandt, three strengths on one instance:")
     # drawn on the refined window [sqrt(m'), m'/m], which the plain window contains
     wparams = BoundParams(m=1.5, M=4.0, m_prime=4.0)
-    view = draw("wielandt_refined", wparams, 4, rng)
+    state = draw("wielandt_refined", wparams, 4, rng)
+    # X and Y are the first and last two columns of one frame, as the spec takes them
+    frame = state["frames"]["pair"]
+    pair = IsometryPair(frame[:, :2], frame[:, 2:])
     for variant in ("bhatia_davis", "gumus", "refined"):
-        show(*THEOREMS[f"wielandt_{variant}"].evaluate(view, 1e-8))
+        show(check_wielandt_operator(identity_map(2), spd(state, "a"), pair, wparams, variant))
 
     print("classical constants next to their refined counterparts:")
     table = refinement_constants(boxed)

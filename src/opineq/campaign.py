@@ -3,27 +3,22 @@
 A campaign draws instances per (theorem, dimension, parameter cell),
 checks each, and aggregates verdicts, attained ratios, and slack
 statistics. Everything it knows about a theorem (its regime, default
-cells, minimum dimension, instance space, evaluate and stacked
-evaluate) comes from that theorem's TheoremSpec in
-``inequalities.THEOREMS``; a search reads the same space and evaluate.
-A draw takes the first values of the spec's space and evaluates them
-through a view that hands the checker VECTORS_PER_INSTANCE random
-probes plus A's eigenvector probes, and a map drawn from the positive
-unital catalog. Draws are reproducible: every draw gets its own
-generator seeded by (seed, theorem index, dim, cell, draw).
+cells, minimum dimension, instance space and evaluator) comes from that
+theorem's TheoremSpec in ``inequalities.THEOREMS``; a search reads the
+same space and evaluator. A draw takes the first values of the spec's
+space, VECTORS_PER_INSTANCE random probes plus A's eigenvector probes,
+and a map drawn from the positive unital catalog. Draws are
+reproducible: every draw gets its own generator seeded by (seed,
+theorem index, dim, cell, draw), and consumes it in that order.
 
-A cell is evaluated in chunks of at most _CHUNK draws. Each draw of a
-chunk consumes its generator as a lone draw would (first values,
-probes, map), and the rest is done on stacked arrays by the spec's
-stacked evaluator, once for the chunk, or for a theorem with a map
-once per map output size: one pass for the rows whose map keeps the
-dimension, whatever its kind, and one for the compression rows. Its
-rows carry the bits the per-draw evaluate gives. The statistics are
-folded in draw order. The
-first draw also goes through ``spec.evaluate``, validating the
-hypotheses, and so does the draw with the largest ratio, which gives
-the extremal instance; both must match their stacked rows bit for bit,
-or the campaign raises RuntimeError.
+A cell is evaluated in chunks of at most _CHUNK draws, each chunk on
+stacked arrays by the spec's evaluator: once for the chunk, or for a
+theorem with a map once per map output size, one pass for the rows
+whose map keeps the dimension, whatever its kind, and one for the
+compression rows. The hypotheses are checked on every draw. The
+statistics are folded in draw order, and the extremal instance is the
+draw with the first largest ratio: its state, the probe that scored it
+and its map.
 """
 
 from __future__ import annotations
@@ -34,27 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import THEOREM_IDS, THEOREMS, InstanceView, first_values, snapshot
-
-# After inequalities, which imports stacked itself once it is compiled:
-# compiling the larger module first lowers the process's peak memory.
-from . import stacked  # isort: skip
-from .means_maps import (
-    compression_map,
-    congruence_sum_map,
-    identity_map,
-    pinching_map,
-    trace_normalize_map,
-)
+from . import stacked
+from .errors import InfeasibleRegime
+from .inequalities import THEOREM_IDS, THEOREMS, first_values, snapshot
 from .samplers import (
     _PAIR_FLOOR,
     _UNIT_FLOOR,
     BoundParams,
     _is_int,
     _require_seed,
-    haar_orthogonal,
     regime_feasible,
-    sample_congruence_family,
     sample_orthonormal_pair,
     sample_unit_vector,
 )
@@ -169,82 +153,14 @@ def _pinching_blocks(dim: int) -> tuple:
     return (tuple(range(half)), tuple(range(half, dim)))
 
 
-def _draw_map(dim: int, rng: np.random.Generator):
-    """Rotate through the positive unital map catalog at this dimension."""
-    kind = _map_kind(dim, rng)
-    if kind == "identity":
-        return identity_map(dim)
-    if kind == "trace_normalize":
-        return trace_normalize_map(dim)
-    if kind == "compression":
-        q = haar_orthogonal(dim, rng)
-        return compression_map(q[:, : dim - 1])
-    if kind == "congruence_sum":
-        k = int(rng.integers(2, 4))
-        return congruence_sum_map(sample_congruence_family(dim, k, rng))
-    return pinching_map(_pinching_blocks(dim))
-
-
-def _map_payload(spec) -> dict:
-    payload = {"map_kind": spec.kind}
-    if spec.isometry is not None:
-        payload["map_isometry"] = spec.isometry.tolist()
-    if spec.family is not None:
-        payload["map_family"] = [u.tolist() for u in spec.family]
-    if spec.blocks is not None:
-        payload["map_blocks"] = [list(block) for block in spec.blocks]
-    return payload
-
-
-class _DrawView(InstanceView):
-    """One campaign draw: many probes per instance, under a map drawn from the catalog."""
-
-    __slots__ = ("_rng", "_state", "_probes", "_map")
-
-    def __init__(self, state: dict, dim: int, rng: np.random.Generator, validate: bool):
-        super().__init__(state, dim, validate=validate)
-        self._rng = rng
-        self._state = state
-        self._probes = ()
-        self._map = None
-
-    def unit_vectors(self, name, a):
-        """Random unit vectors, then A's eigenvectors, where the extremes live."""
-        xs = [sample_unit_vector(self.dim, self._rng) for _ in range(VECTORS_PER_INSTANCE)]
-        xs.extend(a.eigenvectors.T.copy())
-        self._probes = [(x,) for x in xs]
-        return xs
-
-    def orthonormal_pairs(self, name, a):
-        """Random pairs, then (v_i + v_j, v_i - v_j)/sqrt2 over eigenvector pairs.
-
-        The pairs (i, j) are (0, n-1), where the bound is attained, and (k, k+1).
-        """
-        pairs = [sample_orthonormal_pair(self.dim, self._rng)
-                 for _ in range(VECTORS_PER_INSTANCE)]
-        vecs = a.eigenvectors
-        for i, j in sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)}):
-            pairs.append(((vecs[:, i] + vecs[:, j]) / math.sqrt(2.0),
-                          (vecs[:, i] - vecs[:, j]) / math.sqrt(2.0)))
-        self._probes = pairs
-        return pairs
-
-    def map(self, n):
-        self._map = _draw_map(n, self._rng)
-        return self._map
-
-    def instance(self, item: int) -> dict:
-        """The state, the probe that scored record ``item`` and the map, as JSON values."""
-        out = snapshot(self._state)
-        if self._probes:
-            out["probe"] = dict(zip("xy", (v.tolist() for v in self._probes[item])))
-        if self._map is not None:
-            out.update(_map_payload(self._map))
-        return out
-
-
 def _map_draws(dim: int, rng: np.random.Generator):
-    """What _draw_map(dim, rng) draws, in its order: the group key and the raw draws."""
+    """A map from the positive unital catalog at this dimension: its group key and raw draws.
+
+    compression keeps dim - 1 columns of a Haar frame; congruence_sum
+    takes k = 2 or 3 members D_j Q, as sample_congruence_family draws
+    them; identity, trace_normalize and pinching (two halves) draw
+    nothing more.
+    """
     kind = _map_kind(dim, rng)
     if kind == "compression":
         return kind, (rng.standard_normal((dim, dim)),)
@@ -255,7 +171,7 @@ def _map_draws(dim: int, rng: np.random.Generator):
 
 
 def _map_part(key, dim: int, members: list) -> stacked.MapPart:
-    """_draw_map's maps for rows sharing a key, from their (row, raw draws) pairs."""
+    """The maps of rows sharing a key, from their (row, raw draws) pairs."""
     rows = np.array([row for row, _ in members])
     draws = [d for _, d in members]
     kind = key if isinstance(key, str) else key[0]
@@ -334,20 +250,24 @@ def _unit(g: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Stack(stacked.StackedView):
-    """_DrawView for one chunk of a cell's draws: row r is the chunk's r-th draw.
+    """One chunk of a cell's draws, hypotheses checked: row r is the chunk's r-th draw.
 
-    Every row has its own generator and consumes it as its _DrawView
-    would: first values, then probes, then the map. Probes are drawn in
-    one call per row; a row where a sampler would have rejected a draw
-    is drawn again by the sampler itself.
+    Every row consumes its own generator as a lone draw would: first
+    values, then probes, then the map. Probes are drawn in one call per
+    row; a row where a sampler would have rejected a draw is drawn again
+    by the sampler itself.
     """
 
     def __init__(self, space: dict, params: BoundParams, dim: int, seeds: list):
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        super().__init__(params, dim, *_first_values_rows(space, dim, rngs))
+        super().__init__(params, dim, *_first_values_rows(space, dim, rngs), validate=True)
         self._space = space
         self._seeds = seeds
         self._rngs = rngs
+        self._probes = ()
+        # Each row's map as (group key, place in its part), and the parts by key.
+        self._maps = {}
+        self._parts = {}
 
     def _redraw(self, row: int, sampler) -> list:
         """Row's probes from the per-draw sampler, on a generator drawn again from its seed."""
@@ -363,10 +283,15 @@ class _Stack(stacked.StackedView):
         x, ok = _unit(g, _UNIT_FLOOR)
         for row in _failed(ok):
             x[row] = self._redraw(row, sample_unit_vector)
-        return np.concatenate([x, np.swapaxes(a.eigenvectors, -1, -2)], axis=1)
+        self._probes = (np.concatenate([x, np.swapaxes(a.eigenvectors, -1, -2)], axis=1),)
+        return self._probes[0]
 
     def orthonormal_pairs(self, name, a):
-        """(x, y), each (S, k, n): random pairs, then _DrawView's eigenvector pairs."""
+        """(x, y), each (S, k, n): random pairs, then (v_i + v_j, v_i - v_j)/sqrt2.
+
+        The eigenvector pairs (i, j) are (0, n-1), where the bound is
+        attained, and (k, k+1).
+        """
         g = np.stack([rng.standard_normal((VECTORS_PER_INSTANCE, 2, self.dim))
                       for rng in self._rngs])
         x, x_ok = _unit(g[:, :, 0], _UNIT_FLOOR)
@@ -379,7 +304,8 @@ class _Stack(stacked.StackedView):
         root = math.sqrt(2.0)
         ex = np.stack([(vecs[..., i] + vecs[..., j]) / root for i, j in eig], axis=1)
         ey = np.stack([(vecs[..., i] - vecs[..., j]) / root for i, j in eig], axis=1)
-        return np.concatenate([x, ex], axis=1), np.concatenate([y, ey], axis=1)
+        self._probes = (np.concatenate([x, ex], axis=1), np.concatenate([y, ey], axis=1))
+        return self._probes
 
     def per_map(self, n: int, evaluate) -> stacked.Rows:
         """evaluate(view, map) once per map output size, on every row of that size.
@@ -392,13 +318,16 @@ class _Stack(stacked.StackedView):
         for row, rng in enumerate(self._rngs):
             key, draws = _map_draws(n, rng)
             rows, kinds = sizes.setdefault(n - 1 if key == "compression" else n, ([], {}))
+            members = kinds.setdefault(key, [])
+            self._maps[row] = (key, len(members))
             # A row's place among the rows of its size indexes the pass's view.
-            kinds.setdefault(key, []).append((len(rows), draws))
+            members.append((len(rows), draws))
             rows.append(row)
         out = None
         for rows, kinds in sizes.values():
-            phi = stacked.StackedMap(_map_part(key, n, members) for key, members in kinds.items())
-            part = evaluate(self.subset(np.array(rows)), phi)
+            parts = {key: _map_part(key, n, members) for key, members in kinds.items()}
+            self._parts.update(parts)
+            part = evaluate(self.subset(np.array(rows)), stacked.StackedMap(parts.values()))
             if out is None:
                 out = stacked.Rows(*(np.empty((len(self._rngs),) + np.shape(f)[1:],
                                               np.asarray(f).dtype) for f in part))
@@ -406,22 +335,25 @@ class _Stack(stacked.StackedView):
                 full[rows] = field
         return out
 
-
-def _require_same(records: list, row: stacked.Rows, theorem_id: str, draw: int) -> None:
-    """Raise RuntimeError unless the per-draw records have the stacked row's bits."""
-    ref = stacked.Rows(
-        [r.ratio for r in records],
-        [r.verdict.holds for r in records],
-        [r.classical_verdict is None or r.classical_verdict.holds for r in records],
-        [r.lhs_value for r in records],
-        [r.rhs_value for r in records],
-        [r.improvement_ratio for r in records],
-    )
-    for name, want, got in zip(stacked.Rows._fields, ref, row):
-        kind = bool if name in ("holds", "classical") else np.float64
-        if np.asarray(want, kind).tobytes() != np.asarray(got, kind).tobytes():
-            raise RuntimeError(f"{theorem_id} draw {draw}: the stacked {name} differs "
-                               "from the per-draw evaluate")
+    def instance(self, row: int, item: int) -> dict:
+        """Row's state, the probe that scored its record ``item`` and its map, as JSON values."""
+        state = {group: {k: v[row] for k, v in getattr(self, group).items()}
+                 for group in ("spectra", "frames", "vectors")}
+        out = snapshot({"params": self.params, **state,
+                        "scalars": {k: v[row].item() for k, v in self.scalars.items()}})
+        if self._probes:
+            out["probe"] = dict(zip("xy", (p[row, item].tolist() for p in self._probes)))
+        if row in self._maps:
+            key, place = self._maps[row]
+            part = self._parts[key]
+            out["map_kind"] = part.kind
+            if part.kind == "compression":
+                out["map_isometry"] = part.data[place].tolist()
+            elif part.kind == "congruence_sum":
+                out["map_family"] = [u[place].tolist() for u in part.data]
+            elif part.kind == "pinching":
+                out["map_blocks"] = [list(block) for block in part.data]
+        return out
 
 
 class _Fold:
@@ -435,7 +367,8 @@ class _Fold:
         # (draw, item, the draw's row) of the first largest ratio.
         self.best = None
 
-    def add(self, rows: stacked.Rows, first_draw: int) -> None:
+    def add(self, rows: stacked.Rows, first_draw: int) -> bool:
+        """Fold a chunk's rows in; True when it holds the new largest ratio."""
         ratio = rows.ratio.ravel()
         self.checks += ratio.size
         self.violations += ratio.size - int(np.count_nonzero(rows.holds))
@@ -456,6 +389,8 @@ class _Fold:
             draw, item = divmod(live.tolist().index(largest), rows.ratio.shape[1])
             self.max_ratio = largest
             self.best = (first_draw + draw, item, stacked.Rows(*(f[draw] for f in rows)))
+            return True
+        return False
 
 
 def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
@@ -463,44 +398,34 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
     spec = THEOREMS[theorem_id]
     space = spec.space(dim, params, False)
 
-    def seed(draw):
-        return [cfg.seed, theorem_index, dim, cell_index, draw]
-
-    def rerun(draw):
-        """The draw through _DrawView and evaluate, as a lone draw is evaluated."""
-        rng = np.random.default_rng(seed(draw))
-        view = _DrawView(first_values(space, params, dim, rng), dim, rng, draw == 0)
-        return view, spec.evaluate(view, cfg.tol)
-
-    first = rerun(0)
     fold = _Fold()
     for start in range(0, cfg.samples, _CHUNK):
         count = min(_CHUNK, cfg.samples - start)
-        chunk = _Stack(space, params, dim, [seed(start + r) for r in range(count)])
-        # Rows the per-draw code never divides, such as a zero right side, divide silently.
+        chunk = _Stack(space, params, dim, [[cfg.seed, theorem_index, dim, cell_index, draw]
+                                            for draw in range(start, start + count)])
+        # Rows such as a zero right side divide silently.
         with np.errstate(divide="ignore", invalid="ignore"):
-            rows = stacked.Rows(*(np.reshape(f, (count, -1))
-                                  for f in spec.stacked(chunk, cfg.tol)))
-        if start == 0:
-            _require_same(first[1], stacked.Rows(*(f[0] for f in rows)), theorem_id, 0)
-        fold.add(rows, start)
+            try:
+                rows = spec.evaluate(chunk, cfg.tol)
+            except InfeasibleRegime as exc:
+                raise InfeasibleRegime(f"{theorem_id} at dim {dim}, cell {cell_index}, "
+                                       f"chunk from draw {start}: {exc}") from exc
+        if fold.add(stacked.Rows(*(np.reshape(f, (count, -1)) for f in rows)), start):
+            best = chunk
     extremal = None
     if fold.best is not None:
         draw, item, row = fold.best
-        view, records = first if draw == 0 else rerun(draw)
-        _require_same(records, row, theorem_id, draw)
-        record = records[item]
         extremal = {
             "theorem_id": theorem_id,
             "dim": dim,
             "draw": draw,
             "item": item,
-            "detail": record.detail,
-            "ratio": record.ratio,
-            "lhs": record.lhs_value,
-            "rhs": record.rhs_value,
+            "detail": spec.details[item] if spec.details else "",
+            "ratio": float(row.ratio[item]),
+            "lhs": float(row.lhs[item]),
+            "rhs": float(row.rhs[item]),
             **params.as_dict(),
-            "instance": view.instance(item),
+            "instance": best.instance(draw % _CHUNK, item),
         }
     return CellStats(
         theorem_id=theorem_id,

@@ -2,27 +2,24 @@
 
 Every refined bound divides a classical constant c by kappa^p, with
 kappa = 1 + (ln x)^2 / 8 (natural log); each family's c, x and p are
-written once, in _FAMILIES, which the checkers and refinement_constants
-both read. A checker verifies the hypothesis regime, states its left
-side and its core, and hands them to one of three record builders, by
-the shape of the comparison: scalar (lhs <= (c/kappa^p) core), Loewner
-(L <= (c/kappa^p) CORE) or scaled identity (L <= (c/kappa^p) I). The
-builder checks both the refined and the classical bound on the same
-instance and returns an IneqRecord carrying both verdicts, the attained
-scale-free ratio and the improvement factor.
+written once, in _FAMILIES, which the evaluators and
+refinement_constants both read.
 
-THEOREMS holds one TheoremSpec per bound, registered next to its
-checker: its regime, default campaign cells, minimum dimension, and the
-one parameterisation of its instances that campaigns and searches share.
-Its space declares the instance's variables; first_values draws them
-into a state, and its evaluate checks the instance an InstanceView of
-that state holds. The view decides what the two engines do differently:
-a search checks the state's own probe vector or pair under the identity
-map, a campaign many random and eigenvector probes under a drawn map.
-A campaign checks a whole cell's states at once, and a search a block
-of candidate states, through the spec's stacked evaluate, written in
-``opineq.stacked`` with the same steps on stacked arrays. The engines
-read nothing else about a theorem.
+THEOREMS holds one TheoremSpec per bound: its regime, default campaign
+cells, minimum dimension, the variables of its instances (its space,
+which first_values draws) and its one evaluator. The evaluator checks a
+stack of instance states at once through a ``stacked.StackedView``: a
+campaign chunk's draws, each with many random and eigenvector probes
+under a drawn map and its hypotheses checked, or a search block's
+candidates, each with its own probe under the identity map.
+
+Each bound's arithmetic is written once, on stacked operands, and hands
+its left side and core to a record builder of ``opineq.stacked``, which
+checks the refined and the classical bound and returns both verdicts,
+the ratio and the improvement factor of every record. Its evaluator
+reads the operands off a view; its public ``check_*`` function takes
+one instance, runs the same arithmetic on a one-row stack and returns
+IneqRecords.
 """
 
 from __future__ import annotations
@@ -34,19 +31,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import stacked
-from .errors import InfeasibleRegime
-from .means_maps import (
-    PositiveMapSpec,
-    apply_map,
-    arithmetic_mean,
-    congruence_sum_map,
-    geometric_mean,
-    identity_map,
-)
+from .means_maps import MAP_KINDS, PositiveMapSpec, congruence_sum_map
 from .samplers import (
     BoundParams,
-    IsometryPair,
     RegimeId,
     _window_spectrum,
     haar_orthogonal,
@@ -54,18 +41,36 @@ from .samplers import (
     require_feasible,
     sample_unit_vector,
 )
-from .spd import (
-    DEFAULT_TOL,
-    CheckVerdict,
-    SpdMatrix,
-    SpectralInterval,
+from .spd import DEFAULT_TOL, CheckVerdict, SpdMatrix, SpectralInterval
+from .stacked import (
+    Rows,
+    StackedMap,
+    StackedSpd,
+    apply_map,
+    arithmetic_mean,
+    bilinear,
+    congruence_family,
+    dot,
+    geometric_mean,
+    identity_rows,
+    like_rows,
     loewner_leq,
     loewner_ratio,
-    make_spd,
+    loewner_rows,
+    make_rows,
     operator_norm,
+    per_row,
+    per_value,
+    quad_form,
+    require_orthonormal,
+    require_rows,
+    require_spectrum,
     scalar_leq,
+    scalar_rows,
     spectral_norm,
+    squares,
     symmetrize,
+    transpose,
 )
 
 LOG_BASE_NOTE = "natural (base e)"
@@ -134,128 +139,113 @@ def _refined(family: str, params: BoundParams) -> tuple[float, float]:
     return constant(params), refinement_factor(argument(params)) ** power
 
 
-def _degenerate_ratio(verdict: CheckVerdict) -> float:
-    """The ratio when the right side is exactly 0: 1 if the left vanishes too."""
-    return 1.0 if verdict.holds else math.inf
+def _constants(family: str, params):
+    """The family's c and kappa^p, as scalars or each row's own."""
+    return per_row(partial(_refined, family), params)
 
 
-def _scalar_record(theorem_id: str, lhs: float, core: float, tol: float, c: float = 1.0,
-                   kappa_pow: float | None = None, detail: str = "", extras=None,
-                   **leq) -> IneqRecord:
-    """lhs <= (c / kappa_pow) core; the classical check (c core) only when refined.
-
-    ``leq`` goes to both scalar_leq calls (``scale``, ``atol``).
-    """
-    refined = c if kappa_pow is None else c / kappa_pow
-    rhs = refined * core
-    verdict = scalar_leq(lhs, rhs, tol, **leq)
-    classical = None if kappa_pow is None else scalar_leq(lhs, c * core, tol, **leq)
-    return IneqRecord(
-        theorem_id=theorem_id,
-        lhs_value=lhs,
-        rhs_value=rhs,
-        ratio=lhs / rhs if rhs != 0.0 else _degenerate_ratio(verdict),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=c,
-        refined_rhs_scale=refined,
-        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
-        detail=detail,
-        extras=extras or {},
-    )
+# The hypothesis checks, on every row of stacked operands. Each raises
+# InfeasibleRegime naming the first row outside the regime.
 
 
-def _loewner_record(theorem_id: str, lhs, core: SpdMatrix, tol: float, c: float = 1.0,
-                    kappa_pow: float | None = None, extras=None, **leq) -> IneqRecord:
-    """L <= (c / kappa_pow) CORE; the classical check (c CORE) only when refined.
-
-    ``lhs`` is an SpdMatrix or a symmetric array; ``leq`` goes to both
-    loewner_leq calls (``atol``).
-    """
-    refined = c if kappa_pow is None else c / kappa_pow
-    verdict = loewner_leq(lhs, refined * core.entries, tol, **leq)
-    classical = None if kappa_pow is None else loewner_leq(lhs, c * core.entries, tol, **leq)
-    top = operator_norm(lhs)
-    # CORE's eigenframe first, so that scaled() builds on it.
-    rhs = refined * operator_norm(core)
-    return IneqRecord(
-        theorem_id=theorem_id,
-        lhs_value=top,
-        rhs_value=rhs,
-        ratio=(loewner_ratio(lhs, core.scaled(refined)) if refined != 0.0
-               else _degenerate_ratio(verdict)),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=c,
-        refined_rhs_scale=refined,
-        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
-        extras=extras or {},
-    )
+def _plain(params: BoundParams) -> SpectralInterval:
+    return SpectralInterval(params.m, params.M)
 
 
-def _identity_record(theorem_id: str, lhs, tol: float, c: float,
-                     kappa_pow: float | None = None, classical_lhs=None, detail: str = "",
-                     extras=None) -> IneqRecord:
-    """L <= (c / kappa_pow) I, with classical_lhs (default L) <= c I as the classical check.
-
-    When neither kappa_pow nor classical_lhs is given the two checks are
-    the same, and the refined verdict serves as the classical one.
-    """
-    refined = c if kappa_pow is None else c / kappa_pow
-    eye = np.eye(lhs.dim if isinstance(lhs, SpdMatrix) else lhs.shape[0])
-    verdict = loewner_leq(lhs, refined * eye, tol)
-    if kappa_pow is None and classical_lhs is None:
-        classical = verdict
-    else:
-        classical = loewner_leq(lhs if classical_lhs is None else classical_lhs, c * eye, tol)
-    top = operator_norm(lhs)
-    return IneqRecord(
-        theorem_id=theorem_id,
-        lhs_value=top,
-        rhs_value=refined,
-        ratio=top / refined if refined != 0.0 else _degenerate_ratio(verdict),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=c,
-        refined_rhs_scale=refined,
-        improvement_ratio=1.0 if kappa_pow is None else 1.0 / kappa_pow,
-        detail=detail,
-        extras=extras or {},
-    )
+_LOW = partial(regime_window, RegimeId.SELF_INVERSE_LOW)
+_HIGH = partial(regime_window, RegimeId.SELF_INVERSE_HIGH)
 
 
-def _require_unit(x: np.ndarray):
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise ValueError(f"x must be a unit vector, got norm {np.linalg.norm(x)!r}")
+def _require_window(a: StackedSpd, window, params, label: str = "A") -> None:
+    """Every row's spectrum inside window(its params), to _REGIME_TOL."""
+    def bounds(p):
+        interval = window(p)
+        return interval.lo, interval.hi
+    require_spectrum(a, *per_row(bounds, params), label, _REGIME_TOL)
 
 
-def _require_spectrum(a: SpdMatrix, window: SpectralInterval, label: str):
-    vals = a.eigenvalues
-    lo_ok = vals[0] >= window.lo * (1.0 - _REGIME_TOL) - 1e-14
-    hi_ok = vals[-1] <= window.hi * (1.0 + _REGIME_TOL) + 1e-14
-    if not (lo_ok and hi_ok):
-        raise InfeasibleRegime(
-            f"{label} spectrum [{vals[0]:.8g}, {vals[-1]:.8g}] "
-            f"outside window [{window.lo:.8g}, {window.hi:.8g}]"
-        )
+def _require_unit(*probes: np.ndarray) -> None:
+    """Raise ValueError unless every probe vector has norm 1, to 1e-10."""
+    for x in probes:
+        norm = np.sqrt(dot(x, x))
+        bad = np.abs(norm - 1.0) > 1e-10
+        if bad.any():
+            raise ValueError(f"x must be a unit vector, got norm {norm[bad][0]!r}")
 
 
-def _require_shifted(a: SpdMatrix, b: SpdMatrix, params: BoundParams):
-    require_feasible(RegimeId.SHIFTED, params)
-    _require_spectrum(a, regime_window(RegimeId.SHIFTED, params), "A")
-    gap = float(np.linalg.eigvalsh(symmetrize(b.entries - params.m_prime * a.entries))[0])
-    if gap < -_REGIME_TOL * operator_norm(b):
-        raise InfeasibleRegime(f"shifted needs m'A <= B: min eig of B - m'A is {gap:.3e}")
-    if b.eigenvalues[-1] > params.M * (1.0 + _REGIME_TOL):
-        raise InfeasibleRegime(
-            f"shifted needs B <= MI: lambda_max(B) = {b.eigenvalues[-1]:.8g} > {params.M}"
-        )
+def _require_shifted(a: StackedSpd, b: StackedSpd, params) -> None:
+    """mI <= m'A <= B <= MI: A on the shifted window, m'A <= B and B <= MI."""
+    _require_window(a, partial(regime_window, RegimeId.SHIFTED), params)
+    m_prime, big_m = per_row(lambda p: (p.m_prime, p.M), params)
+    gap = np.linalg.eigvalsh(symmetrize(b.entries - like_rows(m_prime, a.entries) * a.entries))
+    gap = gap[:, 0]
+    require_rows(~(gap < -_REGIME_TOL * operator_norm(b)),
+                 lambda r: f"shifted needs m'A <= B: min eig of B - m'A is {gap[r]:.3e}")
+    top = b.eigenvalues[:, -1]
+    big_m = np.broadcast_to(big_m, top.shape)
+    require_rows(~(top > big_m * (1.0 + _REGIME_TOL)),
+                 lambda r: f"shifted needs B <= MI: lambda_max(B) = {top[r]:.8g} > {big_m[r]}")
 
 
-def _require_sandwich(a: SpdMatrix, b: SpdMatrix, params: BoundParams):
-    require_feasible(RegimeId.SANDWICH, params)
-    _require_spectrum(a, SpectralInterval(params.m, params.m_prime), "A")
-    _require_spectrum(b, SpectralInterval(params.M_prime, params.M), "B")
+def _sandwich(p: BoundParams) -> tuple:
+    require_feasible(RegimeId.SANDWICH, p)
+    return p.m, p.m_prime, p.M_prime, p.M
+
+
+def _require_sandwich(a: StackedSpd, b: StackedSpd, params) -> None:
+    """mI <= A <= m'I <= M'I <= B <= MI."""
+    a_lo, a_hi, b_lo, b_hi = per_row(_sandwich, params)
+    require_spectrum(a, a_lo, a_hi, "A", _REGIME_TOL)
+    require_spectrum(b, b_lo, b_hi, "B", _REGIME_TOL)
+
+
+# One instance of a public check_*, as the one row of a stack.
+
+
+def _one(*mats: SpdMatrix):
+    """Each matrix as a one-row StackedSpd; they must share a dimension."""
+    if len({a.dim for a in mats}) > 1:
+        raise ValueError(f"dimension mismatch: {mats[0].dim} vs {mats[1].dim}")
+    stacks = tuple(StackedSpd.of(a) for a in mats)
+    return stacks if len(stacks) > 1 else stacks[0]
+
+
+def _probe(x) -> np.ndarray:
+    """A vector as the one probe of a one-row stack."""
+    return np.asarray(x, dtype=float)[None, None, :]
+
+
+def _one_map(spec: PositiveMapSpec, n: int) -> StackedMap:
+    """A PositiveMapSpec on n x n matrices as the map of a one-row stack."""
+    if spec.kind not in MAP_KINDS:
+        raise ValueError(f"unknown map kind {spec.kind!r}")
+    if spec.in_dim != n:
+        raise ValueError(f"expected {spec.in_dim}x{spec.in_dim} input, got {(n, n)}")
+    data = {"compression": lambda: spec.isometry[None],
+            "congruence_sum": lambda: tuple(u[None] for u in spec.family),
+            "pinching": lambda: spec.blocks}.get(spec.kind, lambda: None)()
+    return StackedMap.single(spec.kind, data)
+
+
+def _mapped_pair(bound, require, map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
+                 params, tol: float, validate: bool) -> Rows:
+    """bound(phi, A, B, params, tol) on one pair, after require(A, B, params) if validating."""
+    a, b = _one(a, b)
+    if validate:
+        require(a, b, params)
+    return bound(_one_map(map_spec, a.entries.shape[-1]), a, b, params, tol)
+
+
+def _records(theorem_id: str, rows: Rows, classical: bool = True,
+             details=()) -> list[IneqRecord]:
+    """A one-row stack's IneqRecords, named by ``details``; classical False: no such verdict."""
+    records = []
+    for item, r in enumerate(map(Rows._make, zip(*(np.ravel(f).tolist() for f in rows)))):
+        held = CheckVerdict(r.classical, r.classical_gap, r.classical_slack) if classical else None
+        records.append(IneqRecord(theorem_id, r.lhs, r.rhs, r.ratio,
+                                  CheckVerdict(r.holds, r.gap, r.slack), held, r.classical_scale,
+                                  r.scale, r.improvement, details[item] if details else ""))
+    return records
 
 
 class SearchVar(NamedTuple):
@@ -284,20 +274,10 @@ class TheoremSpec:
     ``classical_regime`` when it is set, where the unrefined constant has
     its equality cases. ``space(dim, params, classical)`` maps each
     instance variable's name to its SearchVar, in the order first_values
-    draws them, and ``evaluate(view, tol)`` returns the list of records
-    for the instance an InstanceView holds: one per probe the view hands
-    out (one per chain link for lin_chain), checked under the view's map
-    and validating the hypotheses when the view asks for it.
-
-    ``stacked(view, tol)``, defined in ``opineq.stacked``, is evaluate
-    for many states at once: the draws of a campaign cell, or the
-    candidates of a search block. It reads a ``stacked.StackedView``,
-    whose every variable has a leading axis of rows and whose params are
-    shared or each row's own, and returns ``stacked.Rows``, the ratio,
-    both verdicts, lhs, rhs and improvement ratio of each record, with
-    the bits evaluate gives each state. It makes every check evaluate
-    makes on every state, except the hypothesis checks behind
-    ``validate``.
+    draws them. ``evaluate(view, tol)`` returns ``stacked.Rows`` for every
+    state a ``stacked.StackedView`` holds: a record per probe the view
+    hands out, under its maps, or per link of lin_chain, which
+    ``details`` names. It checks the hypotheses where the view asks.
     """
 
     theorem_id: str
@@ -305,9 +285,9 @@ class TheoremSpec:
     cells: tuple[BoundParams, ...]
     space: Callable
     evaluate: Callable
-    stacked: Callable
     min_dim: int = 1
     classical_regime: RegimeId | None = None
+    details: tuple[str, ...] = ()
 
 
 def first_values(space: dict, params: BoundParams, dim: int,
@@ -319,8 +299,7 @@ def first_values(space: dict, params: BoundParams, dim: int,
     scalars are uniform on their start range; a vector is a random unit
     vector and a frame Haar orthogonal.
     """
-    state = {"params": params, "spectra": {}, "frames": {}, "vectors": {}, "scalars": {},
-             "memo": {}}
+    state = {"params": params, "spectra": {}, "frames": {}, "vectors": {}, "scalars": {}}
     for name, var in space.items():
         size = var.size or dim
         if var.kind == "spd":
@@ -350,62 +329,7 @@ def snapshot(state: dict) -> dict:
     }
 
 
-class InstanceView:
-    """What a TheoremSpec's evaluate reads of one instance state.
-
-    By default the state's own variables are the probes, as a search
-    wants: unit_vectors gives the named vector, orthonormal_pairs the
-    first two columns of the named frame, and map the identity. A
-    campaign's view overrides these three. ``validate`` asks the
-    checkers to verify the hypotheses.
-    """
-
-    __slots__ = ("_memo", "dim", "classical", "validate", "params", "spectra", "frames",
-                 "vectors", "scalars")
-
-    def __init__(self, state: dict, dim: int, classical: bool = False, validate: bool = False):
-        self._memo = state["memo"]
-        self.dim = dim
-        self.classical = classical
-        self.validate = validate
-        self.params = state["params"]
-        self.spectra = state["spectra"]
-        self.frames = state["frames"]
-        self.vectors = state["vectors"]
-        self.scalars = state["scalars"]
-
-    def spd(self, name: str) -> SpdMatrix:
-        """The matrix with spectrum ``name`` on frame ``name``."""
-        vals, frame = self.spectra[name], self.frames[name]
-        return self.memo(name, (vals, frame), lambda: SpdMatrix.from_eigh(vals, frame))
-
-    def memo(self, key: str, deps: tuple, build):
-        """build(), kept in the state's memo while ``deps`` are the same objects.
-
-        That is enough because no array is written after it joins a state.
-        """
-        hit = self._memo.get(key)
-        if hit is not None and all(old is new for old, new in zip(hit[0], deps)):
-            return hit[1]
-        value = build()
-        self._memo[key] = (deps, value)
-        return value
-
-    def unit_vectors(self, name: str, a: SpdMatrix) -> list:
-        """The unit vectors to check against A."""
-        return [self.vectors[name]]
-
-    def orthonormal_pairs(self, name: str, a: SpdMatrix) -> list:
-        """The orthonormal pairs (x, y) to check against A."""
-        frame = self.frames[name]
-        return [(frame[:, 0], frame[:, 1])]
-
-    def map(self, n: int) -> PositiveMapSpec:
-        """The positive unital map on n x n matrices to check under."""
-        return identity_map(n)
-
-
-# One spec per bound, each registered below next to its checker, in
+# One spec per bound, each registered below next to its evaluator, in
 # campaign order: a theorem's index here seeds its campaign draws.
 THEOREMS: dict[str, TheoremSpec] = {}
 
@@ -425,40 +349,31 @@ _FRAME = SearchVar("frame")
 _SHIFT = SearchVar("scalar", SpectralInterval(1e-6, 1.0), (0.25, 1.0))
 
 
-def _plain(params: BoundParams) -> SpectralInterval:
-    return SpectralInterval(params.m, params.M)
-
-
 def _shifted_pair(view):
-    """The shifted pair A, B = (1-t) m' A + t M I a view holds."""
+    """The shifted pairs A, B = (1-t) m' A + t M I of a view."""
     a = view.spd("a")
-    t, params = view.scalars["t"], view.params
-    b = view.memo("shifted_b", (a, t, params), lambda: SpdMatrix.from_eigh(
-        (1.0 - t) * params.m_prime * a.eigenvalues + t * params.M, a.eigenvectors))
+    t = view.scalars["t"]
+    m_prime, big_m = per_row(lambda p: (p.m_prime, p.M), view.params)
+    b = StackedSpd.from_eigh(
+        ((1.0 - t) * m_prime)[:, None] * a.eigenvalues + (t * big_m)[:, None], a.eigenvectors)
     return a, b
+
+
+def _scalar_amgm(a, b, tol):
+    kappa = per_value(refinement_factor, b / a)
+    mean_geo = np.sqrt(a * b)
+    lhs = kappa * mean_geo
+    rhs = 0.5 * (a + b)
+    return make_rows(lhs / rhs, scalar_leq(lhs, rhs, tol), scalar_leq(mean_geo, rhs, tol), lhs,
+                     rhs, 1.0 / kappa, 1.0, 1.0 / kappa)
 
 
 def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRecord:
     """(1 + (ln b - ln a)^2 / 8) sqrt(ab) <= (a + b) / 2 for a, b > 0."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"need positive scalars, got a = {a}, b = {b}")
-    kappa = refinement_factor(b / a)
-    mean_geo = math.sqrt(a * b)
-    lhs = kappa * mean_geo
-    rhs = 0.5 * (a + b)
-    verdict = scalar_leq(lhs, rhs, tol)
-    classical = scalar_leq(mean_geo, rhs, tol)
-    return IneqRecord(
-        theorem_id="scalar_amgm",
-        lhs_value=lhs,
-        rhs_value=rhs,
-        ratio=lhs / rhs,
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=1.0,
-        refined_rhs_scale=1.0 / kappa,
-        improvement_ratio=1.0 / kappa,
-    )
+    rows = _scalar_amgm(np.array([a], dtype=float), np.array([b], dtype=float), tol)
+    return _records("scalar_amgm", rows)[0]
 
 
 def _space_scalar_amgm(dim, params, classical):
@@ -466,42 +381,36 @@ def _space_scalar_amgm(dim, params, classical):
             "b": SearchVar("spd", _plain(params), size=1)}
 
 
-def _eval_scalar_amgm(view, tol):
-    return [scalar_refined_amgm(float(view.spectra["a"][0]), float(view.spectra["b"][0]), tol)]
+def _evaluate_scalar_amgm(view, tol):
+    return _scalar_amgm(view.spectra["a"][:, 0], view.spectra["b"][:, 0], tol)
 
 
 _register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_scalar_amgm,
-          _eval_scalar_amgm, stacked.scalar_amgm)
+          _evaluate_scalar_amgm)
+
+
+def _lemma_amgm(a, b, m, tol, validate):
+    """m is a scalar or each row's own; validate checks mA <= B with 1 < m."""
+    if validate:
+        rows_m = np.broadcast_to(m, a.eigenvalues.shape[:1])
+        require_rows(~(rows_m <= 1.0), lambda r: f"relative needs 1 < m: m = {rows_m[r]}")
+        inv_root = a.inv_sqrt().entries
+        low = np.linalg.eigvalsh(symmetrize(inv_root @ b.entries @ inv_root))[:, 0]
+        require_rows(~(low < rows_m * (1.0 - _REGIME_TOL)), lambda r: (
+            f"relative needs mA <= B: min relative eigenvalue {low[r]:.8g} < m = {rows_m[r]}"))
+    kappa = per_value(refinement_factor, m) if isinstance(m, np.ndarray) else refinement_factor(m)
+    mean_geo = geometric_mean(a, b)
+    rhs = arithmetic_mean(a, b)
+    return make_rows(kappa * loewner_ratio(mean_geo.entries, rhs),
+                     loewner_leq(like_rows(kappa, rhs.entries) * mean_geo.entries, rhs, tol),
+                     loewner_leq(mean_geo, rhs, tol), kappa * operator_norm(mean_geo),
+                     operator_norm(rhs), 1.0 / kappa, 1.0, 1.0 / kappa)
 
 
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
                              tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """(1 + (ln m)^2 / 8) A#B <= (A+B)/2 under mA <= B with 1 < m."""
-    if validate:
-        if m <= 1.0:
-            raise InfeasibleRegime(f"relative needs 1 < m: m = {m}")
-        inv_root = a.inv_sqrt().entries
-        rel = np.linalg.eigvalsh(symmetrize(inv_root @ b.entries @ inv_root))
-        if rel[0] < m * (1.0 - _REGIME_TOL):
-            raise InfeasibleRegime(
-                f"relative needs mA <= B: min relative eigenvalue {rel[0]:.8g} < m = {m}"
-            )
-    kappa = refinement_factor(m)
-    mean_geo = geometric_mean(a, b)
-    rhs = arithmetic_mean(a, b)
-    verdict = loewner_leq(kappa * mean_geo.entries, rhs, tol)
-    classical = loewner_leq(mean_geo, rhs, tol)
-    return IneqRecord(
-        theorem_id="lemma_amgm",
-        lhs_value=kappa * operator_norm(mean_geo),
-        rhs_value=operator_norm(rhs),
-        ratio=kappa * loewner_ratio(mean_geo.entries, rhs),
-        verdict=verdict,
-        classical_verdict=classical,
-        classical_rhs_scale=1.0,
-        refined_rhs_scale=1.0 / kappa,
-        improvement_ratio=1.0 / kappa,
-    )
+    return _records("lemma_amgm", _lemma_amgm(*_one(a, b), m, tol, validate))[0]
 
 
 # Spectrum window used for the free factor A in the relative regime,
@@ -513,16 +422,24 @@ def _space_lemma_amgm(dim, params, classical):
     return {"a": SearchVar("spd", RELATIVE_BASE_WINDOW), "c": SearchVar("spd", _plain(params))}
 
 
-def _eval_lemma_amgm(view, tol):
+def _evaluate_lemma_amgm(view, tol):
     """B = A^{1/2} C A^{1/2} with C on [m, M] keeps mA <= B <= MA."""
     a = view.spd("a")
     root = a.sqrt().entries
-    b = make_spd(root @ view.spd("c").entries @ root)
-    return [check_lemma_refined_amgm(a, b, view.params.m, tol, view.validate)]
+    b = StackedSpd(root @ view.spd("c").entries @ root)
+    return _lemma_amgm(a, b, per_row(lambda p: p.m, view.params), tol, view.validate)
 
 
 _register("lemma_amgm", RegimeId.RELATIVE, (BoundParams(m=4.0, M=9.0),), _space_lemma_amgm,
-          _eval_lemma_amgm, stacked.lemma_amgm)
+          _evaluate_lemma_amgm)
+
+
+def _kantorovich(a, x, params, tol, validate):
+    if validate:
+        _require_window(a, _LOW, params)
+        _require_unit(x)
+    lhs = quad_form(a, x) * quad_form(a.inv(), x)
+    return scalar_rows(lhs, 1.0, tol, *_constants("kantorovich", params))
 
 
 def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: float,
@@ -534,11 +451,7 @@ def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: fl
     Kantorovich constant is the same bound without the divisor.
     """
     params = BoundParams(m=m, M=M, m_prime=m_prime)
-    if validate:
-        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
-        _require_unit(x)
-    lhs = a.quad_form(x) * a.inv().quad_form(x)
-    return _scalar_record("kantorovich", lhs, 1.0, tol, *_refined("kantorovich", params))
+    return _records("kantorovich", _kantorovich(_one(a), _probe(x), params, tol, validate))[0]
 
 
 def _space_low_vector(dim, params, classical):
@@ -546,14 +459,25 @@ def _space_low_vector(dim, params, classical):
     return {"a": SearchVar("spd", window), "x": _VECTOR}
 
 
-def _eval_kantorovich(view, tol):
-    p, a = view.params, view.spd("a")
-    return [check_kantorovich_refined(a, x, p.m, p.m_prime, p.M, tol, view.validate)
-            for x in view.unit_vectors("x", a)]
+def _evaluate_vector(bound, view, tol):
+    """bound(A, x, params, tol, validate) on the view's unit vector probes x."""
+    a = view.spd("a")
+    return bound(a, view.unit_vectors("x", a), view.params, tol, view.validate)
 
 
 _register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          _eval_kantorovich, stacked.kantorovich, classical_regime=RegimeId.PLAIN)
+          partial(_evaluate_vector, _kantorovich), classical_regime=RegimeId.PLAIN)
+
+
+def _kantorovich_product(a, b, x, params, tol, validate, mean_ab=None):
+    if validate:
+        _require_shifted(a, b, params)
+        _require_unit(x)
+    if mean_ab is None:
+        mean_ab = geometric_mean(a, b)
+    lhs = quad_form(a, x) * quad_form(b, x)
+    core = squares(quad_form(mean_ab, x))
+    return scalar_rows(lhs, core, tol, *_constants("kantorovich", params))
 
 
 def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
@@ -565,15 +489,9 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
     Squared right-hand side; the classical constant drops the kappa^2
     divisor. Regime: mI <= m'A <= B <= MI with m' > 1.
     """
-    if validate:
-        _require_shifted(a, b, params)
-        _require_unit(x)
-    if mean_ab is None:
-        mean_ab = geometric_mean(a, b)
-    lhs = a.quad_form(x) * b.quad_form(x)
-    core = mean_ab.quad_form(x) ** 2
-    return _scalar_record("kantorovich_product", lhs, core, tol,
-                          *_refined("kantorovich", params))
+    rows = _kantorovich_product(*_one(a, b), _probe(x), params, tol, validate,
+                                None if mean_ab is None else _one(mean_ab))
+    return _records("kantorovich_product", rows)[0]
 
 
 def _space_shifted(dim, params, classical):
@@ -587,52 +505,49 @@ def _space_kantorovich_product(dim, params, classical):
     return {**_space_shifted(dim, params, classical), "x": _VECTOR}
 
 
-def _eval_kantorovich_product(view, tol):
+def _evaluate_kantorovich_product(view, tol):
     a, b = (view.spd("a"), view.spd("b")) if view.classical else _shifted_pair(view)
-    # Every probe of the pair shares one geometric mean.
-    mean_ab = view.memo("mean_ab", (a, b), lambda: geometric_mean(a, b))
-    return [check_kantorovich_product_refined(a, b, x, view.params, tol, view.validate, mean_ab)
-            for x in view.unit_vectors("x", a)]
+    return _kantorovich_product(a, b, view.unit_vectors("x", a), view.params, tol,
+                                view.validate)
 
 
 _register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _space_kantorovich_product,
-          _eval_kantorovich_product, stacked.kantorovich_product,
-          classical_regime=RegimeId.PLAIN)
+          _evaluate_kantorovich_product, classical_regime=RegimeId.PLAIN)
+
+
+def _holder_mccarthy(a, x, params, tol, validate):
+    if validate:
+        _require_window(a, _LOW, params)
+        _require_unit(x)
+    ax = a.entries[:, None] @ x[..., None]
+    return scalar_rows((transpose(ax) @ ax)[..., 0, 0], squares(quad_form(a, x)), tol,
+                       *_constants("kantorovich", params))
 
 
 def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundParams,
                                   tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """<A^2 x,x> <= [(M+m)^2 / (4Mm kappa(m')^2)] <Ax,x>^2 on the low window."""
-    if validate:
-        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
-        _require_unit(x)
-    ax = a.entries @ x
-    lhs = float(ax @ ax)
-    return _scalar_record("holder_mccarthy", lhs, a.quad_form(x) ** 2, tol,
-                          *_refined("kantorovich", params))
-
-
-def _eval_holder_mccarthy(view, tol):
-    a = view.spd("a")
-    return [check_holder_mccarthy_refined(a, x, view.params, tol, view.validate)
-            for x in view.unit_vectors("x", a)]
+    rows = _holder_mccarthy(_one(a), _probe(x), params, tol, validate)
+    return _records("holder_mccarthy", rows)[0]
 
 
 _register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          _eval_holder_mccarthy, stacked.holder_mccarthy, classical_regime=RegimeId.PLAIN)
+          partial(_evaluate_vector, _holder_mccarthy), classical_regime=RegimeId.PLAIN)
+
+
+def _square_order(a, b, params, tol, validate):
+    if validate:
+        _require_window(a, _LOW, params)
+        order = loewner_leq(a, b, _REGIME_TOL)
+        require_rows(order.holds, lambda r: (
+            f"square_order needs A <= B: min eig of B - A is {order.gap[r]:.3e}"))
+    return loewner_rows(a.square(), b.square(), tol, *_constants("kantorovich", params))
 
 
 def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
                                tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """A^2 <= [(M+m)^2 / (4Mm kappa(m')^2)] B^2 when A <= B and A sits on the low window."""
-    if validate:
-        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
-        order = loewner_leq(a, b, _REGIME_TOL)
-        if not order.holds:
-            raise InfeasibleRegime(
-                f"square_order needs A <= B: min eig of B - A is {order.min_gap_eig:.3e}")
-    return _loewner_record("square_order", a.square(), b.square(), tol,
-                           *_refined("kantorovich", params))
+    return _records("square_order", _square_order(*_one(a, b), params, tol, validate))[0]
 
 
 def _space_square_order(dim, params, classical):
@@ -641,38 +556,46 @@ def _space_square_order(dim, params, classical):
             "eps": SearchVar("scalar", SpectralInterval(1e-6, 0.5))}
 
 
-def _eval_square_order(view, tol):
+def _evaluate_square_order(view, tol):
     """B = A + eps * bump keeps A <= B."""
     a = view.spd("a")
-    b = make_spd(a.entries + view.scalars["eps"] * view.spd("bump").entries)
-    return [check_square_order_refined(a, b, view.params, tol, view.validate)]
+    b = StackedSpd(a.entries + view.scalars["eps"][:, None, None] * view.spd("bump").entries)
+    return _square_order(a, b, view.params, tol, view.validate)
 
 
 _register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_square_order,
-          _eval_square_order, stacked.square_order)
+          _evaluate_square_order)
+
+
+def _polya_szego(phi, a, b, params, tol):
+    lhs = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, b)))
+    target = StackedSpd(apply_map(phi, geometric_mean(a, b)))
+    return loewner_rows(lhs, target, tol, *_constants("polya_szego", params))
 
 
 def check_polya_szego_refined(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
                               params: BoundParams, tol: float = DEFAULT_TOL,
                               validate: bool = True) -> IneqRecord:
     """Phi(A)#Phi(B) <= [(M+m) / (2 sqrt(Mm) kappa(m'))] Phi(A#B) on the shifted regime."""
+    rows = _mapped_pair(_polya_szego, _require_shifted, map_spec, a, b, params, tol, validate)
+    return _records("polya_szego", rows)[0]
+
+
+def _evaluate_polya_szego(view, tol):
+    if view.validate:
+        _require_shifted(*_shifted_pair(view), view.params)
+    return view.per_map(view.dim, lambda sub, phi: _polya_szego(phi, *_shifted_pair(sub),
+                                                                sub.params, tol))
+
+
+_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _evaluate_polya_szego)
+
+
+def _isometry_family(phi, a, params, tol, validate):
     if validate:
-        _require_shifted(a, b, params)
-    mapped_a = make_spd(apply_map(map_spec, a.entries))
-    mapped_b = make_spd(apply_map(map_spec, b.entries))
-    lhs = geometric_mean(mapped_a, mapped_b)
-    target = make_spd(apply_map(map_spec, geometric_mean(a, b).entries))
-    return _loewner_record("polya_szego", lhs, target, tol, *_refined("polya_szego", params))
-
-
-def _eval_polya_szego(view, tol):
-    a, b = _shifted_pair(view)
-    return [check_polya_szego_refined(view.map(view.dim), a, b, view.params, tol,
-                                      view.validate)]
-
-
-_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _eval_polya_szego,
-          stacked.polya_szego)
+        _require_window(a, _LOW, params)
+    lhs = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, a.inv())))
+    return identity_rows(lhs, tol, *_constants("polya_szego", params))
 
 
 def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
@@ -681,13 +604,8 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
 
     The family must satisfy sum U_j^T U_j = I; A sits on the low window.
     """
-    spec = congruence_sum_map(family)
-    if validate:
-        _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_LOW, params), "A")
-    mapped = make_spd(apply_map(spec, a.entries))
-    mapped_inv = make_spd(apply_map(spec, a.inv().entries))
-    lhs = geometric_mean(mapped, mapped_inv)
-    return _identity_record("isometry_family", lhs, tol, *_refined("polya_szego", params))
+    phi = _one_map(congruence_sum_map(family), a.dim)
+    return _records("isometry_family", _isometry_family(phi, _one(a), params, tol, validate))[0]
 
 
 def _space_isometry_family(dim, params, classical):
@@ -696,19 +614,30 @@ def _space_isometry_family(dim, params, classical):
             "q": _FRAME}
 
 
-def _eval_isometry_family(view, tol):
+def _evaluate_isometry_family(view, tol):
     """The family (sqrt(w) Q, sqrt(1-w) Q) sums to the identity."""
     w = np.clip(view.spectra["w"], 0.01, 0.99)
     q = view.frames["q"]
-    family = (np.sqrt(w)[:, None] * q, np.sqrt(1.0 - w)[:, None] * q)
-    return [check_isometry_family_bound(family, view.spd("a"), view.params, tol, view.validate)]
+    phi = StackedMap.single("congruence_sum", congruence_family(
+        (np.sqrt(w)[..., None] * q, np.sqrt(1.0 - w)[..., None] * q)))
+    return _isometry_family(phi, view.spd("a"), view.params, tol, view.validate)
 
 
 _register("isometry_family", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_isometry_family,
-          _eval_isometry_family, stacked.isometry_family)
+          _evaluate_isometry_family)
 
 
 LIN_VARIANTS = ("mapped_mean", "mean_of_maps")
+
+
+def _lin_squared(variant, phi, a, b, params, tol):
+    half = StackedSpd(apply_map(phi, arithmetic_mean(a, b)))
+    if variant == "mapped_mean":
+        target = StackedSpd(apply_map(phi, geometric_mean(a, b)))
+    else:
+        target = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, b)))
+    return loewner_rows(half.square(), target.square(), tol,
+                        *_constants("lin_squared", params))
 
 
 def check_lin_refined_squared(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
@@ -721,18 +650,10 @@ def check_lin_refined_squared(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMat
     """
     if variant not in LIN_VARIANTS:
         raise ValueError(f"variant must be one of {LIN_VARIANTS}, got {variant!r}")
-    if validate:
-        _require_sandwich(a, b, params)
-    mapped_half = make_spd(apply_map(map_spec, arithmetic_mean(a, b).entries))
-    if variant == "mapped_mean":
-        target = make_spd(apply_map(map_spec, geometric_mean(a, b).entries))
-        theorem_id = "lin_squared_mapped"
-    else:
-        target = geometric_mean(make_spd(apply_map(map_spec, a.entries)),
-                                make_spd(apply_map(map_spec, b.entries)))
-        theorem_id = "lin_squared_means"
-    return _loewner_record(theorem_id, mapped_half.square(), target.square(), tol,
-                           *_refined("lin_squared", params))
+    rows = _mapped_pair(partial(_lin_squared, variant), _require_sandwich, map_spec, a, b,
+                        params, tol, validate)
+    return _records("lin_squared_mapped" if variant == "mapped_mean" else "lin_squared_means",
+                    rows)[0]
 
 
 def _space_sandwich(dim, params, classical):
@@ -740,16 +661,18 @@ def _space_sandwich(dim, params, classical):
             "b": SearchVar("spd", SpectralInterval(params.M_prime, params.M))}
 
 
-def _eval_lin_squared(variant, view, tol):
-    return [check_lin_refined_squared(view.map(view.dim), view.spd("a"), view.spd("b"),
-                                      view.params, variant, tol, view.validate)]
+def _evaluate_sandwich(bound, view, tol):
+    """bound(phi, A, B, params, tol) once per map output size, the hypotheses on every row."""
+    if view.validate:
+        _require_sandwich(view.spd("a"), view.spd("b"), view.params)
+    return view.per_map(view.dim, lambda sub, phi: bound(phi, sub.spd("a"), sub.spd("b"),
+                                                         sub.params, tol))
 
 
 _register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_eval_lin_squared, "mapped_mean"), partial(stacked.lin_squared, "mapped_mean"))
+          partial(_evaluate_sandwich, partial(_lin_squared, "mapped_mean")))
 _register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_eval_lin_squared, "mean_of_maps"),
-          partial(stacked.lin_squared, "mean_of_maps"))
+          partial(_evaluate_sandwich, partial(_lin_squared, "mean_of_maps")))
 
 
 LIN_CHAIN_LINKS = (
@@ -761,6 +684,39 @@ LIN_CHAIN_LINKS = (
     "mapped_mean_inverse",
     "norm_product",
 )
+
+
+def _lin_chain(phi, a, b, params, tol):
+    """The seven links, in LIN_CHAIN_LINKS order."""
+    m, M = per_row(lambda p: (p.m, p.M), params)
+    # lin_norm divides by kappa itself (power 1), the factor every link uses.
+    norm_bound, kappa = _constants("lin_norm", params)
+    # m M and kappa as factors of each row's link matrices.
+    mm, link_kappa = like_rows(m * M, a.entries), like_rows(kappa, a.entries)
+    a_inv = a.inv().entries
+    b_inv = b.inv().entries
+    half = 0.5 * (a.entries + b.entries)
+    mean_geo = geometric_mean(a, b)
+    geo_inv = mean_geo.inv().entries
+    mapped_half = symmetrize(apply_map(phi, half))
+    mapped_geo = StackedSpd(apply_map(phi, mean_geo))
+    mapped_geo_inv = symmetrize(apply_map(phi, geo_inv))
+    inv_mapped_geo = mapped_geo.inv().entries
+
+    def link(lhs, bound, classical_lhs=None):
+        return identity_rows(lhs, tol, bound, classical_lhs=classical_lhs)
+
+    return Rows.columns([
+        link(0.5 * a.entries + 0.5 * mm * a_inv, 0.5 * (M + m)),
+        link(0.5 * b.entries + 0.5 * mm * b_inv, 0.5 * (M + m)),
+        link(half + 0.5 * mm * (a_inv + b_inv), M + m),
+        link(half + mm * link_kappa * geo_inv, M + m, half + mm * geo_inv),
+        link(mapped_half + mm * link_kappa * mapped_geo_inv, M + m,
+             mapped_half + mm * mapped_geo_inv),
+        link(mapped_half + mm * link_kappa * inv_mapped_geo, M + m,
+             mapped_half + mm * inv_mapped_geo),
+        scalar_rows(spectral_norm(mapped_half @ inv_mapped_geo), 1.0, tol, norm_bound, kappa),
+    ])
 
 
 def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
@@ -779,89 +735,83 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
     with kappa = 1 + (ln(M'/m'))^2 / 8. The kappa = 1 forms serve as the
     classical verdicts where the factor applies.
     """
-    if validate:
-        _require_sandwich(a, b, params)
-    m, M = params.m, params.M
-    mm = m * M
-    # lin_norm divides by kappa itself (power 1), the factor every link uses.
-    norm_bound, kappa = _refined("lin_norm", params)
-    a_inv = a.inv().entries
-    b_inv = b.inv().entries
-    half = 0.5 * (a.entries + b.entries)
-    mean_geo = geometric_mean(a, b)
-    geo_inv = mean_geo.inv().entries
-    mapped_half = symmetrize(apply_map(map_spec, half))
-    mapped_geo = make_spd(apply_map(map_spec, mean_geo.entries))
-    mapped_geo_inv = symmetrize(apply_map(map_spec, geo_inv))
-
-    def loewner_link(name, lhs, bound, classical_lhs=None, extras=None):
-        return _identity_record("lin_chain", lhs, tol, bound, classical_lhs=classical_lhs,
-                                detail=name, extras=extras)
-
-    records = [
-        loewner_link("half_a", 0.5 * a.entries + 0.5 * mm * a_inv, 0.5 * (M + m)),
-        loewner_link("half_b", 0.5 * b.entries + 0.5 * mm * b_inv, 0.5 * (M + m)),
-        loewner_link("summed", half + 0.5 * mm * (a_inv + b_inv), M + m),
-        loewner_link("geo_inverse", half + mm * kappa * geo_inv, M + m,
-                     classical_lhs=half + mm * geo_inv, extras={"kappa": kappa}),
-        loewner_link("mapped_inverse_mean", mapped_half + mm * kappa * mapped_geo_inv, M + m,
-                     classical_lhs=mapped_half + mm * mapped_geo_inv, extras={"kappa": kappa}),
-        loewner_link("mapped_mean_inverse", mapped_half + mm * kappa * mapped_geo.inv().entries,
-                     M + m, classical_lhs=mapped_half + mm * mapped_geo.inv().entries,
-                     extras={"kappa": kappa}),
-    ]
-
-    norm_lhs = spectral_norm(mapped_half @ mapped_geo.inv().entries)
-    records.append(_scalar_record("lin_chain", norm_lhs, 1.0, tol, norm_bound, kappa,
-                                  detail="norm_product"))
+    records = _records("lin_chain", _mapped_pair(_lin_chain, _require_sandwich, map_spec, a, b,
+                                                 params, tol, validate), details=LIN_CHAIN_LINKS)
+    # The links that carry the factor kappa.
+    for record in records[3:6]:
+        record.extras["kappa"] = _refined("lin_norm", params)[1]
     return records
 
 
-def _eval_lin_chain(view, tol):
-    return check_lin_chain(view.map(view.dim), view.spd("a"), view.spd("b"), view.params, tol,
-                           view.validate)
+_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
+          partial(_evaluate_sandwich, _lin_chain), details=LIN_CHAIN_LINKS)
 
 
-_register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich, _eval_lin_chain,
-          stacked.lin_chain)
+def _conjecture_scale(m: float, M: float) -> float:
+    return ((M - m) / (M + m)) ** 2
+
+
+def _conjecture_scales(params):
+    return per_row(lambda p: _conjecture_scale(p.m, p.M), params)
+
+
+def _wielandt_scalar(a, x, y, m, M, c, tol, validate):
+    """m, M, c scalars or each row's own; the tolerance scales by <x,Ax><y,Ay>, 0 at M = m."""
+    if validate:
+        require_spectrum(a, m, M, "A", _REGIME_TOL)
+        _require_unit(x, y)
+    inner = np.abs(dot(x, y))
+    if (inner > 1e-10).any():
+        raise ValueError(f"x and y must be orthogonal, got |<x,y>| = {inner.max():.3e}")
+    product = quad_form(a, x) * quad_form(a, y)
+    return scalar_rows(squares(bilinear(a, x, y)), product, tol, c, scale=product)
 
 
 def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, M: float,
                           tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
-    """<x,Ay>^2 <= ((M-m)/(M+m))^2 <x,Ax><y,Ay> for orthonormal x, y.
-
-    Tolerance is scaled by the product <x,Ax><y,Ay> because the right
-    side vanishes identically when M = m.
-    """
-    if validate:
-        _require_spectrum(a, SpectralInterval(m, M), "A")
-        _require_unit(x)
-        _require_unit(y)
-    if abs(float(x @ y)) > 1e-10:
-        raise ValueError(f"x and y must be orthogonal, got <x,y> = {float(x @ y):.3e}")
-    cross = float(x @ a.entries @ y)
-    lhs = cross ** 2
-    product = a.quad_form(x) * a.quad_form(y)
-    return _scalar_record("wielandt_scalar", lhs, product, tol, ((M - m) / (M + m)) ** 2,
-                          scale=product)
+    """<x,Ay>^2 <= ((M-m)/(M+m))^2 <x,Ax><y,Ay> for orthonormal x, y."""
+    rows = _wielandt_scalar(_one(a), _probe(x), _probe(y), m, M, _conjecture_scale(m, M), tol,
+                            validate)
+    return _records("wielandt_scalar", rows, classical=False)[0]
 
 
 def _space_plain_pair(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params)), "pair": _FRAME}
 
 
-def _eval_wielandt_scalar(view, tol):
-    p, a = view.params, view.spd("a")
-    return [check_wielandt_scalar(a, x, y, p.m, p.M, tol, view.validate)
-            for x, y in view.orthonormal_pairs("pair", a)]
+def _evaluate_wielandt_scalar(view, tol):
+    a = view.spd("a")
+    x, y = view.orthonormal_pairs("pair", a)
+    m, M = per_row(lambda p: (p.m, p.M), view.params)
+    return _wielandt_scalar(a, x, y, m, M, _conjecture_scales(view.params), tol, view.validate)
 
 
 # Orthonormal pairs and isometry ranges need at least two dimensions.
 _register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),), _space_plain_pair,
-          _eval_wielandt_scalar, stacked.wielandt_scalar, min_dim=2)
+          _evaluate_wielandt_scalar, min_dim=2)
 
 
 WIELANDT_VARIANTS = ("bhatia_davis", "gumus", "refined")
+
+
+def _wielandt_operator(variant, phi, a, x, y, params, tol):
+    """W = Phi(X^T A Y) [Phi(Y^T A Y)]^{-1} Phi(Y^T A X) against Phi(X^T A X)."""
+    e = a.entries
+    xt, yt = transpose(x), transpose(y)
+    mapped_cross = apply_map(phi, xt @ e @ y)
+    mapped_cross_t = apply_map(phi, yt @ e @ x)
+    mapped_yy = StackedSpd(apply_map(phi, yt @ e @ y))
+    mapped_xx = StackedSpd(apply_map(phi, xt @ e @ x))
+    if variant == "refined":
+        require_spectrum(mapped_xx, *per_row(lambda p: (p.m, p.M), params), "Phi(X^T A X)",
+                         _REGIME_TOL)
+    triple = symmetrize(mapped_cross @ mapped_yy.inv().entries @ mapped_cross_t)
+    if variant == "bhatia_davis":
+        return loewner_rows(triple, mapped_xx, tol, _conjecture_scales(params),
+                            atol=_DEGENERATE_ATOL * operator_norm(mapped_xx))
+    gumus, kappa_pow = _constants("wielandt", params)
+    return scalar_rows(spectral_norm(triple @ mapped_xx.inv().entries), 1.0, tol, gumus,
+                       kappa_pow if variant == "refined" else None, atol=_DEGENERATE_ATOL)
 
 
 def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
@@ -881,34 +831,16 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
     """
     if variant not in WIELANDT_VARIANTS:
         raise ValueError(f"variant must be one of {WIELANDT_VARIANTS}, got {variant!r}")
-    m, M = params.m, params.M
+    a = _one(a)
     if validate:
-        if variant == "refined":
-            _require_spectrum(a, regime_window(RegimeId.SELF_INVERSE_HIGH, params), "A")
-        else:
-            _require_spectrum(a, SpectralInterval(m, M), "A")
-    x, y = pair.x, pair.y
-    mapped_cross = apply_map(map_spec, x.T @ a.entries @ y)
-    mapped_cross_t = apply_map(map_spec, y.T @ a.entries @ x)
-    mapped_yy = make_spd(apply_map(map_spec, y.T @ a.entries @ y))
-    mapped_xx = make_spd(apply_map(map_spec, x.T @ a.entries @ x))
-    if variant == "refined":
-        _require_spectrum(mapped_xx, SpectralInterval(m, M), "Phi(X^T A X)")
-    triple = symmetrize(mapped_cross @ mapped_yy.inv().entries @ mapped_cross_t)
-    conjecture_scale = ((M - m) / (M + m)) ** 2
-
-    if variant == "bhatia_davis":
-        floor = _DEGENERATE_ATOL * operator_norm(mapped_xx)
-        return _loewner_record("wielandt_bhatia_davis", triple, mapped_xx, tol,
-                               conjecture_scale, atol=floor,
-                               extras={"conjecture_scale": conjecture_scale})
-
-    norm_lhs = spectral_norm(triple @ mapped_xx.inv().entries)
-    gumus, kappa_pow = _refined("wielandt", params)
-    return _scalar_record(f"wielandt_{variant}", norm_lhs, 1.0, tol, gumus,
-                          kappa_pow if variant == "refined" else None, atol=_DEGENERATE_ATOL,
-                          extras={"conjecture_scale": conjecture_scale,
-                                  "within_conjecture": bool(norm_lhs <= conjecture_scale)})
+        _require_window(a, _HIGH if variant == "refined" else _plain, params)
+    rows = _wielandt_operator(variant, _one_map(map_spec, pair.x.shape[1]), a, pair.x[None],
+                              pair.y[None], params, tol)
+    (record,) = _records(f"wielandt_{variant}", rows, classical=variant == "refined")
+    record.extras["conjecture_scale"] = scale = _conjecture_scale(params.m, params.M)
+    if variant != "bhatia_davis":
+        record.extras["within_conjecture"] = bool(record.lhs_value <= scale)
+    return record
 
 
 def _space_high_pair(dim, params, classical):
@@ -916,66 +848,77 @@ def _space_high_pair(dim, params, classical):
             "pair": _FRAME}
 
 
-def _eval_wielandt_operator(variant, view, tol):
-    """X and Y are the first and last dim // 2 columns of one frame."""
+def _evaluate_wielandt_operator(variant, view, tol):
+    """X and Y are the first and last dim // 2 columns of one frame, checked as IsometryPair."""
     r = view.dim // 2
-    f = view.frames["pair"]
-    pair = IsometryPair(f[:, :r].copy(), f[:, view.dim - r:].copy())
-    return [check_wielandt_operator(view.map(r), view.spd("a"), pair, view.params, variant,
-                                    tol, view.validate)]
+    if view.validate:
+        _require_window(view.spd("a"), _HIGH if variant == "refined" else _plain, view.params)
+
+    def group(sub, phi):
+        f = sub.frames["pair"]
+        x, y = f[..., :r].copy(), f[..., view.dim - r:].copy()
+        require_orthonormal(x, "x", 1e-12)
+        require_orthonormal(y, "y", 1e-12)
+        cross = np.abs(transpose(x) @ y).max(axis=(-2, -1))
+        if (cross > 1e-12).any():
+            raise ValueError(f"ranges not orthogonal (|x^T y| max {cross.max():.3e})")
+        return _wielandt_operator(variant, phi, sub.spd("a"), x, y, sub.params, tol)
+    return view.per_map(r, group)
 
 
 _register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
-          _space_plain_pair, partial(_eval_wielandt_operator, "bhatia_davis"),
-          partial(stacked.wielandt_operator, "bhatia_davis"), min_dim=2)
+          _space_plain_pair, partial(_evaluate_wielandt_operator, "bhatia_davis"), min_dim=2)
 _register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),), _space_plain_pair,
-          partial(_eval_wielandt_operator, "gumus"), partial(stacked.wielandt_operator, "gumus"),
-          min_dim=2)
+          partial(_evaluate_wielandt_operator, "gumus"), min_dim=2)
 _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
           (BoundParams(m=1.5, M=4.0, m_prime=4.0),), _space_high_pair,
-          partial(_eval_wielandt_operator, "refined"),
-          partial(stacked.wielandt_operator, "refined"), min_dim=2)
+          partial(_evaluate_wielandt_operator, "refined"), min_dim=2)
+
+
+def _choi(phi, a, tol):
+    mapped = StackedSpd(apply_map(phi, a))
+    return loewner_rows(mapped.inv(), StackedSpd(apply_map(phi, a.inv())), tol)
 
 
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
                       tol: float = DEFAULT_TOL) -> IneqRecord:
     """(Phi(T))^{-1} <= Phi(T^{-1}) for a unital positive map Phi and T > 0."""
-    mapped = make_spd(apply_map(map_spec, t.entries))
-    mapped_inv_arg = make_spd(apply_map(map_spec, t.inv().entries))
-    return _loewner_record("choi", mapped.inv(), mapped_inv_arg, tol)
+    t = _one(t)
+    rows = _choi(_one_map(map_spec, t.entries.shape[-1]), t, tol)
+    return _records("choi", rows, classical=False)[0]
 
 
 def _space_plain(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params))}
 
 
-def _eval_choi(view, tol):
-    return [check_choi_record(view.map(view.dim), view.spd("a"), tol)]
+def _evaluate_choi(view, tol):
+    return view.per_map(view.dim, lambda sub, phi: _choi(phi, sub.spd("a"), tol))
 
 
-_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _eval_choi,
-          stacked.choi)
+_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _evaluate_choi)
+
+
+def _norm_amgm(a, b, tol):
+    core = 0.25 * squares(spectral_norm(a.entries + b.entries))
+    return scalar_rows(spectral_norm(a.entries @ b.entries), core, tol)
 
 
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
     """||AB|| <= ||A+B||^2 / 4; the norm is the largest singular value, as AB is not symmetric."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lhs = spectral_norm(a.entries @ b.entries)
-    return _scalar_record("norm_amgm", lhs, 0.25 * spectral_norm(a.entries + b.entries) ** 2,
-                          tol)
+    return _records("norm_amgm", _norm_amgm(*_one(a, b), tol), classical=False)[0]
 
 
 def _space_plain_two(dim, params, classical):
     return {"a": SearchVar("spd", _plain(params)), "b": SearchVar("spd", _plain(params))}
 
 
-def _eval_norm_amgm(view, tol):
-    return [check_norm_amgm_record(view.spd("a"), view.spd("b"), tol)]
+def _evaluate_norm_amgm(view, tol):
+    return _norm_amgm(view.spd("a"), view.spd("b"), tol)
 
 
 _register("norm_amgm", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain_two,
-          _eval_norm_amgm, stacked.norm_amgm)
+          _evaluate_norm_amgm)
 
 # Stable report identifiers, in campaign order.
 THEOREM_IDS = tuple(THEOREMS)

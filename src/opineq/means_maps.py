@@ -19,14 +19,14 @@ MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pi
 _MAP_TOL = 1e-10
 
 
-def _require_same_dim(a: SpdMatrix, b: SpdMatrix):
+def _require_equal_dims(a: SpdMatrix, b: SpdMatrix):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}."""
-    _require_same_dim(a, b)
+    _require_equal_dims(a, b)
     root = a.sqrt().entries
     inv_root = a.inv_sqrt().entries
     inner = make_spd(inv_root @ b.entries @ inv_root)
@@ -35,7 +35,7 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
 def arithmetic_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """(A + B) / 2."""
-    _require_same_dim(a, b)
+    _require_equal_dims(a, b)
     return make_spd(0.5 * (a.entries + b.entries))
 
 

@@ -58,7 +58,8 @@ class BoundParams:
             object.__setattr__(self, "M_prime", self.M)
         for name in ("m", "m_prime", "M_prime", "M"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0.0 and math.isfinite(value)):
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
 

@@ -15,12 +15,12 @@ each from its own seed drawn from the caller's generator.
 A restart draws all its proposals' moves up front, since no draw
 depends on the state's values, and then climbs in speculative blocks:
 it applies the next few moves to the best state, scores those
-candidates in one call of the spec's stacked evaluator (rows with a
+candidates in one call of the spec's evaluator (rows with a
 moved parameter carry their own params), keeps the first that beats
 the best and resumes after it. So it keeps exactly what a climb that
 scores one proposal at a time keeps, ratio, instance and evaluation
-count, bit for bit. A block whose stacked evaluation raises is scored
-state by state through the spec's evaluate and an InstanceView.
+count, bit for bit. A block whose evaluation raises is scored state by
+state, each state as a block of one.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -36,14 +36,7 @@ import numpy as np
 
 from . import stacked
 from .errors import InfeasibleRegime, NotPositiveDefinite
-from .inequalities import (
-    THEOREMS,
-    IneqRecord,
-    InstanceView,
-    first_values,
-    refinement_constants,
-    snapshot,
-)
+from .inequalities import THEOREMS, first_values, refinement_constants, snapshot
 from .samplers import BoundParams, _is_int, _require_seed, regime_feasible, require_feasible
 from .spd import DEFAULT_TOL
 
@@ -78,10 +71,6 @@ class SearchResult:
     def __iter__(self):
         yield self.instance
         yield self.ratio
-
-
-def _ratio(record: IneqRecord, classical: bool) -> float:
-    return record.ratio * record.improvement_ratio if classical else record.ratio
 
 
 def _windows(space: dict) -> dict:
@@ -191,8 +180,7 @@ def _draw_moves(state: dict, box: dict, count: int, rng) -> list[tuple]:
 def _apply_move(spec, state, move, dim, box, regime, classical):
     """The neighbour of state that move makes, or None when its parameter move is infeasible.
 
-    Copy-on-write: the neighbour shares every array it does not change,
-    and the state's memo, whose entries name the arrays they came from.
+    Copy-on-write: the neighbour shares every array it does not change.
     """
     kind, name, *draws = move
     new = dict(state)
@@ -226,25 +214,13 @@ def _apply_move(spec, state, move, dim, box, regime, classical):
         windows = _windows(spec.space(dim, candidate, classical))
         new["params"] = candidate
         new["windows"] = windows
-        spectra = {}
-        for var, vals in state["spectra"].items():
-            clipped = np.clip(vals, windows[var].lo, windows[var].hi)
-            # Share what the new window leaves alone, so its memo entries hold.
-            spectra[var] = vals if np.array_equal(clipped, vals) else clipped
-        new["spectra"] = spectra
+        new["spectra"] = {var: np.clip(vals, windows[var].lo, windows[var].hi)
+                          for var, vals in state["spectra"].items()}
     return new
 
 
-def _safe_eval(spec, state, dim, classical, tol):
-    try:
-        records = spec.evaluate(InstanceView(state, dim, classical), tol)
-    except (InfeasibleRegime, NotPositiveDefinite):
-        return -math.inf
-    return max(_ratio(rec, classical) for rec in records)
-
-
 class _Block(stacked.StackedView):
-    """Candidate states as the rows of one stacked evaluation, probed as InstanceView probes.
+    """Candidate states as the rows of one stacked evaluation.
 
     Row r checks state r's own vector, or the first two columns of its
     frame, under the identity map. Rows share one params object unless
@@ -275,26 +251,38 @@ class _Block(stacked.StackedView):
         return evaluate(self, stacked.StackedMap.single("identity"))
 
 
-def _scores(spec, states: list, dim, classical, tol):
-    """An iterator over each state's _safe_eval ratio, in order.
-
-    One stacked evaluation scores every state. Where it raises, the
-    states are scored one by one through _safe_eval as the iterator is
-    read: rows past the one a restart accepts are speculative, and a row
-    the one-at-a-time search never scores must not end it.
-    """
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = spec.stacked(_Block(states, dim, classical), tol)
-    except ValueError:
-        return (_safe_eval(spec, state, dim, classical, tol) for state in states)
+def _ratios(spec, states: list, dim, classical, tol) -> list:
+    """Each state's ratio, the largest of its records', from one stacked evaluation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = spec.evaluate(_Block(states, dim, classical), tol)
     ratios = rows.ratio * rows.improvement if classical else rows.ratio
     ratios = np.reshape(ratios, (len(states), -1))
     best = ratios[:, 0]
     # Python's max over each row's records: a later record wins only if greater.
     for column in ratios.T[1:]:
         best = stacked._pymax(best, column)
-    return iter(best.tolist())
+    return best.tolist()
+
+
+def _lone_ratio(spec, state, dim, classical, tol) -> float:
+    """One state's ratio, or -inf where its instance is not SPD or leaves the regime."""
+    try:
+        return _ratios(spec, [state], dim, classical, tol)[0]
+    except (InfeasibleRegime, NotPositiveDefinite):
+        return -math.inf
+
+
+def _scores(spec, states: list, dim, classical, tol):
+    """An iterator over each state's ratio, in order, from one stacked evaluation.
+
+    Where that raises, the states are scored one by one as the iterator
+    is read: rows past the one a restart accepts are speculative, and a
+    row the one-at-a-time search never scores must not end it.
+    """
+    try:
+        return iter(_ratios(spec, states, dim, classical, tol))
+    except ValueError:
+        return (_lone_ratio(spec, state, dim, classical, tol) for state in states)
 
 
 def _first_gain(spec, candidates: list, dim, classical, tol, best_ratio):

@@ -6,25 +6,22 @@ import re
 import numpy as np
 import pytest
 
+import reference
 from opineq import (
     THEOREM_IDS,
     THEOREMS,
     BoundParams,
     CampaignConfig,
+    InfeasibleRegime,
     RegimeId,
-    compression_map,
-    congruence_sum_map,
-    identity_map,
     maximize_ratio,
-    pinching_map,
     regime_feasible,
     run_campaign,
-    trace_normalize_map,
 )
-from opineq import campaign
-from opineq.campaign import NEAR_TIGHT_REL, CellStats, _DrawView
+from opineq import campaign, search, stacked
+from opineq.campaign import NEAR_TIGHT_REL, CellStats
 from opineq.cli import cli_main
-from opineq.inequalities import InstanceView, first_values
+from opineq.inequalities import first_values
 
 
 def test_default_grids_cover_every_theorem():
@@ -52,9 +49,11 @@ def test_first_values_satisfy_the_hypotheses(theorem_id):
     for params in (*spec.cells, *extra):
         for dim in (*range(spec.min_dim, 5), 8):
             space = spec.space(dim, params, False)
-            for seed in range(8):
-                state = first_values(space, params, dim, np.random.default_rng(seed))
-                assert spec.evaluate(InstanceView(state, dim, validate=True), 1e-8)
+            states = [first_values(space, params, dim, np.random.default_rng(seed))
+                      for seed in range(8)]
+            view = search._Block(states, dim, False)
+            view.validate = True
+            assert spec.evaluate(view, 1e-8).ratio.shape[0] == 8
 
 
 def test_config_validation():
@@ -190,38 +189,33 @@ def test_sandwich_grid_sweep_runs_clean():
     assert report.total_violations == 0
 
 
-class _Replay(InstanceView):
-    """A view of an extremal instance alone: its matrices, its probe and its map."""
-
-    __slots__ = ("_instance",)
+class _Replay(stacked.StackedView):
+    """An extremal instance alone, as the one row of a stack: its state, probe and map."""
 
     def __init__(self, instance, dim):
-        state = {"params": BoundParams(**instance["params"]), "scalars": instance["scalars"],
-                 "memo": {}}
-        for key in ("spectra", "frames", "vectors"):
-            state[key] = {k: np.array(v) for k, v in instance[key].items()}
-        super().__init__(state, dim)
+        def row(group):
+            return {k: np.array([v]) for k, v in instance[group].items()}
+        super().__init__(BoundParams(**instance["params"]), dim, row("spectra"), row("frames"),
+                         row("vectors"), row("scalars"))
         self._instance = instance
 
     def unit_vectors(self, name, a):
-        return [np.array(self._instance["probe"]["x"])]
+        return np.array([[self._instance["probe"]["x"]]])
 
     def orthonormal_pairs(self, name, a):
         probe = self._instance["probe"]
-        return [(np.array(probe["x"]), np.array(probe["y"]))]
+        return np.array([[probe["x"]]]), np.array([[probe["y"]]])
 
-    def map(self, n):
+    def per_map(self, n, evaluate):
         instance = self._instance
-        kind = instance["map_kind"]
-        if kind == "identity":
-            return identity_map(n)
-        if kind == "trace_normalize":
-            return trace_normalize_map(n)
-        if kind == "compression":
-            return compression_map(np.array(instance["map_isometry"]))
-        if kind == "congruence_sum":
-            return congruence_sum_map([np.array(u) for u in instance["map_family"]])
-        return pinching_map(instance["map_blocks"])
+        data = None
+        if instance["map_kind"] == "compression":
+            data = np.array([instance["map_isometry"]])
+        elif instance["map_kind"] == "congruence_sum":
+            data = tuple(np.array([u]) for u in instance["map_family"])
+        elif instance["map_kind"] == "pinching":
+            data = instance["map_blocks"]
+        return evaluate(self, stacked.StackedMap.single(instance["map_kind"], data))
 
 
 def test_extremal_instance_carries_the_worst_draw():
@@ -233,10 +227,10 @@ def test_extremal_instance_carries_the_worst_draw():
         assert (ex["theorem_id"], ex["dim"]) == (cell.theorem_id, cell.dim)
         assert ex["ratio"] == cell.max_ratio
         instance = ex["instance"]
-        records = THEOREMS[cell.theorem_id].evaluate(_Replay(instance, cell.dim), config.tol)
+        rows = THEOREMS[cell.theorem_id].evaluate(_Replay(instance, cell.dim), config.tol)
         # A probe instance replays its one probe; lin_chain replays every link.
-        record = records[0 if "probe" in instance else ex["item"]]
-        assert record.ratio == ex["ratio"], (cell.theorem_id, cell.dim)
+        ratio = np.ravel(rows.ratio)[0 if "probe" in instance else ex["item"]]
+        assert ratio == ex["ratio"], (cell.theorem_id, cell.dim)
 
 
 def test_eigen_pairs_make_wielandt_scalar_tight():
@@ -273,8 +267,8 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
 
 
 def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundParams,
-                    cfg: CampaignConfig) -> CellStats:
-    """One cell, one draw at a time through _DrawView and evaluate: the per-draw loop."""
+                    cfg: CampaignConfig) -> tuple[CellStats, list]:
+    """One cell, one draw at a time through the per-instance reference, and its records."""
     spec = THEOREMS[theorem_id]
     theorem_index = THEOREM_IDS.index(theorem_id)
     space = spec.space(dim, params, False)
@@ -284,10 +278,12 @@ def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundPar
     slack_sum = 0.0
     extremal = None
     worst = None
+    records = []
     for draw in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, theorem_index, dim, cell_index, draw])
-        view = _DrawView(first_values(space, params, dim, rng), dim, rng, draw == 0)
-        for item, record in enumerate(spec.evaluate(view, cfg.tol)):
+        view = reference.DrawView(first_values(space, params, dim, rng), dim, rng)
+        for item, record in enumerate(reference.EVALUATE[theorem_id](view, cfg.tol)):
+            records.append(record)
             checks += 1
             slack = 1.0 - record.ratio
             if not record.verdict.holds:
@@ -308,22 +304,73 @@ def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundPar
                             **params.as_dict()}
     if extremal is not None:
         extremal["instance"] = worst.instance(extremal["item"])
-    return CellStats(theorem_id=theorem_id, dim=dim, params=params, samples=checks,
+    cell = CellStats(theorem_id=theorem_id, dim=dim, params=params, samples=checks,
                      violations=violations, classical_violations=classical_violations,
                      near_tight=near_tight, max_ratio=max_ratio, min_slack=min_slack,
                      mean_slack=slack_sum / checks, extremal=extremal)
+    return cell, records
+
+
+# Each field of stacked.Rows, read off a reference record. A record without
+# a classical verdict has the refined verdict's gap and slack there.
+ROW_FIELDS = {
+    "ratio": lambda r: r.ratio,
+    "holds": lambda r: r.verdict.holds,
+    "classical": lambda r: r.classical_verdict is None or r.classical_verdict.holds,
+    "lhs": lambda r: r.lhs_value,
+    "rhs": lambda r: r.rhs_value,
+    "improvement": lambda r: r.improvement_ratio,
+    "gap": lambda r: r.verdict.min_gap_eig,
+    "slack": lambda r: r.verdict.rel_slack,
+    "classical_gap": lambda r: (r.classical_verdict or r.verdict).min_gap_eig,
+    "classical_slack": lambda r: (r.classical_verdict or r.verdict).rel_slack,
+    "scale": lambda r: r.refined_rhs_scale,
+    "classical_scale": lambda r: r.classical_rhs_scale,
+}
+
+
+def _campaign_rows(config: CampaignConfig):
+    """run_campaign(config), and every Rows each cell's evaluator returned, by cell."""
+    returned = {}
+
+    def recording(theorem_id, evaluate):
+        def wrapped(view, tol):
+            rows = evaluate(view, tol)
+            returned.setdefault((theorem_id, view.dim, view.params), []).append(rows)
+            return rows
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        for theorem_id in config.theorem_ids:
+            spec = THEOREMS[theorem_id]
+            patch.setitem(THEOREMS, theorem_id, dataclasses.replace(
+                spec, evaluate=recording(theorem_id, spec.evaluate)))
+        report = run_campaign(config)
+    return report, returned
 
 
 def _assert_matches_reference(config: CampaignConfig) -> tuple:
-    """Every cell equals the per-draw loop's, field for field; returns the cells."""
-    report = run_campaign(config)
+    """Every cell, and every record of every draw, equals the per-instance reference's.
+
+    Cells are compared field for field, and records bit for bit in every
+    field of stacked.Rows. Returns the cells.
+    """
+    report, returned = _campaign_rows(config)
     assert report.cells
     for cell in report.cells:
         index = config.grid_for(cell.theorem_id).index(cell.params)
-        reference = _reference_cell(cell.theorem_id, cell.dim, index, cell.params, config)
+        reference_cell, records = _reference_cell(cell.theorem_id, cell.dim, index,
+                                                  cell.params, config)
+        where = (cell.theorem_id, cell.dim, config.seed)
         for field in dataclasses.fields(CellStats):
-            assert getattr(cell, field.name) == getattr(reference, field.name), (
-                cell.theorem_id, cell.dim, config.seed, field.name)
+            assert getattr(cell, field.name) == getattr(reference_cell, field.name), (
+                *where, field.name)
+        chunks = returned[(cell.theorem_id, cell.dim, cell.params)]
+        for name, read in ROW_FIELDS.items():
+            kind = bool if name in ("holds", "classical") else np.float64
+            got = np.concatenate([np.ravel(getattr(rows, name)) for rows in chunks])
+            want = np.array([read(record) for record in records], kind)
+            assert got.astype(kind).tobytes() == want.tobytes(), (*where, name)
     return report.cells
 
 
@@ -375,14 +422,38 @@ def test_stacked_row_off_by_one_ulp_raises(monkeypatch):
     spec = THEOREMS["kantorovich"]
 
     def skewed(view, tol):
-        rows = spec.stacked(view, tol)
+        rows = spec.evaluate(view, tol)
         ratio = np.array(rows.ratio)
         ratio[0, 0] = np.nextafter(ratio[0, 0], np.inf)
         return rows._replace(ratio=ratio)
 
-    monkeypatch.setitem(THEOREMS, "kantorovich", dataclasses.replace(spec, stacked=skewed))
-    with pytest.raises(RuntimeError, match="kantorovich draw 0"):
-        run_campaign(CampaignConfig(theorem_ids=("kantorovich",), dims=(2,), samples=3))
+    monkeypatch.setitem(THEOREMS, "kantorovich", dataclasses.replace(spec, evaluate=skewed))
+    with pytest.raises(AssertionError, match="'kantorovich', 2, 0, 'ratio'"):
+        _assert_matches_reference(CampaignConfig(theorem_ids=("kantorovich",), dims=(2,),
+                                                 samples=3))
+
+
+# The variable each hypothesis bounds, the index of one of its values, and a
+# value outside its window: lemma_amgm's C below m breaks mA <= B, the
+# others' A above its window's top.
+PUSHED = {theorem_id: ("c", 0, 0.5) if theorem_id == "lemma_amgm" else ("a", -1, 100.0)
+          for theorem_id in THEOREM_IDS
+          if theorem_id not in ("scalar_amgm", "choi", "norm_amgm")}
+
+
+@pytest.mark.parametrize("theorem_id", PUSHED)
+def test_a_later_draw_outside_the_regime_raises_naming_its_row(theorem_id, monkeypatch):
+    name, index, value = PUSHED[theorem_id]
+    drawn = campaign._first_values_rows
+
+    def pushed(space, dim, rngs):
+        spectra, *rest = drawn(space, dim, rngs)
+        spectra[name][5, index] = value
+        return (spectra, *rest)
+
+    monkeypatch.setattr(campaign, "_first_values_rows", pushed)
+    with pytest.raises(InfeasibleRegime, match=r"\(row 5\)$"):
+        run_campaign(CampaignConfig(theorem_ids=(theorem_id,), dims=(4,), samples=8))
 
 
 def _record_passes(monkeypatch) -> list:

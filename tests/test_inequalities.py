@@ -11,6 +11,7 @@ from opineq import (
     THEOREMS,
     BoundParams,
     InfeasibleRegime,
+    IneqRecord,
     IsometryPair,
     RegimeId,
     SpdMatrix,
@@ -27,6 +28,7 @@ from opineq import (
     check_wielandt_operator,
     check_wielandt_scalar,
     geometric_mean,
+    haar_orthogonal,
     identity_map,
     kantorovich_constant,
     make_spd,
@@ -38,31 +40,44 @@ from opineq import (
     scalar_refined_amgm,
     trace_normalize_map,
 )
-from opineq.inequalities import InstanceView, first_values
+from opineq import search, stacked
+from opineq.inequalities import first_values
 from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
+from reference import InstanceView
 
 
-def _view(theorem_id, params, dim, rng, view_type=InstanceView):
-    """An instance drawn from the theorem's space, hypotheses validated on evaluate."""
+def _state(theorem_id, params, dim, rng):
     spec = THEOREMS[theorem_id]
-    state = first_values(spec.space(dim, params, False), params, dim, rng)
-    return view_type(state, dim, validate=True)
+    return first_values(spec.space(dim, params, False), params, dim, rng)
 
 
-def _evaluate(theorem_id, params, dim, rng, view_type=InstanceView):
-    """The theorem's records on one instance drawn from its space."""
-    view = _view(theorem_id, params, dim, rng, view_type)
+def _view(theorem_id, params, dim, rng):
+    """The matrices and vectors of an instance drawn from the theorem's space."""
+    return InstanceView(_state(theorem_id, params, dim, rng), dim)
+
+
+def _evaluate(theorem_id, params, dim, rng, view_type=search._Block):
+    """The theorem's evaluator on one instance drawn from its space, hypotheses checked."""
+    view = view_type([_state(theorem_id, params, dim, rng)], dim, False)
+    view.validate = True
     return THEOREMS[theorem_id].evaluate(view, DEFAULT_TOL)
 
 
-class _TraceNormalizedView(InstanceView):
+class _TraceNormalizedView(search._Block):
     """Checks its instance under the trace-normalizing map."""
 
-    __slots__ = ()
+    def per_map(self, n, evaluate):
+        return evaluate(self, stacked.StackedMap.single("trace_normalize"))
 
-    def map(self, n):
-        return trace_normalize_map(n)
+
+def _scales(result) -> list:
+    """(classical, refined, improvement) scales of a record, or of each record of Rows."""
+    if isinstance(result, IneqRecord):
+        return [(result.classical_rhs_scale, result.refined_rhs_scale,
+                 result.improvement_ratio)]
+    fields = (result.classical_scale, result.scale, result.improvement)
+    return list(zip(*(np.ravel(f).tolist() for f in fields)))
 
 
 def test_theorem_catalog_is_consistent():
@@ -122,10 +137,10 @@ def test_scalar_amgm_rejects_nonpositive():
 
 def test_lemma_refined_amgm_holds_on_relative_draws(rng):
     for _ in range(20):
-        (record,) = _evaluate("lemma_amgm", BoundParams(m=2.0, M=5.0), 3, rng)
-        assert record.verdict.holds
-        assert record.ratio <= 1.0 + 1e-10
-        assert record.improvement_ratio == pytest.approx(1.0 / kappa(2.0))
+        rows = _evaluate("lemma_amgm", BoundParams(m=2.0, M=5.0), 3, rng)
+        assert rows.holds.all()
+        assert rows.ratio.max() <= 1.0 + 1e-10
+        assert rows.improvement == pytest.approx(1.0 / kappa(2.0))
 
 
 def test_lemma_refined_amgm_regime_checks(rng):
@@ -180,9 +195,9 @@ def test_kantorovich_corner_is_a_genuine_violation():
 def test_kantorovich_product_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(20):
-        (record,) = _evaluate("kantorovich_product", params, 3, rng)
-        assert record.verdict.holds
-        assert record.ratio <= 1.0 + 1e-10
+        rows = _evaluate("kantorovich_product", params, 3, rng)
+        assert rows.holds.all()
+        assert rows.ratio.max() <= 1.0 + 1e-10
 
 
 def test_kantorovich_product_squared_vs_literal_product_form():
@@ -215,8 +230,7 @@ def test_holder_mccarthy_on_regime_draws(rng):
 def test_square_order_on_regime_draws(rng):
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     for _ in range(10):
-        (record,) = _evaluate("square_order", params, 3, rng)
-        assert record.verdict.holds
+        assert _evaluate("square_order", params, 3, rng).holds.all()
     a = _view("square_order", params, 3, rng).spd("a")
     shrunk = make_spd(0.5 * a.entries)
     with pytest.raises(InfeasibleRegime, match="A <= B"):
@@ -226,9 +240,9 @@ def test_square_order_on_regime_draws(rng):
 def test_polya_szego_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(10):
-        (record,) = _evaluate("polya_szego", params, 4, rng, _TraceNormalizedView)
-        assert record.verdict.holds
-        assert record.improvement_ratio == pytest.approx(1.0 / kappa(2.0))
+        rows = _evaluate("polya_szego", params, 4, rng, _TraceNormalizedView)
+        assert rows.holds.all()
+        assert rows.improvement == pytest.approx(1.0 / kappa(2.0))
 
 
 def test_isometry_family_bound_on_regime_draws(rng):
@@ -324,8 +338,7 @@ def test_wielandt_operator_on_regime_draws(rng):
     # Each instance checks X, Y = the first and last two columns of a frame under Phi = id.
     for variant in ("bhatia_davis", "gumus", "refined"):
         for _ in range(10):
-            (record,) = _evaluate(f"wielandt_{variant}", params, 4, rng)
-            assert record.verdict.holds, variant
+            assert _evaluate(f"wielandt_{variant}", params, 4, rng).holds.all(), variant
 
 
 def test_wielandt_refined_derived_precondition_always_checked(rng):
@@ -385,12 +398,12 @@ def test_refined_checkers_share_their_family_constants(rng):
     records = {
         "kantorovich": [
             check_kantorovich_refined(low, x, params.m, params.m_prime, params.M),
-            *_evaluate("kantorovich_product", params, 3, rng),
+            _evaluate("kantorovich_product", params, 3, rng),
             check_holder_mccarthy_refined(low, x, params),
             check_square_order_refined(low, low, params),
         ],
         "polya_szego": [
-            *_evaluate("polya_szego", params, 3, rng),
+            _evaluate("polya_szego", params, 3, rng),
             check_isometry_family_bound(family, low, params),
         ],
         "lin_squared": [
@@ -401,12 +414,45 @@ def test_refined_checkers_share_their_family_constants(rng):
             next(r for r in check_lin_chain(identity_map(3), sa, sb, params)
                  if r.detail == "norm_product")
         ],
-        "wielandt": _evaluate("wielandt_refined", params, 4, rng),
+        "wielandt": [_evaluate("wielandt_refined", params, 4, rng)],
     }
     for name, family_records in records.items():
         row = table.row(name)
-        for record in family_records:
-            assert record.classical_rhs_scale == pytest.approx(row.classical, rel=1e-14), name
-            assert record.refined_rhs_scale == pytest.approx(row.refined, rel=1e-14), name
-            assert record.improvement_ratio == pytest.approx(row.improvement_ratio,
-                                                             rel=1e-14), name
+        for result in family_records:
+            for classical, refined, improvement in _scales(result):
+                assert classical == pytest.approx(row.classical, rel=1e-14), name
+                assert refined == pytest.approx(row.refined, rel=1e-14), name
+                assert improvement == pytest.approx(row.improvement_ratio, rel=1e-14), name
+
+
+def _rotated(theorem_id, state, u):
+    """The state with every n x n frame and every vector turned by u.
+
+    isometry_family's family frame q is right-multiplied by u instead,
+    which turns its map's output by u and leaves A as it is.
+    """
+    if theorem_id == "isometry_family":
+        return {**state, "frames": {**state["frames"], "q": state["frames"]["q"] @ u}}
+    return {**state,
+            "frames": {k: u @ f if f.shape == u.shape else f for k, f in state["frames"].items()},
+            "vectors": {k: u @ v for k, v in state["vectors"].items()}}
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_every_ratio_is_invariant_under_a_rotation_of_the_state(theorem_id):
+    # Each bound is invariant under A -> U A U^T with its probes turned by U, so
+    # its ratio moves only by rounding: at most 16 n eps kappa^2 against
+    # max(|ratio|, 1), kappa the largest condition number of the state's matrices.
+    spec = THEOREMS[theorem_id]
+    for dim in (d for d in (2, 3, 4, 8) if d >= spec.min_dim):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, dim])
+            params = spec.cells[0]
+            state = first_values(spec.space(dim, params, False), params, dim, rng)
+            u = haar_orthogonal(dim, rng)
+            ratios = [np.ravel(spec.evaluate(search._Block([s], dim, False), DEFAULT_TOL).ratio)
+                      for s in (state, _rotated(theorem_id, state, u))]
+            kappa = max(vals.max() / vals.min() for name, vals in state["spectra"].items()
+                        if name in state["frames"])
+            moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
+            assert moved.max() <= 16 * dim * np.finfo(float).eps * kappa ** 2, (dim, seed)

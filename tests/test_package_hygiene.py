@@ -56,3 +56,32 @@ def test_no_line_is_over_100_characters():
                   for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                   if len(line) > 100]
     assert not long_lines, long_lines
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, by relative or absolute name."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module] if node.module else
+                            (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("opineq."):
+            imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("opineq."))
+    return imported
+
+
+def test_no_module_imports_a_module_that_imports_it_back():
+    graph = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    cycles = []
+    for module in graph:
+        reached, frontier = set(), set(graph[module])
+        while frontier:
+            reached |= frontier
+            frontier = {n for m in frontier for n in graph.get(m, ())} - reached
+        if module in reached:
+            cycles.append(module)
+    assert not cycles, cycles

@@ -31,9 +31,9 @@ def test_bound_params_defaults_and_derived():
     assert p.as_dict() == {"m": 0.5, "m_prime": 0.5, "M_prime": 4.0, "M": 4.0}
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
 def test_bound_params_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
         BoundParams(m=bad, M=4.0)
 
 

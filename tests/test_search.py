@@ -26,6 +26,7 @@ from opineq import (
 from opineq import search
 from opineq.inequalities import first_values, snapshot
 from oracles import big_k, kappa
+from reference import lone_ratio
 
 # Feasible search boxes, one per theorem.
 BOXES = {
@@ -157,12 +158,16 @@ def test_search_is_bit_exact_on_golden_jobs(theorem_id):
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
 def test_search_scores_state_by_state_when_a_block_raises(theorem_id, monkeypatch):
     calls = []
+    evaluate = THEOREMS[theorem_id].evaluate
 
     def refuse(view, tol):
+        # Blocks of more than one state raise; each state alone is scored.
         calls.append(len(view.spectra["a"]))
-        raise NotPositiveDefinite("stacked evaluation refused")
+        if calls[-1] > 1:
+            raise NotPositiveDefinite("stacked evaluation refused")
+        return evaluate(view, tol)
 
-    spec = dataclasses.replace(THEOREMS[theorem_id], stacked=refuse)
+    spec = dataclasses.replace(THEOREMS[theorem_id], evaluate=refuse)
     monkeypatch.setitem(THEOREMS, theorem_id, spec)
     _assert_golden(theorem_id)
     assert calls and max(calls) == search._BLOCK_CAP
@@ -184,7 +189,7 @@ def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
     if free:
         kinds.append("param")
     kind = kinds[int(rng.integers(len(kinds)))]
-    new = dict(state, memo=dict(state["memo"]))
+    new = dict(state)
 
     if kind == "spectrum":
         spectra = state["spectra"]
@@ -242,7 +247,7 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
     space = spec.space(dim, params, classical)
     state = first_values(space, params, dim, rng)
     state["windows"] = search._windows(space)
-    best_ratio = search._safe_eval(spec, state, dim, classical, tol)
+    best_ratio = lone_ratio(spec, state, dim, classical, tol)
     best_state = state
     used = 1
     accepted = 0
@@ -256,7 +261,7 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
                                        rng)
         used += 1
         if candidate is not None:
-            ratio = search._safe_eval(spec, candidate, dim, classical, tol)
+            ratio = lone_ratio(spec, candidate, dim, classical, tol)
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_state = candidate
@@ -291,7 +296,7 @@ def test_block_search_keeps_what_the_one_at_a_time_search_keeps(theorem_id, kwar
         raise AssertionError("a stacked block raised and was scored state by state")
 
     # No row of these jobs makes a stacked evaluator raise.
-    monkeypatch.setattr(search, "_safe_eval", unscored)
+    monkeypatch.setattr(search, "_lone_ratio", unscored)
     for cap in (1, 2, 64):
         monkeypatch.setattr(search, "_BLOCK_CAP", cap)
         got = maximize_ratio(theorem_id, **kwargs)
