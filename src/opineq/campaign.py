@@ -7,9 +7,11 @@ cells, minimum dimension, instance space and evaluator) comes from that
 theorem's TheoremSpec in ``inequalities.THEOREMS``; a search reads the
 same space and evaluator. A draw takes the first values of the spec's
 space, VECTORS_PER_INSTANCE random probes plus A's eigenvector probes,
-and a map drawn from the positive unital catalog. Draws are
-reproducible: every draw gets its own generator seeded by (seed,
-theorem index, dim, cell, draw), and consumes it in that order.
+and a map drawn from the positive unital catalog.
+
+Draws are reproducible: a cell has one SeedSequence, seeded by (seed,
+theorem index, dim, cell), and each array it draws comes from a child
+generator of its own, so a chunk draws in a few vectorised calls.
 
 A cell is evaluated in chunks of at most _CHUNK draws, each chunk on
 stacked arrays by the spec's evaluator: once for the chunk, or for a
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import stacked
 from .errors import InfeasibleRegime
-from .inequalities import THEOREM_IDS, THEOREMS, first_values, snapshot
+from .inequalities import THEOREM_IDS, THEOREMS, snapshot
 from .samplers import (
     _PAIR_FLOOR,
     _UNIT_FLOOR,
@@ -39,10 +41,8 @@ from .samplers import (
     _is_int,
     _require_seed,
     regime_feasible,
-    sample_orthonormal_pair,
-    sample_unit_vector,
 )
-from .spd import DEFAULT_TOL
+from .spd import DEFAULT_TOL, _require_tol
 
 # Relative slack below which an instance counts as near tight.
 NEAR_TIGHT_REL = 1e-3
@@ -89,8 +89,7 @@ class CampaignConfig:
             if empty:
                 raise ValueError(f"grids give no cells for: {empty}")
             object.__setattr__(self, "grids", grids)
-        if self.tol < 0.0 or not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        _require_tol(self.tol)
 
     def grid_for(self, theorem_id: str) -> tuple[BoundParams, ...]:
         if self.grids and theorem_id in self.grids:
@@ -141,106 +140,39 @@ class CampaignReport:
         return self.total_violations == 0
 
 
-def _map_kind(dim: int, rng: np.random.Generator) -> str:
-    kinds = ["identity", "trace_normalize"]
-    if dim >= 2:
-        kinds += ["compression", "congruence_sum", "pinching"]
-    return kinds[int(rng.integers(len(kinds)))]
+# The positive unital catalog by group: a kind and, for congruence_sum, its family size.
+# A draw gives each kind weight 1/5 (dim 1 has only the first two) and each size 1/10.
+_MAP_GROUPS = (("identity", 0), ("trace_normalize", 0), ("compression", 0),
+               ("congruence_sum", 2), ("congruence_sum", 3), ("pinching", 0))
+
+
+def _map_kind(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count maps' groups on n x n matrices, as indices into _MAP_GROUPS."""
+    drawn = rng.integers(10 if n >= 2 else 4, size=count)
+    return np.array([0, 0, 1, 1, 2, 2, 3, 4, 5, 5])[drawn]
 
 
 def _pinching_blocks(dim: int) -> tuple:
-    half = dim // 2
-    return (tuple(range(half)), tuple(range(half, dim)))
+    return (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
 
 
-def _map_draws(dim: int, rng: np.random.Generator):
-    """A map from the positive unital catalog at this dimension: its group key and raw draws.
-
-    compression keeps dim - 1 columns of a Haar frame; congruence_sum
-    takes k = 2 or 3 members D_j Q, as sample_congruence_family draws
-    them; identity, trace_normalize and pinching (two halves) draw
-    nothing more.
-    """
-    kind = _map_kind(dim, rng)
-    if kind == "compression":
-        return kind, (rng.standard_normal((dim, dim)),)
-    if kind == "congruence_sum":
-        k = int(rng.integers(2, 4))
-        return (kind, k), (rng.standard_normal((dim, dim)), rng.uniform(0.2, 1.0, size=(k, dim)))
-    return kind, ()
-
-
-def _map_part(key, dim: int, members: list) -> stacked.MapPart:
-    """The maps of rows sharing a key, from their (row, raw draws) pairs."""
-    rows = np.array([row for row, _ in members])
-    draws = [d for _, d in members]
-    kind = key if isinstance(key, str) else key[0]
-    if kind == "compression":
-        q = stacked.haar(np.stack([z for z, in draws]))
-        return stacked.MapPart(rows, kind, stacked.compression_isometries(q[..., : dim - 1]))
-    if kind == "congruence_sum":
-        # sample_congruence_family for every row.
-        q = stacked.haar(np.stack([z for z, _ in draws]))
-        weights = np.stack([w for _, w in draws])
-        weights /= np.sqrt((weights ** 2).sum(axis=1))[:, None, :]
-        return stacked.MapPart(rows, kind, stacked.congruence_family(
-            tuple(weights[:, j, :, None] * q for j in range(key[1]))))
-    return stacked.MapPart(rows, kind, _pinching_blocks(dim) if kind == "pinching" else None)
-
-
-def _first_values_rows(space: dict, dim: int, rngs: list) -> tuple[dict, dict, dict, dict]:
-    """first_values for every generator, stacked: spectra, frames, vectors, scalars.
-
-    Each generator draws what first_values draws, in its order; the
-    frames of one shape come from one Haar QR.
-    """
-    draws = {name: [] for name in space}
-    for rng in rngs:
-        for name, var in space.items():
-            size = var.size or dim
-            if var.kind == "spd":
-                draws[name].append((rng.uniform(var.window.lo, var.window.hi, size=size),
-                                    rng.standard_normal((size, size)) if size >= 2 else None))
-            elif var.kind == "vector":
-                draws[name].append(sample_unit_vector(dim, rng))
-            elif var.kind == "frame":
-                draws[name].append(rng.standard_normal((dim, dim)))
-            else:
-                lo, hi = var.start or (var.window.lo, var.window.hi)
-                draws[name].append(rng.uniform(lo, hi, size=size) if var.kind == "weights"
-                                   else rng.uniform(lo, hi))
-    spectra, frames, vectors, scalars, gauss = {}, {}, {}, {}, {}
-    for name, var in space.items():
-        if var.kind == "spd":
-            vals = np.sort(np.stack([u for u, _ in draws[name]]), axis=-1)
-            if vals.shape[1] >= 2:
-                vals[:, 0], vals[:, -1] = var.window.lo, var.window.hi
-                gauss[name] = np.stack([z for _, z in draws[name]])
-            else:
-                frames[name] = np.ones((len(rngs), 1, 1))
-            spectra[name] = vals
-        elif var.kind == "vector":
-            vectors[name] = np.stack(draws[name])
-        elif var.kind == "frame":
-            gauss[name] = np.stack(draws[name])
-        elif var.kind == "weights":
-            spectra[name] = np.stack(draws[name])
-        else:
-            scalars[name] = np.array(draws[name])
-    by_shape = {}
-    for name, z in gauss.items():
-        by_shape.setdefault(z.shape, []).append(name)
-    for names in by_shape.values():
-        qs = stacked.haar(np.concatenate([gauss[name] for name in names]))
-        frames.update((name, qs[i * len(rngs):(i + 1) * len(rngs)])
-                      for i, name in enumerate(names))
-    return spectra, frames, vectors, scalars
-
-
-def _failed(*oks: np.ndarray) -> list:
-    """The rows where some probe failed one of its sampler's checks."""
-    rows = zip(*(ok.all(axis=-1).tolist() for ok in oks))
-    return [row for row, good in enumerate(rows) if not all(good)]
+def _map_parts(n: int, member, q, w) -> list:
+    """Rows' maps, a MapPart per group, from their (rows, groups) membership and draws."""
+    parts = []
+    for group in np.flatnonzero(member.any(axis=0)).tolist():
+        rows = np.flatnonzero(member[:, group])
+        kind, k = _MAP_GROUPS[group]
+        data = _pinching_blocks(n) if kind == "pinching" else None
+        if kind == "compression":
+            data = stacked.compression_isometries(q[rows, :, : n - 1])
+        elif kind == "congruence_sum":
+            # sample_congruence_family for every row, from the first k rows of w.
+            weights = w[rows, :k]
+            weights /= np.sqrt((weights ** 2).sum(axis=1))[:, None, :]
+            data = stacked.congruence_family(
+                tuple(weights[:, j, :, None] * q[rows] for j in range(k)))
+        parts.append(stacked.MapPart(rows, kind, data))
+    return parts
 
 
 def _unit(g: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -249,40 +181,117 @@ def _unit(g: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return g / norm[..., None], norm > floor
 
 
+def _pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sample_orthonormal_pair's (x, y) from Gaussian pairs (..., 2, n), and whether it keeps it."""
+    x, x_ok = _unit(g[..., 0, :], _UNIT_FLOOR)
+    y, y_ok = _unit(g[..., 1, :] - stacked.dot(x, g[..., 1, :])[..., None] * x, _PAIR_FLOOR)
+    return x, y, x_ok & y_ok
+
+
+class _Draws:
+    """A cell's raw random inputs: one generator per drawn array, each read in draw order.
+
+    Each generator is a child of the cell's SeedSequence, made on first
+    use, and gives every draw a block of one fixed size: a chunk's inputs
+    are its draws' blocks laid end to end. A vector or pair that a sampler
+    would reject is drawn again alone, in draw order, by a redraw generator.
+    """
+
+    def __init__(self, entropy: list, space: dict, dim: int):
+        self.space = space
+        self.dim = dim
+        self._entropy = entropy
+        self._keys = [*((name, part) for name in space for part in (0, 1)), "units",
+                      "unit redraws", "pairs", "pair redraws", "map groups", "map frames",
+                      "map weights"]
+        self._rngs = {}
+
+    def _rng(self, key) -> np.random.Generator:
+        if key not in self._rngs:
+            child = np.random.SeedSequence(self._entropy, spawn_key=(self._keys.index(key),))
+            self._rngs[key] = np.random.default_rng(child)
+        return self._rngs[key]
+
+    def _gaussians(self, key, redraw, shape: tuple, count: int, kept) -> np.ndarray:
+        """count blocks of Gaussians shaped ``shape``; an item that ``kept`` rejects is redrawn."""
+        g = self._rng(key).standard_normal((count, *shape))
+        for item in zip(*np.nonzero(~kept(g))):
+            while not kept(g[item]):
+                g[item] = self._rng(redraw).standard_normal(g[item].shape)
+        return g
+
+    def state(self, count: int) -> dict:
+        """Each space variable's draws for the next count draws, as first_values draws them."""
+        out = {}
+        for name, var in self.space.items():
+            size, rng = var.size or self.dim, self._rng((name, 0))
+            if var.kind == "spd":
+                out[name] = (rng.uniform(var.window.lo, var.window.hi, (count, size)),)
+                if size >= 2:
+                    out[name] += (self._rng((name, 1)).standard_normal((count, size, size)),)
+            elif var.kind == "vector":
+                out[name] = (self._gaussians((name, 0), (name, 1), (self.dim,), count,
+                                             lambda g: _unit(g, _UNIT_FLOOR)[1]),)
+            elif var.kind == "frame":
+                out[name] = (rng.standard_normal((count, self.dim, self.dim)),)
+            else:
+                lo, hi = var.start or (var.window.lo, var.window.hi)
+                shape = (count, size) if var.kind == "weights" else (count,)
+                out[name] = (rng.uniform(lo, hi, shape),)
+        return out
+
+    def probes(self, count: int, pairs: bool = False) -> np.ndarray:
+        """The next count draws' Gaussian probes: (count, k, n) vectors, or (count, k, 2, n)."""
+        if pairs:
+            return self._gaussians("pairs", "pair redraws", (VECTORS_PER_INSTANCE, 2, self.dim),
+                                   count, lambda g: _pair(g)[2])
+        return self._gaussians("units", "unit redraws", (VECTORS_PER_INSTANCE, self.dim), count,
+                               lambda g: _unit(g, _UNIT_FLOOR)[1])
+
+    def maps(self, n: int, count: int) -> tuple:
+        """count maps on n x n, every field whatever the kind: groups, Gaussians, weights."""
+        return (_map_kind(n, self._rng("map groups"), count),
+                self._rng("map frames").standard_normal((count, n, n)),
+                self._rng("map weights").uniform(0.2, 1.0, (count, 3, n)))
+
+
+def _first_values_rows(space: dict, dim: int, drawn: dict) -> tuple[dict, dict, dict, dict]:
+    """first_values on each row of ``drawn`` (_Draws.state's): spectra, frames, vectors, scalars."""
+    spectra, frames, vectors, scalars = {}, {}, {}, {}
+    for name, var in space.items():
+        first, *rest = drawn[name]
+        if var.kind == "spd":
+            spectra[name] = np.sort(first, axis=-1)
+            if rest:
+                spectra[name][:, 0], spectra[name][:, -1] = var.window.lo, var.window.hi
+            frames[name] = stacked.haar(rest[0]) if rest else np.ones((len(first), 1, 1))
+        elif var.kind == "frame":
+            frames[name] = stacked.haar(first)
+        elif var.kind == "vector":
+            vectors[name] = _unit(first, 0.0)[0]
+        else:
+            (spectra if var.kind == "weights" else scalars)[name] = first
+    return spectra, frames, vectors, scalars
+
+
 class _Stack(stacked.StackedView):
     """One chunk of a cell's draws, hypotheses checked: row r is the chunk's r-th draw.
 
-    Every row consumes its own generator as a lone draw would: first
-    values, then probes, then the map. Probes are drawn in one call per
-    row; a row where a sampler would have rejected a draw is drawn again
-    by the sampler itself.
+    Its state, probes and maps are built from the next rows of the cell's _Draws.
     """
 
-    def __init__(self, space: dict, params: BoundParams, dim: int, seeds: list):
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        super().__init__(params, dim, *_first_values_rows(space, dim, rngs), validate=True)
-        self._space = space
-        self._seeds = seeds
-        self._rngs = rngs
+    def __init__(self, draws: _Draws, params: BoundParams, count: int):
+        super().__init__(params, draws.dim,
+                         *_first_values_rows(draws.space, draws.dim, draws.state(count)),
+                         validate=True)
+        self._draws = draws
+        self._count = count
         self._probes = ()
-        # Each row's map as (group key, place in its part), and the parts by key.
-        self._maps = {}
-        self._parts = {}
-
-    def _redraw(self, row: int, sampler) -> list:
-        """Row's probes from the per-draw sampler, on a generator drawn again from its seed."""
-        rng = np.random.default_rng(self._seeds[row])
-        first_values(self._space, self.params, self.dim, rng)
-        self._rngs[row] = rng
-        return [sampler(self.dim, rng) for _ in range(VECTORS_PER_INSTANCE)]
+        self._maps = None  # (n, each row's map draws with Haar frames), once per_map has run
 
     def unit_vectors(self, name, a):
         """(S, k, n): each row's random unit vectors, then A's eigenvectors."""
-        g = np.stack([rng.standard_normal((VECTORS_PER_INSTANCE, self.dim))
-                      for rng in self._rngs])
-        x, ok = _unit(g, _UNIT_FLOOR)
-        for row in _failed(ok):
-            x[row] = self._redraw(row, sample_unit_vector)
+        x = _unit(self._draws.probes(self._count), _UNIT_FLOOR)[0]
         self._probes = (np.concatenate([x, np.swapaxes(a.eigenvectors, -1, -2)], axis=1),)
         return self._probes[0]
 
@@ -292,48 +301,34 @@ class _Stack(stacked.StackedView):
         The eigenvector pairs (i, j) are (0, n-1), where the bound is
         attained, and (k, k+1).
         """
-        g = np.stack([rng.standard_normal((VECTORS_PER_INSTANCE, 2, self.dim))
-                      for rng in self._rngs])
-        x, x_ok = _unit(g[:, :, 0], _UNIT_FLOOR)
-        y = g[:, :, 1]
-        y, y_ok = _unit(y - stacked.dot(x, y)[..., None] * x, _PAIR_FLOOR)
-        for row in _failed(x_ok, y_ok):
-            x[row], y[row] = np.swapaxes(self._redraw(row, sample_orthonormal_pair), 0, 1)
-        vecs = a.eigenvectors
-        eig = sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)})
+        x, y, _ = _pair(self._draws.probes(self._count, pairs=True))
+        i, j = np.array(sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)})).T
+        vi, vj = (np.swapaxes(a.eigenvectors[..., index], -1, -2) for index in (i, j))
         root = math.sqrt(2.0)
-        ex = np.stack([(vecs[..., i] + vecs[..., j]) / root for i, j in eig], axis=1)
-        ey = np.stack([(vecs[..., i] - vecs[..., j]) / root for i, j in eig], axis=1)
-        self._probes = (np.concatenate([x, ex], axis=1), np.concatenate([y, ey], axis=1))
+        self._probes = (np.concatenate([x, (vi + vj) / root], axis=1),
+                        np.concatenate([y, (vi - vj) / root], axis=1))
         return self._probes
 
     def per_map(self, n: int, evaluate) -> stacked.Rows:
         """evaluate(view, map) once per map output size, on every row of that size.
 
         Compression maps to n - 1, every other kind to n. A pass's map
-        has one part per kind and family size, each built from its
-        rows' draws. The results are put back in row order.
+        has one part per kind and family size. The results are put back in
+        row order.
         """
-        sizes = {}
-        for row, rng in enumerate(self._rngs):
-            key, draws = _map_draws(n, rng)
-            rows, kinds = sizes.setdefault(n - 1 if key == "compression" else n, ([], {}))
-            members = kinds.setdefault(key, [])
-            self._maps[row] = (key, len(members))
-            # A row's place among the rows of its size indexes the pass's view.
-            members.append((len(rows), draws))
-            rows.append(row)
-        out = None
-        for rows, kinds in sizes.values():
-            parts = {key: _map_part(key, n, members) for key, members in kinds.items()}
-            self._parts.update(parts)
-            part = evaluate(self.subset(np.array(rows)), stacked.StackedMap(parts.values()))
-            if out is None:
-                out = stacked.Rows(*(np.empty((len(self._rngs),) + np.shape(f)[1:],
-                                              np.asarray(f).dtype) for f in part))
-            for full, field in zip(out, part):
-                full[rows] = field
-        return out
+        groups, z, w = self._draws.maps(n, self._count)
+        # Membership by indexing: an integer == would map 128 KiB more of numpy's code.
+        drawn = (np.eye(len(_MAP_GROUPS), dtype=bool)[groups], stacked.haar(z), w)
+        self._maps = (n, drawn)
+        compression = drawn[0][:, _MAP_GROUPS.index(("compression", 0))]
+        passes = [rows for rows in (np.flatnonzero(~compression), np.flatnonzero(compression))
+                  if rows.size]
+        out = [evaluate(self.subset(rows), stacked.StackedMap(
+            _map_parts(n, *(field[rows] for field in drawn)))) for rows in passes]
+        # Each row's place in the passes' results (an argsort raises the peak RSS).
+        back = np.empty(self._count, dtype=int)
+        back[np.concatenate(passes)] = np.arange(self._count)
+        return stacked.Rows(*(np.concatenate(fields)[back] for fields in zip(*out)))
 
     def instance(self, row: int, item: int) -> dict:
         """Row's state, the probe that scored its record ``item`` and its map, as JSON values."""
@@ -343,14 +338,14 @@ class _Stack(stacked.StackedView):
                         "scalars": {k: v[row].item() for k, v in self.scalars.items()}})
         if self._probes:
             out["probe"] = dict(zip("xy", (p[row, item].tolist() for p in self._probes)))
-        if row in self._maps:
-            key, place = self._maps[row]
-            part = self._parts[key]
+        if self._maps is not None:
+            n, drawn = self._maps
+            (part,) = _map_parts(n, *(field[row:row + 1] for field in drawn))
             out["map_kind"] = part.kind
             if part.kind == "compression":
-                out["map_isometry"] = part.data[place].tolist()
+                out["map_isometry"] = part.data[0].tolist()
             elif part.kind == "congruence_sum":
-                out["map_family"] = [u[place].tolist() for u in part.data]
+                out["map_family"] = [u[0].tolist() for u in part.data]
             elif part.kind == "pinching":
                 out["map_blocks"] = [list(block) for block in part.data]
         return out
@@ -396,13 +391,12 @@ class _Fold:
 def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
               params: BoundParams, cfg: CampaignConfig) -> CellStats:
     spec = THEOREMS[theorem_id]
-    space = spec.space(dim, params, False)
-
+    draws = _Draws([cfg.seed, theorem_index, dim, cell_index], spec.space(dim, params, False),
+                   dim)
     fold = _Fold()
     for start in range(0, cfg.samples, _CHUNK):
         count = min(_CHUNK, cfg.samples - start)
-        chunk = _Stack(space, params, dim, [[cfg.seed, theorem_index, dim, cell_index, draw]
-                                            for draw in range(start, start + count)])
+        chunk = _Stack(draws, params, count)
         # Rows such as a zero right side divide silently.
         with np.errstate(divide="ignore", invalid="ignore"):
             try:

@@ -38,7 +38,7 @@ from . import stacked
 from .errors import InfeasibleRegime, NotPositiveDefinite
 from .inequalities import THEOREMS, first_values, refinement_constants, snapshot
 from .samplers import BoundParams, _is_int, _require_seed, regime_feasible, require_feasible
-from .spd import DEFAULT_TOL
+from .spd import DEFAULT_TOL, _is_real, _require_tol
 
 SEARCH_DIM_CAP = 8
 DEFAULT_BUDGET = 10_000
@@ -75,10 +75,6 @@ class SearchResult:
 
 def _windows(space: dict) -> dict:
     return {name: var.window for name, var in space.items() if var.window is not None}
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _box_range(key: str, value) -> tuple:
@@ -356,8 +352,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if not _is_int(budget) or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    if tol < 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _require_tol(tol)
     if not _is_int(dim):
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not 1 <= dim <= SEARCH_DIM_CAP:

@@ -28,6 +28,16 @@ _SCALAR_FUNCS = {
 }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _require_tol(tol) -> None:
+    """Raise ValueError unless tol is a finite real number >= 0; a bool is not one."""
+    if not (_is_real(tol) and tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def symmetrize(raw) -> np.ndarray:
     """Return (X + X^T)/2, the symmetric part of a square matrix."""
     raw = np.asarray(raw, dtype=float)

@@ -45,8 +45,15 @@ from opineq import (
     trace_normalize_map,
 )
 from opineq import campaign
-from opineq.campaign import VECTORS_PER_INSTANCE, _pinching_blocks
-from opineq.inequalities import _DEGENERATE_ATOL, _REGIME_TOL, _refined, refinement_factor, snapshot
+from opineq.campaign import _pinching_blocks
+from opineq.inequalities import (
+    _DEGENERATE_ATOL,
+    _REGIME_TOL,
+    _refined,
+    first_values,
+    refinement_factor,
+    snapshot,
+)
 from opineq.spd import (
     DEFAULT_TOL,
     CheckVerdict,
@@ -669,23 +676,39 @@ def lone_ratio(spec, state, dim, classical, tol) -> float:
     return max(r.ratio * r.improvement_ratio if classical else r.ratio for r in records)
 
 
-def _draw_map(dim: int, rng: np.random.Generator):
-    """Rotate through the positive unital map catalog at this dimension.
+class Replay:
+    """A generator stand-in: it hands given draws, in order, to a per-instance sampler."""
 
-    The kind comes from the campaign's own draw, which a test may patch.
-    """
-    kind = campaign._map_kind(dim, rng)
-    if kind == "identity":
-        return identity_map(dim)
-    if kind == "trace_normalize":
-        return trace_normalize_map(dim)
-    if kind == "compression":
-        q = haar_orthogonal(dim, rng)
-        return compression_map(q[:, : dim - 1])
-    if kind == "congruence_sum":
-        k = int(rng.integers(2, 4))
-        return congruence_sum_map(sample_congruence_family(dim, k, rng))
-    return pinching_map(_pinching_blocks(dim))
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def _next(self, size):
+        draw = self._draws.pop(0)
+        assert np.shape(draw) == np.empty(size or ()).shape, (np.shape(draw), size)
+        return draw
+
+    def standard_normal(self, size=None):
+        return self._next(size)
+
+    def uniform(self, low, high, size=None):
+        return self._next(size)
+
+    def done(self) -> bool:
+        return not self._draws
+
+
+def _row_map(n: int, group: int, z: np.ndarray, w: np.ndarray) -> PositiveMapSpec:
+    """One draw's map from the catalog, built from its drawn fields by the per-instance samplers."""
+    name, k = campaign._MAP_GROUPS[group]
+    if name == "identity":
+        return identity_map(n)
+    if name == "trace_normalize":
+        return trace_normalize_map(n)
+    if name == "compression":
+        return compression_map(haar_orthogonal(n, Replay(z))[:, : n - 1])
+    if name == "congruence_sum":
+        return congruence_sum_map(sample_congruence_family(n, k, Replay(z, w[:k])))
+    return pinching_map(_pinching_blocks(n))
 
 
 def _map_payload(spec) -> dict:
@@ -702,32 +725,33 @@ def _map_payload(spec) -> dict:
 class DrawView(InstanceView):
     """One campaign draw: many probes per instance, under a map drawn from the catalog.
 
-    The hypotheses are checked, as the campaign checks them on every draw.
+    It takes the draw's random probes and its map; the hypotheses are
+    checked, as the campaign checks them on every draw.
     """
 
-    __slots__ = ("_rng", "_state", "_probes", "_map")
+    __slots__ = ("_state", "_units", "_pairs", "_phi", "_probes", "_map")
 
-    def __init__(self, state: dict, dim: int, rng: np.random.Generator):
+    def __init__(self, state: dict, dim: int, units: list, pairs: list, phi: PositiveMapSpec):
         super().__init__(state, dim, validate=True)
-        self._rng = rng
         self._state = state
+        self._units = units
+        self._pairs = pairs
+        self._phi = phi
         self._probes = ()
         self._map = None
 
     def unit_vectors(self, name, a):
-        """Random unit vectors, then A's eigenvectors, where the extremes live."""
-        xs = [sample_unit_vector(self.dim, self._rng) for _ in range(VECTORS_PER_INSTANCE)]
-        xs.extend(a.eigenvectors.T.copy())
+        """The random unit vectors, then A's eigenvectors, where the extremes live."""
+        xs = [*self._units, *a.eigenvectors.T.copy()]
         self._probes = [(x,) for x in xs]
         return xs
 
     def orthonormal_pairs(self, name, a):
-        """Random pairs, then (v_i + v_j, v_i - v_j)/sqrt2 over eigenvector pairs.
+        """The random pairs, then (v_i + v_j, v_i - v_j)/sqrt2 over eigenvector pairs.
 
         The pairs (i, j) are (0, n-1), where the bound is attained, and (k, k+1).
         """
-        pairs = [sample_orthonormal_pair(self.dim, self._rng)
-                 for _ in range(VECTORS_PER_INSTANCE)]
+        pairs = list(self._pairs)
         vecs = a.eigenvectors
         for i, j in sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)}):
             pairs.append(((vecs[:, i] + vecs[:, j]) / math.sqrt(2.0),
@@ -736,7 +760,8 @@ class DrawView(InstanceView):
         return pairs
 
     def map(self, n):
-        self._map = _draw_map(n, self._rng)
+        assert self._phi.in_dim == n, (self._phi.in_dim, n)
+        self._map = self._phi
         return self._map
 
     def instance(self, item: int) -> dict:
@@ -747,4 +772,27 @@ class DrawView(InstanceView):
         if self._map is not None:
             out.update(_map_payload(self._map))
         return out
-        return out
+
+
+def draw_views(draws: campaign._Draws, params: BoundParams, count: int, n: int) -> list:
+    """The next count draws of a campaign cell, one DrawView each, built one draw at a time.
+
+    Each draw's slice of the cell's drawn arrays goes through the
+    per-instance samplers: its state through first_values, its probes
+    through sample_unit_vector and sample_orthonormal_pair, and its map,
+    drawn for n x n matrices, through the catalog's constructors.
+    """
+    drawn = [a for arrays in draws.state(count).values() for a in arrays]
+    units = draws.probes(count)
+    pairs = draws.probes(count, pairs=True) if draws.dim >= 2 else np.empty((count, 0, 2, 1))
+    maps = draws.maps(n, count)
+    views = []
+    for row in range(count):
+        replay = Replay(*(a[row] for a in drawn))
+        state = first_values(draws.space, params, draws.dim, replay)
+        assert replay.done()
+        views.append(DrawView(
+            state, draws.dim, [sample_unit_vector(draws.dim, Replay(g)) for g in units[row]],
+            [sample_orthonormal_pair(draws.dim, Replay(*g)) for g in pairs[row]],
+            _row_map(n, *(field[row] for field in maps))))
+    return views

@@ -87,6 +87,15 @@ def test_config_validation():
     assert CampaignConfig(samples=np.int64(3), dims=(np.int32(2),), seed=np.uint8(7)).seed == 7
 
 
+def test_config_rejects_bool_and_non_real_tolerances():
+    # A bool is an int, and a string or None fails the comparison itself.
+    for tol in (True, False, np.bool_(True), "1e-8", None, 1e-8j):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            CampaignConfig(tol=tol)
+    assert CampaignConfig(tol=0).tol == 0
+    assert CampaignConfig(tol=np.float64(1e-6)).tol == 1e-6
+
+
 def test_grid_for_accepts_single_params():
     cell = BoundParams(m=1.0, M=2.0)
     config = CampaignConfig(grids={"scalar_amgm": cell})
@@ -263,15 +272,26 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
     assert hashlib.sha256(raw).hexdigest() == (
-        "16e29d8ca7384124986aae48aef3c9801a5eba6ad05cbceed659c80c6843383d")
+        "29f312d355cd648f199c9c1f2ccbad8d224867b5ae221569964709a569cdcb1d")
+
+
+# The theorems whose maps act on the r = dim // 2 compressions of A.
+HALF_MAPS = ("wielandt_bhatia_davis", "wielandt_gumus", "wielandt_refined")
 
 
 def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundParams,
                     cfg: CampaignConfig) -> tuple[CellStats, list]:
-    """One cell, one draw at a time through the per-instance reference, and its records."""
+    """One cell, one draw at a time through the per-instance reference, and its records.
+
+    The cell's random arrays are drawn whole, and each draw's slice is
+    built into its instance by the per-instance samplers.
+    """
     spec = THEOREMS[theorem_id]
     theorem_index = THEOREM_IDS.index(theorem_id)
-    space = spec.space(dim, params, False)
+    draws = campaign._Draws([cfg.seed, theorem_index, dim, cell_index],
+                            spec.space(dim, params, False), dim)
+    views = reference.draw_views(draws, params, cfg.samples,
+                                 dim // 2 if theorem_id in HALF_MAPS else dim)
     checks = violations = classical_violations = near_tight = 0
     max_ratio = -math.inf
     min_slack = math.inf
@@ -279,9 +299,7 @@ def _reference_cell(theorem_id: str, dim: int, cell_index: int, params: BoundPar
     extremal = None
     worst = None
     records = []
-    for draw in range(cfg.samples):
-        rng = np.random.default_rng([cfg.seed, theorem_index, dim, cell_index, draw])
-        view = reference.DrawView(first_values(space, params, dim, rng), dim, rng)
+    for draw, view in enumerate(views):
         for item, record in enumerate(reference.EVALUATE[theorem_id](view, cfg.tol)):
             records.append(record)
             checks += 1
@@ -409,13 +427,72 @@ def test_stacked_edge_boxes_equal_the_per_draw_loop(theorem_ids, params):
         assert sum(c.violations for c in cells if c.theorem_id == "choi") > 0
 
 
-def test_redrawn_probes_equal_the_per_draw_loop(monkeypatch):
-    # With floors no norm passes, every row takes the samplers' own path.
-    monkeypatch.setattr(campaign, "_UNIT_FLOOR", math.inf)
-    monkeypatch.setattr(campaign, "_PAIR_FLOOR", math.inf)
-    _assert_matches_reference(CampaignConfig(
-        theorem_ids=("kantorovich", "kantorovich_product", "wielandt_scalar"), dims=(2, 3),
-        samples=4, seed=9))
+def _report_bytes(args: list, path) -> bytes:
+    """verify's report for ``args``, timestamp aside."""
+    assert cli_main(["verify", *args, "--out", str(path)]) == 0
+    return re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', path.read_bytes())
+
+
+# A probe theorem, a pair theorem and a map theorem.
+@pytest.mark.parametrize("theorem_id", ["kantorovich", "wielandt_scalar", "lin_chain"])
+def test_results_do_not_depend_on_the_chunk_size(theorem_id, tmp_path, capsys, monkeypatch):
+    config = CampaignConfig(theorem_ids=(theorem_id,), dims=(2, 3, 4), samples=70, seed=6)
+    seen = []
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(campaign, "_CHUNK", chunk)
+        report = _report_bytes(["--theorems", theorem_id, "--dims", "2,3,4", "--samples", "70",
+                                "--seed", "6"], tmp_path / f"{chunk}.json")
+        seen.append((run_campaign(config).cells, report))
+    capsys.readouterr()
+    assert seen[0] == seen[1] == seen[2]
+
+
+def _recorded_probes(monkeypatch) -> dict:
+    """Patch _Draws to record each cell's raw probes and the generators it makes."""
+    recorded = {"units": [], "pairs": [], "generators": set()}
+    probes, rng = campaign._Draws.probes, campaign._Draws._rng
+
+    def recording(self, count, pairs=False):
+        drawn = probes(self, count, pairs)
+        recorded["pairs" if pairs else "units"].append(drawn)
+        return drawn
+
+    def recording_rng(self, key):
+        recorded["generators"].add(key)
+        return rng(self, key)
+
+    monkeypatch.setattr(campaign._Draws, "probes", recording)
+    monkeypatch.setattr(campaign._Draws, "_rng", recording_rng)
+    return recorded
+
+
+def test_rejected_probes_are_drawn_again(monkeypatch):
+    # The median norm of a 2-d Gaussian: the floors reject about half of the draws.
+    floor = math.sqrt(2.0 * math.log(2.0))
+    monkeypatch.setattr(campaign, "_UNIT_FLOOR", floor)
+    monkeypatch.setattr(campaign, "_PAIR_FLOOR", floor)
+    config = CampaignConfig(theorem_ids=("kantorovich", "kantorovich_product",
+                                         "wielandt_scalar"), dims=(2, 3), samples=20, seed=9)
+    runs = []
+    for chunk in (64, 64, 3):
+        monkeypatch.setattr(campaign, "_CHUNK", chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            recorded = _recorded_probes(patch)
+            runs.append(run_campaign(config).cells)
+        assert {"units", "unit redraws", "pairs", "pair redraws", ("x", 1)} <= (
+            recorded["generators"])
+        for g in recorded["units"]:
+            assert (np.linalg.norm(g, axis=-1) > floor).all()
+            assert np.abs(np.linalg.norm(campaign._unit(g, floor)[0], axis=-1) - 1.0).max() <= 1e-12
+        for g in recorded["pairs"]:
+            x, y, kept = campaign._pair(g)
+            assert kept.all() and (np.linalg.norm(g[..., 0, :], axis=-1) > floor).all()
+            assert np.abs(np.linalg.norm(x, axis=-1) - 1.0).max() <= 1e-12
+            assert np.abs(np.linalg.norm(y, axis=-1) - 1.0).max() <= 1e-12
+            assert np.abs((x * y).sum(axis=-1)).max() <= 1e-12
+    # Same seed, same cells; and the chunk size changes nothing.
+    assert runs[0] == runs[1] == runs[2]
+    _assert_matches_reference(config)
 
 
 def test_stacked_row_off_by_one_ulp_raises(monkeypatch):
@@ -446,8 +523,8 @@ def test_a_later_draw_outside_the_regime_raises_naming_its_row(theorem_id, monke
     name, index, value = PUSHED[theorem_id]
     drawn = campaign._first_values_rows
 
-    def pushed(space, dim, rngs):
-        spectra, *rest = drawn(space, dim, rngs)
+    def pushed(space, dim, raw):
+        spectra, *rest = drawn(space, dim, raw)
         spectra[name][5, index] = value
         return (spectra, *rest)
 
@@ -503,10 +580,10 @@ def test_a_chunk_without_compression_rows_equals_the_per_draw_loop(theorem_id, d
                                                                    monkeypatch):
     kind = campaign._map_kind
 
-    def no_compression(n, rng):
+    def no_compression(n, rng, count):
         # The draw is the catalog's, so the generators stay in step.
-        drawn = kind(n, rng)
-        return "identity" if drawn == "compression" else drawn
+        drawn = kind(n, rng, count)
+        return np.where(drawn == campaign._MAP_GROUPS.index(("compression", 0)), 0, drawn)
 
     monkeypatch.setattr(campaign, "_map_kind", no_compression)
     chunks = _record_passes(monkeypatch)

@@ -389,6 +389,14 @@ def test_search_argument_validation():
             maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, rng=seed)
 
 
+def test_search_rejects_bool_and_non_real_tolerances():
+    # A bool is an int, and a string or None fails the comparison itself.
+    for tol in (True, False, np.bool_(True), "1e-8", None, 1e-8j):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, tol=tol)
+    assert maximize_ratio("choi", {"m": 1.0, "M": 2.0}, budget=10, tol=np.float32(1e-8))
+
+
 def test_search_rejects_infeasible_box():
     with pytest.raises(InfeasibleRegime):
         maximize_ratio("kantorovich", {"m": 3.0, "m_prime": 2.0, "M": 4.0}, budget=10)
