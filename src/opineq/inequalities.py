@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .means_maps import MAP_KINDS, PositiveMapSpec, congruence_sum_map
+from .means_maps import PositiveMapSpec, _one_map, congruence_sum_map
 from .samplers import (
     BoundParams,
     RegimeId,
@@ -82,16 +82,16 @@ _DEGENERATE_ATOL = 1e-12
 
 
 def kantorovich_constant(h: float) -> float:
-    """K(h) = (h+1)^2 / (4h)."""
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
+    """K(h) = (h+1)^2 / (4h) for finite h > 0."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and > 0, got {h}")
     return (h + 1.0) ** 2 / (4.0 * h)
 
 
 def refinement_factor(c: float) -> float:
-    """1 + (ln c)^2 / 8, the divisor shrinking a classical constant."""
-    if c <= 0.0:
-        raise ValueError(f"refinement argument must be > 0, got {c}")
+    """1 + (ln c)^2 / 8 for finite c > 0, the divisor shrinking a classical constant."""
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"refinement argument c must be finite and > 0, got {c}")
     return 1.0 + math.log(c) ** 2 / 8.0
 
 
@@ -206,25 +206,13 @@ def _one(*mats: SpdMatrix):
     """Each matrix as a one-row StackedSpd; they must share a dimension."""
     if len({a.dim for a in mats}) > 1:
         raise ValueError(f"dimension mismatch: {mats[0].dim} vs {mats[1].dim}")
-    stacks = tuple(StackedSpd.of(a) for a in mats)
+    stacks = tuple(a._rows for a in mats)
     return stacks if len(stacks) > 1 else stacks[0]
 
 
 def _probe(x) -> np.ndarray:
     """A vector as the one probe of a one-row stack."""
     return np.asarray(x, dtype=float)[None, None, :]
-
-
-def _one_map(spec: PositiveMapSpec, n: int) -> StackedMap:
-    """A PositiveMapSpec on n x n matrices as the map of a one-row stack."""
-    if spec.kind not in MAP_KINDS:
-        raise ValueError(f"unknown map kind {spec.kind!r}")
-    if spec.in_dim != n:
-        raise ValueError(f"expected {spec.in_dim}x{spec.in_dim} input, got {(n, n)}")
-    data = {"compression": lambda: spec.isometry[None],
-            "congruence_sum": lambda: tuple(u[None] for u in spec.family),
-            "pinching": lambda: spec.blocks}.get(spec.kind, lambda: None)()
-    return StackedMap.single(spec.kind, data)
 
 
 def _mapped_pair(bound, require, map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
@@ -369,9 +357,10 @@ def _scalar_amgm(a, b, tol):
 
 
 def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRecord:
-    """(1 + (ln b - ln a)^2 / 8) sqrt(ab) <= (a + b) / 2 for a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"need positive scalars, got a = {a}, b = {b}")
+    """(1 + (ln b - ln a)^2 / 8) sqrt(ab) <= (a + b) / 2 for finite a, b > 0."""
+    for name, value in (("a", a), ("b", b)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     rows = _scalar_amgm(np.array([a], dtype=float), np.array([b], dtype=float), tol)
     return _records("scalar_amgm", rows)[0]
 
@@ -390,13 +379,13 @@ _register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_s
 
 
 def _lemma_amgm(a, b, m, tol, validate):
-    """m is a scalar or each row's own; validate checks mA <= B with 1 < m."""
+    """m is a scalar or each row's own; validate checks mA <= B with 1 < m, failing a NaN m."""
     if validate:
         rows_m = np.broadcast_to(m, a.eigenvalues.shape[:1])
-        require_rows(~(rows_m <= 1.0), lambda r: f"relative needs 1 < m: m = {rows_m[r]}")
+        require_rows(rows_m > 1.0, lambda r: f"relative needs 1 < m: m = {rows_m[r]}")
         inv_root = a.inv_sqrt().entries
         low = np.linalg.eigvalsh(symmetrize(inv_root @ b.entries @ inv_root))[:, 0]
-        require_rows(~(low < rows_m * (1.0 - _REGIME_TOL)), lambda r: (
+        require_rows(low >= rows_m * (1.0 - _REGIME_TOL), lambda r: (
             f"relative needs mA <= B: min relative eigenvalue {low[r]:.8g} < m = {rows_m[r]}"))
     kappa = per_value(refinement_factor, m) if isinstance(m, np.ndarray) else refinement_factor(m)
     mean_geo = geometric_mean(a, b)

@@ -1,5 +1,8 @@
 """Operator means and a catalog of positive unital linear maps.
 
+This is the one-row face of ``opineq.stacked``: the means and
+``apply_map`` call their stacked namesakes on one row, and ``_one_map``
+is the one place a PositiveMapSpec becomes a ``stacked.StackedMap``.
 The geometric mean is computed by congruence with A^{+-1/2}; the map
 catalog is restricted to five concretely representable kinds, all of
 them completely positive (hence 2-positive). Arbitrary user-supplied
@@ -12,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spd import SpdMatrix, _require_orthonormal, make_spd
+from . import stacked
+from .spd import SpdMatrix
 
 MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pinching")
-
-_MAP_TOL = 1e-10
 
 
 def _require_equal_dims(a: SpdMatrix, b: SpdMatrix):
@@ -27,16 +29,13 @@ def _require_equal_dims(a: SpdMatrix, b: SpdMatrix):
 def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}."""
     _require_equal_dims(a, b)
-    root = a.sqrt().entries
-    inv_root = a.inv_sqrt().entries
-    inner = make_spd(inv_root @ b.entries @ inv_root)
-    return make_spd(root @ inner.sqrt().entries @ root)
+    return SpdMatrix._of(stacked.geometric_mean(a._rows, b._rows))
 
 
 def arithmetic_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """(A + B) / 2."""
     _require_equal_dims(a, b)
-    return make_spd(0.5 * (a.entries + b.entries))
+    return SpdMatrix._of(stacked.arithmetic_mean(a._rows, b._rows))
 
 
 @dataclass(frozen=True)
@@ -68,33 +67,26 @@ def trace_normalize_map(n: int) -> PositiveMapSpec:
 
 def compression_map(isometry) -> PositiveMapSpec:
     """T -> V^T T V for a column-orthonormal n x r matrix V."""
-    v = np.asarray(isometry, dtype=float)
+    v = np.array(isometry, dtype=float, order="C")
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
         raise ValueError(f"compression isometry must be tall n x r, got {v.shape}")
-    _require_orthonormal(v, "compression", _MAP_TOL)
-    v = v.copy()
+    v = stacked.compression_isometries(v[None])[0]
     v.setflags(write=False)
     return PositiveMapSpec(kind="compression", in_dim=v.shape[0], out_dim=v.shape[1], isometry=v)
 
 
 def congruence_sum_map(family) -> PositiveMapSpec:
     """T -> sum_j U_j^T T U_j with sum_j U_j^T U_j = I."""
-    mats = tuple(np.asarray(u, dtype=float) for u in family)
+    mats = tuple(np.array(u, dtype=float, order="C") for u in family)
     if not mats:
         raise ValueError("congruence family must be non-empty")
     n = mats[0].shape[0]
     if any(u.shape != (n, n) for u in mats):
         raise ValueError("congruence family members must share a square shape")
-    total = sum(u.T @ u for u in mats)
-    defect = np.abs(total - np.eye(n)).max()
-    if defect > _MAP_TOL:
-        raise ValueError(f"congruence family not normalized: sum U^T U defect {defect:.3e}")
-    frozen = []
+    stacked.congruence_family(tuple(u[None] for u in mats))
     for u in mats:
-        u = u.copy()
         u.setflags(write=False)
-        frozen.append(u)
-    return PositiveMapSpec(kind="congruence_sum", in_dim=n, out_dim=n, family=tuple(frozen))
+    return PositiveMapSpec(kind="congruence_sum", in_dim=n, out_dim=n, family=mats)
 
 
 def pinching_map(blocks) -> PositiveMapSpec:
@@ -107,24 +99,21 @@ def pinching_map(blocks) -> PositiveMapSpec:
     return PositiveMapSpec(kind="pinching", in_dim=n, out_dim=n, blocks=blocks)
 
 
+def _one_map(spec: PositiveMapSpec, n: int) -> stacked.StackedMap:
+    """A PositiveMapSpec on n x n matrices as the map of a one-row stack."""
+    if spec.kind not in MAP_KINDS:
+        raise ValueError(f"unknown map kind {spec.kind!r}")
+    if spec.in_dim != n:
+        raise ValueError(f"expected {spec.in_dim}x{spec.in_dim} input, got {(n, n)}")
+    data = {"compression": lambda: spec.isometry[None],
+            "congruence_sum": lambda: tuple(u[None] for u in spec.family),
+            "pinching": lambda: spec.blocks}.get(spec.kind, lambda: None)()
+    return stacked.StackedMap.single(spec.kind, data)
+
+
 def apply_map(spec: PositiveMapSpec, t) -> np.ndarray:
     """Evaluate the map on a square matrix (symmetry not required)."""
     t = t.entries if isinstance(t, SpdMatrix) else np.asarray(t, dtype=float)
     if t.shape != (spec.in_dim, spec.in_dim):
         raise ValueError(f"expected {spec.in_dim}x{spec.in_dim} input, got {t.shape}")
-    if spec.kind == "identity":
-        return t.copy()
-    if spec.kind == "compression":
-        return spec.isometry.T @ t @ spec.isometry
-    if spec.kind == "congruence_sum":
-        return sum(u.T @ t @ u for u in spec.family)
-    if spec.kind == "trace_normalize":
-        return np.eye(spec.in_dim) * (np.trace(t) / spec.in_dim)
-    if spec.kind == "pinching":
-        out = np.zeros_like(t)
-        for block in spec.blocks:
-            ix = np.ix_(block, block)
-            out[ix] = t[ix]
-        return out
-    raise ValueError(f"unknown map kind {spec.kind!r}")
-
+    return stacked.apply_map(_one_map(spec, spec.in_dim), t[None])[0]

@@ -17,8 +17,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import stacked
 from .errors import InfeasibleRegime
-from .spd import SpdMatrix, SpectralInterval, _require_orthonormal
+from .spd import SpdMatrix, SpectralInterval, _is_real
 
 # A Gaussian draw is redrawn when its norm is at or below the floor:
 # unit vectors at _UNIT_FLOOR, the second vector of a pair (after
@@ -58,8 +59,7 @@ class BoundParams:
             object.__setattr__(self, "M_prime", self.M)
         for name in ("m", "m_prime", "M_prime", "M"):
             value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and value > 0.0 and math.isfinite(value)):
+            if not (_is_real(value) and value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
 
@@ -156,11 +156,8 @@ def regime_window(regime: RegimeId, params: BoundParams) -> SpectralInterval:
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with R-diagonal sign fix."""
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed orthogonal matrix via QR with R-diagonal sign fix; stacked.haar, one row."""
+    return stacked.haar(rng.standard_normal((dim, dim))[None])[0]
 
 
 def _window_spectrum(interval: SpectralInterval, size: int,
@@ -218,7 +215,7 @@ class IsometryPair:
         if x.shape != y.shape or x.ndim != 2:
             raise ValueError("isometries must share an n x r shape")
         for name, mat in (("x", x), ("y", y)):
-            _require_orthonormal(mat, name, 1e-12)
+            stacked.require_orthonormal(mat[None], name, 1e-12)
         cross = np.abs(x.T @ y).max()
         if cross > 1e-12:
             raise ValueError(f"ranges not orthogonal (|x^T y| max {cross:.3e})")

@@ -1,11 +1,14 @@
-"""Dense symmetric positive-definite matrix algebra.
+"""Dense symmetric positive-definite matrices, one at a time.
 
-Eigendecomposition is the single primitive here: every SpdMatrix holds
-its spectrum and eigenframe from the moment it is made, and one test
-(every eigenvalue finite and > 0) decides positivity for raw matrices,
-given spectra and derived matrices alike. No iterative schemes. All
-order comparisons are tolerance-aware relative to the operator norm of
-the right-hand side.
+This is the one-row face of ``opineq.stacked``, where the algebra is
+written: an SpdMatrix holds a one-row StackedSpd, and the order checks
+and norms here call their stacked namesakes on one row and return row
+0, so an instance gets the bits it would get as a row of any stack.
+Every SpdMatrix holds its spectrum and eigenframe from the moment it is
+made, and one test (every eigenvalue finite and > 0) decides positivity
+for raw matrices, given spectra and derived matrices alike. All order
+comparisons are tolerance-aware relative to the operator norm of the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -14,18 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from . import stacked
 
 DEFAULT_TOL = 1e-8
-# Largest Gram defect |V^T V - I| accepted for an eigenframe.
-_FRAME_TOL = 1e-10
-
-_SCALAR_FUNCS = {
-    "sqrt": np.sqrt,
-    "inv": lambda v: 1.0 / v,
-    "inv_sqrt": lambda v: 1.0 / np.sqrt(v),
-    "square": np.square,
-}
 
 
 def _is_real(value) -> bool:
@@ -38,25 +32,16 @@ def _require_tol(tol) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def symmetrize(raw) -> np.ndarray:
-    """Return (X + X^T)/2, the symmetric part of a square matrix."""
+def _square(raw) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
-    return 0.5 * (raw + raw.T)
+    return raw
 
 
-def _require_positive(vals: np.ndarray) -> None:
-    # min and max propagate NaN, which fails both comparisons.
-    if not (0.0 < vals.min() and vals.max() < np.inf):
-        raise NotPositiveDefinite(f"eigenvalues must be finite and > 0, got min {vals.min()}")
-
-
-def _require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
-    """Raise ValueError unless the columns of ``vecs`` are orthonormal to ``tol``."""
-    defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
-    if defect > tol:
-        raise ValueError(f"{label} columns not orthonormal (defect {defect:.3e})")
+def symmetrize(raw) -> np.ndarray:
+    """Return (X + X^T)/2, the symmetric part of a square matrix."""
+    return stacked.symmetrize(_square(raw))
 
 
 @dataclass(frozen=True)
@@ -88,38 +73,39 @@ class CheckVerdict:
 class SpdMatrix:
     """Symmetric positive-definite matrix with its eigendecomposition.
 
-    Instances are immutable. A raw matrix is symmetrized and decomposed
-    by ``eigh`` once, at construction; :meth:`from_eigh` takes known
-    spectral factors instead. Either way the matrix is accepted only if
-    every eigenvalue is finite and > 0, and the ascending spectrum and
-    its frame are set before construction returns.
+    Instances are immutable, with read-only arrays. A raw matrix is
+    symmetrized and decomposed by ``eigh`` once, at construction;
+    :meth:`from_eigh` takes known spectral factors instead. Either way
+    the matrix is accepted only if every eigenvalue is finite and > 0,
+    and the ascending spectrum and its frame are set before construction
+    returns.
 
     The derived matrices ``sqrt``, ``inv``, ``inv_sqrt``, ``square`` and
     ``scaled`` reuse the frame, and the first four are memoised on the
     instance. Each frame's orthonormality (a Gram check) is verified
     once: by ``from_eigh`` for the frame it is given, and on first use
     for a frame computed by ``eigh``. Every derived matrix has its
-    eigenvalues checked for positivity and sorted.
+    eigenvalues checked for positivity and sorted. All of it is the one
+    row of a ``stacked.StackedSpd``.
     """
 
-    __slots__ = ("_entries", "_eigenvalues", "_eigenvectors", "_frame_checked", "_derived")
+    __slots__ = ("_rows", "_derived")
 
-    def __init__(self, entries, _eig=None):
-        # _eig, when given, is a positive ascending spectrum on a checked frame.
-        entries = symmetrize(entries)
-        self._frame_checked = _eig is not None
-        if _eig is None:
-            try:
-                _eig = np.linalg.eigh(entries)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
-            _require_positive(_eig[0])
-            for part in _eig:
-                part.setflags(write=False)
-        self._eigenvalues, self._eigenvectors = _eig
+    def __init__(self, entries):
+        self._hold(stacked.StackedSpd(_square(entries)[None]))
+
+    def _hold(self, rows: stacked.StackedSpd) -> None:
+        for part in (rows.entries, rows.eigenvalues, rows.eigenvectors):
+            part.setflags(write=False)
+        self._rows = rows
         self._derived = {}
-        entries.setflags(write=False)
-        self._entries = entries
+
+    @classmethod
+    def _of(cls, rows: stacked.StackedSpd) -> "SpdMatrix":
+        """The matrix that is the one row of ``rows``."""
+        one = cls.__new__(cls)
+        one._hold(rows)
+        return one
 
     @classmethod
     def from_eigh(cls, eigenvalues, eigenvectors) -> "SpdMatrix":
@@ -129,56 +115,35 @@ class SpdMatrix:
         orthonormal columns. Eigenvalues are sorted ascending and the
         columns permuted to match.
         """
-        vals = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        vecs = np.asarray(eigenvectors, dtype=float)
+        # Copies, as the matrix may keep them and makes them read-only.
+        vals = np.array(eigenvalues, dtype=float).reshape(-1)
+        vecs = np.array(eigenvectors, dtype=float)
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        _require_positive(vals)
-        _require_orthonormal(vecs, "eigenvector", _FRAME_TOL)
-        return cls._sorted(vals, vecs)
-
-    @classmethod
-    def _sorted(cls, vals, vecs) -> "SpdMatrix":
-        """Build from a positive spectrum on a checked frame, sorting both."""
-        order = vals.argsort(kind="stable")
-        vals = vals[order]
-        # Column indexing yields Fortran order; keep frames C-contiguous.
-        vecs = vecs[:, order].copy()
-        entries = (vecs * vals) @ vecs.T
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return cls(entries, _eig=(vals, vecs))
-
-    def _on_frame(self, vals) -> "SpdMatrix":
-        """The matrix with eigenvalues ``vals`` on this one's eigenframe."""
-        _require_positive(vals)
-        if not self._frame_checked:
-            _require_orthonormal(self._eigenvectors, "eigenvector", _FRAME_TOL)
-            self._frame_checked = True
-        return SpdMatrix._sorted(vals, self._eigenvectors)
+        return cls._of(stacked.StackedSpd.from_eigh(vals[None], vecs[None]))
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._rows.entries.shape[-1]
 
     @property
     def entries(self) -> np.ndarray:
-        return self._entries
+        return self._rows.entries[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        return self._eigenvalues
+        return self._rows.eigenvalues[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvectors, column i pairing with eigenvalue i."""
-        return self._eigenvectors
+        return self._rows.eigenvectors[0]
 
     def _apply(self, name: str) -> "SpdMatrix":
         derived = self._derived.get(name)
         if derived is None:
-            derived = self._derived[name] = self._on_frame(_SCALAR_FUNCS[name](self.eigenvalues))
+            derived = self._derived[name] = SpdMatrix._of(self._rows._apply(name))
         return derived
 
     def sqrt(self) -> "SpdMatrix":
@@ -195,11 +160,11 @@ class SpdMatrix:
 
     def scaled(self, factor: float) -> "SpdMatrix":
         """Return factor * A for factor > 0, reusing the frame."""
-        return self._on_frame(factor * self._eigenvalues)
+        return SpdMatrix._of(self._rows.scaled(factor))
 
     def quad_form(self, x: np.ndarray) -> float:
         """<Ax, x> for a vector x."""
-        return float(x @ self._entries @ x)
+        return float(x @ self.entries @ x)
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
@@ -214,24 +179,29 @@ def make_spd(raw) -> SpdMatrix:
     return SpdMatrix(raw)
 
 
-def _as_entries(x) -> np.ndarray:
+def _entries(x) -> np.ndarray:
     if isinstance(x, SpdMatrix):
         return x.entries
     return np.asarray(x, dtype=float)
 
 
+def _row(x):
+    """x as a one-row stack: an SpdMatrix's StackedSpd, or a square matrix with a row axis."""
+    return x._rows if isinstance(x, SpdMatrix) else _square(x)[None]
+
+
+def _verdict(rows: stacked.Verdicts) -> CheckVerdict:
+    return CheckVerdict(bool(rows.holds[0]), float(rows.gap[0]), float(rows.slack[0]))
+
+
 def operator_norm(x) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    if isinstance(x, SpdMatrix):
-        vals = x.eigenvalues
-        return float(max(abs(vals[0]), abs(vals[-1])))
-    vals = np.linalg.eigvalsh(symmetrize(x))
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    return float(stacked.operator_norm(_row(x))[0])
 
 
 def spectral_norm(x) -> float:
-    """Largest singular value; valid for non-symmetric products too."""
-    return float(np.linalg.norm(_as_entries(x), 2))
+    """Largest singular value; valid for non-symmetric products too, and a vector's 2-norm."""
+    return float(stacked.spectral_norm(np.atleast_2d(_entries(x))[None])[0])
 
 
 def spectral_bounds(a: SpdMatrix) -> SpectralInterval:
@@ -247,15 +217,11 @@ def loewner_leq(lhs, rhs, tol: float = DEFAULT_TOL, atol: float = 0.0) -> CheckV
     absolute floor ``atol`` is only for degenerate edges where RHS can
     vanish identically.
     """
-    le = _as_entries(lhs)
-    re = _as_entries(rhs)
+    le = _entries(lhs)
+    re = _entries(rhs)
     if le.shape != re.shape:
         raise ValueError(f"dimension mismatch: {le.shape} vs {re.shape}")
-    gap = float(np.linalg.eigvalsh(symmetrize(re - le))[0])
-    norm = operator_norm(rhs)
-    holds = gap >= -max(tol * norm, atol)
-    rel = gap / norm if norm > 0.0 else gap
-    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel)
+    return _verdict(stacked.loewner_leq(_row(lhs), _row(rhs), tol, atol))
 
 
 def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
@@ -265,12 +231,10 @@ def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
     ``scale`` defaults to |rhs|; checkers pass a sturdier scale when the
     right side can degenerate to zero.
     """
-    gap = float(rhs) - float(lhs)
-    if scale is None:
-        scale = abs(float(rhs))
-    holds = gap >= -max(tol * scale, atol)
-    rel = gap / scale if scale > 0.0 else gap
-    return CheckVerdict(holds=holds, min_gap_eig=gap, rel_slack=rel)
+    if scale is not None:
+        scale = np.array([scale], dtype=float)
+    return _verdict(stacked.scalar_leq(np.array([lhs], dtype=float),
+                                       np.array([rhs], dtype=float), tol, scale, atol))
 
 
 def loewner_ratio(lhs, rhs: SpdMatrix) -> float:
@@ -279,6 +243,4 @@ def loewner_ratio(lhs, rhs: SpdMatrix) -> float:
     Equals 1 exactly when LHS = RHS and stays <= 1 + tol whenever
     LHS <= RHS holds to tolerance.
     """
-    w = rhs.inv_sqrt().entries
-    conj = symmetrize(w @ _as_entries(lhs) @ w)
-    return float(np.linalg.eigvalsh(conj)[-1])
+    return float(stacked.loewner_ratio(_row(lhs), rhs._rows)[0])

@@ -1,20 +1,23 @@
-"""The algebra of the theorem evaluators, on many instances at once.
+"""The package's matrix algebra, on many instances at once.
 
 Every array here carries a leading axis of rows, one row per instance:
 a campaign stacks the draws of a chunk, a search the candidates of a
-block, and a public ``check_*`` call its one instance. Each function
-does to every row what its namesake in ``spd`` or ``means_maps`` does
-to one matrix, on operands of the same shape, so a row's bits do not
-depend on the rows stacked with it. A vector is a (..., 1, n) or
-(..., n, 1) matrix, as a stacked (k, n) @ (n, n) product sums in
-another order; a Python float operation (``x ** 2``, ``math.log``) is
-made value by value, as numpy's rounds differently in the last bit.
+block, and a public ``check_*`` call its one instance. The per-instance
+API of ``spd``, ``means_maps`` and ``samplers`` is this module's one-row
+face: ``SpdMatrix`` holds a one-row StackedSpd, and each of their
+functions calls its namesake here on one row. Each function works on
+every row alone, so a row's bits do not depend on the rows stacked with
+it. A vector is a (..., 1, n) or (..., n, 1) matrix, as a stacked
+(k, n) @ (n, n) product sums in another order; a Python float operation
+(``x ** 2``, ``math.log``) is made value by value, as numpy's rounds
+differently in the last bit.
 
 A view's ``params`` is one BoundParams shared by every row, or a tuple
 of each row's own; ``per_row`` reads a constant either way, and the
 record builders take it as a scalar or an array of each row's own. A
 map is a StackedMap, whose parts each apply one kind to their own rows.
 Every check is made on every row and names the first row that fails it.
+This module imports no other package module but ``errors``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleRegime, NotPositiveDefinite
-from .means_maps import _MAP_TOL
-from .spd import _FRAME_TOL, _SCALAR_FUNCS, SpdMatrix
+
+# Largest Gram defect |V^T V - I| accepted for an eigenframe, and the
+# largest defect accepted for a map's isometry or family normalisation.
+_FRAME_TOL = 1e-10
+_MAP_TOL = 1e-10
+
+_SCALAR_FUNCS = {
+    "sqrt": np.sqrt,
+    "inv": lambda v: 1.0 / v,
+    "inv_sqrt": lambda v: 1.0 / np.sqrt(v),
+    "square": np.square,
+}
 
 
 def per_value(fn, values: np.ndarray) -> np.ndarray:
@@ -124,19 +137,20 @@ def require_rows(ok: np.ndarray, message) -> None:
 
 
 def haar(z: np.ndarray) -> np.ndarray:
-    """samplers.haar_orthogonal on every row of stacked Gaussian draws: one QR."""
+    """Each row's Haar orthogonal matrix from its (n, n) Gaussian draws: QR, signs fixed by R."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
 class StackedSpd:
-    """Rows of SpdMatrix: entries (S, n, n), ascending spectra (S, n), frames (S, n, n).
+    """Rows of SPD matrices: entries (S, n, n), ascending spectra (S, n), frames (S, n, n).
 
-    Built as SpdMatrix builds each row: a raw stack is symmetrized and
-    decomposed by one stacked ``eigh``, and ``from_eigh`` takes spectral
-    factors, sorts them and checks the frames. Derived matrices reuse
-    the frames, are memoised, and check an ``eigh`` frame on first use.
+    A raw stack is symmetrized and decomposed by one stacked ``eigh``;
+    ``from_eigh`` takes spectral factors, sorts them and checks the
+    frames. Either way every eigenvalue must be finite and > 0. Derived
+    matrices reuse the frames, are memoised, and check an ``eigh`` frame
+    on first use.
     """
 
     __slots__ = ("entries", "eigenvalues", "eigenvectors", "_frame_checked", "_derived")
@@ -159,13 +173,6 @@ class StackedSpd:
         _require_positive(vals)
         require_orthonormal(vecs, "eigenvector", _FRAME_TOL)
         return cls._sorted(vals, vecs)
-
-    @classmethod
-    def of(cls, a: SpdMatrix) -> "StackedSpd":
-        """One row: ``a`` with its entries, spectrum and frame as they are."""
-        one = cls(a.entries[None], (a.eigenvalues[None], a.eigenvectors[None]))
-        one._frame_checked = a._frame_checked
-        return one
 
     @classmethod
     def _sorted(cls, vals, vecs) -> "StackedSpd":
@@ -221,7 +228,7 @@ def bilinear(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def quad_form(a, x: np.ndarray) -> np.ndarray:
-    """<Ax, x> for every probe, as SpdMatrix.quad_form computes it."""
+    """<Ax, x> for every probe: (S, k) from probes (S, k, n)."""
     return bilinear(a, x, x)
 
 
@@ -282,13 +289,13 @@ class StackedMap(tuple):
 
 
 def compression_isometries(v: np.ndarray) -> np.ndarray:
-    """means_maps.compression_map's check on every row, and its copy."""
+    """The (S, n, r) isometries, C-contiguous, after checking every row's columns orthonormal."""
     require_orthonormal(v, "compression", _MAP_TOL)
     return np.ascontiguousarray(v)
 
 
 def congruence_family(family: tuple) -> tuple:
-    """means_maps.congruence_sum_map's check on every row: sum_j U_j^T U_j = I."""
+    """The family, after checking sum_j U_j^T U_j = I on every row."""
     total = sum(transpose(u) @ u for u in family)
     defect = np.abs(total - np.eye(family[0].shape[-1])).max(axis=(-2, -1))
     if (defect > _MAP_TOL).any():
@@ -326,7 +333,7 @@ def apply_map(phi: StackedMap, t) -> np.ndarray:
 
 
 class Verdicts(NamedTuple):
-    """Rows of spd.CheckVerdict: whether each check holds, its min_gap_eig and rel_slack."""
+    """Rows of ordering checks: whether each holds, its gap and its slack, as spd.CheckVerdict."""
 
     holds: np.ndarray
     gap: np.ndarray
@@ -345,14 +352,14 @@ def _verdicts(gap, bound, norm) -> Verdicts:
 
 
 def loewner_leq(lhs, rhs, tol: float, atol=0.0) -> Verdicts:
-    """Rows of spd.loewner_leq: lambda_min(RHS - LHS) >= -max(tol ||RHS||, atol)."""
+    """LHS <= RHS on every row: lambda_min(RHS - LHS) >= -max(tol ||RHS||, atol)."""
     gap = np.linalg.eigvalsh(symmetrize(_entries(rhs) - _entries(lhs)))[..., 0]
     norm = operator_norm(rhs)
     return _verdicts(gap, _pymax(tol * norm, atol), norm)
 
 
 def scalar_leq(lhs, rhs, tol: float, scale=None, atol=0.0) -> Verdicts:
-    """Rows of spd.scalar_leq: rhs - lhs >= -max(tol * scale, atol), scale |rhs| by default."""
+    """lhs <= rhs on every row: rhs - lhs >= -max(tol * scale, atol), scale |rhs| by default."""
     if scale is None:
         scale = np.abs(rhs)
     return _verdicts(rhs - lhs, _pymax(tol * scale, atol), scale)

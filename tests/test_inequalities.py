@@ -135,6 +135,18 @@ def test_scalar_amgm_rejects_nonpositive():
         scalar_refined_amgm(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_helpers_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="h must be finite and > 0"):
+        kantorovich_constant(bad)
+    with pytest.raises(ValueError, match="c must be finite and > 0"):
+        refinement_factor(bad)
+    with pytest.raises(ValueError, match="a must be finite and > 0"):
+        scalar_refined_amgm(bad, 1.0)
+    with pytest.raises(ValueError, match="b must be finite and > 0"):
+        scalar_refined_amgm(1.0, bad)
+
+
 def test_lemma_refined_amgm_holds_on_relative_draws(rng):
     for _ in range(20):
         rows = _evaluate("lemma_amgm", BoundParams(m=2.0, M=5.0), 3, rng)
@@ -149,8 +161,11 @@ def test_lemma_refined_amgm_regime_checks(rng):
     root = a.sqrt().entries
     # The spec's B = A^{1/2} C A^{1/2}, with C on [2, 3].
     b = make_spd(root @ view.spd("c").entries @ root)
-    with pytest.raises(InfeasibleRegime, match="1 < m"):
-        check_lemma_refined_amgm(a, b, 1.0)
+    for m in (1.0, math.nan):
+        with pytest.raises(InfeasibleRegime, match="1 < m"):
+            check_lemma_refined_amgm(a, b, m)
+    with pytest.raises(ValueError, match="c must be finite"):
+        check_lemma_refined_amgm(a, b, math.nan, validate=False)
     # B barely fails mA <= B once m is pushed past the actual floor
     with pytest.raises(InfeasibleRegime, match="mA <= B"):
         check_lemma_refined_amgm(a, b, 3.5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import (
     MAP_KINDS,
@@ -11,11 +13,16 @@ from opineq import (
     compression_map,
     congruence_sum_map,
     geometric_mean,
+    haar_orthogonal,
     identity_map,
+    loewner_leq,
     loewner_ratio,
     make_spd,
+    operator_norm,
     pinching_map,
     sample_congruence_family,
+    scalar_leq,
+    spectral_norm,
     trace_normalize_map,
 )
 from opineq import stacked
@@ -211,3 +218,79 @@ def test_stacked_map_parts_equal_each_kind_on_its_own_rows(rng):
             want = stacked.apply_map(stacked.StackedMap.single(part.kind, part.data),
                                      t[part.rows])
             assert got[part.rows].tobytes() == want.tobytes(), part.kind
+
+
+def _same_matrix(one: SpdMatrix, rows: stacked.StackedSpd, r: int) -> bool:
+    return all(np.array_equal(getattr(one, field), getattr(rows, field)[r])
+               for field in ("entries", "eigenvalues", "eigenvectors"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(1, 9),
+       dim=st.integers(1, 8))
+def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, dim):
+    """Every row of a stacked call equals the per-instance call on that row, bit for bit."""
+    rng = np.random.default_rng(seed)
+    # Row r's Gaussians come from generator (seed, r), as haar_orthogonal draws them.
+    z = np.stack([np.random.default_rng([seed, r]).standard_normal((dim, dim))
+                  for r in range(count)])
+    frames = stacked.haar(z)
+    vals = rng.uniform(0.3, 5.0, size=(count, dim))
+    g = rng.standard_normal((count, dim, dim))
+    raw = g @ stacked.transpose(g) + 0.5 * np.eye(dim)
+    t = rng.standard_normal((count, dim, dim))
+    lhs, rhs = rng.uniform(0.5, 2.0, size=(2, count))
+    a_rows = stacked.StackedSpd.from_eigh(vals, frames)
+    b_rows = stacked.StackedSpd(raw)
+    weights = rng.uniform(0.2, 1.0, size=(2, count, dim))
+    weights /= np.sqrt((weights ** 2).sum(axis=0))
+    family = stacked.congruence_family(tuple(w[..., None] * frames for w in weights))
+    blocks = (tuple(range(dim // 2)), tuple(range(dim // 2, dim))) if dim > 1 else ((0,),)
+    maps = {"identity": (None, lambda r: identity_map(dim)),
+            "trace_normalize": (None, lambda r: trace_normalize_map(dim)),
+            "congruence_sum": (family, lambda r: congruence_sum_map([u[r] for u in family])),
+            "pinching": (blocks, lambda r: pinching_map(blocks))}
+    if dim > 1:
+        isometries = stacked.compression_isometries(frames[..., : dim - 1])
+        maps["compression"] = (isometries, lambda r: compression_map(frames[r, :, : dim - 1]))
+    stacked_calls = {
+        "loewner_leq": stacked.loewner_leq(a_rows, b_rows, 1e-8),
+        "scalar_leq": stacked.scalar_leq(lhs, rhs, 1e-8),
+        "loewner_ratio": stacked.loewner_ratio(a_rows.entries, b_rows),
+        "operator_norm": stacked.operator_norm(t),
+        "spectral_norm": stacked.spectral_norm(a_rows.entries @ b_rows.entries),
+        **{kind: stacked.apply_map(stacked.StackedMap.single(kind, data), t)
+           for kind, (data, _) in maps.items()},
+    }
+    geo = stacked.geometric_mean(a_rows, b_rows)
+    mean = stacked.arithmetic_mean(a_rows, b_rows)
+    for r in range(count):
+        a = SpdMatrix.from_eigh(vals[r], frames[r])
+        b = make_spd(raw[r])
+        assert np.array_equal(haar_orthogonal(dim, np.random.default_rng([seed, r])), frames[r])
+        assert _same_matrix(a, a_rows, r) and _same_matrix(b, b_rows, r)
+        for name in ("sqrt", "inv", "inv_sqrt", "square"):
+            assert _same_matrix(getattr(a, name)(), getattr(a_rows, name)(), r), name
+            assert _same_matrix(getattr(b, name)(), getattr(b_rows, name)(), r), name
+        assert _same_matrix(b.scaled(2.5), b_rows.scaled(2.5), r)
+        assert _same_matrix(geometric_mean(a, b), geo, r)
+        assert _same_matrix(arithmetic_mean(a, b), mean, r)
+        one_calls = {
+            "loewner_leq": loewner_leq(a, b, 1e-8),
+            "scalar_leq": scalar_leq(lhs[r], rhs[r], 1e-8),
+            "loewner_ratio": loewner_ratio(a.entries, b),
+            "operator_norm": operator_norm(t[r]),
+            "spectral_norm": spectral_norm(a.entries @ b.entries),
+            **{kind: apply_map(spec(r), t[r]) for kind, (_, spec) in maps.items()},
+        }
+        for name, got in one_calls.items():
+            want = stacked_calls[name]
+            if isinstance(want, stacked.Verdicts):
+                got, want = (got.holds, got.min_gap_eig, got.rel_slack), [f[r] for f in want]
+            else:
+                want = want[r]
+            assert np.array_equal(got, want), name
+        if dim > 1:
+            assert np.array_equal(maps["compression"][1](r).isometry, isometries[r])
+        assert all(map(np.array_equal, congruence_sum_map([u[r] for u in family]).family,
+                       (u[r] for u in family)))

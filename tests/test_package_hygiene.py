@@ -85,3 +85,9 @@ def test_no_module_imports_a_module_that_imports_it_back():
         if module in reached:
             cycles.append(module)
     assert not cycles, cycles
+
+
+def test_stacked_imports_no_package_module_but_errors():
+    # stacked is the base of the matrix algebra: spd, means_maps and samplers build on it.
+    tree = ast.parse((PACKAGE / "stacked.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) <= {"errors"}

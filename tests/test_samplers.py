@@ -31,10 +31,17 @@ def test_bound_params_defaults_and_derived():
     assert p.as_dict() == {"m": 0.5, "m_prime": 0.5, "M_prime": 4.0, "M": 4.0}
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True, np.bool_(True)])
 def test_bound_params_rejects_nonpositive(bad):
     with pytest.raises(ValueError, match="must be a positive finite number"):
         BoundParams(m=bad, M=4.0)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.int32(2), np.float32(1.5)])
+def test_bound_params_accepts_numpy_numbers(value):
+    p = BoundParams(m=value, M=4, m_prime=value)
+    assert (p.m, p.m_prime, p.M) == (float(value), float(value), 4.0)
+    assert all(type(v) is float for v in p.as_dict().values())
 
 
 def test_feasibility_matches_scalar_brute_force():
