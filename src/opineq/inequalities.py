@@ -758,9 +758,15 @@ def _wielandt_scalar(a, x, y, m, M, c, tol, validate):
 
 def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, M: float,
                           tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
-    """<x,Ay>^2 <= ((M-m)/(M+m))^2 <x,Ax><y,Ay> for orthonormal x, y."""
-    rows = _wielandt_scalar(_one(a), _probe(x), _probe(y), m, M, _conjecture_scale(m, M), tol,
-                            validate)
+    """<x,Ay>^2 <= ((M-m)/(M+m))^2 <x,Ax><y,Ay> for orthonormal x, y.
+
+    m and M are BoundParams values, with m <= M (InfeasibleRegime
+    otherwise), whether or not the spectrum is validated.
+    """
+    params = BoundParams(m=m, M=M)
+    require_feasible(RegimeId.PLAIN, params)
+    rows = _wielandt_scalar(_one(a), _probe(x), _probe(y), params.m, params.M,
+                            _conjecture_scale(params.m, params.M), tol, validate)
     return _records("wielandt_scalar", rows, classical=False)[0]
 
 

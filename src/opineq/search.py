@@ -15,12 +15,18 @@ each from its own seed drawn from the caller's generator.
 A restart draws all its proposals' moves up front, since no draw
 depends on the state's values, and then climbs in speculative blocks:
 it applies the next few moves to the best state, scores those
-candidates in one call of the spec's evaluator (rows with a
-moved parameter carry their own params), keeps the first that beats
-the best and resumes after it. So it keeps exactly what a climb that
-scores one proposal at a time keeps, ratio, instance and evaluation
-count, bit for bit. A block whose evaluation raises is scored state by
-state, each state as a block of one.
+candidates in one call of the spec's evaluator, keeps the first that
+beats the best and resumes after it. The candidates are built as the
+rows of stacked arrays, one vectorised step per kind of move and
+variable: spectrum and scalar entries are scaled and clamped by fancy
+indexing, a block's frame moves share one stacked Givens product and
+QR, and its vector moves one shift and rescale. Only parameter moves
+are applied row by row, and their rows carry their own params; one
+that leaves the regime makes no row. Only the accepted row becomes a
+state again. So a restart keeps exactly what a climb that scores one
+proposal at a time keeps, ratio, instance and evaluation count, bit for
+bit. A block whose evaluation raises is scored row by row, each row as
+a block of one.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -55,8 +61,10 @@ _PARAM_KEYS = ("m", "m_prime", "M_prime", "M")
 class SearchResult:
     """Best instance found; iterates as (instance, ratio).
 
-    ``accepted`` holds each restart's number of accepted moves, in
-    restart order; a seed fixes it.
+    ``accepted`` holds each restart's number of accepted moves and
+    ``scored`` the number of rows its stacked blocks evaluated, its first
+    state and the speculative rows past each accepted one included, both
+    in restart order; a seed fixes them.
     """
 
     theorem_id: str
@@ -67,6 +75,7 @@ class SearchResult:
     restarts: int
     classical: bool
     accepted: tuple[int, ...]
+    scored: tuple[int, ...]
 
     def __iter__(self):
         yield self.instance
@@ -119,16 +128,6 @@ def _draw_params(box, regime, rng) -> BoundParams:
     return params
 
 
-def _givens(size: int, i: int, j: int, theta: float) -> np.ndarray:
-    g = np.eye(size)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
-
-
 def _draw_moves(state: dict, box: dict, count: int, rng) -> list[tuple]:
     """The random draws of a restart's next ``count`` proposals, in generator order.
 
@@ -173,68 +172,59 @@ def _draw_moves(state: dict, box: dict, count: int, rng) -> list[tuple]:
     return moves
 
 
-def _apply_move(spec, state, move, dim, box, regime, classical):
-    """The neighbour of state that move makes, or None when its parameter move is infeasible.
-
-    Copy-on-write: the neighbour shares every array it does not change.
-    """
-    kind, name, *draws = move
-    new = dict(state)
-    if kind == "spectrum":
-        index, factor = draws
-        vals = state["spectra"][name].copy()
-        window = state["windows"][name]
-        vals[index] = min(max(vals[index] * factor, window.lo), window.hi)
-        new["spectra"] = {**state["spectra"], name: vals}
-    elif kind == "frame":
-        i, j, theta = draws
-        f = state["frames"][name]
-        q, r = np.linalg.qr(f @ _givens(f.shape[0], i, j, theta))
-        new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
-    elif kind == "vector":
-        v = state["vectors"][name] + draws[0]
-        new["vectors"] = {**state["vectors"], name: v / np.linalg.norm(v)}
-    elif kind == "scalar":
-        window = state["windows"][name]
-        moved = min(max(state["scalars"][name] * draws[0], window.lo), window.hi)
-        new["scalars"] = {**state["scalars"], name: moved}
-    else:
-        lo, hi = box[name]
-        moved = min(max(getattr(state["params"], name) * draws[0], lo), hi)
-        try:
-            candidate = replace(state["params"], **{name: moved})
-        except ValueError:
-            return None
-        if not regime_feasible(regime, candidate)[0]:
-            return None
-        windows = _windows(spec.space(dim, candidate, classical))
-        new["params"] = candidate
-        new["windows"] = windows
-        new["spectra"] = {var: np.clip(vals, windows[var].lo, windows[var].hi)
-                          for var, vals in state["spectra"].items()}
-    return new
+def _moved_params(spec, params, name, factor, dim, box, regime, classical):
+    """(params, windows) after a move of parameter ``name``, or None where it leaves the regime."""
+    lo, hi = box[name]
+    moved = min(max(getattr(params, name) * factor, lo), hi)
+    try:
+        params = replace(params, **{name: moved})
+    except ValueError:
+        return None
+    if not regime_feasible(regime, params)[0]:
+        return None
+    return params, _windows(spec.space(dim, params, classical))
 
 
 class _Block(stacked.StackedView):
     """Candidate states as the rows of one stacked evaluation.
 
-    Row r checks state r's own vector, or the first two columns of its
-    frame, under the identity map. Rows share one params object unless
-    a parameter move gave some row its own.
+    ``rows`` holds each row's (params, windows). Row r checks its own
+    vector, or the first two columns of its frame, under the identity
+    map. Rows share one params object unless a parameter move gave some
+    row its own.
     """
 
-    def __init__(self, states: list, dim: int, classical: bool):
-        first = states[0]
-        params = first["params"]
-        if any(state["params"] is not params for state in states):
-            params = tuple(state["params"] for state in states)
+    def __init__(self, rows, dim: int, spectra: dict, frames: dict, vectors: dict,
+                 scalars: dict, classical: bool):
+        first = rows[0][0]
+        params = first if all(p is first for p, _ in rows) else tuple(p for p, _ in rows)
+        super().__init__(params, dim, spectra, frames, vectors, scalars, classical)
+        self.rows = rows
 
-        def rows(group):
-            return {name: np.stack([state[group][name] for state in states])
-                    for name in first[group]}
-        super().__init__(params, dim, rows("spectra"), rows("frames"), rows("vectors"),
-                         {name: np.array([state["scalars"][name] for state in states])
-                          for name in first["scalars"]}, classical)
+    @classmethod
+    def of(cls, state: dict, dim: int, classical: bool) -> "_Block":
+        """A state as a block of one row."""
+        def one(group):
+            return {name: value[None] for name, value in state[group].items()}
+        return cls(((state["params"], state["windows"]),), dim, one("spectra"), one("frames"),
+                   one("vectors"), {name: np.array([value])
+                                    for name, value in state["scalars"].items()}, classical)
+
+    def row(self, r: int) -> "_Block":
+        """Row r alone, as a block of one."""
+        def pick(group):
+            return {name: value[r:r + 1] for name, value in group.items()}
+        return _Block(self.rows[r:r + 1], self.dim, pick(self.spectra), pick(self.frames),
+                      pick(self.vectors), pick(self.scalars), self.classical)
+
+    def state(self, r: int) -> dict:
+        """Row r as an instance state."""
+        params, windows = self.rows[r]
+        return {"params": params, "windows": windows,
+                "spectra": {name: vals[r] for name, vals in self.spectra.items()},
+                "frames": {name: frame[r] for name, frame in self.frames.items()},
+                "vectors": {name: v[r] for name, v in self.vectors.items()},
+                "scalars": {name: float(values[r]) for name, values in self.scalars.items()}}
 
     def unit_vectors(self, name, a):
         return self.vectors[name][:, None, :]
@@ -247,12 +237,80 @@ class _Block(stacked.StackedView):
         return evaluate(self, stacked.StackedMap.single("identity"))
 
 
-def _ratios(spec, states: list, dim, classical, tol) -> list:
-    """Each state's ratio, the largest of its records', from one stacked evaluation."""
+def _candidates(spec, best: dict, moves: list, dim, box, regime, classical):
+    """(block, live): the neighbours of best that moves make, and each row's index in moves.
+
+    Each row is best moved by one move. The moves of one kind on one
+    variable are applied to their rows in one vectorised step: a spectrum
+    or scalar entry is scaled and clamped to its window, a frame is turned
+    by its Givens rotation and re-orthonormalised by one stacked QR, a
+    vector is shifted and rescaled to unit length. A parameter move is
+    applied per row; where it leaves the regime it makes no row. block is
+    None when no move makes a row.
+    """
+    rows, live, groups = [], [], {}
+    for index, (kind, name, *draws) in enumerate(moves):
+        if kind == "param":
+            moved = _moved_params(spec, best["params"], name, draws[0], dim, box, regime,
+                                  classical)
+            if moved is None:
+                continue
+            rows.append(moved)
+        else:
+            rows.append((best["params"], best["windows"]))
+        groups.setdefault((kind, name), []).append((len(live), *draws))
+        live.append(index)
+    if not live:
+        return None, live
+
+    def tiled(group):
+        return {name: np.repeat(value[None], len(live), axis=0)
+                for name, value in best[group].items()}
+    spectra, frames, vectors = tiled("spectra"), tiled("frames"), tiled("vectors")
+    scalars = {name: np.full(len(live), value) for name, value in best["scalars"].items()}
+    for (kind, name), group in groups.items():
+        at, *draws = (np.array(column) for column in zip(*group))
+        if kind == "spectrum":
+            index, factor = draws
+            window = best["windows"][name]
+            vals = spectra[name]
+            vals[at, index] = np.clip(vals[at, index] * factor, window.lo, window.hi)
+        elif kind == "scalar":
+            window = best["windows"][name]
+            scalars[name][at] = np.clip(best["scalars"][name] * draws[0], window.lo, window.hi)
+        elif kind == "frame":
+            i, j, theta = draws
+            size = best["frames"][name].shape[0]
+            # math.cos and math.sin, as a single move takes them: numpy's may round otherwise.
+            cos = np.array([math.cos(t) for t in theta.tolist()])
+            sin = np.array([math.sin(t) for t in theta.tolist()])
+            givens = np.repeat(np.eye(size)[None], len(at), axis=0)
+            each = np.arange(len(at))
+            givens[each, i, i] = cos
+            givens[each, j, j] = cos
+            givens[each, i, j] = -sin
+            givens[each, j, i] = sin
+            q, r = np.linalg.qr(best["frames"][name] @ givens)
+            frames[name][at] = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        elif kind == "vector":
+            v = best["vectors"][name] + draws[0]
+            # sqrt of each row's own dot product: np.linalg.norm's bits on one vector.
+            vectors[name][at] = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+        else:
+            # Each moved row's spectra clamped to its own windows.
+            for var, vals in spectra.items():
+                lo, hi = np.array([(rows[row][1][var].lo, rows[row][1][var].hi)
+                                   for row in at.tolist()]).T
+                vals[at] = np.clip(best["spectra"][var], lo[:, None], hi[:, None])
+    return _Block(rows, dim, spectra, frames, vectors, scalars, classical), live
+
+
+def _ratios(spec, block: _Block, tol) -> list:
+    """Each row's ratio, the largest of its records', from one stacked evaluation."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = spec.evaluate(_Block(states, dim, classical), tol)
-    ratios = rows.ratio * rows.improvement if classical else rows.ratio
-    ratios = np.reshape(ratios, (len(states), -1))
+        rows = spec.evaluate(block, tol)
+    ratios = rows.ratio * rows.improvement if block.classical else rows.ratio
+    ratios = np.reshape(ratios, (len(block.rows), -1))
     best = ratios[:, 0]
     # Python's max over each row's records: a later record wins only if greater.
     for column in ratios.T[1:]:
@@ -260,51 +318,45 @@ def _ratios(spec, states: list, dim, classical, tol) -> list:
     return best.tolist()
 
 
-def _lone_ratio(spec, state, dim, classical, tol) -> float:
-    """One state's ratio, or -inf where its instance is not SPD or leaves the regime."""
+def _lone_ratio(spec, block: _Block, tol) -> float:
+    """A one-row block's ratio, or -inf where its instance is not SPD or leaves the regime."""
     try:
-        return _ratios(spec, [state], dim, classical, tol)[0]
+        return _ratios(spec, block, tol)[0]
     except (InfeasibleRegime, NotPositiveDefinite):
         return -math.inf
 
 
-def _scores(spec, states: list, dim, classical, tol):
-    """An iterator over each state's ratio, in order, from one stacked evaluation.
+def _scores(spec, block: _Block, tol):
+    """An iterator over each row's ratio, in order, from one stacked evaluation.
 
-    Where that raises, the states are scored one by one as the iterator
-    is read: rows past the one a restart accepts are speculative, and a
-    row the one-at-a-time search never scores must not end it.
+    Where that raises, the rows are scored one by one as the iterator is
+    read: rows past the one a restart accepts are speculative, and a row
+    the one-at-a-time search never scores must not end it.
     """
     try:
-        return iter(_ratios(spec, states, dim, classical, tol))
+        return iter(_ratios(spec, block, tol))
     except ValueError:
-        return (_lone_ratio(spec, state, dim, classical, tol) for state in states)
+        return (_lone_ratio(spec, block.row(r), tol) for r in range(len(block.rows)))
 
 
-def _first_gain(spec, candidates: list, dim, classical, tol, best_ratio):
-    """(index, ratio) of the first candidate whose ratio beats best_ratio, else None.
-
-    A None candidate, an infeasible parameter move, is never scored.
-    """
-    live = [state for state in candidates if state is not None]
-    scores = _scores(spec, live, dim, classical, tol) if live else iter(())
-    for index, state in enumerate(candidates):
-        if state is not None:
-            ratio = next(scores)
-            if ratio > best_ratio:
-                return index, ratio
+def _first_gain(spec, block: _Block, tol, best_ratio):
+    """(row, ratio) of the block's first row whose ratio beats best_ratio, else None."""
+    for row, ratio in enumerate(_scores(spec, block, tol)):
+        if ratio > best_ratio:
+            return row, ratio
     return None
 
 
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
-    """(best ratio, its instance, evaluations, accepted moves) of one hill-climb.
+    """(best ratio, its instance, evaluations, accepted moves, scored rows) of one hill-climb.
 
     Each proposal moves the best state so far and is kept when its ratio
     beats the best. The next ``size`` proposals are applied to the best
     state and scored in one block; the climb goes on after the first
     that beats it, so it keeps what the one-at-a-time climb keeps. A
     block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
-    gain halves it.
+    gain halves it. Scored rows count every row of every block, the
+    first state's included.
     """
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
@@ -312,23 +364,24 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     best = first_values(space, params, dim, rng)
     best["windows"] = _windows(space)
     moves = _draw_moves(best, box, budget - 1, rng)
-    best_ratio = next(_scores(spec, [best], dim, classical, tol))
+    best_ratio = next(_scores(spec, _Block.of(best, dim, classical), tol))
     accepted = start = 0
-    size = 1
+    scored = size = 1
     while start < len(moves):
-        candidates = [_apply_move(spec, best, move, dim, box, regime, classical)
-                      for move in moves[start:start + size]]
-        gain = _first_gain(spec, candidates, dim, classical, tol, best_ratio)
+        chunk = moves[start:start + size]
+        block, live = _candidates(spec, best, chunk, dim, box, regime, classical)
+        scored += len(live)
+        gain = None if block is None else _first_gain(spec, block, tol, best_ratio)
         if gain is None:
-            start += len(candidates)
+            start += len(chunk)
             size = min(2 * size, _BLOCK_CAP)
         else:
-            index, best_ratio = gain
-            best = candidates[index]
+            row, best_ratio = gain
+            best = block.state(row)
             accepted += 1
-            start += index + 1
+            start += live[row] + 1
             size = max(size // 2, 1)
-    return best_ratio, snapshot(best), budget, accepted
+    return best_ratio, snapshot(best), budget, accepted, scored
 
 
 def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
@@ -379,7 +432,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
                 for allocation, seed in zip(allocations, seeds)]
 
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
-    best_ratio, best_instance, _, _ = outcomes[best_index]
+    best_ratio, best_instance, _, _, _ = outcomes[best_index]
     best_instance["theorem_id"] = theorem_id
     best_instance["dim"] = dim
     best_instance["classical"] = classical
@@ -393,6 +446,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
         restarts=restarts,
         classical=classical,
         accepted=tuple(out[3] for out in outcomes),
+        scored=tuple(out[4] for out in outcomes),
     )
 
 

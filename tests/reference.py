@@ -44,7 +44,7 @@ from opineq import (
     sample_unit_vector,
     trace_normalize_map,
 )
-from opineq import campaign
+from opineq import campaign, search
 from opineq.campaign import _pinching_blocks
 from opineq.inequalities import (
     _DEGENERATE_ATOL,
@@ -674,6 +674,17 @@ def lone_ratio(spec, state, dim, classical, tol) -> float:
     except (InfeasibleRegime, NotPositiveDefinite):
         return -math.inf
     return max(r.ratio * r.improvement_ratio if classical else r.ratio for r in records)
+
+
+def search_block(states, dim, classical=False, view_type=search._Block):
+    """Search states, stacked in order, as the rows of one search block."""
+    def rows(group):
+        return {name: np.stack([state[group][name] for state in states])
+                for name in states[0][group]}
+    return view_type(tuple((state["params"], state.get("windows")) for state in states), dim,
+                     rows("spectra"), rows("frames"), rows("vectors"),
+                     {name: np.array([state["scalars"][name] for state in states])
+                      for name in states[0]["scalars"]}, classical)
 
 
 class Replay:

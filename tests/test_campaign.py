@@ -18,7 +18,7 @@ from opineq import (
     regime_feasible,
     run_campaign,
 )
-from opineq import campaign, search, stacked
+from opineq import campaign, stacked
 from opineq.campaign import NEAR_TIGHT_REL, CellStats
 from opineq.cli import cli_main
 from opineq.inequalities import first_values
@@ -51,7 +51,7 @@ def test_first_values_satisfy_the_hypotheses(theorem_id):
             space = spec.space(dim, params, False)
             states = [first_values(space, params, dim, np.random.default_rng(seed))
                       for seed in range(8)]
-            view = search._Block(states, dim, False)
+            view = reference.search_block(states, dim)
             view.validate = True
             assert spec.evaluate(view, 1e-8).ratio.shape[0] == 8
 

@@ -44,7 +44,7 @@ from opineq import search, stacked
 from opineq.inequalities import first_values
 from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
-from reference import InstanceView
+from reference import InstanceView, search_block
 
 
 def _state(theorem_id, params, dim, rng):
@@ -59,7 +59,7 @@ def _view(theorem_id, params, dim, rng):
 
 def _evaluate(theorem_id, params, dim, rng, view_type=search._Block):
     """The theorem's evaluator on one instance drawn from its space, hypotheses checked."""
-    view = view_type([_state(theorem_id, params, dim, rng)], dim, False)
+    view = search_block([_state(theorem_id, params, dim, rng)], dim, view_type=view_type)
     view.validate = True
     return THEOREMS[theorem_id].evaluate(view, DEFAULT_TOL)
 
@@ -331,6 +331,22 @@ def test_wielandt_scalar_orthogonality_is_always_enforced(rng):
         check_wielandt_scalar(a, x, x, 1.0, 4.0, validate=False)
 
 
+def test_wielandt_scalar_checks_m_and_M_validated_or_not():
+    # Unvalidated too: a NaN m must give no record (its NaN gap reads as a
+    # violation), and neither must m > M.
+    a = make_spd(np.diag([1.0, 4.0]))
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for validate in (True, False):
+        for m, M in ((math.nan, 4.0), (1.0, math.nan), (math.inf, 4.0), (0.0, 4.0),
+                     (-1.0, 4.0), (True, 4.0)):
+            with pytest.raises(ValueError, match="must be a positive finite number"):
+                check_wielandt_scalar(a, x, y, m, M, validate=validate)
+        with pytest.raises(InfeasibleRegime, match="plain needs m <= M: 5.0 > 4.0"):
+            check_wielandt_scalar(a, x, y, 5.0, 4.0, validate=validate)
+    record = check_wielandt_scalar(a, x, y, np.float64(1.0), 4, validate=False)
+    assert record.refined_rhs_scale == 0.36
+
+
 def test_wielandt_operator_frozen_2x2_numbers():
     a = make_spd(np.array([[2.3, 0.3], [0.3, 2.3]]))
     pair = IsometryPair(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
@@ -453,6 +469,12 @@ def _rotated(theorem_id, state, u):
             "vectors": {k: u @ v for k, v in state["vectors"].items()}}
 
 
+def _kappa(state) -> float:
+    """The largest condition number of a state's matrices."""
+    return max(vals.max() / vals.min() for name, vals in state["spectra"].items()
+               if name in state["frames"])
+
+
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_every_ratio_is_invariant_under_a_rotation_of_the_state(theorem_id):
     # Each bound is invariant under A -> U A U^T with its probes turned by U, so
@@ -465,9 +487,34 @@ def test_every_ratio_is_invariant_under_a_rotation_of_the_state(theorem_id):
             params = spec.cells[0]
             state = first_values(spec.space(dim, params, False), params, dim, rng)
             u = haar_orthogonal(dim, rng)
-            ratios = [np.ravel(spec.evaluate(search._Block([s], dim, False), DEFAULT_TOL).ratio)
+            ratios = [np.ravel(spec.evaluate(search_block([s], dim), DEFAULT_TOL).ratio)
                       for s in (state, _rotated(theorem_id, state, u))]
-            kappa = max(vals.max() / vals.min() for name, vals in state["spectra"].items()
-                        if name in state["frames"])
             moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
-            assert moved.max() <= 16 * dim * np.finfo(float).eps * kappa ** 2, (dim, seed)
+            assert moved.max() <= 16 * dim * np.finfo(float).eps * _kappa(state) ** 2, (
+                dim, seed)
+
+
+def _swapped(state):
+    """The state with its matrices A and B exchanged, spectrum and frame."""
+    swap = {"a": "b", "b": "a"}
+    return {**state,
+            "spectra": {swap.get(k, k): v for k, v in state["spectra"].items()},
+            "frames": {swap.get(k, k): f for k, f in state["frames"].items()}}
+
+
+@pytest.mark.parametrize("theorem_id", ["scalar_amgm", "norm_amgm"])
+def test_symmetric_ratios_are_invariant_under_swapping_a_and_b(theorem_id):
+    # sqrt(ab) kappa(b/a) against (a+b)/2, and ||AB|| = ||BA|| against ||A+B||^2/4,
+    # are symmetric in A and B, so a swap moves the ratio only by rounding, bounded
+    # as under a rotation.
+    spec = THEOREMS[theorem_id]
+    for dim in (2, 3, 4, 8):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, dim])
+            params = spec.cells[0]
+            state = first_values(spec.space(dim, params, False), params, dim, rng)
+            ratios = [np.ravel(spec.evaluate(search_block([s], dim), DEFAULT_TOL).ratio)
+                      for s in (state, _swapped(state))]
+            moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
+            assert moved.max() <= 16 * dim * np.finfo(float).eps * _kappa(state) ** 2, (
+                dim, seed)

@@ -69,6 +69,14 @@ GOLDEN_JOBS = {
                    (3, 6)),
 }
 
+# Each golden job's rows scored per restart, speculative rows included:
+# 4,883, 4,304 and 4,090 rows for 4,000 evaluations.
+GOLDEN_SCORED = {
+    "kantorovich": (2679, 2204),
+    "polya_szego": (2215, 2089),
+    "lemma_amgm": (2066, 2024),
+}
+
 
 def test_boxes_cover_catalog():
     assert tuple(BOXES) == THEOREM_IDS
@@ -145,6 +153,7 @@ def _assert_golden(theorem_id):
     assert result.ratio.hex() == ratio_hex
     assert (result.evaluations, result.restarts) == (4000, 2)
     assert result.accepted == accepted
+    assert result.scored == GOLDEN_SCORED[theorem_id]
     # json.dumps writes floats by repr, which round-trips every bit.
     dumped = json.dumps(result.instance, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == instance_sha256
@@ -171,6 +180,16 @@ def test_search_scores_state_by_state_when_a_block_raises(theorem_id, monkeypatc
     monkeypatch.setitem(THEOREMS, theorem_id, spec)
     _assert_golden(theorem_id)
     assert calls and max(calls) == search._BLOCK_CAP
+
+
+def _givens(size, i, j, theta):
+    g = np.eye(size)
+    c, s = math.cos(theta), math.sin(theta)
+    g[i, i] = c
+    g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
 
 
 def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
@@ -206,7 +225,7 @@ def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
         size = f.shape[0]
         i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
         theta = delta if rng.random() < 0.5 else -delta
-        rotated = f @ search._givens(size, i, j, theta)
+        rotated = f @ _givens(size, i, j, theta)
         q, r = np.linalg.qr(rotated)
         new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
     elif kind == "vector":
@@ -241,7 +260,10 @@ def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
 
 
 def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
-    """One restart of the one-at-a-time search: propose, score, keep it if it gains."""
+    """One restart of the one-at-a-time search: propose, score, keep it if it gains.
+
+    Returns (ratio, instance, evaluations, accepted moves, states scored).
+    """
     rng = np.random.default_rng(seed)
     params = search._draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
@@ -249,7 +271,7 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
     state["windows"] = search._windows(space)
     best_ratio = lone_ratio(spec, state, dim, classical, tol)
     best_state = state
-    used = 1
+    used = scored = 1
     accepted = 0
     if budget > 1:
         decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / max(budget - 1, 1))
@@ -261,13 +283,14 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
                                        rng)
         used += 1
         if candidate is not None:
+            scored += 1
             ratio = lone_ratio(spec, candidate, dim, classical, tol)
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_state = candidate
                 accepted += 1
         delta = max(delta * decay, search._DELTA_END)
-    return best_ratio, snapshot(best_state), used, accepted
+    return best_ratio, snapshot(best_state), used, accepted, scored
 
 
 # Every SMALL_GOLDEN job, the multi-restart kantorovich job, and boxes with
@@ -282,6 +305,8 @@ REFERENCE_JOBS = [
                          rng=6, dim=2)),
     ("wielandt_refined", dict(box={"m": 1.5, "m_prime": (3.0, 4.0), "M": 4.0}, budget=1000,
                               rng=7, dim=2)),
+    # Parameter moves over two spectra at the largest benchmark dim.
+    ("lemma_amgm", dict(box={"m": (3.0, 4.0), "M": (8.0, 9.0)}, budget=300, rng=11, dim=8)),
 ]
 
 
@@ -304,6 +329,73 @@ def test_block_search_keeps_what_the_one_at_a_time_search_keeps(theorem_id, kwar
         assert got.instance == want.instance, (theorem_id, cap)
         assert (got.evaluations, got.restarts, got.accepted) == (
             want.evaluations, want.restarts, want.accepted), (theorem_id, cap)
+        # Blocks of one speculate on nothing: they score what the reference scores.
+        if cap == 1:
+            assert got.scored == want.scored, theorem_id
+        assert all(g >= w for g, w in zip(got.scored, want.scored)), (theorem_id, cap)
+
+
+# Boxes whose states have every kind of move between them: kantorovich a
+# spectrum, a frame, a vector and a parameter; polya_szego a scalar too;
+# lemma_amgm two spectra and an m that can leave the relative regime
+# (1 < m); wielandt_scalar a frame variable that is no matrix's.
+BUILDER_CASES = [
+    ("kantorovich", {"m": 0.5, "m_prime": (1.2, 2.0), "M": 4.0}),
+    ("polya_szego", {"m": 1.0, "m_prime": (1.5, 2.5), "M": 8.0}),
+    ("lemma_amgm", {"m": (1.0, 1.05), "M": (8.0, 9.0)}),
+    ("wielandt_scalar", {"m": 1.0, "M": 4.0}),
+]
+
+
+def _assert_same_state(got, want, label):
+    assert got["params"] == want["params"], label
+    assert got["windows"] == want["windows"], label
+    for group in ("spectra", "frames", "vectors"):
+        assert got[group].keys() == want[group].keys(), label
+        for name, value in want[group].items():
+            assert got[group][name].dtype == value.dtype, (label, name)
+            assert got[group][name].shape == value.shape, (label, name)
+            assert got[group][name].tobytes() == value.tobytes(), (label, name)
+    assert {k: v.hex() for k, v in got["scalars"].items()} == {
+        k: v.hex() for k, v in want["scalars"].items()}, label
+
+
+@pytest.mark.parametrize("dim", (2, 3, 8))
+def test_each_block_row_is_its_move_applied_alone(dim):
+    kinds, dead = set(), 0
+    for theorem_id, box in BUILDER_CASES:
+        spec = THEOREMS[theorem_id]
+        box = search._normalize_box(box)
+        for seed in range(3):
+            rng = np.random.default_rng([seed, dim])
+            params = search._draw_params(box, spec.regime, rng)
+            space = spec.space(dim, params, False)
+            best = first_values(space, params, dim, rng)
+            best["windows"] = search._windows(space)
+            count = 64
+            moves = search._draw_moves(best, box, count, np.random.default_rng(seed))
+            block, live = search._candidates(spec, best, moves, dim, box, spec.regime, False)
+            assert len(block.rows) == len(live)
+            # The reference draws each move as it applies it, on the same schedule.
+            replay = np.random.default_rng(seed)
+            decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / count)
+            delta = search._DELTA_START
+            for index, move in enumerate(moves):
+                want = _reference_propose(spec, best, dim, box, spec.regime, False, delta,
+                                          replay)
+                delta = max(delta * decay, search._DELTA_END)
+                label = (theorem_id, seed, index, move[:2])
+                kinds.add(move[0])
+                if want is None:
+                    assert move[0] == "param" and index not in live, label
+                    dead += 1
+                    continue
+                got = block.state(live.index(index))
+                _assert_same_state(got, want, label)
+                if move[0] != "param":
+                    assert got["params"] is best["params"], label
+    assert kinds == {"spectrum", "frame", "vector", "scalar", "param"}
+    assert dead
 
 
 def _rebuild(instance, name):
