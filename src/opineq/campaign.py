@@ -11,7 +11,11 @@ and a map drawn from the positive unital catalog.
 
 Draws are reproducible: a cell has one SeedSequence, seeded by (seed,
 theorem index, dim, cell), and each array it draws comes from a child
-generator of its own, so a chunk draws in a few vectorised calls.
+generator of its own, so a chunk draws in a few vectorised calls. The
+draws go through the same rules as one instance's: a chunk's states are
+built by ``inequalities._draw_states``, its probes by the unit vector
+and pair rules of ``samplers`` and its congruence maps by its family
+rule; frames are ``stacked.haar``'s.
 
 A cell is evaluated in chunks of at most _CHUNK draws, each chunk on
 stacked arrays by the spec's evaluator: once for the chunk, or for a
@@ -31,17 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stacked
+from . import samplers, stacked
 from .errors import InfeasibleRegime
-from .inequalities import THEOREM_IDS, THEOREMS, snapshot
-from .samplers import (
-    _PAIR_FLOOR,
-    _UNIT_FLOOR,
-    BoundParams,
-    _is_int,
-    _require_seed,
-    regime_feasible,
-)
+from .inequalities import THEOREM_IDS, THEOREMS, _draw_states, snapshot
+from .samplers import BoundParams, _is_int, _require_seed, regime_feasible
 from .spd import DEFAULT_TOL, _require_tol
 
 # Relative slack below which an instance counts as near tight.
@@ -166,26 +163,10 @@ def _map_parts(n: int, member, q, w) -> list:
         if kind == "compression":
             data = stacked.compression_isometries(q[rows, :, : n - 1])
         elif kind == "congruence_sum":
-            # sample_congruence_family for every row, from the first k rows of w.
-            weights = w[rows, :k]
-            weights /= np.sqrt((weights ** 2).sum(axis=1))[:, None, :]
-            data = stacked.congruence_family(
-                tuple(weights[:, j, :, None] * q[rows] for j in range(k)))
+            # Each row's family from its frame and the first k rows of its weights.
+            data = stacked.congruence_family(samplers._congruence_family(q[rows], w[rows, :k]))
         parts.append(stacked.MapPart(rows, kind, data))
     return parts
-
-
-def _unit(g: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """sample_unit_vector's x / norm(x) along the last axis, and whether norm > floor."""
-    norm = np.sqrt(stacked.dot(g, g))
-    return g / norm[..., None], norm > floor
-
-
-def _pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sample_orthonormal_pair's (x, y) from Gaussian pairs (..., 2, n), and whether it keeps it."""
-    x, x_ok = _unit(g[..., 0, :], _UNIT_FLOOR)
-    y, y_ok = _unit(g[..., 1, :] - stacked.dot(x, g[..., 1, :])[..., None] * x, _PAIR_FLOOR)
-    return x, y, x_ok & y_ok
 
 
 class _Draws:
@@ -193,8 +174,10 @@ class _Draws:
 
     Each generator is a child of the cell's SeedSequence, made on first
     use, and gives every draw a block of one fixed size: a chunk's inputs
-    are its draws' blocks laid end to end. A vector or pair that a sampler
-    would reject is drawn again alone, in draw order, by a redraw generator.
+    are its draws' blocks laid end to end. ``inequalities._draw_states``
+    reads the state's generators through ``_rng``; the probes and maps are
+    drawn here. A vector or pair that its rule in ``samplers`` rejects is
+    drawn again alone, in draw order, by a redraw generator.
     """
 
     def __init__(self, entropy: list, space: dict, dim: int):
@@ -212,66 +195,19 @@ class _Draws:
             self._rngs[key] = np.random.default_rng(child)
         return self._rngs[key]
 
-    def _gaussians(self, key, redraw, shape: tuple, count: int, kept) -> np.ndarray:
-        """count blocks of Gaussians shaped ``shape``; an item that ``kept`` rejects is redrawn."""
-        g = self._rng(key).standard_normal((count, *shape))
-        for item in zip(*np.nonzero(~kept(g))):
-            while not kept(g[item]):
-                g[item] = self._rng(redraw).standard_normal(g[item].shape)
-        return g
-
-    def state(self, count: int) -> dict:
-        """Each space variable's draws for the next count draws, as first_values draws them."""
-        out = {}
-        for name, var in self.space.items():
-            size, rng = var.size or self.dim, self._rng((name, 0))
-            if var.kind == "spd":
-                out[name] = (rng.uniform(var.window.lo, var.window.hi, (count, size)),)
-                if size >= 2:
-                    out[name] += (self._rng((name, 1)).standard_normal((count, size, size)),)
-            elif var.kind == "vector":
-                out[name] = (self._gaussians((name, 0), (name, 1), (self.dim,), count,
-                                             lambda g: _unit(g, _UNIT_FLOOR)[1]),)
-            elif var.kind == "frame":
-                out[name] = (rng.standard_normal((count, self.dim, self.dim)),)
-            else:
-                lo, hi = var.start or (var.window.lo, var.window.hi)
-                shape = (count, size) if var.kind == "weights" else (count,)
-                out[name] = (rng.uniform(lo, hi, shape),)
-        return out
-
     def probes(self, count: int, pairs: bool = False) -> np.ndarray:
         """The next count draws' Gaussian probes: (count, k, n) vectors, or (count, k, 2, n)."""
-        if pairs:
-            return self._gaussians("pairs", "pair redraws", (VECTORS_PER_INSTANCE, 2, self.dim),
-                                   count, lambda g: _pair(g)[2])
-        return self._gaussians("units", "unit redraws", (VECTORS_PER_INSTANCE, self.dim), count,
-                               lambda g: _unit(g, _UNIT_FLOOR)[1])
+        key, redraw, shape, rule = (
+            ("pairs", "pair redraws", (2, self.dim), samplers._orthonormal_pairs) if pairs
+            else ("units", "unit redraws", (self.dim,), samplers._unit_vectors))
+        return samplers._gaussians(self._rng, key, redraw, (VECTORS_PER_INSTANCE, *shape),
+                                   count, rule)
 
     def maps(self, n: int, count: int) -> tuple:
         """count maps on n x n, every field whatever the kind: groups, Gaussians, weights."""
         return (_map_kind(n, self._rng("map groups"), count),
                 self._rng("map frames").standard_normal((count, n, n)),
-                self._rng("map weights").uniform(0.2, 1.0, (count, 3, n)))
-
-
-def _first_values_rows(space: dict, dim: int, drawn: dict) -> tuple[dict, dict, dict, dict]:
-    """first_values on each row of ``drawn`` (_Draws.state's): spectra, frames, vectors, scalars."""
-    spectra, frames, vectors, scalars = {}, {}, {}, {}
-    for name, var in space.items():
-        first, *rest = drawn[name]
-        if var.kind == "spd":
-            spectra[name] = np.sort(first, axis=-1)
-            if rest:
-                spectra[name][:, 0], spectra[name][:, -1] = var.window.lo, var.window.hi
-            frames[name] = stacked.haar(rest[0]) if rest else np.ones((len(first), 1, 1))
-        elif var.kind == "frame":
-            frames[name] = stacked.haar(first)
-        elif var.kind == "vector":
-            vectors[name] = _unit(first, 0.0)[0]
-        else:
-            (spectra if var.kind == "weights" else scalars)[name] = first
-    return spectra, frames, vectors, scalars
+                self._rng("map weights").uniform(*samplers._WEIGHT_RANGE, (count, 3, n)))
 
 
 class _Stack(stacked.StackedView):
@@ -282,7 +218,7 @@ class _Stack(stacked.StackedView):
 
     def __init__(self, draws: _Draws, params: BoundParams, count: int):
         super().__init__(params, draws.dim,
-                         *_first_values_rows(draws.space, draws.dim, draws.state(count)),
+                         *_draw_states(draws.space, draws.dim, count, draws._rng),
                          validate=True)
         self._draws = draws
         self._count = count
@@ -291,7 +227,7 @@ class _Stack(stacked.StackedView):
 
     def unit_vectors(self, name, a):
         """(S, k, n): each row's random unit vectors, then A's eigenvectors."""
-        x = _unit(self._draws.probes(self._count), _UNIT_FLOOR)[0]
+        x = samplers._unit_vectors(self._draws.probes(self._count))[0]
         self._probes = (np.concatenate([x, np.swapaxes(a.eigenvectors, -1, -2)], axis=1),)
         return self._probes[0]
 
@@ -301,7 +237,7 @@ class _Stack(stacked.StackedView):
         The eigenvector pairs (i, j) are (0, n-1), where the bound is
         attained, and (k, k+1).
         """
-        x, y, _ = _pair(self._draws.probes(self._count, pairs=True))
+        x, y, _ = samplers._orthonormal_pairs(self._draws.probes(self._count, pairs=True))
         i, j = np.array(sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)})).T
         vi, vj = (np.swapaxes(a.eigenvectors[..., index], -1, -2) for index in (i, j))
         root = math.sqrt(2.0)

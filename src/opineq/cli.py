@@ -41,8 +41,8 @@ from .inequalities import (
 from .means_maps import identity_map
 from .report import ReportDocument, emit_report
 from .samplers import BoundParams, IsometryPair, regime_feasible
-from .search import maximize_ratio
-from .spd import SpdMatrix, make_spd
+from .search import DEFAULT_BUDGET, maximize_ratio
+from .spd import DEFAULT_TOL, SpdMatrix, make_spd
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--samples", type=int, default=200,
                         help="instance draws per (theorem, dim, cell)")
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--m", type=_positive, default=None)
     verify.add_argument("--mp", type=_positive, default=None, help="m' lower refinement bound")
     verify.add_argument("--Mp", type=_positive, default=None, help="M' upper inner bound")
@@ -100,9 +100,9 @@ def _build_parser() -> _Parser:
     search = sub.add_parser("search", help="hill-climb the attained ratio of one bound")
     search.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     search.add_argument("--dim", type=int, default=2)
-    search.add_argument("--budget", type=int, default=10_000)
+    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     search.add_argument("--seed", type=int, default=None)
-    search.add_argument("--tol", type=float, default=1e-8)
+    search.add_argument("--tol", type=float, default=DEFAULT_TOL)
     search.add_argument("--classical", action="store_true",
                         help="target the classical constant instead of the refined one")
     search.add_argument("--m", type=_range_or_float, default=None)

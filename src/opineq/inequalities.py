@@ -35,11 +35,11 @@ from .means_maps import PositiveMapSpec, _one_map, congruence_sum_map
 from .samplers import (
     BoundParams,
     RegimeId,
-    _window_spectrum,
-    haar_orthogonal,
+    _gaussians,
+    _unit_vectors,
+    _window_spectra,
     regime_window,
     require_feasible,
-    sample_unit_vector,
 )
 from .spd import DEFAULT_TOL, CheckVerdict, SpdMatrix, SpectralInterval
 from .stacked import (
@@ -52,6 +52,7 @@ from .stacked import (
     congruence_family,
     dot,
     geometric_mean,
+    haar,
     identity_rows,
     like_rows,
     loewner_leq,
@@ -62,7 +63,7 @@ from .stacked import (
     per_row,
     per_value,
     quad_form,
-    require_orthonormal,
+    require_isometry_pair,
     require_rows,
     require_spectrum,
     scalar_leq,
@@ -278,32 +279,45 @@ class TheoremSpec:
     details: tuple[str, ...] = ()
 
 
+def _draw_states(space: dict, dim: int, count: int, rng) -> tuple[dict, dict, dict, dict]:
+    """count states of ``space`` as (spectra, frames, vectors, scalars), count rows each.
+
+    Variable ``name`` draws from rng((name, 0)), and its spectrum's Haar
+    frame or its vector's redraws from rng((name, 1)). Weights and scalars
+    are uniform on their start range.
+    """
+    spectra, frames, vectors, scalars = {}, {}, {}, {}
+    for name, var in space.items():
+        size, first = var.size or dim, rng((name, 0))
+        if var.kind == "spd":
+            spectra[name] = _window_spectra(
+                var.window, first.uniform(var.window.lo, var.window.hi, (count, size)))
+            frames[name] = (haar(rng((name, 1)).standard_normal((count, size, size)))
+                            if size >= 2 else np.ones((count, 1, 1)))
+        elif var.kind == "vector":
+            vectors[name] = _unit_vectors(
+                _gaussians(rng, (name, 0), (name, 1), (dim,), count, _unit_vectors))[0]
+        elif var.kind == "frame":
+            frames[name] = haar(first.standard_normal((count, dim, dim)))
+        else:
+            lo, hi = var.start or (var.window.lo, var.window.hi)
+            shape = (count, size) if var.kind == "weights" else (count,)
+            (spectra if var.kind == "weights" else scalars)[name] = first.uniform(lo, hi, shape)
+    return spectra, frames, vectors, scalars
+
+
 def first_values(space: dict, params: BoundParams, dim: int,
                  rng: np.random.Generator) -> dict:
     """A new instance state with every variable's first value, drawn in space order.
 
-    A spectrum is sorted uniform draws on its window, both ends attained
-    from size 2 on (sample_spd's rule), on a Haar frame; weights and
-    scalars are uniform on their start range; a vector is a random unit
-    vector and a frame Haar orthogonal.
+    It is the one row _draw_states draws when every key reads rng.
     """
-    state = {"params": params, "spectra": {}, "frames": {}, "vectors": {}, "scalars": {}}
-    for name, var in space.items():
-        size = var.size or dim
-        if var.kind == "spd":
-            state["spectra"][name] = _window_spectrum(var.window, size, rng)
-            state["frames"][name] = haar_orthogonal(size, rng) if size >= 2 else np.eye(size)
-        elif var.kind == "vector":
-            state["vectors"][name] = sample_unit_vector(dim, rng)
-        elif var.kind == "frame":
-            state["frames"][name] = haar_orthogonal(dim, rng)
-        else:
-            lo, hi = var.start or (var.window.lo, var.window.hi)
-            if var.kind == "weights":
-                state["spectra"][name] = rng.uniform(lo, hi, size=size)
-            else:
-                state["scalars"][name] = float(rng.uniform(lo, hi))
-    return state
+    groups = zip(("spectra", "frames", "vectors", "scalars"),
+                 _draw_states(space, dim, 1, lambda key: rng))
+    state = {group: {name: value[0] for name, value in values.items()}
+             for group, values in groups}
+    state["scalars"] = {name: float(value) for name, value in state["scalars"].items()}
+    return {"params": params, **state}
 
 
 def snapshot(state: dict) -> dict:
@@ -852,11 +866,7 @@ def _evaluate_wielandt_operator(variant, view, tol):
     def group(sub, phi):
         f = sub.frames["pair"]
         x, y = f[..., :r].copy(), f[..., view.dim - r:].copy()
-        require_orthonormal(x, "x", 1e-12)
-        require_orthonormal(y, "y", 1e-12)
-        cross = np.abs(transpose(x) @ y).max(axis=(-2, -1))
-        if (cross > 1e-12).any():
-            raise ValueError(f"ranges not orthogonal (|x^T y| max {cross.max():.3e})")
+        require_isometry_pair(x, y)
         return _wielandt_operator(variant, phi, sub.spd("a"), x, y, sub.params, tol)
     return view.per_map(r, group)
 

@@ -7,6 +7,12 @@ maps: Haar frames, window spectra with both ends attained, unit vectors,
 orthonormal pairs and congruence families. An instance that satisfies a
 regime is drawn only from its theorem's TheoremSpec space, by
 ``inequalities.first_values``.
+
+Each draw rule is written once, on the last axes of stacked rows: the
+private ``_window_spectra``, ``_unit_vectors``, ``_second_vectors`` and
+``_congruence_family`` here (``_gaussians`` redraws what a rule rejects),
+the Haar frame in ``stacked.haar``. The public samplers apply them to
+one draw, a campaign to a chunk's draws and a search to its moves.
 """
 
 from __future__ import annotations
@@ -160,34 +166,68 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return stacked.haar(rng.standard_normal((dim, dim))[None])[0]
 
 
-def _window_spectrum(interval: SpectralInterval, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """size sorted uniform draws on [lo, hi]; from size 2 on, the ends are lo and hi."""
-    vals = np.sort(rng.uniform(interval.lo, interval.hi, size=size))
-    if size >= 2:
-        vals[0] = interval.lo
-        vals[-1] = interval.hi
+def _window_spectra(interval: SpectralInterval, uniform: np.ndarray) -> np.ndarray:
+    """Each row's uniform draws on [lo, hi], sorted; from size 2 on, the ends are lo and hi."""
+    vals = np.sort(uniform, axis=-1)
+    if vals.shape[-1] >= 2:
+        vals[..., 0] = interval.lo
+        vals[..., -1] = interval.hi
     return vals
 
 
 def sample_spd(dim: int, interval: SpectralInterval, rng: np.random.Generator) -> SpdMatrix:
     """Random SPD matrix with spectrum in [lo, hi] on a Haar orthogonal frame.
 
-    The eigenvalues are _window_spectrum's: uniform in the window, with
+    The eigenvalues are _window_spectra's: uniform in the window, with
     both endpoints attained from dim 2 on.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return SpdMatrix.from_eigh(_window_spectrum(interval, dim, rng), haar_orthogonal(dim, rng))
+    vals = _window_spectra(interval, rng.uniform(interval.lo, interval.hi, size=dim))
+    return SpdMatrix.from_eigh(vals, haar_orthogonal(dim, rng))
+
+
+def _normalized(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """x over the sqrt of its own stacked.dot along the last axis, and whether that is > floor."""
+    norm = np.sqrt(stacked.dot(x, x))
+    return x / norm[..., None], norm > floor
+
+
+def _unit_vectors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each Gaussian draw along the last axis scaled to unit length, and whether it is kept."""
+    return _normalized(g, _UNIT_FLOOR)
+
+
+def _second_vectors(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian draws g made orthonormal to the unit vectors x (Gram-Schmidt), and whether kept."""
+    return _normalized(g - stacked.dot(x, g)[..., None] * x, _PAIR_FLOOR)
+
+
+def _orthonormal_pairs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y) from Gaussian pairs (..., 2, n), and whether both are kept."""
+    x, x_kept = _unit_vectors(g[..., 0, :])
+    y, y_kept = _second_vectors(x, g[..., 1, :])
+    return x, y, x_kept & y_kept
+
+
+def _gaussians(rng, key, redraw, shape: tuple, count: int, rule) -> np.ndarray:
+    """count blocks of Gaussians shaped ``shape`` from rng(key), a key's generator.
+
+    A block that ``rule`` rejects (its last output) is drawn again alone,
+    in order, from rng(redraw).
+    """
+    g = rng(key).standard_normal((count, *shape))
+    for item in zip(*np.nonzero(~rule(g)[-1])):
+        while not rule(g[item])[-1]:
+            g[item] = rng(redraw).standard_normal(g[item].shape)
+    return g
 
 
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian direction normalized to unit length."""
-    while True:
-        x = rng.standard_normal(dim)
-        norm = np.linalg.norm(x)
-        if norm > _UNIT_FLOOR:
-            return x / norm
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return _unit_vectors(_gaussians(lambda key: rng, None, None, (dim,), 1, _unit_vectors)[0])[0]
 
 
 def sample_orthonormal_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -196,11 +236,9 @@ def sample_orthonormal_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndar
         raise ValueError("orthonormal pair needs dim >= 2")
     while True:
         x = sample_unit_vector(dim, rng)
-        y = rng.standard_normal(dim)
-        y -= (x @ y) * x
-        norm = np.linalg.norm(y)
-        if norm > _PAIR_FLOOR:
-            return x, y / norm
+        y, kept = _second_vectors(x, rng.standard_normal(dim))
+        if kept:
+            return x, y
 
 
 @dataclass(frozen=True)
@@ -214,13 +252,18 @@ class IsometryPair:
         x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 2:
             raise ValueError("isometries must share an n x r shape")
-        for name, mat in (("x", x), ("y", y)):
-            stacked.require_orthonormal(mat[None], name, 1e-12)
-        cross = np.abs(x.T @ y).max()
-        if cross > 1e-12:
-            raise ValueError(f"ranges not orthogonal (|x^T y| max {cross:.3e})")
+        stacked.require_isometry_pair(x[None], y[None])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+
+_WEIGHT_RANGE = (0.2, 1.0)  # a congruence family's weights, before they are normalized
+
+
+def _congruence_family(q: np.ndarray, uniform: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's U_j = D_j Q from its frame Q (..., n, n) and k weights, sum_j D_j^2 = I."""
+    weights = uniform / np.sqrt((uniform ** 2).sum(axis=-2))[..., None, :]
+    return tuple(weights[..., j, :, None] * q for j in range(uniform.shape[-2]))
 
 
 def sample_congruence_family(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -233,6 +276,4 @@ def sample_congruence_family(n: int, k: int, rng: np.random.Generator) -> tuple[
     if k < 1:
         raise ValueError(f"family size must be >= 1, got {k}")
     q = haar_orthogonal(n, rng)
-    weights = rng.uniform(0.2, 1.0, size=(k, n))
-    weights /= np.sqrt((weights ** 2).sum(axis=0))
-    return tuple(weights[j][:, None] * q for j in range(k))
+    return _congruence_family(q, rng.uniform(*_WEIGHT_RANGE, size=(k, n)))

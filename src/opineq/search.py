@@ -20,9 +20,10 @@ beats the best and resumes after it. The candidates are built as the
 rows of stacked arrays, one vectorised step per kind of move and
 variable: spectrum and scalar entries are scaled and clamped by fancy
 indexing, a block's frame moves share one stacked Givens product and
-QR, and its vector moves one shift and rescale. Only parameter moves
-are applied row by row, and their rows carry their own params; one
-that leaves the regime makes no row. Only the accepted row becomes a
+``stacked.haar``, and its vector moves one shift and the unit vector
+rule of ``samplers``: the rules a first state is drawn by. Only
+parameter moves are applied row by row, and their rows carry their own
+params; one that leaves the regime makes no row. Only the accepted row becomes a
 state again. So a restart keeps exactly what a climb that scores one
 proposal at a time keeps, ratio, instance and evaluation count, bit for
 bit. A block whose evaluation raises is scored row by row, each row as
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import stacked
+from . import samplers, stacked
 from .errors import InfeasibleRegime, NotPositiveDefinite
 from .inequalities import THEOREMS, first_values, refinement_constants, snapshot
 from .samplers import BoundParams, _is_int, _require_seed, regime_feasible, require_feasible
@@ -290,12 +291,9 @@ def _candidates(spec, best: dict, moves: list, dim, box, regime, classical):
             givens[each, j, j] = cos
             givens[each, i, j] = -sin
             givens[each, j, i] = sin
-            q, r = np.linalg.qr(best["frames"][name] @ givens)
-            frames[name][at] = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+            frames[name][at] = stacked.haar(best["frames"][name] @ givens)
         elif kind == "vector":
-            v = best["vectors"][name] + draws[0]
-            # sqrt of each row's own dot product: np.linalg.norm's bits on one vector.
-            vectors[name][at] = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+            vectors[name][at] = samplers._unit_vectors(best["vectors"][name] + draws[0])[0]
         else:
             # Each moved row's spectra clamped to its own windows.
             for var, vals in spectra.items():

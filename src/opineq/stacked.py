@@ -3,11 +3,13 @@
 Every array here carries a leading axis of rows, one row per instance:
 a campaign stacks the draws of a chunk, a search the candidates of a
 block, and a public ``check_*`` call its one instance. The per-instance
-API of ``spd``, ``means_maps`` and ``samplers`` is this module's one-row
-face: ``SpdMatrix`` holds a one-row StackedSpd, and each of their
-functions calls its namesake here on one row. Each function works on
+API of ``spd`` and ``means_maps`` is this module's one-row face:
+``SpdMatrix`` holds a one-row StackedSpd, and each of their functions
+calls its namesake here on one row. Each function works on
 every row alone, so a row's bits do not depend on the rows stacked with
-it. A vector is a (..., 1, n) or (..., n, 1) matrix, as a stacked
+it. The draw rules work on rows too: the Haar frame is ``haar`` here,
+and the others are in ``samplers``, whose samplers apply them to one
+draw. A vector is a (..., 1, n) or (..., n, 1) matrix, as a stacked
 (k, n) @ (n, n) product sums in another order; a Python float operation
 (``x ** 2``, ``math.log``) is made value by value, as numpy's rounds
 differently in the last bit.
@@ -28,10 +30,12 @@ import numpy as np
 
 from .errors import InfeasibleRegime, NotPositiveDefinite
 
-# Largest Gram defect |V^T V - I| accepted for an eigenframe, and the
-# largest defect accepted for a map's isometry or family normalisation.
+# Largest Gram defect |V^T V - I| accepted for an eigenframe, the largest
+# defect accepted for a map's isometry or family normalisation, and for an
+# isometry pair's columns and |x^T y|.
 _FRAME_TOL = 1e-10
 _MAP_TOL = 1e-10
+_ISOMETRY_TOL = 1e-12
 
 _SCALAR_FUNCS = {
     "sqrt": np.sqrt,
@@ -111,6 +115,15 @@ def require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
     defect = np.abs(transpose(vecs) @ vecs - np.eye(vecs.shape[-1])).max(axis=(-2, -1))
     if (defect > tol).any():
         raise ValueError(f"{label} columns not orthonormal (defect {defect.max():.3e})")
+
+
+def require_isometry_pair(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValueError unless every row's x and y are isometries with orthogonal ranges."""
+    require_orthonormal(x, "x", _ISOMETRY_TOL)
+    require_orthonormal(y, "y", _ISOMETRY_TOL)
+    cross = np.abs(transpose(x) @ y).max(axis=(-2, -1))
+    if (cross > _ISOMETRY_TOL).any():
+        raise ValueError(f"ranges not orthogonal (|x^T y| max {cross.max():.3e})")
 
 
 def require_spectrum(a: "StackedSpd", lo, hi, label: str, tol: float) -> None:

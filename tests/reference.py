@@ -10,6 +10,10 @@ and search tests compare the package against it bit for bit.
 
 Unlike ``oracles``, it uses the package's matrix algebra, its families
 of constants and its theorem spaces; what it replaces is the stacking.
+It also keeps its own per-instance draw rules (first_values and the
+unit vector, orthonormal pair and congruence family samplers), as they
+were before the package wrote each rule once on stacked rows, so that
+draw_views rebuilds a campaign's draws without the package's rules.
 """
 
 import math
@@ -39,18 +43,14 @@ from opineq import (
     pinching_map,
     regime_window,
     require_feasible,
-    sample_congruence_family,
-    sample_orthonormal_pair,
-    sample_unit_vector,
     trace_normalize_map,
 )
-from opineq import campaign, search
+from opineq import campaign, samplers, search
 from opineq.campaign import _pinching_blocks
 from opineq.inequalities import (
     _DEGENERATE_ATOL,
     _REGIME_TOL,
     _refined,
-    first_values,
     refinement_factor,
     snapshot,
 )
@@ -687,6 +687,68 @@ def search_block(states, dim, classical=False, view_type=search._Block):
                       for name in states[0]["scalars"]}, classical)
 
 
+# The per-instance draw rules. The floors are read from ``opineq.samplers``
+# at each call, so a test that patches them there patches these too.
+
+
+def _window_spectrum(interval: SpectralInterval, size: int, rng) -> np.ndarray:
+    """size sorted uniform draws on [lo, hi]; from size 2 on, the ends are lo and hi."""
+    vals = np.sort(rng.uniform(interval.lo, interval.hi, size=size))
+    if size >= 2:
+        vals[0] = interval.lo
+        vals[-1] = interval.hi
+    return vals
+
+
+def sample_unit_vector(dim: int, rng) -> np.ndarray:
+    """Gaussian direction normalized to unit length."""
+    while True:
+        x = rng.standard_normal(dim)
+        norm = np.linalg.norm(x)
+        if norm > samplers._UNIT_FLOOR:
+            return x / norm
+
+
+def sample_orthonormal_pair(dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Two orthonormal vectors (x, y), Gram-Schmidt on Gaussian draws."""
+    while True:
+        x = sample_unit_vector(dim, rng)
+        y = rng.standard_normal(dim)
+        y -= (x @ y) * x
+        norm = np.linalg.norm(y)
+        if norm > samplers._PAIR_FLOOR:
+            return x, y / norm
+
+
+def sample_congruence_family(n: int, k: int, rng) -> tuple[np.ndarray, ...]:
+    """Matrices U_j = D_j Q with sum_j U_j^T U_j = I, Q Haar orthogonal."""
+    q = haar_orthogonal(n, rng)
+    weights = rng.uniform(0.2, 1.0, size=(k, n))
+    weights /= np.sqrt((weights ** 2).sum(axis=0))
+    return tuple(weights[j][:, None] * q for j in range(k))
+
+
+def first_values(space: dict, params: BoundParams, dim: int, rng) -> dict:
+    """A new instance state with every variable's first value, drawn in space order."""
+    state = {"params": params, "spectra": {}, "frames": {}, "vectors": {}, "scalars": {}}
+    for name, var in space.items():
+        size = var.size or dim
+        if var.kind == "spd":
+            state["spectra"][name] = _window_spectrum(var.window, size, rng)
+            state["frames"][name] = haar_orthogonal(size, rng) if size >= 2 else np.eye(size)
+        elif var.kind == "vector":
+            state["vectors"][name] = sample_unit_vector(dim, rng)
+        elif var.kind == "frame":
+            state["frames"][name] = haar_orthogonal(dim, rng)
+        else:
+            lo, hi = var.start or (var.window.lo, var.window.hi)
+            if var.kind == "weights":
+                state["spectra"][name] = rng.uniform(lo, hi, size=size)
+            else:
+                state["scalars"][name] = float(rng.uniform(lo, hi))
+    return state
+
+
 class Replay:
     """A generator stand-in: it hands given draws, in order, to a per-instance sampler."""
 
@@ -785,25 +847,71 @@ class DrawView(InstanceView):
         return out
 
 
+def _kept(sample, dim: int, g: np.ndarray, redraws, block_ndim: int) -> np.ndarray:
+    """g's Gaussian blocks, its last block_ndim axes, as ``sample`` keeps them.
+
+    A sampler that rejects a block asks for more draws than the block
+    holds; such a block is drawn again whole from ``redraws``, in order.
+    The sampler gets a copy, as sample_orthonormal_pair writes to its y.
+    """
+    g = g.copy()
+    for item in np.ndindex(g.shape[:g.ndim - block_ndim]):
+        while True:
+            try:
+                sample(dim, Replay(*g[item].reshape(-1, dim).copy()))
+                break
+            except IndexError:
+                g[item] = redraws.standard_normal(g[item].shape)
+    return g
+
+
+def _state_draws(draws: campaign._Draws, count: int) -> list:
+    """The next count draws' state arrays, read from the cell's generators in first_values order."""
+    rng, dim, drawn = draws._rng, draws.dim, []
+    for name, var in draws.space.items():
+        size, first = var.size or dim, rng((name, 0))
+        if var.kind == "spd":
+            drawn.append(first.uniform(var.window.lo, var.window.hi, (count, size)))
+            if size >= 2:
+                drawn.append(rng((name, 1)).standard_normal((count, size, size)))
+        elif var.kind == "vector":
+            drawn.append(_kept(sample_unit_vector, dim, first.standard_normal((count, dim)),
+                               rng((name, 1)), 1))
+        elif var.kind == "frame":
+            drawn.append(first.standard_normal((count, dim, dim)))
+        else:
+            lo, hi = var.start or (var.window.lo, var.window.hi)
+            drawn.append(first.uniform(lo, hi, (count, size) if var.kind == "weights"
+                                       else (count,)))
+    return drawn
+
+
 def draw_views(draws: campaign._Draws, params: BoundParams, count: int, n: int) -> list:
     """The next count draws of a campaign cell, one DrawView each, built one draw at a time.
 
-    Each draw's slice of the cell's drawn arrays goes through the
-    per-instance samplers: its state through first_values, its probes
-    through sample_unit_vector and sample_orthonormal_pair, and its map,
-    drawn for n x n matrices, through the catalog's constructors.
+    Each draw's slice of the arrays drawn from the cell's generators goes
+    through this module's per-instance samplers: its state through
+    first_values, its probes through sample_unit_vector and
+    sample_orthonormal_pair, and its map, drawn for n x n matrices,
+    through the catalog's constructors.
     """
-    drawn = [a for arrays in draws.state(count).values() for a in arrays]
-    units = draws.probes(count)
-    pairs = draws.probes(count, pairs=True) if draws.dim >= 2 else np.empty((count, 0, 2, 1))
+    rng, dim = draws._rng, draws.dim
+    drawn = _state_draws(draws, count)
+    units = _kept(sample_unit_vector, dim,
+                  rng("units").standard_normal((count, campaign.VECTORS_PER_INSTANCE, dim)),
+                  rng("unit redraws"), 1)
+    pairs = np.empty((count, 0, 2, 1))
+    if dim >= 2:
+        pairs = _kept(sample_orthonormal_pair, dim, rng("pairs").standard_normal(
+            (count, campaign.VECTORS_PER_INSTANCE, 2, dim)), rng("pair redraws"), 2)
     maps = draws.maps(n, count)
     views = []
     for row in range(count):
         replay = Replay(*(a[row] for a in drawn))
-        state = first_values(draws.space, params, draws.dim, replay)
+        state = first_values(draws.space, params, dim, replay)
         assert replay.done()
         views.append(DrawView(
-            state, draws.dim, [sample_unit_vector(draws.dim, Replay(g)) for g in units[row]],
-            [sample_orthonormal_pair(draws.dim, Replay(*g)) for g in pairs[row]],
+            state, dim, [sample_unit_vector(dim, Replay(g)) for g in units[row]],
+            [sample_orthonormal_pair(dim, Replay(*g)) for g in pairs[row]],
             _row_map(n, *(field[row] for field in maps))))
     return views

@@ -18,7 +18,7 @@ from opineq import (
     regime_feasible,
     run_campaign,
 )
-from opineq import campaign, stacked
+from opineq import campaign, samplers, stacked
 from opineq.campaign import NEAR_TIGHT_REL, CellStats
 from opineq.cli import cli_main
 from opineq.inequalities import first_values
@@ -469,8 +469,8 @@ def _recorded_probes(monkeypatch) -> dict:
 def test_rejected_probes_are_drawn_again(monkeypatch):
     # The median norm of a 2-d Gaussian: the floors reject about half of the draws.
     floor = math.sqrt(2.0 * math.log(2.0))
-    monkeypatch.setattr(campaign, "_UNIT_FLOOR", floor)
-    monkeypatch.setattr(campaign, "_PAIR_FLOOR", floor)
+    monkeypatch.setattr(samplers, "_UNIT_FLOOR", floor)
+    monkeypatch.setattr(samplers, "_PAIR_FLOOR", floor)
     config = CampaignConfig(theorem_ids=("kantorovich", "kantorovich_product",
                                          "wielandt_scalar"), dims=(2, 3), samples=20, seed=9)
     runs = []
@@ -482,10 +482,11 @@ def test_rejected_probes_are_drawn_again(monkeypatch):
         assert {"units", "unit redraws", "pairs", "pair redraws", ("x", 1)} <= (
             recorded["generators"])
         for g in recorded["units"]:
-            assert (np.linalg.norm(g, axis=-1) > floor).all()
-            assert np.abs(np.linalg.norm(campaign._unit(g, floor)[0], axis=-1) - 1.0).max() <= 1e-12
+            x, kept = samplers._unit_vectors(g)
+            assert kept.all() and (np.linalg.norm(g, axis=-1) > floor).all()
+            assert np.abs(np.linalg.norm(x, axis=-1) - 1.0).max() <= 1e-12
         for g in recorded["pairs"]:
-            x, y, kept = campaign._pair(g)
+            x, y, kept = samplers._orthonormal_pairs(g)
             assert kept.all() and (np.linalg.norm(g[..., 0, :], axis=-1) > floor).all()
             assert np.abs(np.linalg.norm(x, axis=-1) - 1.0).max() <= 1e-12
             assert np.abs(np.linalg.norm(y, axis=-1) - 1.0).max() <= 1e-12
@@ -521,14 +522,14 @@ PUSHED = {theorem_id: ("c", 0, 0.5) if theorem_id == "lemma_amgm" else ("a", -1,
 @pytest.mark.parametrize("theorem_id", PUSHED)
 def test_a_later_draw_outside_the_regime_raises_naming_its_row(theorem_id, monkeypatch):
     name, index, value = PUSHED[theorem_id]
-    drawn = campaign._first_values_rows
+    drawn = campaign._draw_states
 
-    def pushed(space, dim, raw):
-        spectra, *rest = drawn(space, dim, raw)
+    def pushed(space, dim, count, rng):
+        spectra, *rest = drawn(space, dim, count, rng)
         spectra[name][5, index] = value
         return (spectra, *rest)
 
-    monkeypatch.setattr(campaign, "_first_values_rows", pushed)
+    monkeypatch.setattr(campaign, "_draw_states", pushed)
     with pytest.raises(InfeasibleRegime, match=r"\(row 5\)$"):
         run_campaign(CampaignConfig(theorem_ids=(theorem_id,), dims=(4,), samples=8))
 

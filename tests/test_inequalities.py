@@ -40,7 +40,8 @@ from opineq import (
     scalar_refined_amgm,
     trace_normalize_map,
 )
-from opineq import search, stacked
+import reference
+from opineq import samplers, search, stacked
 from opineq.inequalities import first_values
 from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
@@ -518,3 +519,51 @@ def test_symmetric_ratios_are_invariant_under_swapping_a_and_b(theorem_id):
             moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
             assert moved.max() <= 16 * dim * np.finfo(float).eps * _kappa(state) ** 2, (
                 dim, seed)
+
+
+def _as_bytes(state: dict) -> dict:
+    """A state's every value as (type, shape, bytes), group by group."""
+    return {group: values if group == "params" else
+            {name: (type(v), np.shape(v), np.asarray(v).tobytes()) for name, v in values.items()}
+            for group, values in state.items()}
+
+
+@pytest.mark.parametrize("floor", [None, 1.0])
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_first_values_equal_the_per_instance_rules(theorem_id, floor, monkeypatch):
+    """first_values draws what the per-instance rules drew, and leaves rng where they left it.
+
+    A unit floor of 1.0 makes a vector's first draw be rejected about a
+    third of the time at dim 1, so the redraws are compared too.
+    """
+    if floor is not None:
+        monkeypatch.setattr(samplers, "_UNIT_FLOOR", floor)
+    spec = THEOREMS[theorem_id]
+    params = spec.cells[0]
+    for classical in (False, True):
+        for dim in sorted({1, 2, 3, 5, 8} | {spec.min_dim}):
+            if dim < spec.min_dim:
+                continue
+            space = spec.space(dim, params, classical)
+            for seed in range(8):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = first_values(space, params, dim, got_rng)
+                want = reference.first_values(space, params, dim, want_rng)
+                assert _as_bytes(got) == _as_bytes(want), (classical, dim, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+E1, E2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("x, y", [(2.0 * E1, E2), (E1, 2.0 * E2), (E1, E1)])
+def test_wielandt_frames_are_checked_as_isometry_pairs(x, y):
+    """The evaluator's frame halves fail with IsometryPair's own message."""
+    with pytest.raises(ValueError) as want:
+        IsometryPair(x, y)
+    params = BoundParams(m=1.5, M=4.0)
+    state = _state("wielandt_gumus", params, 2, np.random.default_rng(0))
+    state["frames"]["pair"] = np.hstack([x, y])
+    with pytest.raises(ValueError) as got:
+        THEOREMS["wielandt_gumus"].evaluate(search_block([state], 2), DEFAULT_TOL)
+    assert str(got.value) == str(want.value)

@@ -21,11 +21,15 @@ from opineq import (
     operator_norm,
     pinching_map,
     sample_congruence_family,
+    sample_orthonormal_pair,
+    sample_spd,
+    sample_unit_vector,
     scalar_leq,
     spectral_norm,
     trace_normalize_map,
 )
-from opineq import stacked
+from opineq import samplers, stacked
+from opineq.spd import SpectralInterval
 
 
 def _random_spd(dim, rng, lo=0.5, hi=3.0):
@@ -264,7 +268,29 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
     }
     geo = stacked.geometric_mean(a_rows, b_rows)
     mean = stacked.arithmetic_mean(a_rows, b_rows)
+    # The draw rules: row r's draws come from generator (seed, r, rule), as its sampler's do.
+    window, k = SpectralInterval(0.3, 5.0), 1 + seed % 3
+
+    def gen(r, rule):
+        return np.random.default_rng([seed, r, rule])
+    spectra = samplers._window_spectra(
+        window, np.stack([gen(r, 0).uniform(0.3, 5.0, dim) for r in range(count)]))
+    units, _ = samplers._unit_vectors(np.stack([gen(r, 1).standard_normal(dim)
+                                                for r in range(count)]))
+    pair_dim = max(dim, 2)  # a pair needs dim >= 2
+    x, y, _ = samplers._orthonormal_pairs(np.stack([gen(r, 2).standard_normal((2, pair_dim))
+                                                    for r in range(count)]))
+    z, w = (np.stack(field) for field in zip(*[
+        (g.standard_normal((dim, dim)), g.uniform(0.2, 1.0, (k, dim)))
+        for g in (gen(r, 3) for r in range(count))]))
+    families = samplers._congruence_family(stacked.haar(z), w)
     for r in range(count):
+        assert np.array_equal(sample_spd(dim, window, gen(r, 0)).eigenvalues, spectra[r])
+        assert np.array_equal(sample_unit_vector(dim, gen(r, 1)), units[r])
+        assert all(map(np.array_equal, sample_orthonormal_pair(pair_dim, gen(r, 2)),
+                       (x[r], y[r])))
+        assert all(map(np.array_equal, sample_congruence_family(dim, k, gen(r, 3)),
+                       (u[r] for u in families)))
         a = SpdMatrix.from_eigh(vals[r], frames[r])
         b = make_spd(raw[r])
         assert np.array_equal(haar_orthogonal(dim, np.random.default_rng([seed, r])), frames[r])

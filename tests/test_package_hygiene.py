@@ -91,3 +91,31 @@ def test_stacked_imports_no_package_module_but_errors():
     # stacked is the base of the matrix algebra: spd, means_maps and samplers build on it.
     tree = ast.parse((PACKAGE / "stacked.py").read_text(encoding="utf-8"))
     assert _package_imports(tree) <= {"errors"}
+
+
+
+def _linalg_names(node) -> set[str]:
+    """The numpy.linalg functions a node names: ``np.linalg.f``, or an import from numpy.linalg."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_each_draw_rule_is_written_once():
+    # A QR and its sign fix are stacked.haar's; a norm is the unit vector rule's
+    # sqrt of stacked.dot; the probe floors belong to the module of the draw rules.
+    misplaced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            linalg = _linalg_names(node)
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            if ("qr" in linalg and path.name != "stacked.py") or "norm" in linalg:
+                misplaced.append(f"{path.name}:{node.lineno} {sorted(linalg)}")
+            if names & {"_UNIT_FLOOR", "_PAIR_FLOOR"} and path.name != "samplers.py":
+                misplaced.append(f"{path.name}:{node.lineno} {sorted(names - {None})}")
+    assert not misplaced, misplaced

@@ -145,6 +145,25 @@ def test_sample_unit_vector_and_pair(rng):
         sample_orthonormal_pair(1, rng)
 
 
+class _FewDraws:
+    """A generator stand-in that raises after a few draws, so a sampler that loops fails."""
+
+    def __init__(self, limit: int = 5):
+        self.left = limit
+
+    def standard_normal(self, size=None):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("the sampler kept drawing")
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sample_unit_vector_rejects_dims_below_one(dim):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        sample_unit_vector(dim, _FewDraws())
+
+
 def test_isometry_pair_validation():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
