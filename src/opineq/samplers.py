@@ -163,6 +163,8 @@ def regime_window(regime: RegimeId, params: BoundParams) -> SpectralInterval:
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix via QR with R-diagonal sign fix; stacked.haar, one row."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     return stacked.haar(rng.standard_normal((dim, dim))[None])[0]
 
 

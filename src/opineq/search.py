@@ -12,22 +12,20 @@ from the spec's space, and each state is checked on its own probe
 vector or frame pair under the identity map. Restarts run in sequence,
 each from its own seed drawn from the caller's generator.
 
-A restart draws all its proposals' moves up front, since no draw
-depends on the state's values, and then climbs in speculative blocks:
-it applies the next few moves to the best state, scores those
-candidates in one call of the spec's evaluator, keeps the first that
-beats the best and resumes after it. The candidates are built as the
-rows of stacked arrays, one vectorised step per kind of move and
-variable: spectrum and scalar entries are scaled and clamped by fancy
-indexing, a block's frame moves share one stacked Givens product and
-``stacked.haar``, and its vector moves one shift and the unit vector
-rule of ``samplers``: the rules a first state is drawn by. Only
-parameter moves are applied row by row, and their rows carry their own
-params; one that leaves the regime makes no row. Only the accepted row becomes a
-state again. So a restart keeps exactly what a climb that scores one
-proposal at a time keeps, ratio, instance and evaluation count, bit for
-bit. A block whose evaluation raises is scored row by row, each row as
-a block of one.
+A restart draws all its moves up front, since no draw depends on the
+state's values: each field (kind, variable, spectrum entry, Givens
+pair, sign, vector noise) is one array from one generator call. It
+then climbs in speculative blocks: it applies the next few moves to
+the best state, scores those candidates in one call of the spec's
+evaluator, keeps the first that beats the best and resumes after it. A
+block doubles after no gain, up to _BLOCK_CAP, and halves after one:
+blocks sized from the accept rate scored fewer rows but took more
+blocks, each an evaluator call, and ran slower. The candidates are the
+rows of stacked arrays, one vectorised step per variable, by the rules
+a first state is drawn by; a parameter move is applied per row and
+makes no row where it leaves the regime. So a restart keeps exactly
+what a climb that scores one proposal at a time keeps, bit for bit. A
+block whose evaluation raises is scored row by row.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -62,10 +60,12 @@ _PARAM_KEYS = ("m", "m_prime", "M_prime", "M")
 class SearchResult:
     """Best instance found; iterates as (instance, ratio).
 
-    ``accepted`` holds each restart's number of accepted moves and
+    ``accepted`` holds each restart's number of accepted moves,
     ``scored`` the number of rows its stacked blocks evaluated, its first
-    state and the speculative rows past each accepted one included, both
-    in restart order; a seed fixes them.
+    state and the speculative rows past each accepted one included, and
+    ``blocks`` the number of those blocks, its stacked evaluations (a
+    block scored row by row after its stacked call raised counts once),
+    all in restart order; a seed fixes them.
     """
 
     theorem_id: str
@@ -77,6 +77,7 @@ class SearchResult:
     classical: bool
     accepted: tuple[int, ...]
     scored: tuple[int, ...]
+    blocks: tuple[int, ...]
 
     def __iter__(self):
         yield self.instance
@@ -129,48 +130,53 @@ def _draw_params(box, regime, rng) -> BoundParams:
     return params
 
 
-def _draw_moves(state: dict, box: dict, count: int, rng) -> list[tuple]:
-    """The random draws of a restart's next ``count`` proposals, in generator order.
+def _draw_moves(state: dict, box: dict, count: int, rng) -> tuple[list, dict]:
+    """(targets, moves): the draws of a restart's ``count`` proposals, as columns.
 
-    A move is (kind, name, *draws). Its kind, variable, index, sign,
-    Givens pair and vector noise depend only on the state's shapes and
-    the box, which a restart never changes, so a restart can draw every
-    move before it scores any. Proposal i moves by the i-th step of a
-    schedule that decays geometrically from _DELTA_START to _DELTA_END.
+    No draw depends on the state's values, so a restart draws all its
+    moves before it scores any, each field by one generator call over all
+    ``count`` moves, in this order: the kind, uniform over those of
+    spectrum, frame, vector, scalar and param that have a variable; the
+    variable within it (``rng.integers(0, highs)``, each move its own
+    bound); a spectrum's entry; a frame's Givens pair, i over its size,
+    then j over size - 1 shifted past i; the sign, + where
+    ``rng.random() < 0.5``; and one (count, n) Gaussian block of vector
+    noise where the state has a vector. A field that a move's kind does
+    not use is drawn with the smallest valid bound and ignored.
+    ``targets`` lists the variables as (kind, name). ``moves`` holds the
+    target's index, entry, pair i < j, factor 1 +- delta, angle +-delta and
+    vector shift delta * noise, with delta decaying geometrically from
+    _DELTA_START to _DELTA_END.
     """
-    spectra = sorted(state["spectra"])
-    rotatable = sorted(k for k, f in state["frames"].items() if f.shape[0] >= 2)
-    vectors = sorted(state["vectors"])
-    scalars = sorted(state["scalars"])
-    free = [k for k, (lo, hi) in box.items() if lo < hi]
-    kinds = [kind for kind, names in (("spectrum", spectra), ("frame", rotatable),
-                                      ("vector", vectors), ("scalar", scalars), ("param", free))
-             if names]
-    decay = (_DELTA_END / _DELTA_START) ** (1.0 / max(count, 1))
-    delta = _DELTA_START
-    moves = []
-    for _ in range(count):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        if kind == "spectrum":
-            name = spectra[int(rng.integers(len(spectra)))]
-            index = int(rng.integers(state["spectra"][name].size))
-            move = (kind, name, index)
-        elif kind == "frame":
-            name = rotatable[int(rng.integers(len(rotatable)))]
-            size = state["frames"][name].shape[0]
-            i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
-            move = (kind, name, i, j, delta if rng.random() < 0.5 else -delta)
-        elif kind == "vector":
-            name = vectors[int(rng.integers(len(vectors)))]
-            move = (kind, name, delta * rng.standard_normal(state["vectors"][name].size))
-        else:
-            names = scalars if kind == "scalar" else free
-            move = (kind, names[int(rng.integers(len(names)))])
-        if kind in ("spectrum", "scalar", "param"):
-            move += (1.0 + delta if rng.random() < 0.5 else 1.0 - delta,)
-        moves.append(move)
-        delta = max(delta * decay, _DELTA_END)
-    return moves
+    names = {"spectrum": sorted(state["spectra"]),
+             "frame": sorted(k for k, f in state["frames"].items() if f.shape[0] >= 2),
+             "vector": sorted(state["vectors"]),
+             "scalar": sorted(state["scalars"]),
+             "param": [k for k, (lo, hi) in box.items() if lo < hi]}
+    kinds = [kind for kind, group in names.items() if group]
+    targets = [(kind, name) for kind in kinds for name in names[kind]]
+    counts = np.array([len(names[kind]) for kind in kinds])
+    entries = np.array([state["spectra"][name].size if kind == "spectrum" else 1
+                        for kind, name in targets])
+    sizes = np.array([state["frames"][name].shape[0] if kind == "frame" else 2
+                      for kind, name in targets])
+    kind = rng.integers(0, len(kinds), count)
+    target = (np.cumsum(counts) - counts)[kind] + rng.integers(0, counts[kind])
+    entry = rng.integers(0, entries[target])
+    i = rng.integers(0, sizes[target])
+    j = rng.integers(0, sizes[target] - 1)
+    j += j >= i
+    plus = rng.random(count) < 0.5
+    steps = np.full(count, (_DELTA_END / _DELTA_START) ** (1.0 / max(count, 1)))
+    steps[:1] = _DELTA_START
+    delta = np.maximum(np.cumprod(steps), _DELTA_END)
+    moves = {"target": target, "entry": entry, "i": np.minimum(i, j), "j": np.maximum(i, j),
+             "factor": np.where(plus, 1.0 + delta, 1.0 - delta),
+             "theta": np.where(plus, delta, -delta)}
+    if names["vector"]:
+        size = state["vectors"][names["vector"][0]].size
+        moves["shift"] = delta[:, None] * rng.standard_normal((count, size))
+    return targets, moves
 
 
 def _moved_params(spec, params, name, factor, dim, box, regime, classical):
@@ -238,68 +244,66 @@ class _Block(stacked.StackedView):
         return evaluate(self, stacked.StackedMap.single("identity"))
 
 
-def _candidates(spec, best: dict, moves: list, dim, box, regime, classical):
+def _candidates(spec, best: dict, targets: list, moves: dict, dim, box, regime, classical):
     """(block, live): the neighbours of best that moves make, and each row's index in moves.
 
-    Each row is best moved by one move. The moves of one kind on one
-    variable are applied to their rows in one vectorised step: a spectrum
-    or scalar entry is scaled and clamped to its window, a frame is turned
-    by its Givens rotation and re-orthonormalised by one stacked QR, a
-    vector is shifted and rescaled to unit length. A parameter move is
-    applied per row; where it leaves the regime it makes no row. block is
-    None when no move makes a row.
+    ``moves`` is a slice of _draw_moves' columns. The moves on one
+    variable are applied in one vectorised step: an entry scaled and
+    clamped to its window, a frame turned by its Givens rotation and one
+    stacked QR, a vector shifted and rescaled. A parameter move is applied
+    per row and makes no row where it leaves the regime; block is None
+    when no move makes a row.
     """
-    rows, live, groups = [], [], {}
-    for index, (kind, name, *draws) in enumerate(moves):
-        if kind == "param":
-            moved = _moved_params(spec, best["params"], name, draws[0], dim, box, regime,
-                                  classical)
-            if moved is None:
-                continue
-            rows.append(moved)
-        else:
-            rows.append((best["params"], best["windows"]))
-        groups.setdefault((kind, name), []).append((len(live), *draws))
-        live.append(index)
-    if not live:
-        return None, live
+    target = moves["target"]
+    count = len(target)
+    rows = [(best["params"], best["windows"])] * count
 
     def tiled(group):
-        return {name: np.repeat(value[None], len(live), axis=0)
-                for name, value in best[group].items()}
+        return {name: value[None].repeat(count, axis=0) for name, value in best[group].items()}
     spectra, frames, vectors = tiled("spectra"), tiled("frames"), tiled("vectors")
-    scalars = {name: np.full(len(live), value) for name, value in best["scalars"].items()}
-    for (kind, name), group in groups.items():
-        at, *draws = (np.array(column) for column in zip(*group))
+    scalars = {name: np.full(count, value) for name, value in best["scalars"].items()}
+    for code in set(target.tolist()):
+        kind, name = targets[code]
+        at = (target == code).nonzero()[0]
         if kind == "spectrum":
-            index, factor = draws
-            window = best["windows"][name]
-            vals = spectra[name]
-            vals[at, index] = np.clip(vals[at, index] * factor, window.lo, window.hi)
+            window, index = best["windows"][name], moves["entry"][at]
+            scaled = best["spectra"][name][index] * moves["factor"][at]
+            spectra[name][at, index] = np.clip(scaled, window.lo, window.hi)
         elif kind == "scalar":
-            window = best["windows"][name]
-            scalars[name][at] = np.clip(best["scalars"][name] * draws[0], window.lo, window.hi)
+            window, scaled = best["windows"][name], best["scalars"][name] * moves["factor"][at]
+            scalars[name][at] = np.clip(scaled, window.lo, window.hi)
         elif kind == "frame":
-            i, j, theta = draws
-            size = best["frames"][name].shape[0]
+            i, j, theta = moves["i"][at], moves["j"][at], moves["theta"][at].tolist()
             # math.cos and math.sin, as a single move takes them: numpy's may round otherwise.
-            cos = np.array([math.cos(t) for t in theta.tolist()])
-            sin = np.array([math.sin(t) for t in theta.tolist()])
-            givens = np.repeat(np.eye(size)[None], len(at), axis=0)
-            each = np.arange(len(at))
+            cos = np.array([math.cos(t) for t in theta])
+            sin = np.array([math.sin(t) for t in theta])
+            givens = np.repeat(np.eye(best["frames"][name].shape[0])[None], at.size, axis=0)
+            each = np.arange(at.size)
             givens[each, i, i] = cos
             givens[each, j, j] = cos
             givens[each, i, j] = -sin
             givens[each, j, i] = sin
             frames[name][at] = stacked.haar(best["frames"][name] @ givens)
         elif kind == "vector":
-            vectors[name][at] = samplers._unit_vectors(best["vectors"][name] + draws[0])[0]
+            shifted = best["vectors"][name] + moves["shift"][at]
+            vectors[name][at] = samplers._unit_vectors(shifted)[0]
         else:
+            for row, factor in zip(at.tolist(), moves["factor"][at].tolist()):
+                rows[row] = _moved_params(spec, best["params"], name, factor, dim, box, regime,
+                                          classical)
+            moved = [row for row in at.tolist() if rows[row] is not None]
             # Each moved row's spectra clamped to its own windows.
-            for var, vals in spectra.items():
+            for var, vals in spectra.items() if moved else ():
                 lo, hi = np.array([(rows[row][1][var].lo, rows[row][1][var].hi)
-                                   for row in at.tolist()]).T
-                vals[at] = np.clip(best["spectra"][var], lo[:, None], hi[:, None])
+                                   for row in moved]).T
+                vals[moved] = np.clip(best["spectra"][var], lo[:, None], hi[:, None])
+    live = [row for row, made in enumerate(rows) if made is not None]
+    if not live:
+        return None, live
+    if len(live) < count:
+        rows = [rows[row] for row in live]
+        spectra, frames, vectors, scalars = ({name: value[live] for name, value in group.items()}
+                                             for group in (spectra, frames, vectors, scalars))
     return _Block(rows, dim, spectra, frames, vectors, scalars, classical), live
 
 
@@ -337,41 +341,34 @@ def _scores(spec, block: _Block, tol):
         return (_lone_ratio(spec, block.row(r), tol) for r in range(len(block.rows)))
 
 
-def _first_gain(spec, block: _Block, tol, best_ratio):
-    """(row, ratio) of the block's first row whose ratio beats best_ratio, else None."""
-    for row, ratio in enumerate(_scores(spec, block, tol)):
-        if ratio > best_ratio:
-            return row, ratio
-    return None
-
-
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
-    """(best ratio, its instance, evaluations, accepted moves, scored rows) of one hill-climb.
+    """(best ratio, its instance, evaluations, accepted moves, scored rows, blocks) of a climb.
 
-    Each proposal moves the best state so far and is kept when its ratio
-    beats the best. The next ``size`` proposals are applied to the best
-    state and scored in one block; the climb goes on after the first
-    that beats it, so it keeps what the one-at-a-time climb keeps. A
-    block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
-    gain halves it. Scored rows count every row of every block, the
-    first state's included.
+    The next ``size`` proposals move the best state and are scored in
+    one block; the climb keeps the first that beats the best and goes on
+    after it. A block without a gain doubles ``size`` up to _BLOCK_CAP,
+    one with a gain halves it. The first state is a block of one.
     """
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
     best = first_values(space, params, dim, rng)
     best["windows"] = _windows(space)
-    moves = _draw_moves(best, box, budget - 1, rng)
+    targets, moves = _draw_moves(best, box, budget - 1, rng)
     best_ratio = next(_scores(spec, _Block.of(best, dim, classical), tol))
     accepted = start = 0
-    scored = size = 1
-    while start < len(moves):
-        chunk = moves[start:start + size]
-        block, live = _candidates(spec, best, chunk, dim, box, regime, classical)
+    scored = size = blocks = 1
+    while start < budget - 1:
+        chunk = {field: column[start:start + size] for field, column in moves.items()}
+        block, live = _candidates(spec, best, targets, chunk, dim, box, regime, classical)
         scored += len(live)
-        gain = None if block is None else _first_gain(spec, block, tol, best_ratio)
+        blocks += block is not None
+        # (row, ratio) of the block's first row that beats the best, else None.
+        gain = None if block is None else next(
+            ((row, ratio) for row, ratio in enumerate(_scores(spec, block, tol))
+             if ratio > best_ratio), None)
         if gain is None:
-            start += len(chunk)
+            start += size
             size = min(2 * size, _BLOCK_CAP)
         else:
             row, best_ratio = gain
@@ -379,7 +376,7 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
             accepted += 1
             start += live[row] + 1
             size = max(size // 2, 1)
-    return best_ratio, snapshot(best), budget, accepted, scored
+    return best_ratio, snapshot(best), budget, accepted, scored, blocks
 
 
 def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
@@ -430,7 +427,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
                 for allocation, seed in zip(allocations, seeds)]
 
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
-    best_ratio, best_instance, _, _, _ = outcomes[best_index]
+    best_ratio, best_instance = outcomes[best_index][:2]
     best_instance["theorem_id"] = theorem_id
     best_instance["dim"] = dim
     best_instance["classical"] = classical
@@ -445,6 +442,7 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
         classical=classical,
         accepted=tuple(out[3] for out in outcomes),
         scored=tuple(out[4] for out in outcomes),
+        blocks=tuple(out[5] for out in outcomes),
     )
 
 

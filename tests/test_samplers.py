@@ -164,6 +164,14 @@ def test_sample_unit_vector_rejects_dims_below_one(dim):
         sample_unit_vector(dim, _FewDraws())
 
 
+@pytest.mark.parametrize("dim", (0, -1))
+def test_haar_frame_and_congruence_family_reject_dims_below_one(dim):
+    with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+        haar_orthogonal(dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+        sample_congruence_family(dim, 2, np.random.default_rng(0))
+
+
 def test_isometry_pair_validation():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])

@@ -56,25 +56,33 @@ BOXES = {
 # pin the whole hill-climb: every proposal, evaluation and acceptance.
 GOLDEN_JOBS = {
     "kantorovich": (dict(box={"m": 1.0, "M": 4.0}, dim=2, classical=True),
-                    "0x1.ffffffffff2a4p-1",
-                    "c2bafbfc603274fbd52c4e15b4f4752574aac74ac84e5021d96fbfc96c6457a6",
-                    (25, 12)),
+                    "0x1.ffffffffffd91p-1",
+                    "a29cb185854065f490cb16fa64f9cb1e7ed2f4925828c0a45021e17f8520c396",
+                    (16, 15)),
     "polya_szego": (dict(box={"m": 1.0, "m_prime": 2.0, "M": 8.0}, dim=4),
-                    "0x1.55239c6610afbp-1",
-                    "2ffe63b42ac90113b1d43a11fec3862ee9700b236faa60cdd42ef9bf4ec046b5",
-                    (13, 10)),
+                    "0x1.55239c6610aeap-1",
+                    "afb06d5f0d740e94bf5b15b5057670bd250849c8abefbe8fedde3cc4293037a0",
+                    (8, 15)),
     "lemma_amgm": (dict(box={"m": (3.0, 4.0), "M": (8.0, 9.0)}, dim=8),
-                   "0x1.fdaba1b7232a9p-1",
-                   "f2d274c60d15ccaa8627dc6b228dc301b28132fb90a18b3fccda202a5ea8c796",
-                   (3, 6)),
+                   "0x1.fdaba1b7232c7p-1",
+                   "6e4c17246179f43c4ad6c82954511af4376ac9b758e6e60df3e1b919ea259379",
+                   (8, 9)),
 }
 
 # Each golden job's rows scored per restart, speculative rows included:
-# 4,883, 4,304 and 4,090 rows for 4,000 evaluations.
+# 4,493, 4,398 and 4,423 rows for 4,000 evaluations.
 GOLDEN_SCORED = {
-    "kantorovich": (2679, 2204),
-    "polya_szego": (2215, 2089),
-    "lemma_amgm": (2066, 2024),
+    "kantorovich": (2159, 2334),
+    "polya_szego": (2140, 2258),
+    "lemma_amgm": (2147, 2276),
+}
+
+# Each golden job's blocks (stacked evaluations) per restart, the first
+# state's included: 113, 104 and 99 in all.
+GOLDEN_BLOCKS = {
+    "kantorovich": (58, 55),
+    "polya_szego": (47, 57),
+    "lemma_amgm": (48, 51),
 }
 
 
@@ -99,26 +107,26 @@ def test_degenerate_scalar_box_is_immediately_tight():
 # and, for the bounds whose classical search moves onto the plain window,
 # classical.
 SMALL_GOLDEN = {
-    ("scalar_amgm", False): "0x1.0000000000002p+0",
-    ("lemma_amgm", False): "0x1.ffe9cb0b0e979p-1",
-    ("kantorovich", False): "0x1.125f05f8e2a53p-1",
-    ("kantorovich_product", False): "0x1.30ff8b03c912bp-1",
-    ("holder_mccarthy", False): "0x1.0f22469bfbc6bp-1",
-    ("square_order", False): "0x1.d183e14da1d26p-2",
-    ("polya_szego", False): "0x1.6395fc7db2579p-1",
-    ("isometry_family", False): "0x1.5922020b3b555p-1",
-    ("lin_squared_mapped", False): "0x1.554943d6769cbp-1",
-    ("lin_squared_means", False): "0x1.554943d6769c4p-1",
+    ("scalar_amgm", False): "0x1.0000000000001p+0",
+    ("lemma_amgm", False): "0x1.ffe9cb0b0e976p-1",
+    ("kantorovich", False): "0x1.070b13107c51dp-1",
+    ("kantorovich_product", False): "0x1.2363f0b6dd8f5p-1",
+    ("holder_mccarthy", False): "0x1.039e46f8770bcp-1",
+    ("square_order", False): "0x1.d4c7a0192cca8p-2",
+    ("polya_szego", False): "0x1.6395fc7db2578p-1",
+    ("isometry_family", False): "0x1.5c172d6b331d6p-1",
+    ("lin_squared_mapped", False): "0x1.554943d76d6f1p-1",
+    ("lin_squared_means", False): "0x1.554943d76d6f2p-1",
     ("lin_chain", False): "0x1.0000000000003p+0",
-    ("wielandt_scalar", False): "0x1.ffffffdc73eb9p-1",
-    ("wielandt_bhatia_davis", False): "0x1.ffffffd3eee8bp-1",
-    ("wielandt_gumus", False): "0x1.c80cea65370bdp-1",
-    ("wielandt_refined", False): "0x1.bef1ada1d394ap-4",
-    ("choi", False): "0x1.0000000000010p+0",
-    ("norm_amgm", False): "0x1.ffffffff03f26p-1",
-    ("kantorovich", True): "0x1.fffffffd3c5c6p-1",
-    ("holder_mccarthy", True): "0x1.682dbf8ab6748p-1",
-    ("kantorovich_product", True): "0x1.ffffffeea95d0p-1",
+    ("wielandt_scalar", False): "0x1.f02320aa327ddp-1",
+    ("wielandt_bhatia_davis", False): "0x1.ec7af740206edp-1",
+    ("wielandt_gumus", False): "0x1.b6a9f0b237d76p-1",
+    ("wielandt_refined", False): "0x1.bef1ada75c454p-4",
+    ("choi", False): "0x1.000000000000ep+0",
+    ("norm_amgm", False): "0x1.ffffffff2b481p-1",
+    ("kantorovich", True): "0x1.ffffffef806a2p-1",
+    ("holder_mccarthy", True): "0x1.51c9c2a787493p-1",
+    ("kantorovich_product", True): "0x1.ffffffe8994e2p-1",
 }
 
 
@@ -154,6 +162,7 @@ def _assert_golden(theorem_id):
     assert (result.evaluations, result.restarts) == (4000, 2)
     assert result.accepted == accepted
     assert result.scored == GOLDEN_SCORED[theorem_id]
+    assert result.blocks == GOLDEN_BLOCKS[theorem_id]
     # json.dumps writes floats by repr, which round-trips every bit.
     dumped = json.dumps(result.instance, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == instance_sha256
@@ -192,61 +201,66 @@ def _givens(size, i, j, theta):
     return g
 
 
-def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
-    """One proposal as the one-at-a-time search drew and applied it."""
-    kinds = []
-    if state["spectra"]:
-        kinds.append("spectrum")
-    rotatable = [k for k, f in state["frames"].items() if f.shape[0] >= 2]
-    if rotatable:
-        kinds.append("frame")
-    if state["vectors"]:
-        kinds.append("vector")
-    if state["scalars"]:
-        kinds.append("scalar")
-    free = [k for k, (lo, hi) in box.items() if lo < hi]
-    if free:
-        kinds.append("param")
-    kind = kinds[int(rng.integers(len(kinds)))]
-    new = dict(state)
+def _reference_moves(state, box, count, dim, rng):
+    """A restart's ``count`` moves, drawn field by field in the search's documented order.
 
+    Each field is one generator call over all moves: the kind, the
+    variable within it, a spectrum entry, a frame's Givens pair (i, then
+    j from size - 1 shifted past i), the sign and a Gaussian row per move
+    for vector noise. Returns one (kind, name, entry, i, j, plus, noise)
+    per move, with i < j.
+    """
+    groups = [("spectrum", sorted(state["spectra"])),
+              ("frame", sorted(k for k, f in state["frames"].items() if f.shape[0] >= 2)),
+              ("vector", sorted(state["vectors"])),
+              ("scalar", sorted(state["scalars"])),
+              ("param", [k for k, (lo, hi) in box.items() if lo < hi])]
+    groups = [(kind, names) for kind, names in groups if names]
+    kinds = rng.integers(0, len(groups), count).tolist()
+    picks = rng.integers(0, [len(groups[k][1]) for k in kinds]).tolist()
+    moves = [(groups[k][0], groups[k][1][v]) for k, v in zip(kinds, picks)]
+    entries = rng.integers(0, [state["spectra"][name].size if kind == "spectrum" else 1
+                               for kind, name in moves]).tolist()
+    sizes = [state["frames"][name].shape[0] if kind == "frame" else 2 for kind, name in moves]
+    firsts = rng.integers(0, sizes).tolist()
+    seconds = rng.integers(0, [size - 1 for size in sizes]).tolist()
+    plus = (rng.random(count) < 0.5).tolist()
+    noise = rng.standard_normal((count, dim)) if state["vectors"] else [None] * count
+    out = []
+    for (kind, name), entry, i, j, sign, row in zip(moves, entries, firsts, seconds, plus, noise):
+        if j >= i:
+            j += 1
+        out.append((kind, name, entry, min(i, j), max(i, j), sign, row))
+    return out
+
+
+def _reference_propose(spec, state, dim, box, regime, classical, delta, move):
+    """One drawn move applied to one state, as the one-at-a-time search applies it."""
+    kind, name, entry, i, j, plus, noise = move
+    factor = 1.0 + delta if plus else 1.0 - delta
+    new = dict(state)
     if kind == "spectrum":
-        spectra = state["spectra"]
-        name = sorted(spectra)[int(rng.integers(len(spectra)))]
-        vals = spectra[name].copy()
-        idx = int(rng.integers(vals.size))
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
+        vals = state["spectra"][name].copy()
         window = state["windows"][name]
-        vals[idx] = min(max(vals[idx] * factor, window.lo), window.hi)
-        new["spectra"] = {**spectra, name: vals}
+        vals[entry] = min(max(vals[entry] * factor, window.lo), window.hi)
+        new["spectra"] = {**state["spectra"], name: vals}
     elif kind == "frame":
-        name = sorted(rotatable)[int(rng.integers(len(rotatable)))]
         f = state["frames"][name]
-        size = f.shape[0]
-        i, j = sorted(rng.choice(size, size=2, replace=False).tolist())
-        theta = delta if rng.random() < 0.5 else -delta
-        rotated = f @ _givens(size, i, j, theta)
+        rotated = f @ _givens(f.shape[0], i, j, delta if plus else -delta)
         q, r = np.linalg.qr(rotated)
         new["frames"] = {**state["frames"], name: q * np.sign(np.diag(r))}
     elif kind == "vector":
-        vectors = state["vectors"]
-        name = sorted(vectors)[int(rng.integers(len(vectors)))]
-        v = vectors[name] + delta * rng.standard_normal(vectors[name].size)
-        new["vectors"] = {**vectors, name: v / np.linalg.norm(v)}
+        v = state["vectors"][name] + delta * noise
+        new["vectors"] = {**state["vectors"], name: v / np.linalg.norm(v)}
     elif kind == "scalar":
-        scalars = state["scalars"]
-        name = sorted(scalars)[int(rng.integers(len(scalars)))]
         window = state["windows"][name]
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        new["scalars"] = {**scalars, name: min(max(scalars[name] * factor, window.lo),
-                                                 window.hi)}
+        new["scalars"] = {**state["scalars"], name: min(max(state["scalars"][name] * factor,
+                                                            window.lo), window.hi)}
     else:
-        key = free[int(rng.integers(len(free)))]
-        factor = 1.0 + delta if rng.random() < 0.5 else 1.0 - delta
-        lo, hi = box[key]
-        moved = min(max(getattr(state["params"], key) * factor, lo), hi)
+        lo, hi = box[name]
+        moved = min(max(getattr(state["params"], name) * factor, lo), hi)
         try:
-            candidate = dataclasses.replace(state["params"], **{key: moved})
+            candidate = dataclasses.replace(state["params"], **{name: moved})
         except ValueError:
             return None
         if not regime_feasible(regime, candidate)[0]:
@@ -254,34 +268,39 @@ def _reference_propose(spec, state, dim, box, regime, classical, delta, rng):
         windows = search._windows(spec.space(dim, candidate, classical))
         new["params"] = candidate
         new["windows"] = windows
-        new["spectra"] = {name: np.clip(vals, windows[name].lo, windows[name].hi)
-                          for name, vals in state["spectra"].items()}
+        new["spectra"] = {var: np.clip(vals, windows[var].lo, windows[var].hi)
+                          for var, vals in state["spectra"].items()}
     return new
+
+
+def _reference_deltas(count):
+    """The step of each of ``count`` moves, decaying geometrically as one multiplication each."""
+    decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / max(count, 1))
+    delta = search._DELTA_START
+    for _ in range(count):
+        yield delta
+        delta = max(delta * decay, search._DELTA_END)
 
 
 def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
     """One restart of the one-at-a-time search: propose, score, keep it if it gains.
 
-    Returns (ratio, instance, evaluations, accepted moves, states scored).
+    Returns (ratio, instance, evaluations, accepted moves, states scored,
+    blocks): each scored state is a block of one.
     """
     rng = np.random.default_rng(seed)
     params = search._draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
     state = first_values(space, params, dim, rng)
     state["windows"] = search._windows(space)
+    moves = _reference_moves(state, box, budget - 1, dim, rng)
     best_ratio = lone_ratio(spec, state, dim, classical, tol)
     best_state = state
-    used = scored = 1
+    scored = 1
     accepted = 0
-    if budget > 1:
-        decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / max(budget - 1, 1))
-    else:
-        decay = 1.0
-    delta = search._DELTA_START
-    while used < budget:
+    for move, delta in zip(moves, _reference_deltas(budget - 1)):
         candidate = _reference_propose(spec, best_state, dim, box, regime, classical, delta,
-                                       rng)
-        used += 1
+                                       move)
         if candidate is not None:
             scored += 1
             ratio = lone_ratio(spec, candidate, dim, classical, tol)
@@ -289,8 +308,7 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
                 best_ratio = ratio
                 best_state = candidate
                 accepted += 1
-        delta = max(delta * decay, search._DELTA_END)
-    return best_ratio, snapshot(best_state), used, accepted, scored
+    return best_ratio, snapshot(best_state), budget, accepted, scored, scored
 
 
 # Every SMALL_GOLDEN job, the multi-restart kantorovich job, and boxes with
@@ -331,7 +349,7 @@ def test_block_search_keeps_what_the_one_at_a_time_search_keeps(theorem_id, kwar
             want.evaluations, want.restarts, want.accepted), (theorem_id, cap)
         # Blocks of one speculate on nothing: they score what the reference scores.
         if cap == 1:
-            assert got.scored == want.scored, theorem_id
+            assert (got.scored, got.blocks) == (want.scored, want.blocks), theorem_id
         assert all(g >= w for g, w in zip(got.scored, want.scored)), (theorem_id, cap)
 
 
@@ -373,18 +391,16 @@ def test_each_block_row_is_its_move_applied_alone(dim):
             best = first_values(space, params, dim, rng)
             best["windows"] = search._windows(space)
             count = 64
-            moves = search._draw_moves(best, box, count, np.random.default_rng(seed))
-            block, live = search._candidates(spec, best, moves, dim, box, spec.regime, False)
+            targets, moves = search._draw_moves(best, box, count, np.random.default_rng(seed))
+            block, live = search._candidates(spec, best, targets, moves, dim, box, spec.regime,
+                                             False)
             assert len(block.rows) == len(live)
-            # The reference draws each move as it applies it, on the same schedule.
-            replay = np.random.default_rng(seed)
-            decay = (search._DELTA_END / search._DELTA_START) ** (1.0 / count)
-            delta = search._DELTA_START
-            for index, move in enumerate(moves):
-                want = _reference_propose(spec, best, dim, box, spec.regime, False, delta,
-                                          replay)
-                delta = max(delta * decay, search._DELTA_END)
+            # The reference draws the same fields with its own calls, on the same schedule.
+            replay = _reference_moves(best, box, count, dim, np.random.default_rng(seed))
+            for index, (move, delta) in enumerate(zip(replay, _reference_deltas(count))):
                 label = (theorem_id, seed, index, move[:2])
+                assert targets[moves["target"][index]] == move[:2], label
+                want = _reference_propose(spec, best, dim, box, spec.regime, False, delta, move)
                 kinds.add(move[0])
                 if want is None:
                     assert move[0] == "param" and index not in live, label
@@ -396,6 +412,58 @@ def test_each_block_row_is_its_move_applied_alone(dim):
                     assert got["params"] is best["params"], label
     assert kinds == {"spectrum", "frame", "vector", "scalar", "param"}
     assert dead
+
+
+class _CountingGenerator:
+    """A Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("theorem_id, box, kinds", [
+    ("kantorovich", {"m": 0.5, "m_prime": (1.2, 2.0), "M": 4.0},
+     {"spectrum", "frame", "vector", "param"}),
+    ("polya_szego", {"m": 1.0, "m_prime": (1.5, 2.5), "M": 8.0},
+     {"spectrum", "frame", "scalar", "param"}),
+])
+def test_move_draws_make_as_many_generator_calls_at_any_budget(theorem_id, box, kinds):
+    # Between them the two boxes have every kind of move.
+    spec = THEOREMS[theorem_id]
+    box = search._normalize_box(box)
+    rng = np.random.default_rng(3)
+    params = search._draw_params(box, spec.regime, rng)
+    state = first_values(spec.space(3, params, False), params, 3, rng)
+    calls, drawn = {}, {}
+    for budget in (50, 4000):
+        counting = _CountingGenerator(budget)
+        drawn[budget] = search._draw_moves(state, box, budget - 1, counting)
+        calls[budget] = counting.calls
+    assert calls[50] == calls[4000] <= 7, calls
+    targets, moves = drawn[4000]
+    assert {targets[code][0] for code in moves["target"].tolist()} == kinds
+    assert all(len(column) == 3999 for column in moves.values())
+
+
+def test_classical_kantorovich_reaches_the_benchmark_equality_floor():
+    # The benchmark's kantorovich job must come within 1e-4 of its equality case.
+    misses = {}
+    for seed in (*range(20), 42, 2718):
+        result = maximize_ratio("kantorovich", {"m": 1.0, "M": 4.0}, budget=4000, rng=seed,
+                                dim=2, classical=True, tol=1e-8)
+        assert result.ratio <= 1.0 + 1e-8, seed
+        if result.ratio < 1.0 - 1e-4:
+            misses[seed] = result.ratio
+    assert not misses
 
 
 def _rebuild(instance, name):
