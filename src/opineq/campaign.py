@@ -264,7 +264,7 @@ class _Stack(stacked.StackedView):
         # Each row's place in the passes' results (an argsort raises the peak RSS).
         back = np.empty(self._count, dtype=int)
         back[np.concatenate(passes)] = np.arange(self._count)
-        return stacked.Rows(*(np.concatenate(fields)[back] for fields in zip(*out)))
+        return stacked.Rows._make(np.concatenate(fields)[back] for fields in zip(*out))
 
     def instance(self, row: int, item: int) -> dict:
         """Row's state, the probe that scored its record ``item`` and its map, as JSON values."""
@@ -319,7 +319,7 @@ class _Fold:
         if largest > self.max_ratio:
             draw, item = divmod(live.tolist().index(largest), rows.ratio.shape[1])
             self.max_ratio = largest
-            self.best = (first_draw + draw, item, stacked.Rows(*(f[draw] for f in rows)))
+            self.best = (first_draw + draw, item, stacked.Rows._make(f[draw] for f in rows))
             return True
         return False
 
@@ -333,14 +333,16 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
     for start in range(0, cfg.samples, _CHUNK):
         count = min(_CHUNK, cfg.samples - start)
         chunk = _Stack(draws, params, count)
-        # Rows such as a zero right side divide silently.
+        # Rows such as a zero right side divide silently, here and where the
+        # reshape reads the verdicts, which are computed on first read.
         with np.errstate(divide="ignore", invalid="ignore"):
             try:
                 rows = spec.evaluate(chunk, cfg.tol)
             except InfeasibleRegime as exc:
                 raise InfeasibleRegime(f"{theorem_id} at dim {dim}, cell {cell_index}, "
                                        f"chunk from draw {start}: {exc}") from exc
-        if fold.add(stacked.Rows(*(np.reshape(f, (count, -1)) for f in rows)), start):
+            rows = stacked.Rows._make(np.reshape(f, (count, -1)) for f in rows)
+        if fold.add(rows, start):
             best = chunk
     extremal = None
     if fold.best is not None:

@@ -54,6 +54,7 @@ from .stacked import (
     geometric_mean,
     haar,
     identity_rows,
+    least_eigenvalue,
     like_rows,
     loewner_leq,
     loewner_ratio,
@@ -178,8 +179,7 @@ def _require_shifted(a: StackedSpd, b: StackedSpd, params) -> None:
     """mI <= m'A <= B <= MI: A on the shifted window, m'A <= B and B <= MI."""
     _require_window(a, partial(regime_window, RegimeId.SHIFTED), params)
     m_prime, big_m = per_row(lambda p: (p.m_prime, p.M), params)
-    gap = np.linalg.eigvalsh(symmetrize(b.entries - like_rows(m_prime, a.entries) * a.entries))
-    gap = gap[:, 0]
+    gap = least_eigenvalue(b.entries - like_rows(m_prime, a.entries) * a.entries)
     require_rows(~(gap < -_REGIME_TOL * operator_norm(b)),
                  lambda r: f"shifted needs m'A <= B: min eig of B - m'A is {gap[r]:.3e}")
     top = b.eigenvalues[:, -1]
@@ -398,7 +398,7 @@ def _lemma_amgm(a, b, m, tol, validate):
         rows_m = np.broadcast_to(m, a.eigenvalues.shape[:1])
         require_rows(rows_m > 1.0, lambda r: f"relative needs 1 < m: m = {rows_m[r]}")
         inv_root = a.inv_sqrt().entries
-        low = np.linalg.eigvalsh(symmetrize(inv_root @ b.entries @ inv_root))[:, 0]
+        low = least_eigenvalue(inv_root @ b.entries @ inv_root)
         require_rows(low >= rows_m * (1.0 - _REGIME_TOL), lambda r: (
             f"relative needs mA <= B: min relative eigenvalue {low[r]:.8g} < m = {rows_m[r]}"))
     kappa = per_value(refinement_factor, m) if isinstance(m, np.ndarray) else refinement_factor(m)

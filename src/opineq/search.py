@@ -25,7 +25,9 @@ rows of stacked arrays, one vectorised step per variable, by the rules
 a first state is drawn by; a parameter move is applied per row and
 makes no row where it leaves the regime. So a restart keeps exactly
 what a climb that scores one proposal at a time keeps, bit for bit. A
-block whose evaluation raises is scored row by row.
+block evaluates only its rows' ratios: the records' order verdicts are
+computed on first read, and the climb reads none. A block whose
+evaluation raises is scored row by row.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -308,7 +310,10 @@ def _candidates(spec, best: dict, targets: list, moves: dict, dim, box, regime, 
 
 
 def _ratios(spec, block: _Block, tol) -> list:
-    """Each row's ratio, the largest of its records', from one stacked evaluation."""
+    """Each row's ratio, the largest of its records', from one stacked evaluation.
+
+    Only the ratios are computed: no verdict is read, so none is decomposed.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = spec.evaluate(block, tol)
     ratios = rows.ratio * rows.improvement if block.classical else rows.ratio

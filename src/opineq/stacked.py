@@ -19,7 +19,13 @@ of each row's own; ``per_row`` reads a constant either way, and the
 record builders take it as a scalar or an array of each row's own. A
 map is a StackedMap, whose parts each apply one kind to their own rows.
 Every check is made on every row and names the first row that fails it.
-This module imports no other package module but ``errors``.
+
+A record's ratio is computed when its builder runs, and its order
+verdicts once, on the first read of any verdict field: a search block
+reads only ratios and so decomposes only for them, while a campaign or
+a ``check_*`` call reads every field. Every numpy.linalg call of the
+package is made here. This module imports no other package module but
+``errors``.
 """
 
 from __future__ import annotations
@@ -250,6 +256,11 @@ def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def least_eigenvalue(x: np.ndarray) -> np.ndarray:
+    """Each row's smallest eigenvalue of its symmetric part."""
+    return np.linalg.eigvalsh(symmetrize(x))[..., 0]
+
+
 def operator_norm(x) -> np.ndarray:
     if isinstance(x, StackedSpd):
         vals = x.eigenvalues
@@ -345,12 +356,32 @@ def apply_map(phi: StackedMap, t) -> np.ndarray:
     return out
 
 
-class Verdicts(NamedTuple):
-    """Rows of ordering checks: whether each holds, its gap and its slack, as spd.CheckVerdict."""
+class Verdicts:
+    """Rows of ordering checks: whether each holds, its gap and its slack, as spd.CheckVerdict.
 
-    holds: np.ndarray
-    gap: np.ndarray
-    slack: np.ndarray
+    ``make`` returns the three arrays. It runs once, on the first read of
+    any of them, so a caller that reads no verdict pays for none.
+    Iterates as (holds, gap, slack).
+    """
+
+    __slots__ = ("_make", "_values")
+
+    def __init__(self, make):
+        self._make = make
+        self._values = None
+
+    def _read(self, field: int) -> np.ndarray:
+        if self._values is None:
+            self._values = self._make()
+            self._make = None
+        return self._values[field]
+
+    holds = property(lambda self: self._read(0))
+    gap = property(lambda self: self._read(1))
+    slack = property(lambda self: self._read(2))
+
+    def __iter__(self):
+        return iter((self.holds, self.gap, self.slack))
 
 
 def _divide(num, den, where) -> np.ndarray:
@@ -358,24 +389,29 @@ def _divide(num, den, where) -> np.ndarray:
     return num / np.where(where, den, 1.0)
 
 
-def _verdicts(gap, bound, norm) -> Verdicts:
+def _verdicts(gap, bound, norm) -> tuple:
     """gap >= -bound; the slack is gap / norm, or gap where norm is not > 0."""
     positive = norm > 0.0
-    return Verdicts(gap >= -bound, gap, np.where(positive, _divide(gap, norm, positive), gap))
+    return gap >= -bound, gap, np.where(positive, _divide(gap, norm, positive), gap)
 
 
 def loewner_leq(lhs, rhs, tol: float, atol=0.0) -> Verdicts:
-    """LHS <= RHS on every row: lambda_min(RHS - LHS) >= -max(tol ||RHS||, atol)."""
-    gap = np.linalg.eigvalsh(symmetrize(_entries(rhs) - _entries(lhs)))[..., 0]
-    norm = operator_norm(rhs)
-    return _verdicts(gap, _pymax(tol * norm, atol), norm)
+    """LHS <= RHS on every row: lambda_min(RHS - LHS) >= -max(tol ||RHS||, atol).
+
+    The gap and ||RHS|| are decomposed on the first read of the verdict.
+    """
+    def make():
+        gap = least_eigenvalue(_entries(rhs) - _entries(lhs))
+        norm = operator_norm(rhs)
+        return _verdicts(gap, _pymax(tol * norm, atol), norm)
+    return Verdicts(make)
 
 
 def scalar_leq(lhs, rhs, tol: float, scale=None, atol=0.0) -> Verdicts:
     """lhs <= rhs on every row: rhs - lhs >= -max(tol * scale, atol), scale |rhs| by default."""
     if scale is None:
         scale = np.abs(rhs)
-    return _verdicts(rhs - lhs, _pymax(tol * scale, atol), scale)
+    return Verdicts(lambda: _verdicts(rhs - lhs, _pymax(tol * scale, atol), scale))
 
 
 def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
@@ -383,48 +419,81 @@ def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(w @ _entries(lhs) @ w))[..., -1]
 
 
-class Rows(NamedTuple):
+class Rows:
     """Per-record outcomes of a stack of instances, one array each.
 
     ``holds``, ``gap`` and ``slack`` are the refined verdict's and the
     ``classical_*`` fields the classical one's; a record without one has
     ``classical`` True and the refined gap and slack. ``scale`` is c /
-    kappa^p, ``classical_scale`` c and ``improvement`` 1 / kappa^p.
+    kappa^p, ``classical_scale`` c and ``improvement`` 1 / kappa^p. The
+    verdict fields are each Verdicts' own, computed on first read.
+    Iterates as its ``_fields``, which reads every verdict.
     """
 
-    ratio: np.ndarray
-    holds: np.ndarray
-    classical: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    improvement: np.ndarray
-    gap: np.ndarray
-    slack: np.ndarray
-    classical_gap: np.ndarray
-    classical_slack: np.ndarray
-    scale: np.ndarray
-    classical_scale: np.ndarray
+    __slots__ = ("ratio", "lhs", "rhs", "improvement", "scale", "classical_scale", "_verdict",
+                 "_classical")
+    _fields = ("ratio", "holds", "classical", "lhs", "rhs", "improvement", "gap", "slack",
+               "classical_gap", "classical_slack", "scale", "classical_scale")
+
+    def __init__(self, ratio, verdict: Verdicts, classical: Verdicts, lhs, rhs, improvement,
+                 scale, classical_scale):
+        self.ratio = ratio
+        self._verdict = verdict
+        self._classical = classical
+        self.lhs = lhs
+        self.rhs = rhs
+        self.improvement = improvement
+        self.scale = scale
+        self.classical_scale = classical_scale
+
+    holds = property(lambda self: self._verdict.holds)
+    gap = property(lambda self: self._verdict.gap)
+    slack = property(lambda self: self._verdict.slack)
+    classical = property(lambda self: self._classical.holds)
+    classical_gap = property(lambda self: self._classical.gap)
+    classical_slack = property(lambda self: self._classical.slack)
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
+
+    @classmethod
+    def _make(cls, fields) -> "Rows":
+        """Rows from the values of its ``_fields``, in that order."""
+        (ratio, holds, classical, lhs, rhs, improvement, gap, slack, classical_gap,
+         classical_slack, scale, classical_scale) = fields
+        return cls(ratio, Verdicts(lambda: (holds, gap, slack)),
+                   Verdicts(lambda: (classical, classical_gap, classical_slack)), lhs, rhs,
+                   improvement, scale, classical_scale)
+
+    def _replace(self, **fields) -> "Rows":
+        """These rows with ``fields`` in place of their own; reads every verdict."""
+        return self._make(fields.get(name, value) for name, value in zip(self._fields, self))
 
     @classmethod
     def columns(cls, parts) -> "Rows":
         """The records of several builders, side by side in record order."""
-        return cls(*(np.stack(field, axis=-1) for field in zip(*parts)))
+        return cls._make(np.stack(field, axis=-1) for field in zip(*parts))
 
 
 def make_rows(ratio, verdict: Verdicts, classical, lhs, rhs, scale, classical_scale,
               improvement) -> Rows:
     """Rows from their parts; ``classical`` None: no classical verdict. Scales may be per row."""
     if classical is None:
-        classical = verdict._replace(holds=np.ones_like(verdict.holds))
-    return Rows(ratio, verdict.holds, classical.holds, lhs, rhs,
-                per_record(improvement, ratio), verdict.gap, verdict.slack, classical.gap,
-                classical.slack, per_record(scale, ratio), per_record(classical_scale, ratio))
+        classical = Verdicts(lambda: (np.ones_like(verdict.holds), verdict.gap, verdict.slack))
+    return Rows(ratio, verdict, classical, lhs, rhs, per_record(improvement, ratio),
+                per_record(scale, ratio), per_record(classical_scale, ratio))
 
 
-def _ratio(num, den, holds) -> np.ndarray:
-    """num / den, or the degenerate ratio (1 where the check holds, else inf) where den is 0."""
+def _ratio(num, den, verdict: Verdicts) -> np.ndarray:
+    """num / den, or the degenerate ratio (1 where the check holds, else inf) where den is 0.
+
+    The verdict is read only when some den is 0.
+    """
     nonzero = den != 0.0
-    return np.where(nonzero, _divide(num, den, nonzero), np.where(holds, 1.0, np.inf))
+    ratio = _divide(num, den, nonzero)
+    if np.all(nonzero):
+        return ratio
+    return np.where(nonzero, ratio, np.where(verdict.holds, 1.0, np.inf))
 
 
 # The record builders take c and kappa_pow as scalars or as each row's own,
@@ -439,7 +508,7 @@ def scalar_rows(lhs, core, tol: float, c=1.0, kappa_pow=None, **leq) -> Rows:
     verdict = scalar_leq(lhs, rhs, tol, **leq)
     classical = (None if kappa_pow is None
                  else scalar_leq(lhs, like_rows(c, lhs) * core, tol, **leq))
-    return make_rows(_ratio(lhs, rhs, verdict.holds), verdict, classical, lhs, rhs, refined, c,
+    return make_rows(_ratio(lhs, rhs, verdict), verdict, classical, lhs, rhs, refined, c,
                      1.0 if kappa_pow is None else 1.0 / kappa_pow)
 
 
@@ -479,7 +548,7 @@ def identity_rows(lhs, tol: float, c, kappa_pow=None, classical_lhs=None) -> Row
         classical = loewner_leq(lhs if classical_lhs is None else classical_lhs,
                                 like_rows(c, entries) * eye, tol)
     top = operator_norm(lhs)
-    return make_rows(_ratio(top, refined, verdict.holds), verdict, classical, top,
+    return make_rows(_ratio(top, refined, verdict), verdict, classical, top,
                      per_record(refined, top), refined, c,
                      1.0 if kappa_pow is None else 1.0 / kappa_pow)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -606,3 +607,14 @@ def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
         sizes = [size for sizes, _ in passes for size in sizes]
         assert all(len(pass_sizes) == 1 for pass_sizes, _ in passes)
         assert 1 <= len(passes) <= 2 and len(set(sizes)) == len(passes)
+
+
+def test_a_sweep_computes_every_verdict_inside_its_errstate(linalg_calls):
+    # A campaign reads every field of every record, so every verdict is decomposed:
+    # 424 eigvalsh and 264 eigh on the benchmark's sweep shape. Every zero division
+    # stays silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_campaign(CampaignConfig(dims=(2, 3, 4, 8), samples=25, seed=42))
+    assert report.total_checks == 9975
+    assert (linalg_calls["eigvalsh"], linalg_calls["eigh"]) == (424, 264)

@@ -567,3 +567,49 @@ def test_wielandt_frames_are_checked_as_isometry_pairs(x, y):
     with pytest.raises(ValueError) as got:
         THEOREMS["wielandt_gumus"].evaluate(search_block([state], 2), DEFAULT_TOL)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("classical", [False, True])
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_rows_give_the_same_fields_in_any_order_of_reads(theorem_id, classical, linalg_calls):
+    # The verdict fields are computed on first read: neither the order of the
+    # reads nor a second read changes an array, and each verdict decomposes once.
+    spec = THEOREMS[theorem_id]
+    dim, params = max(3, spec.min_dim), spec.cells[0]
+    rng = np.random.default_rng(7)
+    block = search_block([first_values(spec.space(dim, params, classical), params, dim, rng)
+                          for _ in range(3)], dim, classical)
+    reads = []
+    for order in (stacked.Rows._fields, stacked.Rows._fields[::-1]):
+        rows = spec.evaluate(block, DEFAULT_TOL)
+        before = linalg_calls["eigvalsh"]
+        first = {name: getattr(rows, name) for name in order}
+        made = linalg_calls["eigvalsh"] - before
+        assert all(getattr(rows, name) is first[name] for name in order)
+        assert linalg_calls["eigvalsh"] == before + made
+        reads.append((first, made))
+    (first, made), (second, made_too) = reads
+    assert made == made_too
+    for name in stacked.Rows._fields:
+        assert np.array_equal(first[name], second[name], equal_nan=True), name
+
+
+def test_degenerate_ratios_read_their_verdicts(linalg_calls):
+    # Where the right side is 0 the ratio is 1 if the check holds, else inf;
+    # the builder reads the verdict for it, and later reads reuse it.
+    eye = np.eye(2)
+    lhs = np.stack([0.0 * eye, eye, eye])
+    c = np.array([0.0, 0.0, 2.0])
+    built = [
+        (stacked.scalar_rows(np.array([0.0, 1e-3, -1.0, 1.0]), np.array([0.0, 0.0, 0.0, 2.0]),
+                             DEFAULT_TOL), [1.0, math.inf, 1.0, 0.5], [True, False, True, True]),
+        (stacked.identity_rows(lhs, DEFAULT_TOL, c), [1.0, math.inf, 0.5], [True, False, True]),
+        (stacked.loewner_rows(lhs, stacked.StackedSpd(np.stack([eye] * 3)), DEFAULT_TOL, c),
+         [1.0, math.inf, 0.5], [True, False, True]),
+    ]
+    for rows, ratio, holds in built:
+        assert rows.ratio.tolist() == pytest.approx(ratio)
+        before = linalg_calls["eigvalsh"]
+        assert rows.holds.tolist() == holds
+        assert all(np.isfinite(field).all() for field in tuple(rows)[3:])
+        assert linalg_calls["eigvalsh"] == before

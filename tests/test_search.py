@@ -173,6 +173,22 @@ def test_search_is_bit_exact_on_golden_jobs(theorem_id):
     _assert_golden(theorem_id)
 
 
+# eigh calls of each golden job's box at budget 300 and seed 42. They build
+# the states and the means that a ratio reads; no order verdict makes one.
+BLOCK_EIGH = {"kantorovich": 0, "polya_szego": 189, "lemma_amgm": 80}
+
+
+@pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
+def test_search_blocks_decompose_only_for_the_ratio(theorem_id, linalg_calls):
+    # A block reads only its rows' ratios, so no order verdict is decomposed:
+    # one eigvalsh per block for the Loewner ratio, none for a scalar bound.
+    kwargs = GOLDEN_JOBS[theorem_id][0]
+    result = maximize_ratio(theorem_id, budget=300, rng=42, **kwargs)
+    ratio_calls = 0 if kwargs.get("classical") else sum(result.blocks)
+    assert linalg_calls["eigvalsh"] == ratio_calls
+    assert linalg_calls["eigh"] == BLOCK_EIGH[theorem_id]
+
+
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
 def test_search_scores_state_by_state_when_a_block_raises(theorem_id, monkeypatch):
     calls = []
