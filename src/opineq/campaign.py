@@ -267,11 +267,8 @@ class _Stack(stacked.StackedView):
         return stacked.Rows._make(np.concatenate(fields)[back] for fields in zip(*out))
 
     def instance(self, row: int, item: int) -> dict:
-        """Row's state, the probe that scored its record ``item`` and its map, as JSON values."""
-        state = {group: {k: v[row] for k, v in getattr(self, group).items()}
-                 for group in ("spectra", "frames", "vectors")}
-        out = snapshot({"params": self.params, **state,
-                        "scalars": {k: v[row].item() for k, v in self.scalars.items()}})
+        """Row's snapshot, plus the probe that scored its record ``item`` and its map."""
+        out = snapshot(self, row)
         if self._probes:
             out["probe"] = dict(zip("xy", (p[row, item].tolist() for p in self._probes)))
         if self._maps is not None:

@@ -1,5 +1,8 @@
 """Command-line interface: verify, search, constants, demo.
 
+demo prints the records of every theorem's witnesses (``TheoremSpec.witnesses``),
+in registry order, each evaluated as a one-row view.
+
 Exit codes: 0 success (verify: zero violations), 1 verify found
 violations, 2 search exceeded 1 + tol, 64 usage error (also an --m,
 --mp, --Mp or --M that is not a positive finite number; verify: also a
@@ -27,22 +30,11 @@ import numpy as np
 from . import __version__
 from .campaign import CampaignConfig, run_campaign
 from .errors import InfeasibleRegime
-from .inequalities import (
-    THEOREM_IDS,
-    THEOREMS,
-    check_kantorovich_refined,
-    check_lin_chain,
-    check_lin_refined_squared,
-    check_wielandt_operator,
-    check_wielandt_scalar,
-    refinement_constants,
-    scalar_refined_amgm,
-)
-from .means_maps import identity_map
+from .inequalities import THEOREM_IDS, THEOREMS, instance_view, refinement_constants
 from .report import ReportDocument, emit_report
-from .samplers import BoundParams, IsometryPair, regime_feasible
+from .samplers import BoundParams, regime_feasible
 from .search import DEFAULT_BUDGET, maximize_ratio
-from .spd import DEFAULT_TOL, SpdMatrix, make_spd
+from .spd import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -260,54 +252,15 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _demo_line(name: str, lhs: float, rhs: float, holds: bool) -> None:
-    slack = rhs - lhs
-    print(f"[demo] {name:34s} lhs={lhs:.9g}  rhs={rhs:.9g}  "
-          f"slack={slack:.6g}  holds={holds}")
-
-
 def _cmd_demo() -> int:
-    rec = scalar_refined_amgm(1.0, 4.0)
-    _demo_line("scalar refined am-gm a=1 b=4", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-
-    rec = scalar_refined_amgm(3.0, 3.0)
-    _demo_line("scalar equality a=b=3", rec.lhs_value, rec.rhs_value, rec.verdict.holds)
-
-    a = SpdMatrix(np.array([[1.0]]))
-    b = SpdMatrix(np.array([[4.0]]))
-    params = BoundParams(m=1.0, m_prime=1.0, M_prime=4.0, M=4.0)
-    rec = check_lin_refined_squared(identity_map(1), a, b, params, "mapped_mean")
-    _demo_line("squared mean bound a=1 b=4", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-
-    a = make_spd(np.array([[2.3, 0.3], [0.3, 2.3]]))
-    pair = IsometryPair(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-    params = BoundParams(m=1.5, M=4.0, m_prime=4.0)
-    rec = check_wielandt_operator(identity_map(1), a, pair, params, "refined")
-    _demo_line("wielandt refined 2x2 witness", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-    rec = check_wielandt_operator(identity_map(1), a, pair, params, "gumus")
-    _demo_line("wielandt gumus 2x2 witness", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-
-    a = SpdMatrix(np.diag([1.0, 4.0]))
-    x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    rec = check_kantorovich_refined(a, x, 1.0, 1.0, 4.0, validate=False)
-    _demo_line("kantorovich equality witness", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-
-    x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    y = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    rec = check_wielandt_scalar(SpdMatrix(np.diag([1.0, 4.0])), x, y, 1.0, 4.0)
-    _demo_line("wielandt scalar equality pair", rec.lhs_value, rec.rhs_value,
-               rec.verdict.holds)
-
-    a = SpdMatrix(2.0 * np.eye(2))
-    params = BoundParams(m=2.0, m_prime=2.0, M_prime=2.0, M=2.0)
-    for rec in check_lin_chain(identity_map(2), a, a, params):
-        _demo_line(f"chain {rec.detail} at m=M", rec.lhs_value, rec.rhs_value,
-                   rec.verdict.holds)
+    for spec in THEOREMS.values():
+        for name, witness in spec.witnesses.items():
+            rows = spec.evaluate(instance_view(witness), DEFAULT_TOL)
+            lhs, rhs, holds = (np.ravel(f).tolist() for f in (rows.lhs, rows.rhs, rows.holds))
+            for item in range(len(lhs)):
+                label = name.format(*spec.details[item:item + 1])
+                print(f"[demo] {label:34s} lhs={lhs[item]:.9g}  rhs={rhs[item]:.9g}  "
+                      f"slack={rhs[item] - lhs[item]:.6g}  holds={holds[item]}")
     return EXIT_OK
 
 

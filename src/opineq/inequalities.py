@@ -7,11 +7,13 @@ refinement_constants both read.
 
 THEOREMS holds one TheoremSpec per bound: its regime, default campaign
 cells, minimum dimension, the variables of its instances (its space,
-which first_values draws) and its one evaluator. The evaluator checks a
-stack of instance states at once through a ``stacked.StackedView``: a
-campaign chunk's draws, each with many random and eigenvector probes
-under a drawn map and its hypotheses checked, or a search block's
-candidates, each with its own probe under the identity map.
+which first_values draws), its one evaluator and its witnesses. The
+evaluator checks a stack of instance states at once through a
+``stacked.StackedView``: a campaign chunk's draws, each with many random
+and eigenvector probes under a drawn map and its hypotheses checked, or
+a search block's candidates, each with its own probe under the identity
+map. One row of a view is one instance; snapshot writes it as JSON
+values and instance_view reads it back.
 
 Each bound's arithmetic is written once, on stacked operands, and hands
 its left side and core to a record builder of ``opineq.stacked``, which
@@ -46,6 +48,7 @@ from .stacked import (
     Rows,
     StackedMap,
     StackedSpd,
+    StackedView,
     apply_map,
     arithmetic_mean,
     bilinear,
@@ -267,6 +270,9 @@ class TheoremSpec:
     state a ``stacked.StackedView`` holds: a record per probe the view
     hands out, under its maps, or per link of lin_chain, which
     ``details`` names. It checks the hypotheses where the view asks.
+    ``witnesses`` names worked instances in snapshot's format, with a
+    ``dim`` and ``classical`` flag; ``opineq demo`` prints their records,
+    a name's ``{}`` filled with each record's detail.
     """
 
     theorem_id: str
@@ -277,6 +283,11 @@ class TheoremSpec:
     min_dim: int = 1
     classical_regime: RegimeId | None = None
     details: tuple[str, ...] = ()
+    witnesses: dict = field(default_factory=dict)
+
+
+# An instance state's groups of variables, in _draw_states' order.
+_GROUPS = ("spectra", "frames", "vectors", "scalars")
 
 
 def _draw_states(space: dict, dim: int, count: int, rng) -> tuple[dict, dict, dict, dict]:
@@ -312,23 +323,38 @@ def first_values(space: dict, params: BoundParams, dim: int,
 
     It is the one row _draw_states draws when every key reads rng.
     """
-    groups = zip(("spectra", "frames", "vectors", "scalars"),
-                 _draw_states(space, dim, 1, lambda key: rng))
     state = {group: {name: value[0] for name, value in values.items()}
-             for group, values in groups}
+             for group, values in zip(_GROUPS, _draw_states(space, dim, 1, lambda key: rng))}
     state["scalars"] = {name: float(value) for name, value in state["scalars"].items()}
     return {"params": params, **state}
 
 
-def snapshot(state: dict) -> dict:
-    """A state's values as JSON lists: from_eigh(spectra[k], frames[k]) rebuilds matrix k."""
-    return {
-        "params": state["params"].as_dict(),
-        "spectra": {k: v.tolist() for k, v in state["spectra"].items()},
-        "frames": {k: v.tolist() for k, v in state["frames"].items()},
-        "vectors": {k: v.tolist() for k, v in state["vectors"].items()},
-        "scalars": dict(state["scalars"]),
-    }
+def snapshot(view: StackedView, row: int) -> dict:
+    """Row ``row`` of a view as JSON values: from_eigh(spectra[k], frames[k]) rebuilds matrix k."""
+    params = view.params[row] if isinstance(view.params, tuple) else view.params
+    return {"params": params.as_dict(),
+            **{group: {k: v[row].tolist() for k, v in getattr(view, group).items()}
+               for group in _GROUPS}}
+
+
+def instance_view(instance: dict) -> StackedView:
+    """snapshot's inverse: an instance, with its ``dim`` and ``classical`` flag, as one row."""
+    def row(group):
+        return {k: np.array([v], dtype=float) for k, v in instance[group].items()}
+    return StackedView(BoundParams(**instance["params"]), instance["dim"],
+                       *map(row, _GROUPS), instance["classical"])
+
+
+def _witness(dim: int, params: BoundParams, spectra: dict, frames=(), vectors=(),
+             classical: bool = False) -> dict:
+    """A witness instance: spectra on frames, the identity where none is given, and vectors."""
+    eyes = {name: np.eye(len(vals)).tolist() for name, vals in spectra.items()}
+    return {"dim": dim, "classical": classical, "params": params.as_dict(), "spectra": spectra,
+            "frames": {**eyes, **dict(frames)}, "vectors": dict(vectors), "scalars": {}}
+
+
+# The entries of the witnesses' vectors and frames at 45 degrees.
+_R = 1.0 / math.sqrt(2.0)
 
 
 # One spec per bound, each registered below next to its evaluator, in
@@ -388,8 +414,14 @@ def _evaluate_scalar_amgm(view, tol):
     return _scalar_amgm(view.spectra["a"][:, 0], view.spectra["b"][:, 0], tol)
 
 
+def _scalars(a: float, b: float) -> dict:
+    """The scalars a and b as a witness on the box [a, b]."""
+    return _witness(1, BoundParams(m=a, M=b), {"a": [a], "b": [b]})
+
+
 _register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_scalar_amgm,
-          _evaluate_scalar_amgm)
+          _evaluate_scalar_amgm, witnesses={"scalar refined am-gm a=1 b=4": _scalars(1.0, 4.0),
+                                            "scalar equality a=b=3": _scalars(3.0, 3.0)})
 
 
 def _lemma_amgm(a, b, m, tol, validate):
@@ -468,32 +500,32 @@ def _evaluate_vector(bound, view, tol):
     return bound(a, view.unit_vectors("x", a), view.params, tol, view.validate)
 
 
+# A = diag(1, 4) and x = (e1 + e2)/sqrt2 attain K(4), at m' = 1 where kappa is 1.
 _register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          partial(_evaluate_vector, _kantorovich), classical_regime=RegimeId.PLAIN)
+          partial(_evaluate_vector, _kantorovich), classical_regime=RegimeId.PLAIN,
+          witnesses={"kantorovich equality witness": _witness(
+              2, BoundParams(m=1.0, M=4.0), {"a": [1.0, 4.0]}, vectors={"x": [_R, _R]},
+              classical=True)})
 
 
-def _kantorovich_product(a, b, x, params, tol, validate, mean_ab=None):
+def _kantorovich_product(a, b, x, params, tol, validate):
     if validate:
         _require_shifted(a, b, params)
         _require_unit(x)
-    if mean_ab is None:
-        mean_ab = geometric_mean(a, b)
     lhs = quad_form(a, x) * quad_form(b, x)
-    core = squares(quad_form(mean_ab, x))
+    core = squares(quad_form(geometric_mean(a, b), x))
     return scalar_rows(lhs, core, tol, *_constants("kantorovich", params))
 
 
 def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
                                       params: BoundParams, tol: float = DEFAULT_TOL,
-                                      validate: bool = True,
-                                      mean_ab: SpdMatrix | None = None) -> IneqRecord:
+                                      validate: bool = True) -> IneqRecord:
     """<Ax,x><Bx,x> <= [(M+m)^2 / (4Mm kappa(m')^2)] <(A#B)x,x>^2.
 
     Squared right-hand side; the classical constant drops the kappa^2
     divisor. Regime: mI <= m'A <= B <= MI with m' > 1.
     """
-    rows = _kantorovich_product(*_one(a, b), _probe(x), params, tol, validate,
-                                None if mean_ab is None else _one(mean_ab))
+    rows = _kantorovich_product(*_one(a, b), _probe(x), params, tol, validate)
     return _records("kantorovich_product", rows)[0]
 
 
@@ -672,8 +704,11 @@ def _evaluate_sandwich(bound, view, tol):
                                                          sub.params, tol))
 
 
+# The paper's squared bound at A = 1, B = 4: ((A+B)/2)^2 = 6.25 <= K^2(4) / kappa(4)^2 *
+# (A#B)^2 = 6.3489.
 _register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_evaluate_sandwich, partial(_lin_squared, "mapped_mean")))
+          partial(_evaluate_sandwich, partial(_lin_squared, "mapped_mean")),
+          witnesses={"squared mean bound a=1 b=4": _scalars(1.0, 4.0)})
 _register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
           partial(_evaluate_sandwich, partial(_lin_squared, "mean_of_maps")))
 
@@ -747,7 +782,9 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
 
 
 _register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_evaluate_sandwich, _lin_chain), details=LIN_CHAIN_LINKS)
+          partial(_evaluate_sandwich, _lin_chain), details=LIN_CHAIN_LINKS,
+          witnesses={"chain {} at m=M": _witness(2, BoundParams(m=2.0, M=2.0),
+                                                 {"a": [2.0, 2.0], "b": [2.0, 2.0]})})
 
 
 def _conjecture_scale(m: float, M: float) -> float:
@@ -797,7 +834,9 @@ def _evaluate_wielandt_scalar(view, tol):
 
 # Orthonormal pairs and isometry ranges need at least two dimensions.
 _register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),), _space_plain_pair,
-          _evaluate_wielandt_scalar, min_dim=2)
+          _evaluate_wielandt_scalar, min_dim=2,
+          witnesses={"wielandt scalar equality pair": _witness(
+              2, BoundParams(m=1.0, M=4.0), {"a": [1.0, 4.0]}, {"pair": [[_R, _R], [_R, -_R]]})})
 
 
 WIELANDT_VARIANTS = ("bhatia_davis", "gumus", "refined")
@@ -871,13 +910,18 @@ def _evaluate_wielandt_operator(variant, view, tol):
     return view.per_map(r, group)
 
 
+# A = [[2.3, 0.3], [0.3, 2.3]] with X = e1, Y = e2.
+_WIELANDT_2X2 = _witness(2, BoundParams(m=1.5, M=4.0, m_prime=4.0), {"a": [2.0, 2.6]},
+                         {"a": [[-_R, _R], [_R, _R]], "pair": [[1.0, 0.0], [0.0, 1.0]]})
 _register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
           _space_plain_pair, partial(_evaluate_wielandt_operator, "bhatia_davis"), min_dim=2)
 _register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),), _space_plain_pair,
-          partial(_evaluate_wielandt_operator, "gumus"), min_dim=2)
+          partial(_evaluate_wielandt_operator, "gumus"), min_dim=2,
+          witnesses={"wielandt gumus 2x2 witness": _WIELANDT_2X2})
 _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
           (BoundParams(m=1.5, M=4.0, m_prime=4.0),), _space_high_pair,
-          partial(_evaluate_wielandt_operator, "refined"), min_dim=2)
+          partial(_evaluate_wielandt_operator, "refined"), min_dim=2,
+          witnesses={"wielandt refined 2x2 witness": _WIELANDT_2X2})
 
 
 def _choi(phi, a, tol):

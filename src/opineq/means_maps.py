@@ -55,6 +55,11 @@ class PositiveMapSpec:
     family: tuple[np.ndarray, ...] | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
 
+    def __post_init__(self):
+        if not (self.in_dim >= 1 and self.out_dim >= 1):
+            raise ValueError(f"{self.kind} map needs sizes >= 1, got {self.in_dim} -> "
+                             f"{self.out_dim}")
+
 
 def identity_map(n: int) -> PositiveMapSpec:
     return PositiveMapSpec(kind="identity", in_dim=n, out_dim=n)
@@ -68,8 +73,8 @@ def trace_normalize_map(n: int) -> PositiveMapSpec:
 def compression_map(isometry) -> PositiveMapSpec:
     """T -> V^T T V for a column-orthonormal n x r matrix V."""
     v = np.array(isometry, dtype=float, order="C")
-    if v.ndim != 2 or v.shape[0] < v.shape[1]:
-        raise ValueError(f"compression isometry must be tall n x r, got {v.shape}")
+    if v.ndim != 2 or v.shape[0] < v.shape[1] or v.size == 0:
+        raise ValueError(f"compression isometry must be tall n x r with r >= 1, got {v.shape}")
     v = stacked.compression_isometries(v[None])[0]
     v.setflags(write=False)
     return PositiveMapSpec(kind="compression", in_dim=v.shape[0], out_dim=v.shape[1], isometry=v)
@@ -81,8 +86,9 @@ def congruence_sum_map(family) -> PositiveMapSpec:
     if not mats:
         raise ValueError("congruence family must be non-empty")
     n = mats[0].shape[0]
-    if any(u.shape != (n, n) for u in mats):
-        raise ValueError("congruence family members must share a square shape")
+    if any(u.shape != (n, n) for u in mats) or n == 0:
+        raise ValueError(f"congruence family members must share a non-empty square shape, "
+                         f"got {[u.shape for u in mats]}")
     stacked.congruence_family(tuple(u[None] for u in mats))
     for u in mats:
         u.setflags(write=False)

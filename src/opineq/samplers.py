@@ -252,8 +252,9 @@ class IsometryPair:
 
     def __post_init__(self):
         x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
-        if x.shape != y.shape or x.ndim != 2:
-            raise ValueError("isometries must share an n x r shape")
+        if x.shape != y.shape or x.ndim != 2 or x.size == 0:
+            raise ValueError(f"isometries must share an n x r shape with r >= 1, got "
+                             f"{x.shape} and {y.shape}")
         stacked.require_isometry_pair(x[None], y[None])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

@@ -7,22 +7,23 @@ parameters inside a user box), reporting the largest attained
 lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
 The variables, their windows and the score come from the theorem's
 TheoremSpec in ``inequalities.THEOREMS``, the same parameterisation a
-campaign draws through: first_values draws a restart's first state
-from the spec's space, and each state is checked on its own probe
-vector or frame pair under the identity map. Restarts run in sequence,
-each from its own seed drawn from the caller's generator.
+campaign draws through. A state is a one-row ``stacked.StackedView``,
+the first one first_values' draw from the spec's space, checked on its
+own probe vector or frame pair under the identity map. Restarts run in
+sequence, each from its own seed drawn from the caller's generator.
 
 A restart draws all its moves up front, since no draw depends on the
 state's values: each field (kind, variable, spectrum entry, Givens
 pair, sign, vector noise) is one array from one generator call. It
 then climbs in speculative blocks: it applies the next few moves to
 the best state, scores those candidates in one call of the spec's
-evaluator, keeps the first that beats the best and resumes after it. A
-block doubles after no gain, up to _BLOCK_CAP, and halves after one:
-blocks sized from the accept rate scored fewer rows but took more
-blocks, each an evaluator call, and ran slower. The candidates are the
-rows of stacked arrays, one vectorised step per variable, by the rules
-a first state is drawn by; a parameter move is applied per row and
+evaluator, keeps the first row that beats the best, a one-row subset
+of the block, and resumes after it. A block doubles after no gain, up
+to _BLOCK_CAP, and halves after one: blocks sized from the accept rate
+scored fewer rows but took more blocks, each an evaluator call, and
+ran slower. The candidates are the rows of stacked arrays, one
+vectorised step per variable, by the rules a first state is drawn by;
+a parameter move is applied per row, gives its row its own params and
 makes no row where it leaves the regime. So a restart keeps exactly
 what a climb that scores one proposal at a time keeps, bit for bit. A
 block evaluates only its rows' ratios: the records' order verdicts are
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import samplers, stacked
 from .errors import InfeasibleRegime, NotPositiveDefinite
-from .inequalities import THEOREMS, first_values, refinement_constants, snapshot
+from .inequalities import THEOREMS, _draw_states, refinement_constants, snapshot
 from .samplers import BoundParams, _is_int, _require_seed, regime_feasible, require_feasible
 from .spd import DEFAULT_TOL, _is_real, _require_tol
 
@@ -132,16 +133,16 @@ def _draw_params(box, regime, rng) -> BoundParams:
     return params
 
 
-def _draw_moves(state: dict, box: dict, count: int, rng) -> tuple[list, dict]:
+def _draw_moves(best: stacked.StackedView, box: dict, count: int, rng) -> tuple[list, dict]:
     """(targets, moves): the draws of a restart's ``count`` proposals, as columns.
 
-    No draw depends on the state's values, so a restart draws all its
-    moves before it scores any, each field by one generator call over all
-    ``count`` moves, in this order: the kind, uniform over those of
-    spectrum, frame, vector, scalar and param that have a variable; the
-    variable within it (``rng.integers(0, highs)``, each move its own
-    bound); a spectrum's entry; a frame's Givens pair, i over its size,
-    then j over size - 1 shifted past i; the sign, + where
+    No draw depends on the one-row view ``best``'s values, so a restart
+    draws all its moves before it scores any, each field by one generator
+    call over all ``count`` moves, in this order: the kind, uniform over
+    those of spectrum, frame, vector, scalar and param that have a
+    variable; the variable within it (``rng.integers(0, highs)``, each move
+    its own bound); a spectrum's entry; a frame's Givens pair, i over its
+    size, then j over size - 1 shifted past i; the sign, + where
     ``rng.random() < 0.5``; and one (count, n) Gaussian block of vector
     noise where the state has a vector. A field that a move's kind does
     not use is drawn with the smallest valid bound and ignored.
@@ -150,17 +151,17 @@ def _draw_moves(state: dict, box: dict, count: int, rng) -> tuple[list, dict]:
     vector shift delta * noise, with delta decaying geometrically from
     _DELTA_START to _DELTA_END.
     """
-    names = {"spectrum": sorted(state["spectra"]),
-             "frame": sorted(k for k, f in state["frames"].items() if f.shape[0] >= 2),
-             "vector": sorted(state["vectors"]),
-             "scalar": sorted(state["scalars"]),
+    names = {"spectrum": sorted(best.spectra),
+             "frame": sorted(k for k, f in best.frames.items() if f.shape[-1] >= 2),
+             "vector": sorted(best.vectors),
+             "scalar": sorted(best.scalars),
              "param": [k for k, (lo, hi) in box.items() if lo < hi]}
     kinds = [kind for kind, group in names.items() if group]
     targets = [(kind, name) for kind in kinds for name in names[kind]]
     counts = np.array([len(names[kind]) for kind in kinds])
-    entries = np.array([state["spectra"][name].size if kind == "spectrum" else 1
+    entries = np.array([best.spectra[name].size if kind == "spectrum" else 1
                         for kind, name in targets])
-    sizes = np.array([state["frames"][name].shape[0] if kind == "frame" else 2
+    sizes = np.array([best.frames[name].shape[-1] if kind == "frame" else 2
                       for kind, name in targets])
     kind = rng.integers(0, len(kinds), count)
     target = (np.cumsum(counts) - counts)[kind] + rng.integers(0, counts[kind])
@@ -176,140 +177,86 @@ def _draw_moves(state: dict, box: dict, count: int, rng) -> tuple[list, dict]:
              "factor": np.where(plus, 1.0 + delta, 1.0 - delta),
              "theta": np.where(plus, delta, -delta)}
     if names["vector"]:
-        size = state["vectors"][names["vector"][0]].size
+        size = best.vectors[names["vector"][0]].size
         moves["shift"] = delta[:, None] * rng.standard_normal((count, size))
     return targets, moves
 
 
-def _moved_params(spec, params, name, factor, dim, box, regime, classical):
-    """(params, windows) after a move of parameter ``name``, or None where it leaves the regime."""
+def _moved_params(params, name, factor, box, regime):
+    """params after a move of parameter ``name``, or None where it leaves the regime."""
     lo, hi = box[name]
     moved = min(max(getattr(params, name) * factor, lo), hi)
     try:
         params = replace(params, **{name: moved})
     except ValueError:
         return None
-    if not regime_feasible(regime, params)[0]:
-        return None
-    return params, _windows(spec.space(dim, params, classical))
+    return params if regime_feasible(regime, params)[0] else None
 
 
-class _Block(stacked.StackedView):
-    """Candidate states as the rows of one stacked evaluation.
+def _candidates(spec, best, windows: dict, targets: list, moves: dict, box, regime):
+    """(block, live): the neighbours of the one-row view best, and each row's index in moves.
 
-    ``rows`` holds each row's (params, windows). Row r checks its own
-    vector, or the first two columns of its frame, under the identity
-    map. Rows share one params object unless a parameter move gave some
-    row its own.
-    """
-
-    def __init__(self, rows, dim: int, spectra: dict, frames: dict, vectors: dict,
-                 scalars: dict, classical: bool):
-        first = rows[0][0]
-        params = first if all(p is first for p, _ in rows) else tuple(p for p, _ in rows)
-        super().__init__(params, dim, spectra, frames, vectors, scalars, classical)
-        self.rows = rows
-
-    @classmethod
-    def of(cls, state: dict, dim: int, classical: bool) -> "_Block":
-        """A state as a block of one row."""
-        def one(group):
-            return {name: value[None] for name, value in state[group].items()}
-        return cls(((state["params"], state["windows"]),), dim, one("spectra"), one("frames"),
-                   one("vectors"), {name: np.array([value])
-                                    for name, value in state["scalars"].items()}, classical)
-
-    def row(self, r: int) -> "_Block":
-        """Row r alone, as a block of one."""
-        def pick(group):
-            return {name: value[r:r + 1] for name, value in group.items()}
-        return _Block(self.rows[r:r + 1], self.dim, pick(self.spectra), pick(self.frames),
-                      pick(self.vectors), pick(self.scalars), self.classical)
-
-    def state(self, r: int) -> dict:
-        """Row r as an instance state."""
-        params, windows = self.rows[r]
-        return {"params": params, "windows": windows,
-                "spectra": {name: vals[r] for name, vals in self.spectra.items()},
-                "frames": {name: frame[r] for name, frame in self.frames.items()},
-                "vectors": {name: v[r] for name, v in self.vectors.items()},
-                "scalars": {name: float(values[r]) for name, values in self.scalars.items()}}
-
-    def unit_vectors(self, name, a):
-        return self.vectors[name][:, None, :]
-
-    def orthonormal_pairs(self, name, a):
-        frame = self.frames[name]
-        return frame[:, None, :, 0], frame[:, None, :, 1]
-
-    def per_map(self, n, evaluate):
-        return evaluate(self, stacked.StackedMap.single("identity"))
-
-
-def _candidates(spec, best: dict, targets: list, moves: dict, dim, box, regime, classical):
-    """(block, live): the neighbours of best that moves make, and each row's index in moves.
-
-    ``moves`` is a slice of _draw_moves' columns. The moves on one
-    variable are applied in one vectorised step: an entry scaled and
-    clamped to its window, a frame turned by its Givens rotation and one
-    stacked QR, a vector shifted and rescaled. A parameter move is applied
-    per row and makes no row where it leaves the regime; block is None
-    when no move makes a row.
+    ``moves`` is a slice of _draw_moves' columns and ``windows`` best's
+    variable windows. The moves on one variable are applied in one
+    vectorised step: an entry scaled and clamped to its window, a frame
+    turned by its Givens rotation and one stacked QR, a vector shifted and
+    rescaled. A parameter move is applied per row, clamps the row's
+    spectra to its own windows, and makes no row where it leaves the
+    regime; block is None when no move makes a row.
     """
     target = moves["target"]
     count = len(target)
-    rows = [(best["params"], best["windows"])] * count
+    params = [best.params] * count
 
     def tiled(group):
-        return {name: value[None].repeat(count, axis=0) for name, value in best[group].items()}
-    spectra, frames, vectors = tiled("spectra"), tiled("frames"), tiled("vectors")
-    scalars = {name: np.full(count, value) for name, value in best["scalars"].items()}
+        return {name: value.repeat(count, axis=0) for name, value in group.items()}
+    spectra, frames, vectors, scalars = map(tiled, (best.spectra, best.frames, best.vectors,
+                                                    best.scalars))
     for code in set(target.tolist()):
         kind, name = targets[code]
         at = (target == code).nonzero()[0]
         if kind == "spectrum":
-            window, index = best["windows"][name], moves["entry"][at]
-            scaled = best["spectra"][name][index] * moves["factor"][at]
+            window, index = windows[name], moves["entry"][at]
+            scaled = best.spectra[name][0, index] * moves["factor"][at]
             spectra[name][at, index] = np.clip(scaled, window.lo, window.hi)
         elif kind == "scalar":
-            window, scaled = best["windows"][name], best["scalars"][name] * moves["factor"][at]
+            window, scaled = windows[name], best.scalars[name][0] * moves["factor"][at]
             scalars[name][at] = np.clip(scaled, window.lo, window.hi)
         elif kind == "frame":
             i, j, theta = moves["i"][at], moves["j"][at], moves["theta"][at].tolist()
             # math.cos and math.sin, as a single move takes them: numpy's may round otherwise.
             cos = np.array([math.cos(t) for t in theta])
             sin = np.array([math.sin(t) for t in theta])
-            givens = np.repeat(np.eye(best["frames"][name].shape[0])[None], at.size, axis=0)
+            frame = best.frames[name][0]
+            givens = np.repeat(np.eye(frame.shape[0])[None], at.size, axis=0)
             each = np.arange(at.size)
             givens[each, i, i] = cos
             givens[each, j, j] = cos
             givens[each, i, j] = -sin
             givens[each, j, i] = sin
-            frames[name][at] = stacked.haar(best["frames"][name] @ givens)
+            frames[name][at] = stacked.haar(frame @ givens)
         elif kind == "vector":
-            shifted = best["vectors"][name] + moves["shift"][at]
+            shifted = best.vectors[name][0] + moves["shift"][at]
             vectors[name][at] = samplers._unit_vectors(shifted)[0]
         else:
             for row, factor in zip(at.tolist(), moves["factor"][at].tolist()):
-                rows[row] = _moved_params(spec, best["params"], name, factor, dim, box, regime,
-                                          classical)
-            moved = [row for row in at.tolist() if rows[row] is not None]
+                params[row] = _moved_params(best.params, name, factor, box, regime)
+            moved = [row for row in at.tolist() if params[row] is not None]
             # Each moved row's spectra clamped to its own windows.
+            own = [_windows(spec.space(best.dim, params[row], best.classical)) for row in moved]
             for var, vals in spectra.items() if moved else ():
-                lo, hi = np.array([(rows[row][1][var].lo, rows[row][1][var].hi)
-                                   for row in moved]).T
-                vals[moved] = np.clip(best["spectra"][var], lo[:, None], hi[:, None])
-    live = [row for row, made in enumerate(rows) if made is not None]
+                lo, hi = np.array([(w[var].lo, w[var].hi) for w in own]).T
+                vals[moved] = np.clip(best.spectra[var][0], lo[:, None], hi[:, None])
+    live = [row for row, made in enumerate(params) if made is not None]
     if not live:
         return None, live
-    if len(live) < count:
-        rows = [rows[row] for row in live]
-        spectra, frames, vectors, scalars = ({name: value[live] for name, value in group.items()}
-                                             for group in (spectra, frames, vectors, scalars))
-    return _Block(rows, dim, spectra, frames, vectors, scalars, classical), live
+    shared = all(p is params[0] for p in params)
+    block = stacked.StackedView(params[0] if shared else tuple(params),
+                                best.dim, spectra, frames, vectors, scalars, best.classical)
+    return (block if len(live) == count else block.subset(live)), live
 
 
-def _ratios(spec, block: _Block, tol) -> list:
+def _ratios(spec, block: stacked.StackedView, tol) -> list:
     """Each row's ratio, the largest of its records', from one stacked evaluation.
 
     Only the ratios are computed: no verdict is read, so none is decomposed.
@@ -317,7 +264,7 @@ def _ratios(spec, block: _Block, tol) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = spec.evaluate(block, tol)
     ratios = rows.ratio * rows.improvement if block.classical else rows.ratio
-    ratios = np.reshape(ratios, (len(block.rows), -1))
+    ratios = np.reshape(ratios, (len(ratios), -1))
     best = ratios[:, 0]
     # Python's max over each row's records: a later record wins only if greater.
     for column in ratios.T[1:]:
@@ -325,16 +272,16 @@ def _ratios(spec, block: _Block, tol) -> list:
     return best.tolist()
 
 
-def _lone_ratio(spec, block: _Block, tol) -> float:
-    """A one-row block's ratio, or -inf where its instance is not SPD or leaves the regime."""
+def _lone_ratio(spec, row: stacked.StackedView, tol) -> float:
+    """A one-row view's ratio, or -inf where its instance is not SPD or leaves the regime."""
     try:
-        return _ratios(spec, block, tol)[0]
+        return _ratios(spec, row, tol)[0]
     except (InfeasibleRegime, NotPositiveDefinite):
         return -math.inf
 
 
-def _scores(spec, block: _Block, tol):
-    """An iterator over each row's ratio, in order, from one stacked evaluation.
+def _scores(spec, block: stacked.StackedView, count: int, tol):
+    """An iterator over the ratios of the block's ``count`` rows, from one stacked evaluation.
 
     Where that raises, the rows are scored one by one as the iterator is
     read: rows past the one a restart accepts are speculative, and a row
@@ -343,45 +290,49 @@ def _scores(spec, block: _Block, tol):
     try:
         return iter(_ratios(spec, block, tol))
     except ValueError:
-        return (_lone_ratio(spec, block.row(r), tol) for r in range(len(block.rows)))
+        return (_lone_ratio(spec, block.subset([r]), tol) for r in range(count))
 
 
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     """(best ratio, its instance, evaluations, accepted moves, scored rows, blocks) of a climb.
 
-    The next ``size`` proposals move the best state and are scored in
-    one block; the climb keeps the first that beats the best and goes on
-    after it. A block without a gain doubles ``size`` up to _BLOCK_CAP,
-    one with a gain halves it. The first state is a block of one.
+    The best state is a one-row view, the first one first_values' draw.
+    The next ``size`` proposals move it and are scored in one block; the
+    climb keeps the first row that beats the best and goes on after it. A
+    block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
+    gain halves it. The best's windows change only with its params.
     """
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
-    best = first_values(space, params, dim, rng)
-    best["windows"] = _windows(space)
+    best = stacked.StackedView(params, dim, *_draw_states(space, dim, 1, lambda key: rng),
+                               classical)
+    windows = _windows(space)
     targets, moves = _draw_moves(best, box, budget - 1, rng)
-    best_ratio = next(_scores(spec, _Block.of(best, dim, classical), tol))
+    best_ratio = next(_scores(spec, best, 1, tol))
     accepted = start = 0
     scored = size = blocks = 1
     while start < budget - 1:
         chunk = {field: column[start:start + size] for field, column in moves.items()}
-        block, live = _candidates(spec, best, targets, chunk, dim, box, regime, classical)
+        block, live = _candidates(spec, best, windows, targets, chunk, box, regime)
         scored += len(live)
         blocks += block is not None
         # (row, ratio) of the block's first row that beats the best, else None.
         gain = None if block is None else next(
-            ((row, ratio) for row, ratio in enumerate(_scores(spec, block, tol))
+            ((row, ratio) for row, ratio in enumerate(_scores(spec, block, len(live), tol))
              if ratio > best_ratio), None)
         if gain is None:
             start += size
             size = min(2 * size, _BLOCK_CAP)
         else:
             row, best_ratio = gain
-            best = block.state(row)
+            moved, best = best.params, block.subset([row])
+            if best.params is not moved:
+                windows = _windows(spec.space(dim, best.params, classical))
             accepted += 1
             start += live[row] + 1
             size = max(size // 2, 1)
-    return best_ratio, snapshot(best), budget, accepted, scored, blocks
+    return best_ratio, snapshot(best, 0), budget, accepted, scored, blocks
 
 
 def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,

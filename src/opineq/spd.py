@@ -34,8 +34,8 @@ def _require_tol(tol) -> None:
 
 def _square(raw) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {raw.shape}")
     return raw
 
 
@@ -46,14 +46,15 @@ def symmetrize(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """Closed interval [lo, hi] with lo > 0, holding spectrum bounds."""
+    """Closed interval [lo, hi] with 0 < lo <= hi < inf, holding spectrum bounds."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (0.0 < self.lo <= self.hi):
-            raise ValueError(f"invalid spectral interval [{self.lo}, {self.hi}]")
+        if not (0.0 < self.lo <= self.hi < np.inf):
+            raise ValueError(f"invalid spectral interval [{self.lo}, {self.hi}]: "
+                             f"needs finite 0 < lo <= hi")
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,6 @@ class Verdicts:
 
     ``make`` returns the three arrays. It runs once, on the first read of
     any of them, so a caller that reads no verdict pays for none.
-    Iterates as (holds, gap, slack).
     """
 
     __slots__ = ("_make", "_values")
@@ -379,9 +378,6 @@ class Verdicts:
     holds = property(lambda self: self._read(0))
     gap = property(lambda self: self._read(1))
     slack = property(lambda self: self._read(2))
-
-    def __iter__(self):
-        return iter((self.holds, self.gap, self.slack))
 
 
 def _divide(num, den, where) -> np.ndarray:
@@ -464,10 +460,6 @@ class Rows:
         return cls(ratio, Verdicts(lambda: (holds, gap, slack)),
                    Verdicts(lambda: (classical, classical_gap, classical_slack)), lhs, rhs,
                    improvement, scale, classical_scale)
-
-    def _replace(self, **fields) -> "Rows":
-        """These rows with ``fields`` in place of their own; reads every verdict."""
-        return self._make(fields.get(name, value) for name, value in zip(self._fields, self))
 
     @classmethod
     def columns(cls, parts) -> "Rows":
@@ -554,18 +546,18 @@ def identity_rows(lhs, tol: float, c, kappa_pow=None, classical_lhs=None) -> Row
 
 
 class StackedView:
-    """What a TheoremSpec's evaluator reads of a stack of instance states.
+    """Instance states as the rows of one stack: what a TheoremSpec's evaluator reads.
 
     ``spectra``, ``frames``, ``vectors`` and ``scalars`` hold each state
     variable for every row; ``params`` is one BoundParams for all rows or
     a tuple of each row's own. ``classical`` asks for the classical
     search's instance, and ``validate`` for the hypotheses to be checked
-    on every row. A subclass adds the probes (``unit_vectors``,
-    ``orthonormal_pairs``) and ``per_map``, which evaluates the rows once
-    per map output size, each pass under a StackedMap: a campaign's hands
-    out many random and eigenvector probes per row under drawn maps of
-    mixed kinds, a search's each row's own vector or frame pair under the
-    identity.
+    on every row. A search climbs on one-row views and a campaign reports
+    rows, each as its ``inequalities.snapshot``. By default the probes
+    (``unit_vectors``, ``orthonormal_pairs``) are each row's own vector or
+    the first two columns of its frame, and ``per_map`` evaluates the rows
+    once under the identity; a campaign's stack hands out many random and
+    eigenvector probes per row under drawn maps of mixed kinds instead.
     """
 
     def __init__(self, params, dim: int, spectra: dict, frames: dict, vectors: dict,
@@ -587,13 +579,25 @@ class StackedView:
             hit = self._spd[name] = StackedSpd.from_eigh(self.spectra[name], self.frames[name])
         return hit
 
-    def subset(self, rows: np.ndarray) -> "StackedView":
-        """The same states, rows ``rows`` only."""
+    def unit_vectors(self, name, a) -> np.ndarray:
+        return self.vectors[name][:, None, :]
+
+    def orthonormal_pairs(self, name, a) -> tuple:
+        frame = self.frames[name]
+        return frame[:, None, :, 0], frame[:, None, :, 1]
+
+    def per_map(self, n: int, evaluate) -> Rows:
+        return evaluate(self, StackedMap.single("identity"))
+
+    def subset(self, rows) -> "StackedView":
+        """The same states, rows ``rows`` only; they share one params object where they did."""
         def pick(group):
             return {k: v[rows] for k, v in group.items()}
         params = self.params
         if isinstance(params, tuple):
-            params = tuple(params[row] for row in rows.tolist())
+            params = tuple(params[row] for row in rows)
+            if all(p is params[0] for p in params):
+                params = params[0]
         return StackedView(params, self.dim, pick(self.spectra), pick(self.frames),
                            pick(self.vectors), pick(self.scalars), self.classical,
                            self.validate)

@@ -45,14 +45,13 @@ from opineq import (
     require_feasible,
     trace_normalize_map,
 )
-from opineq import campaign, samplers, search
+from opineq import campaign, samplers, stacked
 from opineq.campaign import _pinching_blocks
 from opineq.inequalities import (
     _DEGENERATE_ATOL,
     _REGIME_TOL,
     _refined,
     refinement_factor,
-    snapshot,
 )
 from opineq.spd import (
     DEFAULT_TOL,
@@ -676,15 +675,30 @@ def lone_ratio(spec, state, dim, classical, tol) -> float:
     return max(r.ratio * r.improvement_ratio if classical else r.ratio for r in records)
 
 
-def search_block(states, dim, classical=False, view_type=search._Block):
-    """Search states, stacked in order, as the rows of one search block."""
+def search_block(states, dim, classical=False, view_type=stacked.StackedView):
+    """Search states, stacked in order, as the rows of one view.
+
+    The rows share one params object where every state has the same.
+    """
     def rows(group):
         return {name: np.stack([state[group][name] for state in states])
                 for name in states[0][group]}
-    return view_type(tuple((state["params"], state.get("windows")) for state in states), dim,
+    params = tuple(state["params"] for state in states)
+    return view_type(params[0] if all(p is params[0] for p in params) else params, dim,
                      rows("spectra"), rows("frames"), rows("vectors"),
                      {name: np.array([state["scalars"][name] for state in states])
                       for name in states[0]["scalars"]}, classical)
+
+
+def snapshot(state: dict) -> dict:
+    """A state's values as JSON lists, in the package's snapshot format."""
+    return {
+        "params": state["params"].as_dict(),
+        "spectra": {k: v.tolist() for k, v in state["spectra"].items()},
+        "frames": {k: v.tolist() for k, v in state["frames"].items()},
+        "vectors": {k: v.tolist() for k, v in state["vectors"].items()},
+        "scalars": dict(state["scalars"]),
+    }
 
 
 # The per-instance draw rules. The floors are read from ``opineq.samplers``

@@ -504,7 +504,8 @@ def test_stacked_row_off_by_one_ulp_raises(monkeypatch):
         rows = spec.evaluate(view, tol)
         ratio = np.array(rows.ratio)
         ratio[0, 0] = np.nextafter(ratio[0, 0], np.inf)
-        return rows._replace(ratio=ratio)
+        rows.ratio = ratio
+        return rows
 
     monkeypatch.setitem(THEOREMS, "kantorovich", dataclasses.replace(spec, evaluate=skewed))
     with pytest.raises(AssertionError, match="'kantorovich', 2, 0, 'ratio'"):

@@ -14,7 +14,6 @@ from opineq import (
     IneqRecord,
     IsometryPair,
     RegimeId,
-    SpdMatrix,
     check_holder_mccarthy_refined,
     check_isometry_family_bound,
     check_kantorovich_product_refined,
@@ -34,6 +33,7 @@ from opineq import (
     make_spd,
     refinement_constants,
     refinement_factor,
+    regime_feasible,
     sample_congruence_family,
     sample_spd,
     sample_unit_vector,
@@ -41,8 +41,8 @@ from opineq import (
     trace_normalize_map,
 )
 import reference
-from opineq import samplers, search, stacked
-from opineq.inequalities import first_values
+from opineq import samplers, stacked
+from opineq.inequalities import first_values, instance_view
 from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
 from reference import InstanceView, search_block
@@ -58,14 +58,14 @@ def _view(theorem_id, params, dim, rng):
     return InstanceView(_state(theorem_id, params, dim, rng), dim)
 
 
-def _evaluate(theorem_id, params, dim, rng, view_type=search._Block):
+def _evaluate(theorem_id, params, dim, rng, view_type=stacked.StackedView):
     """The theorem's evaluator on one instance drawn from its space, hypotheses checked."""
     view = search_block([_state(theorem_id, params, dim, rng)], dim, view_type=view_type)
     view.validate = True
     return THEOREMS[theorem_id].evaluate(view, DEFAULT_TOL)
 
 
-class _TraceNormalizedView(search._Block):
+class _TraceNormalizedView(stacked.StackedView):
     """Checks its instance under the trace-normalizing map."""
 
     def per_map(self, n, evaluate):
@@ -613,3 +613,40 @@ def test_degenerate_ratios_read_their_verdicts(linalg_calls):
         assert rows.holds.tolist() == holds
         assert all(np.isfinite(field).all() for field in tuple(rows)[3:])
         assert linalg_calls["eigvalsh"] == before
+
+
+@pytest.mark.parametrize("theorem_id", [t for t, spec in THEOREMS.items() if spec.witnesses])
+def test_each_witness_is_a_feasible_state_of_its_space(theorem_id):
+    # Every variable of the space, and nothing else, with its shape; spectra
+    # inside their windows, frames orthonormal, vectors of unit length.
+    spec = THEOREMS[theorem_id]
+    for name, witness in spec.witnesses.items():
+        dim, classical = witness["dim"], witness["classical"]
+        params = BoundParams(**witness["params"])
+        regime = spec.regime
+        if classical and spec.classical_regime is not None:
+            regime = spec.classical_regime
+        assert regime_feasible(regime, params)[0], name
+        assert dim >= spec.min_dim, name
+        view = instance_view(witness)
+        shapes = {"spectra": {}, "frames": {}, "vectors": {}, "scalars": {}}
+        for var, kind in spec.space(dim, params, classical).items():
+            size = kind.size or dim
+            if kind.kind in ("spd", "weights"):
+                shapes["spectra"][var] = (1, size)
+                lo, hi = kind.window.lo, kind.window.hi
+                assert lo <= view.spectra[var].min() <= view.spectra[var].max() <= hi, name
+            if kind.kind == "spd":
+                shapes["frames"][var] = (1, size, size)
+            elif kind.kind == "frame":
+                shapes["frames"][var] = (1, dim, dim)
+            elif kind.kind == "vector":
+                shapes["vectors"][var] = (1, dim)
+            elif kind.kind == "scalar":
+                shapes["scalars"][var] = (1,)
+        for group, want in shapes.items():
+            assert {var: value.shape for var, value in getattr(view, group).items()} == want
+        for frame in view.frames.values():
+            assert np.abs(frame[0].T @ frame[0] - np.eye(frame.shape[-1])).max() <= 1e-15, name
+        for vector in view.vectors.values():
+            assert abs(vector[0] @ vector[0] - 1.0) <= 1e-15, name

@@ -312,7 +312,8 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
         for name, got in one_calls.items():
             want = stacked_calls[name]
             if isinstance(want, stacked.Verdicts):
-                got, want = (got.holds, got.min_gap_eig, got.rel_slack), [f[r] for f in want]
+                got = (got.holds, got.min_gap_eig, got.rel_slack)
+                want = [f[r] for f in (want.holds, want.gap, want.slack)]
             else:
                 want = want[r]
             assert np.array_equal(got, want), name
@@ -320,3 +321,14 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
             assert np.array_equal(maps["compression"][1](r).isometry, isometries[r])
         assert all(map(np.array_equal, congruence_sum_map([u[r] for u in family]).family,
                        (u[r] for u in family)))
+
+
+@pytest.mark.parametrize("build, arg, message", [
+    (identity_map, 0, r"identity map needs sizes >= 1, got 0 -> 0"),
+    (trace_normalize_map, 0, r"trace_normalize map needs sizes >= 1, got 0 -> 0"),
+    (compression_map, np.zeros((3, 0)), r"r >= 1, got \(3, 0\)"),
+    (congruence_sum_map, [np.zeros((0, 0))], r"non-empty square shape, got \[\(0, 0\)\]"),
+])
+def test_empty_maps_are_rejected_by_name(build, arg, message):
+    with pytest.raises(ValueError, match=message):
+        build(arg)

@@ -7,6 +7,10 @@ from pathlib import Path
 import opineq
 
 PACKAGE = Path(opineq.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
+# The package, its tests and its demos.
+SOURCES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *DEMOS.glob("*.py")])
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -34,10 +38,10 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)
-        unused.extend(f"{path.name}:{line} {name}"
+        unused.extend(f"{path.parent.name}/{path.name}:{line} {name}"
                       for name, line in _imported_names(tree).items() if name not in used)
     assert not unused, unused
 
@@ -50,9 +54,8 @@ def test_all_is_sorted_and_lists_every_public_name():
 
 
 def test_no_line_is_over_100_characters():
-    tests = Path(__file__).resolve().parent
-    long_lines = [f"{path.name}:{number}"
-                  for path in sorted([*PACKAGE.glob("*.py"), *tests.glob("*.py")])
+    long_lines = [f"{path.parent.name}/{path.name}:{number}"
+                  for path in SOURCES
                   for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                   if len(line) > 100]
     assert not long_lines, long_lines

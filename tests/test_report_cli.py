@@ -343,12 +343,45 @@ def test_cli_constants_infeasible_exits_65(capsys):
     capsys.readouterr()
 
 
+# The 14 lines of opineq demo, one per record of a registered witness, in any order.
+DEMO_LINES = (
+    "[demo] scalar refined am-gm a=1 b=4       lhs=2.48045301  rhs=2.5  "
+    "slack=0.019547  holds=True",
+    "[demo] scalar equality a=b=3              lhs=3  rhs=3  "
+    "slack=0  holds=True",
+    "[demo] squared mean bound a=1 b=4         lhs=6.25  rhs=6.34889325  "
+    "slack=0.0988933  holds=True",
+    "[demo] wielandt refined 2x2 witness       lhs=0.0170132325  rhs=0.187029752  "
+    "slack=0.170017  holds=True",
+    "[demo] wielandt gumus 2x2 witness         lhs=0.0170132325  rhs=0.231959256  "
+    "slack=0.214946  holds=True",
+    "[demo] kantorovich equality witness       lhs=1.5625  rhs=1.5625  "
+    "slack=4.44089e-16  holds=True",
+    "[demo] wielandt scalar equality pair      lhs=2.25  rhs=2.25  "
+    "slack=-4.44089e-16  holds=True",
+    "[demo] chain half_a at m=M                lhs=2  rhs=2  "
+    "slack=0  holds=True",
+    "[demo] chain half_b at m=M                lhs=2  rhs=2  "
+    "slack=0  holds=True",
+    "[demo] chain summed at m=M                lhs=4  rhs=4  "
+    "slack=0  holds=True",
+    "[demo] chain geo_inverse at m=M           lhs=4  rhs=4  "
+    "slack=0  holds=True",
+    "[demo] chain mapped_inverse_mean at m=M   lhs=4  rhs=4  "
+    "slack=0  holds=True",
+    "[demo] chain mapped_mean_inverse at m=M   lhs=4  rhs=4  "
+    "slack=0  holds=True",
+    "[demo] chain norm_product at m=M          lhs=1  rhs=1  "
+    "slack=0  holds=True",
+)
+
+
 def test_cli_demo_all_hold(capsys):
     assert cli_main(["demo"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith("[demo]")]
-    assert len(lines) >= 10
-    assert all("holds=True" in line for line in lines)
+    assert sorted(lines) == sorted(DEMO_LINES)
+    assert all(line.endswith("holds=True") for line in lines)
 
 
 def test_cli_version(capsys):

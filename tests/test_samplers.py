@@ -198,3 +198,15 @@ def test_draws_are_reproducible():
     a = sample_spd(4, SpectralInterval(1.0, 2.0), np.random.default_rng(7))
     b = sample_spd(4, SpectralInterval(1.0, 2.0), np.random.default_rng(7))
     assert np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.inf, math.inf)])
+def test_unbounded_spectral_windows_are_rejected_by_name(lo, hi):
+    # An unbounded window used to reach sample_spd, where numpy's uniform overflowed.
+    with pytest.raises(ValueError, match=r"invalid spectral interval .*needs finite"):
+        SpectralInterval(lo, hi)
+
+
+def test_isometry_pairs_without_columns_are_rejected_by_name():
+    with pytest.raises(ValueError, match=r"n x r shape with r >= 1, got \(2, 0\)"):
+        IsometryPair(np.zeros((2, 0)), np.zeros((2, 0)))

@@ -24,9 +24,10 @@ from opineq import (
     regime_feasible,
 )
 from opineq import search
-from opineq.inequalities import first_values, snapshot
+from opineq.inequalities import first_values, instance_view
+from opineq.inequalities import snapshot as view_snapshot
 from oracles import big_k, kappa
-from reference import lone_ratio
+from reference import lone_ratio, search_block, snapshot
 
 # Feasible search boxes, one per theorem.
 BOXES = {
@@ -171,6 +172,29 @@ def _assert_golden(theorem_id):
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
 def test_search_is_bit_exact_on_golden_jobs(theorem_id):
     _assert_golden(theorem_id)
+
+
+ROUND_TRIP_JOBS = [
+    *((theorem_id, dict(box=BOXES[theorem_id], budget=250, rng=9, dim=2, classical=classical))
+      for theorem_id, classical in SMALL_GOLDEN),
+    *((theorem_id, dict(budget=4000, rng=42, tol=1e-8, **kwargs))
+      for theorem_id, (kwargs, *_) in GOLDEN_JOBS.items()),
+]
+
+
+@pytest.mark.parametrize("theorem_id, kwargs", ROUND_TRIP_JOBS)
+def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
+    # A result's instance is the snapshot of a one-row view, and instance_view
+    # reads it back: the same values, and the same ratio bit for bit.
+    result = maximize_ratio(theorem_id, **kwargs)
+    instance = result.instance
+    view = instance_view(instance)
+    assert (view.dim, view.classical) == (result.dim, result.classical)
+    assert view_snapshot(view, 0) == {group: instance[group] for group in (
+        "params", "spectra", "frames", "vectors", "scalars")}
+    rows = THEOREMS[theorem_id].evaluate(view, kwargs.get("tol", 1e-8))
+    ratios = rows.ratio * rows.improvement if result.classical else rows.ratio
+    assert max(np.ravel(ratios).tolist()).hex() == result.ratio.hex()
 
 
 # eigh calls of each golden job's box at budget 300 and seed 42. They build
@@ -382,15 +406,16 @@ BUILDER_CASES = [
 
 
 def _assert_same_state(got, want, label):
-    assert got["params"] == want["params"], label
-    assert got["windows"] == want["windows"], label
+    """A one-row view holds the state ``want``, value for value and bit for bit."""
+    assert got.params == want["params"], label
     for group in ("spectra", "frames", "vectors"):
-        assert got[group].keys() == want[group].keys(), label
+        values = getattr(got, group)
+        assert values.keys() == want[group].keys(), label
         for name, value in want[group].items():
-            assert got[group][name].dtype == value.dtype, (label, name)
-            assert got[group][name].shape == value.shape, (label, name)
-            assert got[group][name].tobytes() == value.tobytes(), (label, name)
-    assert {k: v.hex() for k, v in got["scalars"].items()} == {
+            assert values[name].dtype == value.dtype, (label, name)
+            assert values[name].shape == (1, *value.shape), (label, name)
+            assert values[name].tobytes() == value.tobytes(), (label, name)
+    assert {k: float(v[0]).hex() for k, v in got.scalars.items()} == {
         k: v.hex() for k, v in want["scalars"].items()}, label
 
 
@@ -406,11 +431,12 @@ def test_each_block_row_is_its_move_applied_alone(dim):
             space = spec.space(dim, params, False)
             best = first_values(space, params, dim, rng)
             best["windows"] = search._windows(space)
+            view = search_block([best], dim)
             count = 64
-            targets, moves = search._draw_moves(best, box, count, np.random.default_rng(seed))
-            block, live = search._candidates(spec, best, targets, moves, dim, box, spec.regime,
-                                             False)
-            assert len(block.rows) == len(live)
+            targets, moves = search._draw_moves(view, box, count, np.random.default_rng(seed))
+            block, live = search._candidates(spec, view, best["windows"], targets, moves, box,
+                                             spec.regime)
+            assert len(block.spectra["a"]) == len(live)
             # The reference draws the same fields with its own calls, on the same schedule.
             replay = _reference_moves(best, box, count, dim, np.random.default_rng(seed))
             for index, (move, delta) in enumerate(zip(replay, _reference_deltas(count))):
@@ -422,10 +448,10 @@ def test_each_block_row_is_its_move_applied_alone(dim):
                     assert move[0] == "param" and index not in live, label
                     dead += 1
                     continue
-                got = block.state(live.index(index))
+                got = block.subset([live.index(index)])
                 _assert_same_state(got, want, label)
                 if move[0] != "param":
-                    assert got["params"] is best["params"], label
+                    assert got.params is best["params"], label
     assert kinds == {"spectrum", "frame", "vector", "scalar", "param"}
     assert dead
 
@@ -458,11 +484,11 @@ def test_move_draws_make_as_many_generator_calls_at_any_budget(theorem_id, box, 
     box = search._normalize_box(box)
     rng = np.random.default_rng(3)
     params = search._draw_params(box, spec.regime, rng)
-    state = first_values(spec.space(3, params, False), params, 3, rng)
+    view = search_block([first_values(spec.space(3, params, False), params, 3, rng)], 3)
     calls, drawn = {}, {}
     for budget in (50, 4000):
         counting = _CountingGenerator(budget)
-        drawn[budget] = search._draw_moves(state, box, budget - 1, counting)
+        drawn[budget] = search._draw_moves(view, box, budget - 1, counting)
         calls[budget] = counting.calls
     assert calls[50] == calls[4000] <= 7, calls
     targets, moves = drawn[4000]

@@ -255,3 +255,9 @@ def test_loewner_ratio_congruence_invariance(rng):
     lhs = SpdMatrix.from_eigh([1.0, 2.0, 3.0], q)
     rhs = SpdMatrix.from_eigh([2.0, 4.0, 4.0], q)
     assert loewner_ratio(lhs.entries, rhs) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("build", [make_spd, SpdMatrix])
+def test_empty_matrices_are_rejected_by_name(build):
+    with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        build(np.zeros((0, 0)))
