@@ -18,20 +18,21 @@ from opineq import (
     regime_feasible,
     regime_window,
 )
-from opineq.inequalities import first_values
+from opineq.inequalities import _draw_states
+from opineq.stacked import StackedView
 
 
 class Instance:
-    """One instance drawn from a theorem's space: its matrices and scalars."""
+    """One instance drawn from a theorem's space as a one-row view: its matrices and scalars."""
 
     def __init__(self, theorem_id, params, dim, rng):
-        spec = THEOREMS[theorem_id]
-        self.state = first_values(spec.space(dim, params, False), params, dim, rng)
-        self.scalars = self.state["scalars"]
+        space = THEOREMS[theorem_id].space(dim, params, False)
+        self.view = StackedView(params, dim, *_draw_states(space, dim, 1, lambda key: rng))
+        self.scalars = {name: float(value[0]) for name, value in self.view.scalars.items()}
 
     def spd(self, name):
         """The matrix with spectrum ``name`` on frame ``name``."""
-        return SpdMatrix.from_eigh(self.state["spectra"][name], self.state["frames"][name])
+        return SpdMatrix.from_eigh(self.view.spectra[name][0], self.view.frames[name][0])
 
 
 def draw(theorem_id, params, dim, rng):

@@ -26,18 +26,19 @@ from opineq import (
     refinement_factor,
     scalar_refined_amgm,
 )
-from opineq.inequalities import first_values
+from opineq.inequalities import _draw_states
+from opineq.stacked import StackedView
 
 
 def draw(theorem_id, params, dim, rng):
-    """One instance drawn from the theorem's space, as its state dict."""
-    spec = THEOREMS[theorem_id]
-    return first_values(spec.space(dim, params, False), params, dim, rng)
+    """One instance drawn from the theorem's space, as the one row of a view."""
+    space = THEOREMS[theorem_id].space(dim, params, False)
+    return StackedView(params, dim, *_draw_states(space, dim, 1, lambda key: rng))
 
 
-def spd(state, name):
+def spd(view, name):
     """The matrix with spectrum ``name`` on frame ``name``."""
-    return SpdMatrix.from_eigh(state["spectra"][name], state["frames"][name])
+    return SpdMatrix.from_eigh(view.spectra[name][0], view.frames[name][0])
 
 
 def show(rec):
@@ -54,19 +55,19 @@ def main():
 
     print("matrix version under m A <= B:")
     # the spec derives B = A^{1/2} C A^{1/2} from A, which keeps 2A <= B
-    state = draw("lemma_amgm", BoundParams(m=2.0, M=6.0), 3, rng)
-    a = spd(state, "a")
+    view = draw("lemma_amgm", BoundParams(m=2.0, M=6.0), 3, rng)
+    a = spd(view, "a")
     root = a.sqrt().entries
-    show(check_lemma_refined_amgm(a, make_spd(root @ spd(state, "c").entries @ root), 2.0))
+    show(check_lemma_refined_amgm(a, make_spd(root @ spd(view, "c").entries @ root), 2.0))
 
     print("kantorovich with the squared divisor:")
-    state = draw("kantorovich", BoundParams(m=0.5, m_prime=2.0, M=4.0), 3, rng)
-    show(check_kantorovich_refined(spd(state, "a"), state["vectors"]["x"], 0.5, 2.0, 4.0))
+    view = draw("kantorovich", BoundParams(m=0.5, m_prime=2.0, M=4.0), 3, rng)
+    show(check_kantorovich_refined(spd(view, "a"), view.vectors["x"][0], 0.5, 2.0, 4.0))
 
     print("squared operator bound, both reading orders:")
     boxed = BoundParams(m=1.0, m_prime=2.0, M_prime=3.0, M=4.0)
-    state = draw("lin_chain", boxed, 3, rng)
-    a, b = spd(state, "a"), spd(state, "b")
+    view = draw("lin_chain", boxed, 3, rng)
+    a, b = spd(view, "a"), spd(view, "b")
     for variant in ("mapped_mean", "mean_of_maps"):
         show(check_lin_refined_squared(identity_map(3), a, b, boxed, variant))
 
@@ -77,12 +78,12 @@ def main():
     print("operator wielandt, three strengths on one instance:")
     # drawn on the refined window [sqrt(m'), m'/m], which the plain window contains
     wparams = BoundParams(m=1.5, M=4.0, m_prime=4.0)
-    state = draw("wielandt_refined", wparams, 4, rng)
+    view = draw("wielandt_refined", wparams, 4, rng)
     # X and Y are the first and last two columns of one frame, as the spec takes them
-    frame = state["frames"]["pair"]
+    frame = view.frames["pair"][0]
     pair = IsometryPair(frame[:, :2], frame[:, 2:])
     for variant in ("bhatia_davis", "gumus", "refined"):
-        show(check_wielandt_operator(identity_map(2), spd(state, "a"), pair, wparams, variant))
+        show(check_wielandt_operator(identity_map(2), spd(view, "a"), pair, wparams, variant))
 
     print("classical constants next to their refined counterparts:")
     table = refinement_constants(boxed)

@@ -3,11 +3,12 @@
 A campaign draws instances per (theorem, dimension, parameter cell),
 checks each, and aggregates verdicts, attained ratios, and slack
 statistics. Everything it knows about a theorem (its regime, default
-cells, minimum dimension, instance space and evaluator) comes from that
-theorem's TheoremSpec in ``inequalities.THEOREMS``; a search reads the
-same space and evaluator. A draw takes the first values of the spec's
-space, VECTORS_PER_INSTANCE random probes plus A's eigenvector probes,
-and a map drawn from the positive unital catalog.
+cells, minimum dimension, instance space, evaluator and what it reads)
+comes from that theorem's TheoremSpec in ``inequalities.THEOREMS``; a
+search reads the same space and evaluator. A draw is a state of the
+spec's space and, where the evaluator reads them, VECTORS_PER_INSTANCE
+random probes plus A's eigenvector probes, or a map from the positive
+unital catalog.
 
 Draws are reproducible: a cell has one SeedSequence, seeded by (seed,
 theorem index, dim, cell), and each array it draws comes from a child
@@ -17,14 +18,12 @@ built by ``inequalities._draw_states``, its probes by the unit vector
 and pair rules of ``samplers`` and its congruence maps by its family
 rule; frames are ``stacked.haar``'s.
 
-A cell is evaluated in chunks of at most _CHUNK draws, each chunk on
-stacked arrays by the spec's evaluator: once for the chunk, or for a
-theorem with a map once per map output size, one pass for the rows
-whose map keeps the dimension, whatever its kind, and one for the
-compression rows. The hypotheses are checked on every draw. The
-statistics are folded in draw order, and the extremal instance is the
-draw with the first largest ratio: its state, the probe that scored it
-and its map.
+A cell is evaluated in chunks of at most _CHUNK draws, each one
+``stacked.StackedView`` with its probes and maps, by the spec's
+evaluator: once, or once per map output size. The hypotheses are checked
+on every draw. The statistics are folded in draw order, and the
+extremal instance is the ``inequalities.snapshot`` of the draw with the
+first largest ratio, the probe that scored it and its map included.
 """
 
 from __future__ import annotations
@@ -153,22 +152,6 @@ def _pinching_blocks(dim: int) -> tuple:
     return (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
 
 
-def _map_parts(n: int, member, q, w) -> list:
-    """Rows' maps, a MapPart per group, from their (rows, groups) membership and draws."""
-    parts = []
-    for group in np.flatnonzero(member.any(axis=0)).tolist():
-        rows = np.flatnonzero(member[:, group])
-        kind, k = _MAP_GROUPS[group]
-        data = _pinching_blocks(n) if kind == "pinching" else None
-        if kind == "compression":
-            data = stacked.compression_isometries(q[rows, :, : n - 1])
-        elif kind == "congruence_sum":
-            # Each row's family from its frame and the first k rows of its weights.
-            data = stacked.congruence_family(samplers._congruence_family(q[rows], w[rows, :k]))
-        parts.append(stacked.MapPart(rows, kind, data))
-    return parts
-
-
 class _Draws:
     """A cell's raw random inputs: one generator per drawn array, each read in draw order.
 
@@ -195,93 +178,61 @@ class _Draws:
             self._rngs[key] = np.random.default_rng(child)
         return self._rngs[key]
 
-    def probes(self, count: int, pairs: bool = False) -> np.ndarray:
-        """The next count draws' Gaussian probes: (count, k, n) vectors, or (count, k, 2, n)."""
+    def probes(self, count: int, frame: np.ndarray, pairs: bool) -> tuple:
+        """The next count draws' probes, each (count, k, n), A's frame ``frame`` given.
+
+        VECTORS_PER_INSTANCE random unit vectors, then A's eigenvectors v;
+        or as many random orthonormal pairs, then (v_i + v_j, v_i - v_j)/sqrt2
+        over (i, j) = (0, n-1), where the bound is attained, and (k, k+1).
+        """
         key, redraw, shape, rule = (
             ("pairs", "pair redraws", (2, self.dim), samplers._orthonormal_pairs) if pairs
             else ("units", "unit redraws", (self.dim,), samplers._unit_vectors))
-        return samplers._gaussians(self._rng, key, redraw, (VECTORS_PER_INSTANCE, *shape),
-                                   count, rule)
-
-    def maps(self, n: int, count: int) -> tuple:
-        """count maps on n x n, every field whatever the kind: groups, Gaussians, weights."""
-        return (_map_kind(n, self._rng("map groups"), count),
-                self._rng("map frames").standard_normal((count, n, n)),
-                self._rng("map weights").uniform(*samplers._WEIGHT_RANGE, (count, 3, n)))
-
-
-class _Stack(stacked.StackedView):
-    """One chunk of a cell's draws, hypotheses checked: row r is the chunk's r-th draw.
-
-    Its state, probes and maps are built from the next rows of the cell's _Draws.
-    """
-
-    def __init__(self, draws: _Draws, params: BoundParams, count: int):
-        super().__init__(params, draws.dim,
-                         *_draw_states(draws.space, draws.dim, count, draws._rng),
-                         validate=True)
-        self._draws = draws
-        self._count = count
-        self._probes = ()
-        self._maps = None  # (n, each row's map draws with Haar frames), once per_map has run
-
-    def unit_vectors(self, name, a):
-        """(S, k, n): each row's random unit vectors, then A's eigenvectors."""
-        x = samplers._unit_vectors(self._draws.probes(self._count))[0]
-        self._probes = (np.concatenate([x, np.swapaxes(a.eigenvectors, -1, -2)], axis=1),)
-        return self._probes[0]
-
-    def orthonormal_pairs(self, name, a):
-        """(x, y), each (S, k, n): random pairs, then (v_i + v_j, v_i - v_j)/sqrt2.
-
-        The eigenvector pairs (i, j) are (0, n-1), where the bound is
-        attained, and (k, k+1).
-        """
-        x, y, _ = samplers._orthonormal_pairs(self._draws.probes(self._count, pairs=True))
+        drawn = rule(samplers._gaussians(self._rng, key, redraw,
+                                         (VECTORS_PER_INSTANCE, *shape), count, rule))
+        vecs = np.swapaxes(frame, -1, -2)
+        if not pairs:
+            return (np.concatenate([drawn[0], vecs], axis=1),)
         i, j = np.array(sorted({(0, self.dim - 1)} | {(k, k + 1) for k in range(self.dim - 1)})).T
-        vi, vj = (np.swapaxes(a.eigenvectors[..., index], -1, -2) for index in (i, j))
         root = math.sqrt(2.0)
-        self._probes = (np.concatenate([x, (vi + vj) / root], axis=1),
-                        np.concatenate([y, (vi - vj) / root], axis=1))
-        return self._probes
+        return (np.concatenate([drawn[0], (vecs[:, i] + vecs[:, j]) / root], axis=1),
+                np.concatenate([drawn[1], (vecs[:, i] - vecs[:, j]) / root], axis=1))
 
-    def per_map(self, n: int, evaluate) -> stacked.Rows:
-        """evaluate(view, map) once per map output size, on every row of that size.
+    def maps(self, n: int, count: int) -> stacked.StackedMap:
+        """The next count draws' maps on n x n, a MapPart per group of the catalog.
 
-        Compression maps to n - 1, every other kind to n. A pass's map
-        has one part per kind and family size. The results are put back in
-        row order.
+        Every field is drawn whatever the kind: the group, an (n, n)
+        Gaussian for the Haar frame and 3 x n weights.
         """
-        groups, z, w = self._draws.maps(n, self._count)
+        groups = _map_kind(n, self._rng("map groups"), count)
+        q = stacked.haar(self._rng("map frames").standard_normal((count, n, n)))
+        w = self._rng("map weights").uniform(*samplers._WEIGHT_RANGE, (count, 3, n))
         # Membership by indexing: an integer == would map 128 KiB more of numpy's code.
-        drawn = (np.eye(len(_MAP_GROUPS), dtype=bool)[groups], stacked.haar(z), w)
-        self._maps = (n, drawn)
-        compression = drawn[0][:, _MAP_GROUPS.index(("compression", 0))]
-        passes = [rows for rows in (np.flatnonzero(~compression), np.flatnonzero(compression))
-                  if rows.size]
-        out = [evaluate(self.subset(rows), stacked.StackedMap(
-            _map_parts(n, *(field[rows] for field in drawn)))) for rows in passes]
-        # Each row's place in the passes' results (an argsort raises the peak RSS).
-        back = np.empty(self._count, dtype=int)
-        back[np.concatenate(passes)] = np.arange(self._count)
-        return stacked.Rows._make(np.concatenate(fields)[back] for fields in zip(*out))
+        member, parts = np.eye(len(_MAP_GROUPS), dtype=bool)[groups], []
+        for group in np.flatnonzero(member.any(axis=0)).tolist():
+            rows = np.flatnonzero(member[:, group])
+            kind, k = _MAP_GROUPS[group]
+            data = _pinching_blocks(n) if kind == "pinching" else None
+            if kind == "compression":
+                data = stacked.compression_isometries(q[rows, :, : n - 1])
+            elif kind == "congruence_sum":
+                # Each row's family from its frame and the first k rows of its weights.
+                data = stacked.congruence_family(samplers._congruence_family(q[rows], w[rows, :k]))
+            parts.append(stacked.MapPart(rows, kind, data))
+        return stacked.StackedMap(parts)
 
-    def instance(self, row: int, item: int) -> dict:
-        """Row's snapshot, plus the probe that scored its record ``item`` and its map."""
-        out = snapshot(self, row)
-        if self._probes:
-            out["probe"] = dict(zip("xy", (p[row, item].tolist() for p in self._probes)))
-        if self._maps is not None:
-            n, drawn = self._maps
-            (part,) = _map_parts(n, *(field[row:row + 1] for field in drawn))
-            out["map_kind"] = part.kind
-            if part.kind == "compression":
-                out["map_isometry"] = part.data[0].tolist()
-            elif part.kind == "congruence_sum":
-                out["map_family"] = [u[0].tolist() for u in part.data]
-            elif part.kind == "pinching":
-                out["map_blocks"] = [list(block) for block in part.data]
-        return out
+
+def _chunk(spec, draws: _Draws, params: BoundParams, count: int) -> stacked.StackedView:
+    """The next count draws of a cell as one view, hypotheses checked.
+
+    Its probes, and its maps on dim // map_divisor, are drawn where the
+    spec's evaluator reads them.
+    """
+    spectra, frames, vectors, scalars = _draw_states(draws.space, draws.dim, count, draws._rng)
+    probes = draws.probes(count, frames["a"], spec.probes == "pairs") if spec.probes else None
+    maps = draws.maps(draws.dim // spec.map_divisor, count) if spec.map_divisor else None
+    return stacked.StackedView(params, draws.dim, spectra, frames, vectors, scalars,
+                               validate=True, probes=probes, maps=maps)
 
 
 class _Fold:
@@ -329,7 +280,7 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
     fold = _Fold()
     for start in range(0, cfg.samples, _CHUNK):
         count = min(_CHUNK, cfg.samples - start)
-        chunk = _Stack(draws, params, count)
+        chunk = _chunk(spec, draws, params, count)
         # Rows such as a zero right side divide silently, here and where the
         # reshape reads the verdicts, which are computed on first read.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -354,7 +305,7 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
             "lhs": float(row.lhs[item]),
             "rhs": float(row.rhs[item]),
             **params.as_dict(),
-            "instance": best.instance(draw % _CHUNK, item),
+            "instance": snapshot(best, draw % _CHUNK, item),
         }
     return CellStats(
         theorem_id=theorem_id,

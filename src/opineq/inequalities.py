@@ -7,13 +7,14 @@ refinement_constants both read.
 
 THEOREMS holds one TheoremSpec per bound: its regime, default campaign
 cells, minimum dimension, the variables of its instances (its space,
-which first_values draws), its one evaluator and its witnesses. The
-evaluator checks a stack of instance states at once through a
-``stacked.StackedView``: a campaign chunk's draws, each with many random
-and eigenvector probes under a drawn map and its hypotheses checked, or
-a search block's candidates, each with its own probe under the identity
-map. One row of a view is one instance; snapshot writes it as JSON
-values and instance_view reads it back.
+which _draw_states draws), its one evaluator, the probes and maps it
+reads and its witnesses. The evaluator checks a stack of instance states
+at once through a ``stacked.StackedView``: a campaign chunk's draws,
+each with many random and eigenvector probes under a drawn map and its
+hypotheses checked, or a search block's candidates, each with its own
+probe under the identity map. One row of a view is one instance, its
+probe and map included; snapshot writes it as JSON values and
+instance_view reads it back.
 
 Each bound's arithmetic is written once, on stacked operands, and hands
 its left side and core to a record builder of ``opineq.stacked``, which
@@ -33,11 +34,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .means_maps import PositiveMapSpec, _one_map, congruence_sum_map
+from .means_maps import (PositiveMapSpec, _one_map, compression_map, congruence_sum_map,
+                         identity_map, pinching_map, trace_normalize_map)
 from .samplers import (
     BoundParams,
     RegimeId,
     _gaussians,
+    _is_int,
     _unit_vectors,
     _window_spectra,
     regime_window,
@@ -265,14 +268,15 @@ class TheoremSpec:
     and ``cells`` the default campaign grid. A classical search moves to
     ``classical_regime`` when it is set, where the unrefined constant has
     its equality cases. ``space(dim, params, classical)`` maps each
-    instance variable's name to its SearchVar, in the order first_values
+    instance variable's name to its SearchVar, in the order _draw_states
     draws them. ``evaluate(view, tol)`` returns ``stacked.Rows`` for every
     state a ``stacked.StackedView`` holds: a record per probe the view
-    hands out, under its maps, or per link of lin_chain, which
-    ``details`` names. It checks the hypotheses where the view asks.
-    ``witnesses`` names worked instances in snapshot's format, with a
-    ``dim`` and ``classical`` flag; ``opineq demo`` prints their records,
-    a name's ``{}`` filled with each record's detail.
+    holds, under its maps, or per link of lin_chain, which ``details``
+    names. It checks the hypotheses where the view asks. A campaign draws
+    the probes the evaluator reads, ``probes`` "units" or "pairs", and the
+    maps it reads, on dim // ``map_divisor`` (0: none). ``witnesses``
+    names worked instances in snapshot's format; ``opineq demo`` prints
+    their records, a name's ``{}`` filled with each record's detail.
     """
 
     theorem_id: str
@@ -284,6 +288,8 @@ class TheoremSpec:
     classical_regime: RegimeId | None = None
     details: tuple[str, ...] = ()
     witnesses: dict = field(default_factory=dict)
+    probes: str = ""
+    map_divisor: int = 0
 
 
 # An instance state's groups of variables, in _draw_states' order.
@@ -317,32 +323,91 @@ def _draw_states(space: dict, dim: int, count: int, rng) -> tuple[dict, dict, di
     return spectra, frames, vectors, scalars
 
 
-def first_values(space: dict, params: BoundParams, dim: int,
-                 rng: np.random.Generator) -> dict:
-    """A new instance state with every variable's first value, drawn in space order.
+def _unit_probes(view: StackedView) -> np.ndarray:
+    """(S, k, n) unit vectors: the view's probes, or each row's own vector x."""
+    return view.vectors["x"][:, None, :] if view.probes is None else view.probes[0]
 
-    It is the one row _draw_states draws when every key reads rng.
+
+# Each map kind's PositiveMapSpec constructor and the key of its data in an instance.
+_MAPS = {"identity": (identity_map, None), "trace_normalize": (trace_normalize_map, None),
+         "compression": (compression_map, "isometry"),
+         "congruence_sum": (congruence_sum_map, "family"), "pinching": (pinching_map, "blocks")}
+
+
+def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
+    """Row ``row`` of a view as JSON values, with the view's ``dim`` and ``classical`` flag.
+
+    from_eigh(spectra[k], frames[k]) rebuilds matrix k. Where the view has
+    probes, ``probe`` holds the row's probe number ``probe``, its x (and y);
+    where its map is not the identity, ``map`` holds the kind and its data.
     """
-    state = {group: {name: value[0] for name, value in values.items()}
-             for group, values in zip(_GROUPS, _draw_states(space, dim, 1, lambda key: rng))}
-    state["scalars"] = {name: float(value) for name, value in state["scalars"].items()}
-    return {"params": params, **state}
-
-
-def snapshot(view: StackedView, row: int) -> dict:
-    """Row ``row`` of a view as JSON values: from_eigh(spectra[k], frames[k]) rebuilds matrix k."""
     params = view.params[row] if isinstance(view.params, tuple) else view.params
-    return {"params": params.as_dict(),
-            **{group: {k: v[row].tolist() for k, v in getattr(view, group).items()}
-               for group in _GROUPS}}
+    out = {"dim": view.dim, "classical": view.classical, "params": params.as_dict(),
+           **{group: {k: v[row].tolist() for k, v in getattr(view, group).items()}
+              for group in _GROUPS}}
+    if view.probes is not None:
+        out["probe"] = dict(zip("xy", (p[row, probe].tolist() for p in view.probes)))
+    if view.maps is not None:
+        ((_, kind, data),) = view.maps.pick([row])
+        key = _MAPS[kind][1]
+        if kind == "compression":
+            out["map"] = {"kind": kind, key: data[0].tolist()}
+        elif kind == "congruence_sum":
+            out["map"] = {"kind": kind, key: [u[0].tolist() for u in data]}
+        elif kind == "pinching":
+            out["map"] = {"kind": kind, key: [list(block) for block in data]}
+        elif kind != "identity":
+            out["map"] = {"kind": kind}
+    return out
 
 
 def instance_view(instance: dict) -> StackedView:
-    """snapshot's inverse: an instance, with its ``dim`` and ``classical`` flag, as one row."""
+    """snapshot's inverse: an instance as the one row of a view, its probe and map included.
+
+    Raises ValueError naming the key where ``dim``, ``classical``,
+    ``params`` or a group is missing or malformed, or where the probe or
+    the map does not fit ``dim``: a map takes dim x dim or (dim // 2) x
+    (dim // 2) matrices and is checked by its PositiveMapSpec constructor.
+    """
+    missing = [k for k in ("dim", "classical", "params", *_GROUPS) if k not in instance]
+    if missing:
+        raise ValueError(f"instance has no {missing[0]!r}")
+    for key in ("params", *_GROUPS):
+        if not isinstance(instance[key], dict):
+            raise ValueError(f"instance {key!r} must map names to values, got {instance[key]!r}")
+    try:
+        params = BoundParams(**instance["params"])
+    except TypeError as exc:
+        raise ValueError(f"instance 'params': {exc}") from exc
+    dim, probe, phi = instance["dim"], instance.get("probe"), instance.get("map")
+    if not (_is_int(dim) and dim >= 1):
+        raise ValueError(f"instance 'dim' must be an integer >= 1, got {dim!r}")
+    probes = maps = None
+    if probe is not None:
+        probes = tuple(np.array([[probe[k]]], dtype=float) for k in "xy" if k in probe)
+        if "x" not in probe or len(probes) != len(probe) or any(
+                p.shape != (1, 1, dim) for p in probes):
+            raise ValueError(f"instance 'probe' must hold x, and y for a pair, each of dim = "
+                             f"{dim} values, got {probe!r}")
+    if phi is not None:
+        make, key = _MAPS.get(phi.get("kind"), (None, None))
+        if make is None:
+            raise ValueError(f"instance 'map' kind must be one of {tuple(_MAPS)}, got {phi!r}")
+        if key is not None and key not in phi:
+            raise ValueError(f"instance 'map' of kind {phi['kind']} has no {key!r}")
+        try:
+            spec = make(dim) if key is None else make(phi[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"instance 'map' of kind {phi['kind']}: {exc}") from exc
+        if spec.in_dim not in (dim, dim // 2):
+            raise ValueError(f"instance 'map' takes {spec.in_dim} x {spec.in_dim} matrices, "
+                             f"neither dim = {dim} nor dim // 2")
+        maps = _one_map(spec, spec.in_dim)
+
     def row(group):
         return {k: np.array([v], dtype=float) for k, v in instance[group].items()}
-    return StackedView(BoundParams(**instance["params"]), instance["dim"],
-                       *map(row, _GROUPS), instance["classical"])
+    return StackedView(params, dim, *map(row, _GROUPS), instance["classical"], probes=probes,
+                       maps=maps)
 
 
 def _witness(dim: int, params: BoundParams, spectra: dict, frames=(), vectors=(),
@@ -496,13 +561,12 @@ def _space_low_vector(dim, params, classical):
 
 def _evaluate_vector(bound, view, tol):
     """bound(A, x, params, tol, validate) on the view's unit vector probes x."""
-    a = view.spd("a")
-    return bound(a, view.unit_vectors("x", a), view.params, tol, view.validate)
+    return bound(view.spd("a"), _unit_probes(view), view.params, tol, view.validate)
 
 
 # A = diag(1, 4) and x = (e1 + e2)/sqrt2 attain K(4), at m' = 1 where kappa is 1.
 _register("kantorovich", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          partial(_evaluate_vector, _kantorovich), classical_regime=RegimeId.PLAIN,
+          partial(_evaluate_vector, _kantorovich), classical_regime=RegimeId.PLAIN, probes="units",
           witnesses={"kantorovich equality witness": _witness(
               2, BoundParams(m=1.0, M=4.0), {"a": [1.0, 4.0]}, vectors={"x": [_R, _R]},
               classical=True)})
@@ -542,12 +606,11 @@ def _space_kantorovich_product(dim, params, classical):
 
 def _evaluate_kantorovich_product(view, tol):
     a, b = (view.spd("a"), view.spd("b")) if view.classical else _shifted_pair(view)
-    return _kantorovich_product(a, b, view.unit_vectors("x", a), view.params, tol,
-                                view.validate)
+    return _kantorovich_product(a, b, _unit_probes(view), view.params, tol, view.validate)
 
 
 _register("kantorovich_product", RegimeId.SHIFTED, _SHIFTED_CELL, _space_kantorovich_product,
-          _evaluate_kantorovich_product, classical_regime=RegimeId.PLAIN)
+          _evaluate_kantorovich_product, classical_regime=RegimeId.PLAIN, probes="units")
 
 
 def _holder_mccarthy(a, x, params, tol, validate):
@@ -567,7 +630,8 @@ def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundPara
 
 
 _register("holder_mccarthy", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_low_vector,
-          partial(_evaluate_vector, _holder_mccarthy), classical_regime=RegimeId.PLAIN)
+          partial(_evaluate_vector, _holder_mccarthy), classical_regime=RegimeId.PLAIN,
+          probes="units")
 
 
 def _square_order(a, b, params, tol, validate):
@@ -623,7 +687,8 @@ def _evaluate_polya_szego(view, tol):
                                                                 sub.params, tol))
 
 
-_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _evaluate_polya_szego)
+_register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _evaluate_polya_szego,
+          map_divisor=1)
 
 
 def _isometry_family(phi, a, params, tol, validate):
@@ -708,9 +773,9 @@ def _evaluate_sandwich(bound, view, tol):
 # (A#B)^2 = 6.3489.
 _register("lin_squared_mapped", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
           partial(_evaluate_sandwich, partial(_lin_squared, "mapped_mean")),
-          witnesses={"squared mean bound a=1 b=4": _scalars(1.0, 4.0)})
+          map_divisor=1, witnesses={"squared mean bound a=1 b=4": _scalars(1.0, 4.0)})
 _register("lin_squared_means", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_evaluate_sandwich, partial(_lin_squared, "mean_of_maps")))
+          partial(_evaluate_sandwich, partial(_lin_squared, "mean_of_maps")), map_divisor=1)
 
 
 LIN_CHAIN_LINKS = (
@@ -782,7 +847,7 @@ def check_lin_chain(map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
 
 
 _register("lin_chain", RegimeId.SANDWICH, _SANDWICH_CELL, _space_sandwich,
-          partial(_evaluate_sandwich, _lin_chain), details=LIN_CHAIN_LINKS,
+          partial(_evaluate_sandwich, _lin_chain), details=LIN_CHAIN_LINKS, map_divisor=1,
           witnesses={"chain {} at m=M": _witness(2, BoundParams(m=2.0, M=2.0),
                                                  {"a": [2.0, 2.0], "b": [2.0, 2.0]})})
 
@@ -827,14 +892,15 @@ def _space_plain_pair(dim, params, classical):
 
 def _evaluate_wielandt_scalar(view, tol):
     a = view.spd("a")
-    x, y = view.orthonormal_pairs("pair", a)
+    frame = view.frames["pair"]
+    x, y = view.probes or (frame[:, None, :, 0], frame[:, None, :, 1])
     m, M = per_row(lambda p: (p.m, p.M), view.params)
     return _wielandt_scalar(a, x, y, m, M, _conjecture_scales(view.params), tol, view.validate)
 
 
 # Orthonormal pairs and isometry ranges need at least two dimensions.
 _register("wielandt_scalar", RegimeId.PLAIN, (BoundParams(m=1.0, M=4.0),), _space_plain_pair,
-          _evaluate_wielandt_scalar, min_dim=2,
+          _evaluate_wielandt_scalar, min_dim=2, probes="pairs",
           witnesses={"wielandt scalar equality pair": _witness(
               2, BoundParams(m=1.0, M=4.0), {"a": [1.0, 4.0]}, {"pair": [[_R, _R], [_R, -_R]]})})
 
@@ -914,13 +980,14 @@ def _evaluate_wielandt_operator(variant, view, tol):
 _WIELANDT_2X2 = _witness(2, BoundParams(m=1.5, M=4.0, m_prime=4.0), {"a": [2.0, 2.6]},
                          {"a": [[-_R, _R], [_R, _R]], "pair": [[1.0, 0.0], [0.0, 1.0]]})
 _register("wielandt_bhatia_davis", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),),
-          _space_plain_pair, partial(_evaluate_wielandt_operator, "bhatia_davis"), min_dim=2)
+          _space_plain_pair, partial(_evaluate_wielandt_operator, "bhatia_davis"), min_dim=2,
+          map_divisor=2)
 _register("wielandt_gumus", RegimeId.PLAIN, (BoundParams(m=1.5, M=4.0),), _space_plain_pair,
-          partial(_evaluate_wielandt_operator, "gumus"), min_dim=2,
+          partial(_evaluate_wielandt_operator, "gumus"), min_dim=2, map_divisor=2,
           witnesses={"wielandt gumus 2x2 witness": _WIELANDT_2X2})
 _register("wielandt_refined", RegimeId.SELF_INVERSE_HIGH,
           (BoundParams(m=1.5, M=4.0, m_prime=4.0),), _space_high_pair,
-          partial(_evaluate_wielandt_operator, "refined"), min_dim=2,
+          partial(_evaluate_wielandt_operator, "refined"), min_dim=2, map_divisor=2,
           witnesses={"wielandt refined 2x2 witness": _WIELANDT_2X2})
 
 
@@ -945,7 +1012,8 @@ def _evaluate_choi(view, tol):
     return view.per_map(view.dim, lambda sub, phi: _choi(phi, sub.spd("a"), tol))
 
 
-_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _evaluate_choi)
+_register("choi", RegimeId.PLAIN, (BoundParams(m=0.5, M=4.0),), _space_plain, _evaluate_choi,
+          map_divisor=1)
 
 
 def _norm_amgm(a, b, tol):

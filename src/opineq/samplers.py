@@ -6,7 +6,7 @@ operator. The samplers draw the random parts of instances, probes and
 maps: Haar frames, window spectra with both ends attained, unit vectors,
 orthonormal pairs and congruence families. An instance that satisfies a
 regime is drawn only from its theorem's TheoremSpec space, by
-``inequalities.first_values``.
+``inequalities._draw_states``.
 
 Each draw rule is written once, on the last axes of stacked rows: the
 private ``_window_spectra``, ``_unit_vectors``, ``_second_vectors`` and

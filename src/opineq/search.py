@@ -8,9 +8,10 @@ lhs/rhs ratio. A correct bound never lets the ratio pass 1 + tol.
 The variables, their windows and the score come from the theorem's
 TheoremSpec in ``inequalities.THEOREMS``, the same parameterisation a
 campaign draws through. A state is a one-row ``stacked.StackedView``,
-the first one first_values' draw from the spec's space, checked on its
-own probe vector or frame pair under the identity map. Restarts run in
-sequence, each from its own seed drawn from the caller's generator.
+the first one ``inequalities._draw_states``' one-row draw from the
+spec's space, checked with the view's defaults: its own probe vector or
+frame pair under the identity map. Restarts run in sequence, each from
+its own seed drawn from the caller's generator.
 
 A restart draws all its moves up front, since no draw depends on the
 state's values: each field (kind, variable, spectrum entry, Givens
@@ -296,7 +297,7 @@ def _scores(spec, block: stacked.StackedView, count: int, tol):
 def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     """(best ratio, its instance, evaluations, accepted moves, scored rows, blocks) of a climb.
 
-    The best state is a one-row view, the first one first_values' draw.
+    The best state is a one-row view, the first one drawn from the spec's space.
     The next ``size`` proposals move it and are scored in one block; the
     climb keeps the first row that beats the best and goes on after it. A
     block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
@@ -385,8 +386,6 @@ def maximize_ratio(theorem_id: str, box, budget: int = DEFAULT_BUDGET,
     best_index = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
     best_ratio, best_instance = outcomes[best_index][:2]
     best_instance["theorem_id"] = theorem_id
-    best_instance["dim"] = dim
-    best_instance["classical"] = classical
     best_instance["ratio"] = float(best_ratio)
     return SearchResult(
         theorem_id=theorem_id,

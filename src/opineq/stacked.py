@@ -287,9 +287,10 @@ def arithmetic_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
 class MapPart(NamedTuple):
     """The rows of a stack whose maps share one kind, with each row's own data.
 
-    ``rows`` indexes the stack. ``data`` is the isometries of
-    compression, one (n, r) per row; the members of congruence_sum, each
-    one (n, n) per row; the index partition of pinching; else None.
+    ``rows`` indexes the stack, or is slice(None) for every row. ``data``
+    is the isometries of compression, one (n, r) per row; the members of
+    congruence_sum, each one (n, n) per row; the index partition of
+    pinching; else None.
     """
 
     rows: object
@@ -300,16 +301,34 @@ class MapPart(NamedTuple):
 class StackedMap(tuple):
     """Each row's positive unital map, as MapParts that partition the rows.
 
-    Every part maps to the same output size, so one evaluator pass takes
-    every row of a stack whatever its map's kind: a campaign chunk makes
-    one StackedMap per output size. A map of one kind on every row, such
-    as a search block's identity, is one part.
+    One evaluator pass takes every row whose map has the same output size,
+    whatever its kind: a view's ``per_map`` makes one pass per size. A map
+    of one kind on every row, such as a witness's, is one part.
     """
 
     @classmethod
     def single(cls, kind: str, data=None) -> "StackedMap":
         """The map of one kind on every row."""
         return cls((MapPart(slice(None), kind, data),))
+
+    def pick(self, rows: list) -> "StackedMap":
+        """The maps of the stack's rows ``rows``, in that order, as a map of those rows."""
+        parts = []
+        for part in self:
+            # The part's places among the picked rows, and its data entries for them.
+            where, at = slice(None), rows
+            if not isinstance(part.rows, slice):
+                index = {row: i for i, row in enumerate(part.rows)}
+                where = [i for i, row in enumerate(rows) if row in index]
+                at = [index[rows[i]] for i in where]
+            data = part.data
+            if part.kind == "compression":
+                data = data[at]
+            elif part.kind == "congruence_sum":
+                data = tuple(u[at] for u in data)
+            if at:
+                parts.append(MapPart(where, part.kind, data))
+        return StackedMap(parts)
 
 
 def compression_isometries(v: np.ndarray) -> np.ndarray:
@@ -552,16 +571,18 @@ class StackedView:
     variable for every row; ``params`` is one BoundParams for all rows or
     a tuple of each row's own. ``classical`` asks for the classical
     search's instance, and ``validate`` for the hypotheses to be checked
-    on every row. A search climbs on one-row views and a campaign reports
-    rows, each as its ``inequalities.snapshot``. By default the probes
-    (``unit_vectors``, ``orthonormal_pairs``) are each row's own vector or
-    the first two columns of its frame, and ``per_map`` evaluates the rows
-    once under the identity; a campaign's stack hands out many random and
-    eigenvector probes per row under drawn maps of mixed kinds instead.
+    on every row. ``probes`` is each row's k unit vectors, (x,), or k
+    orthonormal pairs, (x, y), each (S, k, n), and ``maps`` each row's
+    map. None, the default, is each row's own vector or the first two
+    columns of its frame, under the identity: a search climbs on one-row
+    views with the defaults, and a campaign draws many random and
+    eigenvector probes per row under maps of mixed kinds. A row is
+    reported as its ``inequalities.snapshot``.
     """
 
     def __init__(self, params, dim: int, spectra: dict, frames: dict, vectors: dict,
-                 scalars: dict, classical: bool = False, validate: bool = False):
+                 scalars: dict, classical: bool = False, validate: bool = False,
+                 probes: tuple | None = None, maps: StackedMap | None = None):
         self.params = params
         self.dim = dim
         self.classical = classical
@@ -570,6 +591,8 @@ class StackedView:
         self.frames = frames
         self.vectors = vectors
         self.scalars = scalars
+        self.probes = probes
+        self.maps = maps
         self._spd = {}
 
     def spd(self, name: str) -> StackedSpd:
@@ -579,18 +602,32 @@ class StackedView:
             hit = self._spd[name] = StackedSpd.from_eigh(self.spectra[name], self.frames[name])
         return hit
 
-    def unit_vectors(self, name, a) -> np.ndarray:
-        return self.vectors[name][:, None, :]
-
-    def orthonormal_pairs(self, name, a) -> tuple:
-        frame = self.frames[name]
-        return frame[:, None, :, 0], frame[:, None, :, 1]
-
     def per_map(self, n: int, evaluate) -> Rows:
-        return evaluate(self, StackedMap.single("identity"))
+        """evaluate(view, map) once per map output size, on every row of that size.
+
+        Each row's map takes n x n matrices: a compression maps them to its
+        isometries' column count, every other kind keeps n. The passes'
+        results are put back in row order. Without maps, every row is
+        evaluated in one pass under the identity.
+        """
+        if self.maps is None:
+            return evaluate(self, StackedMap.single("identity"))
+        sizes = {}
+        for part in self.maps:
+            size = part.data.shape[-1] if part.kind == "compression" else n
+            sizes.setdefault(size, []).append(part.rows)
+        if len(sizes) == 1:
+            return evaluate(self, self.maps)
+        passes = [np.concatenate(sizes[size]) for size in sorted(sizes, reverse=True)]
+        out = [evaluate(sub, sub.maps) for sub in map(self.subset, passes)]
+        # Each row's place in the passes' results (an argsort raises the peak RSS).
+        order = np.concatenate(passes)
+        back = np.empty(order.size, dtype=int)
+        back[order] = np.arange(order.size)
+        return Rows._make(np.concatenate(fields)[back] for fields in zip(*out))
 
     def subset(self, rows) -> "StackedView":
-        """The same states, rows ``rows`` only; they share one params object where they did."""
+        """The same states, probes and maps, rows ``rows`` only; one params object where it was."""
         def pick(group):
             return {k: v[rows] for k, v in group.items()}
         params = self.params
@@ -598,6 +635,8 @@ class StackedView:
             params = tuple(params[row] for row in rows)
             if all(p is params[0] for p in params):
                 params = params[0]
+        probes = None if self.probes is None else tuple(p[rows] for p in self.probes)
+        maps = None if self.maps is None else self.maps.pick([int(row) for row in rows])
         return StackedView(params, self.dim, pick(self.spectra), pick(self.frames),
                            pick(self.vectors), pick(self.scalars), self.classical,
-                           self.validate)
+                           self.validate, probes, maps)

@@ -50,6 +50,7 @@ from opineq.campaign import _pinching_blocks
 from opineq.inequalities import (
     _DEGENERATE_ATOL,
     _REGIME_TOL,
+    _draw_states,
     _refined,
     refinement_factor,
 )
@@ -675,8 +676,8 @@ def lone_ratio(spec, state, dim, classical, tol) -> float:
     return max(r.ratio * r.improvement_ratio if classical else r.ratio for r in records)
 
 
-def search_block(states, dim, classical=False, view_type=stacked.StackedView):
-    """Search states, stacked in order, as the rows of one view.
+def search_block(states, dim, classical=False, maps=None):
+    """Search states, stacked in order, as the rows of one view, under ``maps`` if given.
 
     The rows share one params object where every state has the same.
     """
@@ -684,10 +685,23 @@ def search_block(states, dim, classical=False, view_type=stacked.StackedView):
         return {name: np.stack([state[group][name] for state in states])
                 for name in states[0][group]}
     params = tuple(state["params"] for state in states)
-    return view_type(params[0] if all(p is params[0] for p in params) else params, dim,
-                     rows("spectra"), rows("frames"), rows("vectors"),
-                     {name: np.array([state["scalars"][name] for state in states])
-                      for name in states[0]["scalars"]}, classical)
+    return stacked.StackedView(params[0] if all(p is params[0] for p in params) else params,
+                               dim, rows("spectra"), rows("frames"), rows("vectors"),
+                               {name: np.array([state["scalars"][name] for state in states])
+                                for name in states[0]["scalars"]}, classical, maps=maps)
+
+
+def draw_view(space: dict, params: BoundParams, dim: int, rng) -> stacked.StackedView:
+    """A new one-row view of ``space``, every variable drawn from rng in space order."""
+    return stacked.StackedView(params, dim, *_draw_states(space, dim, 1, lambda key: rng))
+
+
+def state_of(view: stacked.StackedView) -> dict:
+    """A one-row view's state as this module's state dict: arrays, and scalars as floats."""
+    state = {group: {name: value[0] for name, value in getattr(view, group).items()}
+             for group in ("spectra", "frames", "vectors", "scalars")}
+    state["scalars"] = {name: float(value) for name, value in state["scalars"].items()}
+    return {"params": view.params, **state}
 
 
 def snapshot(state: dict) -> dict:
@@ -799,13 +813,14 @@ def _row_map(n: int, group: int, z: np.ndarray, w: np.ndarray) -> PositiveMapSpe
 
 
 def _map_payload(spec) -> dict:
-    payload = {"map_kind": spec.kind}
+    """A map as an instance's ``map``: its kind and the data of its PositiveMapSpec."""
+    payload = {"kind": spec.kind}
     if spec.isometry is not None:
-        payload["map_isometry"] = spec.isometry.tolist()
+        payload["isometry"] = spec.isometry.tolist()
     if spec.family is not None:
-        payload["map_family"] = [u.tolist() for u in spec.family]
+        payload["family"] = [u.tolist() for u in spec.family]
     if spec.blocks is not None:
-        payload["map_blocks"] = [list(block) for block in spec.blocks]
+        payload["blocks"] = [list(block) for block in spec.blocks]
     return payload
 
 
@@ -852,12 +867,16 @@ class DrawView(InstanceView):
         return self._map
 
     def instance(self, item: int) -> dict:
-        """The state, the probe that scored record ``item`` and the map, as JSON values."""
-        out = snapshot(self._state)
+        """The state, the probe that scored record ``item`` and the map, as JSON values.
+
+        As the package's instances, it gives the dim and the classical flag,
+        and no map where the map is the identity.
+        """
+        out = {"dim": self.dim, "classical": self.classical, **snapshot(self._state)}
         if self._probes:
             out["probe"] = dict(zip("xy", (v.tolist() for v in self._probes[item])))
-        if self._map is not None:
-            out.update(_map_payload(self._map))
+        if self._map is not None and self._map.kind != "identity":
+            out["map"] = _map_payload(self._map)
         return out
 
 
@@ -918,7 +937,9 @@ def draw_views(draws: campaign._Draws, params: BoundParams, count: int, n: int) 
     if dim >= 2:
         pairs = _kept(sample_orthonormal_pair, dim, rng("pairs").standard_normal(
             (count, campaign.VECTORS_PER_INSTANCE, 2, dim)), rng("pair redraws"), 2)
-    maps = draws.maps(n, count)
+    maps = (campaign._map_kind(n, rng("map groups"), count),
+            rng("map frames").standard_normal((count, n, n)),
+            rng("map weights").uniform(0.2, 1.0, (count, 3, n)))
     views = []
     for row in range(count):
         replay = Replay(*(a[row] for a in drawn))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import warnings
@@ -22,7 +23,8 @@ from opineq import (
 from opineq import campaign, samplers, stacked
 from opineq.campaign import NEAR_TIGHT_REL, CellStats
 from opineq.cli import cli_main
-from opineq.inequalities import first_values
+from opineq.inequalities import instance_view
+from opineq.report import canonical_dumps
 
 
 def test_default_grids_cover_every_theorem():
@@ -50,7 +52,8 @@ def test_first_values_satisfy_the_hypotheses(theorem_id):
     for params in (*spec.cells, *extra):
         for dim in (*range(spec.min_dim, 5), 8):
             space = spec.space(dim, params, False)
-            states = [first_values(space, params, dim, np.random.default_rng(seed))
+            states = [reference.state_of(reference.draw_view(space, params, dim,
+                                                             np.random.default_rng(seed)))
                       for seed in range(8)]
             view = reference.search_block(states, dim)
             view.validate = True
@@ -199,33 +202,10 @@ def test_sandwich_grid_sweep_runs_clean():
     assert report.total_violations == 0
 
 
-class _Replay(stacked.StackedView):
-    """An extremal instance alone, as the one row of a stack: its state, probe and map."""
-
-    def __init__(self, instance, dim):
-        def row(group):
-            return {k: np.array([v]) for k, v in instance[group].items()}
-        super().__init__(BoundParams(**instance["params"]), dim, row("spectra"), row("frames"),
-                         row("vectors"), row("scalars"))
-        self._instance = instance
-
-    def unit_vectors(self, name, a):
-        return np.array([[self._instance["probe"]["x"]]])
-
-    def orthonormal_pairs(self, name, a):
-        probe = self._instance["probe"]
-        return np.array([[probe["x"]]]), np.array([[probe["y"]]])
-
-    def per_map(self, n, evaluate):
-        instance = self._instance
-        data = None
-        if instance["map_kind"] == "compression":
-            data = np.array([instance["map_isometry"]])
-        elif instance["map_kind"] == "congruence_sum":
-            data = tuple(np.array([u]) for u in instance["map_family"])
-        elif instance["map_kind"] == "pinching":
-            data = instance["map_blocks"]
-        return evaluate(self, stacked.StackedMap.single(instance["map_kind"], data))
+def _replayed_ratio(theorem_id: str, instance: dict, tol: float) -> float:
+    """The largest ratio of the instance's records, re-evaluated through instance_view."""
+    rows = THEOREMS[theorem_id].evaluate(instance_view(instance), tol)
+    return max(np.ravel(rows.ratio).tolist())
 
 
 def test_extremal_instance_carries_the_worst_draw():
@@ -237,10 +217,29 @@ def test_extremal_instance_carries_the_worst_draw():
         assert (ex["theorem_id"], ex["dim"]) == (cell.theorem_id, cell.dim)
         assert ex["ratio"] == cell.max_ratio
         instance = ex["instance"]
-        rows = THEOREMS[cell.theorem_id].evaluate(_Replay(instance, cell.dim), config.tol)
+        assert (instance["dim"], instance["classical"]) == (cell.dim, False)
         # A probe instance replays its one probe; lin_chain replays every link.
-        ratio = np.ravel(rows.ratio)[0 if "probe" in instance else ex["item"]]
+        assert ("probe" in instance) == bool(THEOREMS[cell.theorem_id].probes)
+        ratio = _replayed_ratio(cell.theorem_id, instance, config.tol)
         assert ratio == ex["ratio"], (cell.theorem_id, cell.dim)
+
+
+def test_every_extremal_instance_replays_its_ratio_from_the_report():
+    # Each reported instance names its state, its scoring probe and its map, so
+    # instance_view rebuilds the reported ratio bit for bit, also from the JSON
+    # the report writes.
+    config = CampaignConfig(dims=(2, 4), samples=50, seed=42)
+    report = run_campaign(config)
+    assert len(report.cells) == 34
+    kinds = set()
+    for cell in report.cells:
+        instance = cell.extremal["instance"]
+        kinds.add(instance.get("map", {}).get("kind"))
+        for replayed in (instance, json.loads(canonical_dumps(instance))):
+            ratio = _replayed_ratio(cell.theorem_id, replayed, config.tol)
+            assert ratio.hex() == cell.extremal["ratio"].hex(), (cell.theorem_id, cell.dim)
+    # The replayed maps are not all the default identity.
+    assert len(kinds - {None}) >= 2, kinds
 
 
 def test_eigen_pairs_make_wielandt_scalar_tight():
@@ -273,7 +272,7 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
     assert hashlib.sha256(raw).hexdigest() == (
-        "29f312d355cd648f199c9c1f2ccbad8d224867b5ae221569964709a569cdcb1d")
+        "275a6b692ec15def1d8751da34085ac88b8a542a530a8bc24a79a1beb3b4fb56")
 
 
 # The theorems whose maps act on the r = dim // 2 compressions of A.
@@ -449,22 +448,33 @@ def test_results_do_not_depend_on_the_chunk_size(theorem_id, tmp_path, capsys, m
 
 
 def _recorded_probes(monkeypatch) -> dict:
-    """Patch _Draws to record each cell's raw probes and the generators it makes."""
+    """Patch the campaign's draws to record each cell's raw probes and the generators it makes."""
     recorded = {"units": [], "pairs": [], "generators": set()}
-    probes, rng = campaign._Draws.probes, campaign._Draws._rng
+    gaussians, rng = samplers._gaussians, campaign._Draws._rng
 
-    def recording(self, count, pairs=False):
-        drawn = probes(self, count, pairs)
-        recorded["pairs" if pairs else "units"].append(drawn)
+    def recording(rngs, key, *args):
+        drawn = gaussians(rngs, key, *args)
+        if key in ("units", "pairs"):
+            recorded[key].append(drawn)
         return drawn
 
     def recording_rng(self, key):
         recorded["generators"].add(key)
         return rng(self, key)
 
-    monkeypatch.setattr(campaign._Draws, "probes", recording)
+    monkeypatch.setattr(samplers, "_gaussians", recording)
     monkeypatch.setattr(campaign._Draws, "_rng", recording_rng)
     return recorded
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_a_cell_draws_only_the_probes_and_maps_its_evaluator_reads(theorem_id, monkeypatch):
+    spec = THEOREMS[theorem_id]
+    recorded = _recorded_probes(monkeypatch)
+    run_campaign(CampaignConfig(theorem_ids=(theorem_id,), dims=(4,), samples=3))
+    maps = {"map groups", "map frames", "map weights"}
+    want = ({spec.probes} if spec.probes else set()) | (maps if spec.map_divisor else set())
+    assert recorded["generators"] & {"units", "pairs", *maps} == want
 
 
 def test_rejected_probes_are_drawn_again(monkeypatch):
@@ -537,13 +547,13 @@ def test_a_later_draw_outside_the_regime_raises_naming_its_row(theorem_id, monke
 
 
 def _record_passes(monkeypatch) -> list:
-    """Patch _Stack.per_map to record its evaluator passes, one list per chunk.
+    """Patch StackedView.per_map to record its evaluator passes, one list per chunk.
 
     A pass is recorded as (output sizes of its map's parts, map groups):
     a group is a kind, or (kind, family size) for congruence_sum.
     """
     chunks = []
-    per_map = campaign._Stack.per_map
+    per_map = stacked.StackedView.per_map
 
     def recording(self, n, evaluate):
         passes = []
@@ -556,7 +566,7 @@ def _record_passes(monkeypatch) -> list:
             return evaluate(view, phi)
         return per_map(self, n, counted)
 
-    monkeypatch.setattr(campaign._Stack, "per_map", recording)
+    monkeypatch.setattr(stacked.StackedView, "per_map", recording)
     return chunks
 
 

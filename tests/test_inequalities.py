@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,15 +43,19 @@ from opineq import (
 )
 import reference
 from opineq import samplers, stacked
-from opineq.inequalities import first_values, instance_view
+from opineq.inequalities import instance_view
 from opineq.spd import DEFAULT_TOL, SpectralInterval
 from oracles import big_k, kappa
-from reference import InstanceView, search_block
+from reference import InstanceView, draw_view, search_block, state_of
+
+
+def _first_state(spec, params, dim, rng, classical=False):
+    """A state drawn by the package as a one-row view, as a state dict."""
+    return state_of(draw_view(spec.space(dim, params, classical), params, dim, rng))
 
 
 def _state(theorem_id, params, dim, rng):
-    spec = THEOREMS[theorem_id]
-    return first_values(spec.space(dim, params, False), params, dim, rng)
+    return _first_state(THEOREMS[theorem_id], params, dim, rng)
 
 
 def _view(theorem_id, params, dim, rng):
@@ -58,18 +63,14 @@ def _view(theorem_id, params, dim, rng):
     return InstanceView(_state(theorem_id, params, dim, rng), dim)
 
 
-def _evaluate(theorem_id, params, dim, rng, view_type=stacked.StackedView):
-    """The theorem's evaluator on one instance drawn from its space, hypotheses checked."""
-    view = search_block([_state(theorem_id, params, dim, rng)], dim, view_type=view_type)
+def _evaluate(theorem_id, params, dim, rng, maps=None):
+    """The theorem's evaluator on one instance drawn from its space, hypotheses checked.
+
+    ``maps``, if given, is the view's map.
+    """
+    view = search_block([_state(theorem_id, params, dim, rng)], dim, maps=maps)
     view.validate = True
     return THEOREMS[theorem_id].evaluate(view, DEFAULT_TOL)
-
-
-class _TraceNormalizedView(stacked.StackedView):
-    """Checks its instance under the trace-normalizing map."""
-
-    def per_map(self, n, evaluate):
-        return evaluate(self, stacked.StackedMap.single("trace_normalize"))
 
 
 def _scales(result) -> list:
@@ -256,7 +257,8 @@ def test_square_order_on_regime_draws(rng):
 def test_polya_szego_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(10):
-        rows = _evaluate("polya_szego", params, 4, rng, _TraceNormalizedView)
+        rows = _evaluate("polya_szego", params, 4, rng,
+                         stacked.StackedMap.single("trace_normalize"))
         assert rows.holds.all()
         assert rows.improvement == pytest.approx(1.0 / kappa(2.0))
 
@@ -486,7 +488,7 @@ def test_every_ratio_is_invariant_under_a_rotation_of_the_state(theorem_id):
         for seed in range(10):
             rng = np.random.default_rng([seed, dim])
             params = spec.cells[0]
-            state = first_values(spec.space(dim, params, False), params, dim, rng)
+            state = _first_state(spec, params, dim, rng)
             u = haar_orthogonal(dim, rng)
             ratios = [np.ravel(spec.evaluate(search_block([s], dim), DEFAULT_TOL).ratio)
                       for s in (state, _rotated(theorem_id, state, u))]
@@ -513,7 +515,7 @@ def test_symmetric_ratios_are_invariant_under_swapping_a_and_b(theorem_id):
         for seed in range(10):
             rng = np.random.default_rng([seed, dim])
             params = spec.cells[0]
-            state = first_values(spec.space(dim, params, False), params, dim, rng)
+            state = _first_state(spec, params, dim, rng)
             ratios = [np.ravel(spec.evaluate(search_block([s], dim), DEFAULT_TOL).ratio)
                       for s in (state, _swapped(state))]
             moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
@@ -531,7 +533,7 @@ def _as_bytes(state: dict) -> dict:
 @pytest.mark.parametrize("floor", [None, 1.0])
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_first_values_equal_the_per_instance_rules(theorem_id, floor, monkeypatch):
-    """first_values draws what the per-instance rules drew, and leaves rng where they left it.
+    """A one-row draw is what the per-instance first_values drew, and leaves rng where it did.
 
     A unit floor of 1.0 makes a vector's first draw be rejected about a
     third of the time at dim 1, so the redraws are compared too.
@@ -547,7 +549,7 @@ def test_first_values_equal_the_per_instance_rules(theorem_id, floor, monkeypatc
             space = spec.space(dim, params, classical)
             for seed in range(8):
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = first_values(space, params, dim, got_rng)
+                got = state_of(draw_view(space, params, dim, got_rng))
                 want = reference.first_values(space, params, dim, want_rng)
                 assert _as_bytes(got) == _as_bytes(want), (classical, dim, seed)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -577,7 +579,7 @@ def test_rows_give_the_same_fields_in_any_order_of_reads(theorem_id, classical, 
     spec = THEOREMS[theorem_id]
     dim, params = max(3, spec.min_dim), spec.cells[0]
     rng = np.random.default_rng(7)
-    block = search_block([first_values(spec.space(dim, params, classical), params, dim, rng)
+    block = search_block([_first_state(spec, params, dim, rng, classical)
                           for _ in range(3)], dim, classical)
     reads = []
     for order in (stacked.Rows._fields, stacked.Rows._fields[::-1]):
@@ -650,3 +652,39 @@ def test_each_witness_is_a_feasible_state_of_its_space(theorem_id):
             assert np.abs(frame[0].T @ frame[0] - np.eye(frame.shape[-1])).max() <= 1e-15, name
         for vector in view.vectors.values():
             assert abs(vector[0] @ vector[0] - 1.0) <= 1e-15, name
+
+
+def _bad_instances(instance: dict):
+    """(instance, the key its ValueError must name) for instances that instance_view refuses."""
+    for key in ("dim", "classical", "params", "spectra", "frames", "vectors", "scalars"):
+        yield {k: v for k, v in instance.items() if k != key}, repr(key)
+    # The extremal format that carried no dim and its map in keys of its own.
+    old = {k: v for k, v in instance.items() if k not in ("dim", "classical", "map")}
+    yield {**old, "map_kind": "trace_normalize"}, "'dim'"
+    for dim in (0, 2.0, True, "2"):
+        yield {**instance, "dim": dim}, "'dim'"
+    for params in ({"m": 1.0}, {"m": 1.0, "M": 4.0, "h": 4.0}, "m=1"):
+        yield {**instance, "params": params}, "'params'"
+    for group in ("spectra", "frames", "vectors", "scalars"):
+        yield {**instance, group: [[1.0, 4.0]]}, repr(group)
+    for probe in ({"x": [1.0, 0.0, 0.0]}, {"y": [1.0, 0.0]}, {}, {"x": [[1.0, 0.0]]}):
+        yield {**instance, "probe": probe}, "'probe'"
+    for phi, named in (({"kind": "compression", "isometry": [[1.0], [0.0], [0.0]]}, "3 x 3"),
+                       ({"kind": "compression"}, "'isometry'"),
+                       ({"kind": "congruence_sum", "family": [np.eye(3).tolist()]}, "3 x 3"),
+                       ({"kind": "pinching", "blocks": [[0, 1, 2]]}, "3 x 3"),
+                       ({"kind": "pinching", "blocks": [[0], [2]]}, "blocks"),
+                       ({"kind": "congruence_sum", "family": 5}, "'map'"),
+                       ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind")):
+        yield {**instance, "map": phi}, named
+
+
+def test_instance_view_names_what_an_instance_lacks_or_does_not_fit():
+    # Instances come back from report files, so a missing key or a probe or map
+    # of the wrong size is a ValueError naming it, not a KeyError or a numpy error.
+    witness = THEOREMS["kantorovich"].witnesses["kantorovich equality witness"]
+    instance = {**witness, "probe": {"x": [1.0, 0.0]}, "map": {"kind": "trace_normalize"}}
+    assert instance_view(instance).probes[0].shape == (1, 1, 2)
+    for bad, named in _bad_instances(instance):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            instance_view(bad)

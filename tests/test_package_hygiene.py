@@ -127,3 +127,18 @@ def test_each_draw_rule_is_written_once():
             if names & {"_UNIT_FLOOR", "_PAIR_FLOOR"} and path.name != "samplers.py":
                 misplaced.append(f"{path.name}:{node.lineno} {sorted(names - {None})}")
     assert not misplaced, misplaced
+
+
+def _bases(node: ast.ClassDef) -> set[str]:
+    """The names a class's bases end in: ``StackedView`` for ``stacked.StackedView`` too."""
+    return {base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            for base in node.bases}
+
+
+def test_no_class_subclasses_stacked_view():
+    # Probes and maps are a view's data, so no view overrides how it hands them out.
+    subclasses = [f"{path.parent.name}/{path.name}:{node.lineno} {node.name}"
+                  for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.ClassDef) and "StackedView" in _bases(node)]
+    assert not subclasses, subclasses

@@ -24,10 +24,10 @@ from opineq import (
     regime_feasible,
 )
 from opineq import search
-from opineq.inequalities import first_values, instance_view
+from opineq.inequalities import instance_view
 from opineq.inequalities import snapshot as view_snapshot
 from oracles import big_k, kappa
-from reference import lone_ratio, search_block, snapshot
+from reference import draw_view, lone_ratio, search_block, snapshot, state_of
 
 # Feasible search boxes, one per theorem.
 BOXES = {
@@ -190,8 +190,8 @@ def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
     instance = result.instance
     view = instance_view(instance)
     assert (view.dim, view.classical) == (result.dim, result.classical)
-    assert view_snapshot(view, 0) == {group: instance[group] for group in (
-        "params", "spectra", "frames", "vectors", "scalars")}
+    assert view_snapshot(view, 0) == {key: value for key, value in instance.items()
+                                      if key not in ("theorem_id", "ratio")}
     rows = THEOREMS[theorem_id].evaluate(view, kwargs.get("tol", 1e-8))
     ratios = rows.ratio * rows.improvement if result.classical else rows.ratio
     assert max(np.ravel(ratios).tolist()).hex() == result.ratio.hex()
@@ -331,7 +331,7 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
     rng = np.random.default_rng(seed)
     params = search._draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
-    state = first_values(space, params, dim, rng)
+    state = state_of(draw_view(space, params, dim, rng))
     state["windows"] = search._windows(space)
     moves = _reference_moves(state, box, budget - 1, dim, rng)
     best_ratio = lone_ratio(spec, state, dim, classical, tol)
@@ -348,7 +348,8 @@ def _reference_restart(spec, dim, box, regime, classical, tol, budget, seed):
                 best_ratio = ratio
                 best_state = candidate
                 accepted += 1
-    return best_ratio, snapshot(best_state), budget, accepted, scored, scored
+    instance = {"dim": dim, "classical": classical, **snapshot(best_state)}
+    return best_ratio, instance, budget, accepted, scored, scored
 
 
 # Every SMALL_GOLDEN job, the multi-restart kantorovich job, and boxes with
@@ -429,7 +430,7 @@ def test_each_block_row_is_its_move_applied_alone(dim):
             rng = np.random.default_rng([seed, dim])
             params = search._draw_params(box, spec.regime, rng)
             space = spec.space(dim, params, False)
-            best = first_values(space, params, dim, rng)
+            best = state_of(draw_view(space, params, dim, rng))
             best["windows"] = search._windows(space)
             view = search_block([best], dim)
             count = 64
@@ -484,7 +485,7 @@ def test_move_draws_make_as_many_generator_calls_at_any_budget(theorem_id, box, 
     box = search._normalize_box(box)
     rng = np.random.default_rng(3)
     params = search._draw_params(box, spec.regime, rng)
-    view = search_block([first_values(spec.space(3, params, False), params, 3, rng)], 3)
+    view = draw_view(spec.space(3, params, False), params, 3, rng)
     calls, drawn = {}, {}
     for budget in (50, 4000):
         counting = _CountingGenerator(budget)
