@@ -255,7 +255,7 @@ def _cmd_constants(args) -> int:
 def _cmd_demo() -> int:
     for spec in THEOREMS.values():
         for name, witness in spec.witnesses.items():
-            rows = spec.evaluate(instance_view(witness), DEFAULT_TOL)
+            rows = spec.evaluate(instance_view(witness, spec), DEFAULT_TOL)
             lhs, rhs, holds = (np.ravel(f).tolist() for f in (rows.lhs, rows.rhs, rows.holds))
             for item in range(len(lhs)):
                 label = name.format(*spec.details[item:item + 1])

@@ -46,12 +46,13 @@ from .samplers import (
     regime_window,
     require_feasible,
 )
-from .spd import DEFAULT_TOL, CheckVerdict, SpdMatrix, SpectralInterval
+from .spd import DEFAULT_TOL, CheckVerdict, SpdMatrix, SpectralInterval, _require_same_dim
 from .stacked import (
     Rows,
     StackedMap,
     StackedSpd,
     StackedView,
+    _one_row,
     apply_map,
     arithmetic_mean,
     bilinear,
@@ -211,9 +212,8 @@ def _require_sandwich(a: StackedSpd, b: StackedSpd, params) -> None:
 
 def _one(*mats: SpdMatrix):
     """Each matrix as a one-row StackedSpd; they must share a dimension."""
-    if len({a.dim for a in mats}) > 1:
-        raise ValueError(f"dimension mismatch: {mats[0].dim} vs {mats[1].dim}")
-    stacks = tuple(a._rows for a in mats)
+    _require_same_dim(*mats)
+    stacks = tuple(map(_one_row, mats))
     return stacks if len(stacks) > 1 else stacks[0]
 
 
@@ -361,13 +361,15 @@ def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
     return out
 
 
-def instance_view(instance: dict) -> StackedView:
-    """snapshot's inverse: an instance as the one row of a view, its probe and map included.
+def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
+    """snapshot's inverse: an instance of ``spec`` as the one row of a view, probe and map included.
 
     Raises ValueError naming the key where ``dim``, ``classical``,
     ``params`` or a group is missing or malformed, or where the probe or
-    the map does not fit ``dim``: a map takes dim x dim or (dim // 2) x
-    (dim // 2) matrices and is checked by its PositiveMapSpec constructor.
+    the map is not one ``spec`` reads: a probe holds x for unit probes
+    and x and y for pairs, each of dim values, and a map takes
+    (dim // map_divisor) x (dim // map_divisor) matrices and is checked
+    by its PositiveMapSpec constructor.
     """
     missing = [k for k in ("dim", "classical", "params", *_GROUPS) if k not in instance]
     if missing:
@@ -384,25 +386,25 @@ def instance_view(instance: dict) -> StackedView:
         raise ValueError(f"instance 'dim' must be an integer >= 1, got {dim!r}")
     probes = maps = None
     if probe is not None:
-        probes = tuple(np.array([[probe[k]]], dtype=float) for k in "xy" if k in probe)
-        if "x" not in probe or len(probes) != len(probe) or any(
-                p.shape != (1, 1, dim) for p in probes):
-            raise ValueError(f"instance 'probe' must hold x, and y for a pair, each of dim = "
-                             f"{dim} values, got {probe!r}")
+        keys = {"units": "x", "pairs": "xy"}.get(spec.probes, "")
+        probes = tuple(np.array([[probe[k]]], dtype=float) for k in keys if k in probe)
+        if not keys or sorted(probe) != list(keys) or any(p.shape != (1, 1, dim) for p in probes):
+            raise ValueError(f"instance 'probe' of {spec.theorem_id} must hold "
+                             f"{' and '.join(keys) or 'nothing'}, each of dim = {dim} values, "
+                             f"got {probe!r}")
     if phi is not None:
+        if not spec.map_divisor:
+            raise ValueError(f"instance 'map' given, but {spec.theorem_id} reads none: {phi!r}")
         make, key = _MAPS.get(phi.get("kind"), (None, None))
         if make is None:
             raise ValueError(f"instance 'map' kind must be one of {tuple(_MAPS)}, got {phi!r}")
         if key is not None and key not in phi:
             raise ValueError(f"instance 'map' of kind {phi['kind']} has no {key!r}")
+        n = dim // spec.map_divisor
         try:
-            spec = make(dim) if key is None else make(phi[key])
+            maps = _one_map(make(n) if key is None else make(phi[key]), n)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"instance 'map' of kind {phi['kind']}: {exc}") from exc
-        if spec.in_dim not in (dim, dim // 2):
-            raise ValueError(f"instance 'map' takes {spec.in_dim} x {spec.in_dim} matrices, "
-                             f"neither dim = {dim} nor dim // 2")
-        maps = _one_map(spec, spec.in_dim)
 
     def row(group):
         return {k: np.array([v], dtype=float) for k, v in instance[group].items()}

@@ -1,8 +1,9 @@
 """Operator means and a catalog of positive unital linear maps.
 
-This is the one-row face of ``opineq.stacked``: the means and
-``apply_map`` call their stacked namesakes on one row, and ``_one_map``
-is the one place a PositiveMapSpec becomes a ``stacked.StackedMap``.
+The means are ``opineq.stacked``'s, on two SpdMatrix of one dimension,
+and give an SpdMatrix; ``apply_map`` calls its stacked namesake on a
+one-row stack, and ``_one_map`` is the one place a PositiveMapSpec
+becomes a ``stacked.StackedMap``.
 The geometric mean is computed by congruence with A^{+-1/2}; the map
 catalog is restricted to five concretely representable kinds, all of
 them completely positive (hence 2-positive). Arbitrary user-supplied
@@ -16,26 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stacked
-from .spd import SpdMatrix
+from .spd import SpdMatrix, _require_same_dim
 
 MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pinching")
 
 
-def _require_equal_dims(a: SpdMatrix, b: SpdMatrix):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}."""
-    _require_equal_dims(a, b)
-    return SpdMatrix._of(stacked.geometric_mean(a._rows, b._rows))
+    _require_same_dim(a, b)
+    return stacked.geometric_mean(a, b)
 
 
 def arithmetic_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """(A + B) / 2."""
-    _require_equal_dims(a, b)
-    return SpdMatrix._of(stacked.arithmetic_mean(a._rows, b._rows))
+    _require_same_dim(a, b)
+    return stacked.arithmetic_mean(a, b)
 
 
 @dataclass(frozen=True)

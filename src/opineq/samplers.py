@@ -236,11 +236,8 @@ def sample_orthonormal_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndar
     """Two orthonormal vectors (x, y), Gram-Schmidt on Gaussian draws."""
     if dim < 2:
         raise ValueError("orthonormal pair needs dim >= 2")
-    while True:
-        x = sample_unit_vector(dim, rng)
-        y, kept = _second_vectors(x, rng.standard_normal(dim))
-        if kept:
-            return x, y
+    return _orthonormal_pairs(
+        _gaussians(lambda key: rng, None, None, (2, dim), 1, _orthonormal_pairs)[0])[:2]
 
 
 @dataclass(frozen=True)

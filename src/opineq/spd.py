@@ -1,14 +1,14 @@
 """Dense symmetric positive-definite matrices, one at a time.
 
-This is the one-row face of ``opineq.stacked``, where the algebra is
-written: an SpdMatrix holds a one-row StackedSpd, and the order checks
-and norms here call their stacked namesakes on one row and return row
-0, so an instance gets the bits it would get as a row of any stack.
-Every SpdMatrix holds its spectrum and eigenframe from the moment it is
-made, and one test (every eigenvalue finite and > 0) decides positivity
-for raw matrices, given spectra and derived matrices alike. All order
-comparisons are tolerance-aware relative to the operator norm of the
-right-hand side.
+An SpdMatrix is the ``stacked.StackedSpd`` of one (n, n) matrix, so the
+algebra written there for stacks of any shape (..., n, n) is its own,
+and the order checks and norms here call their stacked namesakes on the
+one matrix: an instance gets the bits it would get as a row of any
+stack. Every SpdMatrix holds its spectrum and eigenframe from the moment
+it is made, and one test (every eigenvalue finite and > 0) decides
+positivity for raw matrices, given spectra and derived matrices alike.
+All order comparisons are tolerance-aware relative to the operator norm
+of the right-hand side.
 """
 
 from __future__ import annotations
@@ -71,42 +71,30 @@ class CheckVerdict:
     rel_slack: float
 
 
-class SpdMatrix:
+class SpdMatrix(stacked.StackedSpd):
     """Symmetric positive-definite matrix with its eigendecomposition.
 
-    Instances are immutable, with read-only arrays. A raw matrix is
-    symmetrized and decomposed by ``eigh`` once, at construction;
-    :meth:`from_eigh` takes known spectral factors instead. Either way
-    the matrix is accepted only if every eigenvalue is finite and > 0,
-    and the ascending spectrum and its frame are set before construction
-    returns.
-
-    The derived matrices ``sqrt``, ``inv``, ``inv_sqrt``, ``square`` and
-    ``scaled`` reuse the frame, and the first four are memoised on the
-    instance. Each frame's orthonormality (a Gram check) is verified
-    once: by ``from_eigh`` for the frame it is given, and on first use
-    for a frame computed by ``eigh``. Every derived matrix has its
-    eigenvalues checked for positivity and sorted. All of it is the one
-    row of a ``stacked.StackedSpd``.
+    A ``stacked.StackedSpd`` of one (n, n) matrix, with read-only
+    arrays: its derived matrices ``sqrt``, ``inv``, ``inv_sqrt``,
+    ``square`` and ``scaled``, and its means, are SpdMatrix too. A raw
+    matrix is symmetrized and decomposed by ``eigh`` once, at
+    construction; :meth:`from_eigh` takes known spectral factors instead.
+    Either way the matrix is accepted only if every eigenvalue is finite
+    and > 0, and the ascending spectrum and its frame are set before
+    construction returns. Each frame's orthonormality (a Gram check) is
+    verified once: by ``from_eigh`` for the frame it is given, and on
+    first use for a frame computed by ``eigh``.
     """
 
-    __slots__ = ("_rows", "_derived")
+    __slots__ = ()
 
     def __init__(self, entries):
-        self._hold(stacked.StackedSpd(_square(entries)[None]))
+        super().__init__(_square(entries))
 
-    def _hold(self, rows: stacked.StackedSpd) -> None:
-        for part in (rows.entries, rows.eigenvalues, rows.eigenvectors):
+    def _keep(self, entries, eig, frame_checked: bool) -> None:
+        super()._keep(entries, eig, frame_checked)
+        for part in (self.entries, self.eigenvalues, self.eigenvectors):
             part.setflags(write=False)
-        self._rows = rows
-        self._derived = {}
-
-    @classmethod
-    def _of(cls, rows: stacked.StackedSpd) -> "SpdMatrix":
-        """The matrix that is the one row of ``rows``."""
-        one = cls.__new__(cls)
-        one._hold(rows)
-        return one
 
     @classmethod
     def from_eigh(cls, eigenvalues, eigenvectors) -> "SpdMatrix":
@@ -121,47 +109,11 @@ class SpdMatrix:
         vecs = np.array(eigenvectors, dtype=float)
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        return cls._of(stacked.StackedSpd.from_eigh(vals[None], vecs[None]))
+        return super().from_eigh(vals, vecs)
 
     @property
     def dim(self) -> int:
-        return self._rows.entries.shape[-1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._rows.entries[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return self._rows.eigenvalues[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvectors, column i pairing with eigenvalue i."""
-        return self._rows.eigenvectors[0]
-
-    def _apply(self, name: str) -> "SpdMatrix":
-        derived = self._derived.get(name)
-        if derived is None:
-            derived = self._derived[name] = SpdMatrix._of(self._rows._apply(name))
-        return derived
-
-    def sqrt(self) -> "SpdMatrix":
-        return self._apply("sqrt")
-
-    def inv(self) -> "SpdMatrix":
-        return self._apply("inv")
-
-    def inv_sqrt(self) -> "SpdMatrix":
-        return self._apply("inv_sqrt")
-
-    def square(self) -> "SpdMatrix":
-        return self._apply("square")
-
-    def scaled(self, factor: float) -> "SpdMatrix":
-        """Return factor * A for factor > 0, reusing the frame."""
-        return SpdMatrix._of(self._rows.scaled(factor))
+        return self.entries.shape[-1]
 
     def quad_form(self, x: np.ndarray) -> float:
         """<Ax, x> for a vector x."""
@@ -181,28 +133,32 @@ def make_spd(raw) -> SpdMatrix:
 
 
 def _entries(x) -> np.ndarray:
-    if isinstance(x, SpdMatrix):
-        return x.entries
-    return np.asarray(x, dtype=float)
+    return x.entries if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
 
 
-def _row(x):
-    """x as a one-row stack: an SpdMatrix's StackedSpd, or a square matrix with a row axis."""
-    return x._rows if isinstance(x, SpdMatrix) else _square(x)[None]
+def _operand(x):
+    """x as a stacked operand: an SpdMatrix as it is, else a square matrix."""
+    return x if isinstance(x, SpdMatrix) else _square(x)
+
+
+def _require_same_dim(*mats: SpdMatrix) -> None:
+    """Raise ValueError unless the matrices (one or two) share a dimension."""
+    if len({a.dim for a in mats}) > 1:
+        raise ValueError(f"dimension mismatch: {mats[0].dim} vs {mats[1].dim}")
 
 
 def _verdict(rows: stacked.Verdicts) -> CheckVerdict:
-    return CheckVerdict(bool(rows.holds[0]), float(rows.gap[0]), float(rows.slack[0]))
+    return CheckVerdict(bool(rows.holds), float(rows.gap), float(rows.slack))
 
 
 def operator_norm(x) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    return float(stacked.operator_norm(_row(x))[0])
+    return float(stacked.operator_norm(_operand(x)))
 
 
 def spectral_norm(x) -> float:
     """Largest singular value; valid for non-symmetric products too, and a vector's 2-norm."""
-    return float(stacked.spectral_norm(np.atleast_2d(_entries(x))[None])[0])
+    return float(stacked.spectral_norm(np.atleast_2d(_entries(x))))
 
 
 def spectral_bounds(a: SpdMatrix) -> SpectralInterval:
@@ -222,7 +178,7 @@ def loewner_leq(lhs, rhs, tol: float = DEFAULT_TOL, atol: float = 0.0) -> CheckV
     re = _entries(rhs)
     if le.shape != re.shape:
         raise ValueError(f"dimension mismatch: {le.shape} vs {re.shape}")
-    return _verdict(stacked.loewner_leq(_row(lhs), _row(rhs), tol, atol))
+    return _verdict(stacked.loewner_leq(_operand(lhs), _operand(rhs), tol, atol))
 
 
 def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
@@ -232,10 +188,7 @@ def scalar_leq(lhs: float, rhs: float, tol: float = DEFAULT_TOL,
     ``scale`` defaults to |rhs|; checkers pass a sturdier scale when the
     right side can degenerate to zero.
     """
-    if scale is not None:
-        scale = np.array([scale], dtype=float)
-    return _verdict(stacked.scalar_leq(np.array([lhs], dtype=float),
-                                       np.array([rhs], dtype=float), tol, scale, atol))
+    return _verdict(stacked.scalar_leq(float(lhs), float(rhs), tol, scale, atol))
 
 
 def loewner_ratio(lhs, rhs: SpdMatrix) -> float:
@@ -244,4 +197,4 @@ def loewner_ratio(lhs, rhs: SpdMatrix) -> float:
     Equals 1 exactly when LHS = RHS and stays <= 1 + tol whenever
     LHS <= RHS holds to tolerance.
     """
-    return float(stacked.loewner_ratio(_row(lhs), rhs._rows)[0])
+    return float(stacked.loewner_ratio(_operand(lhs), rhs))

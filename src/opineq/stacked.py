@@ -2,17 +2,17 @@
 
 Every array here carries a leading axis of rows, one row per instance:
 a campaign stacks the draws of a chunk, a search the candidates of a
-block, and a public ``check_*`` call its one instance. The per-instance
-API of ``spd`` and ``means_maps`` is this module's one-row face:
-``SpdMatrix`` holds a one-row StackedSpd, and each of their functions
-calls its namesake here on one row. Each function works on
-every row alone, so a row's bits do not depend on the rows stacked with
-it. The draw rules work on rows too: the Haar frame is ``haar`` here,
-and the others are in ``samplers``, whose samplers apply them to one
-draw. A vector is a (..., 1, n) or (..., n, 1) matrix, as a stacked
-(k, n) @ (n, n) product sums in another order; a Python float operation
-(``x ** 2``, ``math.log``) is made value by value, as numpy's rounds
-differently in the last bit.
+block, and a public ``check_*`` call its one instance. A StackedSpd
+takes any leading axes, and ``spd.SpdMatrix`` is the StackedSpd of one
+(n, n) matrix: the per-instance API of ``spd`` and ``means_maps`` calls
+the functions here on it. Each function works on every row alone, so a
+row's bits do not depend on the rows stacked with it. The draw rules
+work on rows too: the Haar frame is ``haar`` here, and the others are
+in ``samplers``, whose samplers apply them to one draw. A vector is a
+(..., 1, n) or (..., n, 1) matrix, as a stacked (k, n) @ (n, n) product
+sums in another order; a Python float operation (``x ** 2``,
+``math.log``) is made value by value, as numpy's rounds differently in
+the last bit.
 
 A view's ``params`` is one BoundParams shared by every row, or a tuple
 of each row's own; ``per_row`` reads a constant either way, and the
@@ -163,28 +163,30 @@ def haar(z: np.ndarray) -> np.ndarray:
 
 
 class StackedSpd:
-    """Rows of SPD matrices: entries (S, n, n), ascending spectra (S, n), frames (S, n, n).
+    """SPD matrices of shape (..., n, n), with ascending spectra (..., n) and frames (..., n, n).
 
     A raw stack is symmetrized and decomposed by one stacked ``eigh``;
     ``from_eigh`` takes spectral factors, sorts them and checks the
     frames. Either way every eigenvalue must be finite and > 0. Derived
-    matrices reuse the frames, are memoised, and check an ``eigh`` frame
-    on first use.
+    matrices reuse the frames, are memoised, are of the stack's own type,
+    and check an ``eigh`` frame on first use.
     """
 
     __slots__ = ("entries", "eigenvalues", "eigenvectors", "_frame_checked", "_derived")
 
-    def __init__(self, entries: np.ndarray, eig=None):
+    def __init__(self, entries: np.ndarray):
         entries = symmetrize(entries)
-        self._frame_checked = eig is not None
-        if eig is None:
-            try:
-                eig = np.linalg.eigh(entries)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
-            _require_positive(eig[0])
-        self.eigenvalues, self.eigenvectors = eig
+        try:
+            eig = np.linalg.eigh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
+        _require_positive(eig[0])
+        self._keep(entries, eig, False)
+
+    def _keep(self, entries, eig, frame_checked: bool) -> None:
         self.entries = entries
+        self.eigenvalues, self.eigenvectors = eig
+        self._frame_checked = frame_checked
         self._derived = {}
 
     @classmethod
@@ -195,24 +197,27 @@ class StackedSpd:
 
     @classmethod
     def _sorted(cls, vals, vecs) -> "StackedSpd":
+        """The stack on checked factors, without the eigh of ``cls(entries)``."""
         # A stable argsort leaves ascending rows as they are and reverses
         # strictly descending ones (the spectra of inv and inv_sqrt).
-        if (vals[:, 1:] >= vals[:, :-1]).all():
+        if (vals[..., 1:] >= vals[..., :-1]).all():
             vecs = np.ascontiguousarray(vecs)
-        elif (vals[:, 1:] < vals[:, :-1]).all():
-            vals, vecs = vals[:, ::-1], np.ascontiguousarray(vecs[..., ::-1])
+        elif (vals[..., 1:] < vals[..., :-1]).all():
+            vals, vecs = vals[..., ::-1], np.ascontiguousarray(vecs[..., ::-1])
         else:
             order = vals.argsort(axis=-1, kind="stable")
             vals = np.take_along_axis(vals, order, axis=-1)
             vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-        return cls((vecs * vals[..., None, :]) @ transpose(vecs), (vals, vecs))
+        stack = cls.__new__(cls)
+        stack._keep(symmetrize((vecs * vals[..., None, :]) @ transpose(vecs)), (vals, vecs), True)
+        return stack
 
     def _on_frame(self, vals) -> "StackedSpd":
         _require_positive(vals)
         if not self._frame_checked:
             require_orthonormal(self.eigenvectors, "eigenvector", _FRAME_TOL)
             self._frame_checked = True
-        return StackedSpd._sorted(vals, self.eigenvectors)
+        return type(self)._sorted(vals, self.eigenvectors)
 
     def _apply(self, name: str) -> "StackedSpd":
         derived = self._derived.get(name)
@@ -235,6 +240,13 @@ class StackedSpd:
     def scaled(self, factor) -> "StackedSpd":
         """Each row times its factor: a scalar or each row's own."""
         return self._on_frame(like_rows(factor, self.eigenvalues) * self.eigenvalues)
+
+
+def _one_row(a: StackedSpd) -> StackedSpd:
+    """An (n, n) stack as a one-row (1, n, n) stack, its frame Gram-checked where a's is."""
+    row = StackedSpd.__new__(StackedSpd)
+    row._keep(a.entries[None], (a.eigenvalues[None], a.eigenvectors[None]), a._frame_checked)
+    return row
 
 
 def _entries(x) -> np.ndarray:
@@ -277,11 +289,11 @@ def geometric_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
     root = a.sqrt().entries
     inv_root = a.inv_sqrt().entries
     inner = StackedSpd(inv_root @ b.entries @ inv_root)
-    return StackedSpd(root @ inner.sqrt().entries @ root)
+    return type(a)(root @ inner.sqrt().entries @ root)
 
 
 def arithmetic_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
-    return StackedSpd(0.5 * (a.entries + b.entries))
+    return type(a)(0.5 * (a.entries + b.entries))
 
 
 class MapPart(NamedTuple):

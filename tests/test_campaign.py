@@ -204,8 +204,34 @@ def test_sandwich_grid_sweep_runs_clean():
 
 def _replayed_ratio(theorem_id: str, instance: dict, tol: float) -> float:
     """The largest ratio of the instance's records, re-evaluated through instance_view."""
-    rows = THEOREMS[theorem_id].evaluate(instance_view(instance), tol)
+    spec = THEOREMS[theorem_id]
+    rows = spec.evaluate(instance_view(instance, spec), tol)
     return max(np.ravel(rows.ratio).tolist())
+
+
+def _pinched(dim: int) -> dict:
+    return {"kind": "pinching", "blocks": [[i] for i in range(dim)]}
+
+
+@pytest.mark.parametrize("theorem_id, dim, edit, named", [
+    ("wielandt_scalar", 3, lambda i: {**i, "probe": {"x": i["probe"]["x"]}}, "'probe'"),
+    ("kantorovich", 2, lambda i: {**i, "probe": {**i["probe"], "y": i["probe"]["x"]}}, "'probe'"),
+    ("kantorovich", 2, lambda i: {**i, "map": {"kind": "trace_normalize"}}, "'map'"),
+    ("scalar_amgm", 2, lambda i: {**i, "probe": {"x": [1.0, 0.0]}}, "'probe'"),
+    ("lin_chain", 4, lambda i: {**i, "map": _pinched(2)}, "'map'"),
+    ("wielandt_gumus", 4, lambda i: {**i, "map": _pinched(4)}, "'map'"),
+], ids=["pair_without_y", "units_with_y", "map_of_no_map_spec", "probe_of_no_probe_spec",
+        "half_map_of_full_map_spec", "full_map_of_half_map_spec"])
+def test_instance_view_refuses_a_probe_or_map_its_spec_does_not_read(theorem_id, dim, edit,
+                                                                    named):
+    # An extremal instance edited to carry a probe or map its spec does not read
+    # (or lacking one it does) is refused by name, not evaluated without it.
+    config = CampaignConfig(theorem_ids=(theorem_id,), dims=(dim,), samples=3, seed=0)
+    (cell,) = run_campaign(config).cells
+    instance, spec = cell.extremal["instance"], THEOREMS[theorem_id]
+    assert _replayed_ratio(theorem_id, instance, config.tol) == cell.max_ratio
+    with pytest.raises(ValueError, match=named):
+        spec.evaluate(instance_view(edit(instance), spec), config.tol)
 
 
 def test_extremal_instance_carries_the_worst_draw():

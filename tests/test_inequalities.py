@@ -630,7 +630,7 @@ def test_each_witness_is_a_feasible_state_of_its_space(theorem_id):
             regime = spec.classical_regime
         assert regime_feasible(regime, params)[0], name
         assert dim >= spec.min_dim, name
-        view = instance_view(witness)
+        view = instance_view(witness, spec)
         shapes = {"spectra": {}, "frames": {}, "vectors": {}, "scalars": {}}
         for var, kind in spec.space(dim, params, classical).items():
             size = kind.size or dim
@@ -654,8 +654,11 @@ def test_each_witness_is_a_feasible_state_of_its_space(theorem_id):
             assert abs(vector[0] @ vector[0] - 1.0) <= 1e-15, name
 
 
-def _bad_instances(instance: dict):
-    """(instance, the key its ValueError must name) for instances that instance_view refuses."""
+def _bad_instances(instance: dict, mapped: dict):
+    """(instance, the key its ValueError must name) for instances that instance_view refuses.
+
+    ``instance`` is of a spec with unit probes and ``mapped`` of one with maps on dim.
+    """
     for key in ("dim", "classical", "params", "spectra", "frames", "vectors", "scalars"):
         yield {k: v for k, v in instance.items() if k != key}, repr(key)
     # The extremal format that carried no dim and its map in keys of its own.
@@ -669,22 +672,25 @@ def _bad_instances(instance: dict):
         yield {**instance, group: [[1.0, 4.0]]}, repr(group)
     for probe in ({"x": [1.0, 0.0, 0.0]}, {"y": [1.0, 0.0]}, {}, {"x": [[1.0, 0.0]]}):
         yield {**instance, "probe": probe}, "'probe'"
-    for phi, named in (({"kind": "compression", "isometry": [[1.0], [0.0], [0.0]]}, "3 x 3"),
+    for phi, named in (({"kind": "compression", "isometry": [[1.0], [0.0], [0.0]]}, "3x3"),
                        ({"kind": "compression"}, "'isometry'"),
-                       ({"kind": "congruence_sum", "family": [np.eye(3).tolist()]}, "3 x 3"),
-                       ({"kind": "pinching", "blocks": [[0, 1, 2]]}, "3 x 3"),
+                       ({"kind": "congruence_sum", "family": [np.eye(3).tolist()]}, "3x3"),
+                       ({"kind": "pinching", "blocks": [[0, 1, 2]]}, "3x3"),
                        ({"kind": "pinching", "blocks": [[0], [2]]}, "blocks"),
                        ({"kind": "congruence_sum", "family": 5}, "'map'"),
                        ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind")):
-        yield {**instance, "map": phi}, named
+        yield {**mapped, "map": phi}, named
 
 
 def test_instance_view_names_what_an_instance_lacks_or_does_not_fit():
     # Instances come back from report files, so a missing key or a probe or map
     # of the wrong size is a ValueError naming it, not a KeyError or a numpy error.
-    witness = THEOREMS["kantorovich"].witnesses["kantorovich equality witness"]
-    instance = {**witness, "probe": {"x": [1.0, 0.0]}, "map": {"kind": "trace_normalize"}}
-    assert instance_view(instance).probes[0].shape == (1, 1, 2)
-    for bad, named in _bad_instances(instance):
+    units, mapped = THEOREMS["kantorovich"], THEOREMS["lin_chain"]
+    instance = {**units.witnesses["kantorovich equality witness"], "probe": {"x": [1.0, 0.0]}}
+    assert instance_view(instance, units).probes[0].shape == (1, 1, 2)
+    chain = {**mapped.witnesses["chain {} at m=M"], "map": {"kind": "trace_normalize"}}
+    assert [part.kind for part in instance_view(chain, mapped).maps] == ["trace_normalize"]
+    for bad, named in _bad_instances(instance, chain):
+        spec = mapped if "map" in bad else units
         with pytest.raises(ValueError, match=re.escape(named)):
-            instance_view(bad)
+            instance_view(bad, spec)

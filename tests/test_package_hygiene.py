@@ -97,6 +97,19 @@ def test_stacked_imports_no_package_module_but_errors():
 
 
 
+def test_only_spd_and_stacked_read_private_attributes_of_an_spd_matrix():
+    # SpdMatrix is a StackedSpd; the other modules use its public face, and
+    # get one-row stacks of it from stacked._one_row.
+    private = {name for cls in opineq.SpdMatrix.__mro__ for name in vars(cls)
+               if name.startswith("_") and not name.endswith("__")}
+    assert {"_keep", "_frame_checked", "_derived"} <= private
+    readers = [f"{path.name}:{node.lineno} {node.attr}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("spd", "stacked")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not readers, readers
+
+
 def _linalg_names(node) -> set[str]:
     """The numpy.linalg functions a node names: ``np.linalg.f``, or an import from numpy.linalg."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)

@@ -18,6 +18,7 @@ from opineq import (
     sample_spd,
     sample_unit_vector,
 )
+from opineq.samplers import _orthonormal_pairs
 
 DIMS = (2, 3, 4, 8)
 SLACK = 1e-10
@@ -143,6 +144,34 @@ def test_sample_unit_vector_and_pair(rng):
         assert abs(x @ y) < 1e-10
     with pytest.raises(ValueError):
         sample_orthonormal_pair(1, rng)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_orthonormal_pair_is_the_pair_rule_on_the_same_draws(dim):
+    # The sampler draws the rule's (2, dim) Gaussians, x's row first, and
+    # redraws the whole block when the rule rejects it.
+    for seed in range(20):
+        x, y, kept = _orthonormal_pairs(np.random.default_rng(seed).standard_normal((2, dim)))
+        assert kept
+        got = sample_orthonormal_pair(dim, np.random.default_rng(seed))
+        assert all(map(np.array_equal, got, (x, y)))
+    # A first block whose x is below the unit floor is drawn again whole.
+    first = np.random.default_rng(1).standard_normal((1, 2, dim))
+    first[0, 0] = 1e-14
+    again = np.random.default_rng(0).standard_normal((2, dim))
+    got = sample_orthonormal_pair(dim, _Draws([first, again]))
+    assert all(map(np.array_equal, got, _orthonormal_pairs(again)[:2]))
+
+
+class _Draws:
+    """A generator stand-in whose standard_normal returns the given arrays in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, size=None):
+        assert self.draws[0].shape == size
+        return self.draws.pop(0)
 
 
 class _FewDraws:

@@ -188,7 +188,7 @@ def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
     # reads it back: the same values, and the same ratio bit for bit.
     result = maximize_ratio(theorem_id, **kwargs)
     instance = result.instance
-    view = instance_view(instance)
+    view = instance_view(instance, THEOREMS[theorem_id])
     assert (view.dim, view.classical) == (result.dim, result.classical)
     assert view_snapshot(view, 0) == {key: value for key, value in instance.items()
                                       if key not in ("theorem_id", "ratio")}

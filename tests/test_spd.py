@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq import (
+    BoundParams,
     NotPositiveDefinite,
     SpdMatrix,
     SpectralInterval,
+    arithmetic_mean,
+    check_square_order_refined,
+    geometric_mean,
     loewner_leq,
     loewner_ratio,
     make_spd,
@@ -16,6 +20,7 @@ from opineq import (
     spectral_norm,
     symmetrize,
 )
+from opineq import stacked
 from oracles import eig2_symmetric
 
 
@@ -81,6 +86,24 @@ def test_entries_are_read_only():
     a = make_spd(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 99.0
+    # Derived matrices and means of an SpdMatrix are SpdMatrix, read-only too.
+    b = SpdMatrix.from_eigh([3.0, 1.0], np.eye(2))
+    for made in (a.sqrt(), a.inv(), a.inv_sqrt(), a.square(), a.scaled(2.0), b,
+                 geometric_mean(a, b), arithmetic_mean(a, b)):
+        assert type(made) is SpdMatrix
+        for field in ("entries", "eigenvalues", "eigenvectors"):
+            with pytest.raises(ValueError):
+                getattr(made, field)[0] = 99.0
+
+
+def test_spd_matrix_is_a_stack_with_one_matrix_checks_only():
+    # SpdMatrix adds its input checks, read-only arrays, dim, quad_form and
+    # __repr__ to stacked.StackedSpd: no memo, stack or forwarder of its own.
+    assert issubclass(SpdMatrix, stacked.StackedSpd)
+    own = {name for name, value in vars(SpdMatrix).items()
+           if callable(value) or isinstance(value, (property, classmethod))}
+    assert own == {"__init__", "_keep", "from_eigh", "dim", "quad_form", "__repr__"}
+    assert SpdMatrix.__slots__ == ()
 
 
 def test_from_eigh_sorts_and_reconstructs(rng):
@@ -163,6 +186,21 @@ def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
     eig_known = make_spd(x)
     with pytest.raises(ValueError, match="orthonormal"):
         eig_known.scaled(2.0)
+
+
+def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
+    # A check_* call evaluates one-row stacks of its matrices, which keep
+    # whether each frame was Gram-checked: a from_eigh frame is not checked
+    # again, and an eigh frame is checked on its first derived use.
+    params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
+    a = SpdMatrix.from_eigh([0.6, 0.7], np.eye(2))
+    b = SpdMatrix.from_eigh([0.65, 0.8], np.eye(2))
+    checked = []
+    monkeypatch.setattr(stacked, "require_orthonormal", lambda *args: checked.append(args[1]))
+    check_square_order_refined(a, b, params, validate=False)
+    assert checked == []
+    check_square_order_refined(make_spd(np.diag([0.6, 0.7])), b, params, validate=False)
+    assert checked == ["eigenvector"]
 
 
 def test_scaled_rescales_spectrum():
