@@ -21,8 +21,8 @@ its left side and core to a record builder of ``opineq.stacked``, which
 checks the refined and the classical bound and returns both verdicts,
 the ratio and the improvement factor of every record. Its evaluator
 reads the operands off a view; its public ``check_*`` function takes
-one instance, runs the same arithmetic on a one-row stack and returns
-IneqRecords.
+one instance, runs the same arithmetic on its matrices and probes as
+they are, without a row axis, and returns IneqRecords.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .stacked import (
     StackedMap,
     StackedSpd,
     StackedView,
-    _one_row,
     apply_map,
     arithmetic_mean,
     bilinear,
@@ -188,11 +187,11 @@ def _require_shifted(a: StackedSpd, b: StackedSpd, params) -> None:
     m_prime, big_m = per_row(lambda p: (p.m_prime, p.M), params)
     gap = least_eigenvalue(b.entries - like_rows(m_prime, a.entries) * a.entries)
     require_rows(~(gap < -_REGIME_TOL * operator_norm(b)),
-                 lambda r: f"shifted needs m'A <= B: min eig of B - m'A is {gap[r]:.3e}")
-    top = b.eigenvalues[:, -1]
+                 lambda r: f"shifted needs m'A <= B: min eig of B - m'A is {gap.flat[r]:.3e}")
+    top = b.eigenvalues[..., -1]
     big_m = np.broadcast_to(big_m, top.shape)
-    require_rows(~(top > big_m * (1.0 + _REGIME_TOL)),
-                 lambda r: f"shifted needs B <= MI: lambda_max(B) = {top[r]:.8g} > {big_m[r]}")
+    require_rows(~(top > big_m * (1.0 + _REGIME_TOL)), lambda r: (
+        f"shifted needs B <= MI: lambda_max(B) = {top.flat[r]:.8g} > {big_m.flat[r]}"))
 
 
 def _sandwich(p: BoundParams) -> tuple:
@@ -207,33 +206,26 @@ def _require_sandwich(a: StackedSpd, b: StackedSpd, params) -> None:
     require_spectrum(b, b_lo, b_hi, "B", _REGIME_TOL)
 
 
-# One instance of a public check_*, as the one row of a stack.
-
-
-def _one(*mats: SpdMatrix):
-    """Each matrix as a one-row StackedSpd; they must share a dimension."""
-    _require_same_dim(*mats)
-    stacks = tuple(map(_one_row, mats))
-    return stacks if len(stacks) > 1 else stacks[0]
+# One instance of a public check_*: its matrices and probes, without a row axis.
 
 
 def _probe(x) -> np.ndarray:
-    """A vector as the one probe of a one-row stack."""
-    return np.asarray(x, dtype=float)[None, None, :]
+    """A vector as the one probe of one instance, (1, n)."""
+    return np.asarray(x, dtype=float)[None, :]
 
 
 def _mapped_pair(bound, require, map_spec: PositiveMapSpec, a: SpdMatrix, b: SpdMatrix,
                  params, tol: float, validate: bool) -> Rows:
     """bound(phi, A, B, params, tol) on one pair, after require(A, B, params) if validating."""
-    a, b = _one(a, b)
+    _require_same_dim(a, b)
     if validate:
         require(a, b, params)
-    return bound(_one_map(map_spec, a.entries.shape[-1]), a, b, params, tol)
+    return bound(_one_map(map_spec, a.dim), a, b, params, tol)
 
 
 def _records(theorem_id: str, rows: Rows, classical: bool = True,
              details=()) -> list[IneqRecord]:
-    """A one-row stack's IneqRecords, named by ``details``; classical False: no such verdict."""
+    """One instance's IneqRecords, named by ``details``; classical False: no such verdict."""
     records = []
     for item, r in enumerate(map(Rows._make, zip(*(np.ravel(f).tolist() for f in rows)))):
         held = CheckVerdict(r.classical, r.classical_gap, r.classical_slack) if classical else None
@@ -292,8 +284,11 @@ class TheoremSpec:
     map_divisor: int = 0
 
 
-# An instance state's groups of variables, in _draw_states' order.
+# An instance state's groups of variables, in _draw_states' order, and for each
+# SearchVar kind the groups of its values, with their number of axes of its size.
 _GROUPS = ("spectra", "frames", "vectors", "scalars")
+_VALUE_AXES = {"spd": {"spectra": 1, "frames": 2}, "weights": {"spectra": 1},
+               "vector": {"vectors": 1}, "frame": {"frames": 2}, "scalar": {"scalars": 0}}
 
 
 def _draw_states(space: dict, dim: int, count: int, rng) -> tuple[dict, dict, dict, dict]:
@@ -361,41 +356,64 @@ def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
     return out
 
 
+def _values(key: str, value, shape: tuple) -> np.ndarray:
+    """An instance's value as one row of floats of ``shape``, or a ValueError naming its key."""
+    try:
+        array = np.array([value], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"instance {key}: {exc}") from exc
+    if array.shape[1:] != shape:
+        raise ValueError(f"instance {key}: expected shape {shape}, got {array.shape[1:]}")
+    return array
+
+
 def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
     """snapshot's inverse: an instance of ``spec`` as the one row of a view, probe and map included.
 
-    Raises ValueError naming the key where ``dim``, ``classical``,
-    ``params`` or a group is missing or malformed, or where the probe or
-    the map is not one ``spec`` reads: a probe holds x for unit probes
-    and x and y for pairs, each of dim values, and a map takes
-    (dim // map_divisor) x (dim // map_divisor) matrices and is checked
-    by its PositiveMapSpec constructor.
+    Raises ValueError naming the key where ``dim`` (below the spec's
+    ``min_dim`` included), ``classical`` or ``params`` is missing or
+    malformed, where a group does not map exactly
+    the variables of ``spec.space(dim, params, classical)`` to values of
+    their shapes, or where the probe or the map is not one ``spec`` reads:
+    a probe maps x for unit probes and x and y for pairs to dim values,
+    and a map takes (dim // map_divisor) x (dim // map_divisor) matrices
+    and is checked by its PositiveMapSpec constructor.
     """
     missing = [k for k in ("dim", "classical", "params", *_GROUPS) if k not in instance]
     if missing:
         raise ValueError(f"instance has no {missing[0]!r}")
-    for key in ("params", *_GROUPS):
-        if not isinstance(instance[key], dict):
-            raise ValueError(f"instance {key!r} must map names to values, got {instance[key]!r}")
+    dim, classical = instance["dim"], instance["classical"]
+    probe, phi = instance.get("probe"), instance.get("map")
+    if not (_is_int(dim) and dim >= spec.min_dim):
+        raise ValueError(f"instance 'dim' of {spec.theorem_id} must be an integer >= "
+                         f"{spec.min_dim}, got {dim!r}")
+    if not isinstance(classical, bool):
+        raise ValueError(f"instance 'classical' must be true or false, got {classical!r}")
     try:
         params = BoundParams(**instance["params"])
-    except TypeError as exc:
+        space = spec.space(dim, params, classical)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"instance 'params': {exc}") from exc
-    dim, probe, phi = instance["dim"], instance.get("probe"), instance.get("map")
-    if not (_is_int(dim) and dim >= 1):
-        raise ValueError(f"instance 'dim' must be an integer >= 1, got {dim!r}")
+    groups = {group: {} for group in _GROUPS}
+    for name, var in space.items():
+        for group, axes in _VALUE_AXES[var.kind].items():
+            groups[group][name] = (var.size or dim,) * axes
+    if probe is not None:
+        groups["probe"] = {k: (dim,) for k in {"units": "x", "pairs": "xy"}.get(spec.probes, "")}
+    for group, shapes in groups.items():
+        given = instance[group]
+        if not (isinstance(given, dict) and set(given) == set(shapes)):
+            raise ValueError(f"instance {group!r} of {spec.theorem_id} must map exactly "
+                             f"{sorted(shapes)} to values, got {given!r}")
+        groups[group] = {name: _values(f"{group!r}[{name!r}]", given[name], shape)
+                         for name, shape in shapes.items()}
     probes = maps = None
     if probe is not None:
-        keys = {"units": "x", "pairs": "xy"}.get(spec.probes, "")
-        probes = tuple(np.array([[probe[k]]], dtype=float) for k in keys if k in probe)
-        if not keys or sorted(probe) != list(keys) or any(p.shape != (1, 1, dim) for p in probes):
-            raise ValueError(f"instance 'probe' of {spec.theorem_id} must hold "
-                             f"{' and '.join(keys) or 'nothing'}, each of dim = {dim} values, "
-                             f"got {probe!r}")
+        probes = tuple(x[None] for x in groups.pop("probe").values())
     if phi is not None:
         if not spec.map_divisor:
             raise ValueError(f"instance 'map' given, but {spec.theorem_id} reads none: {phi!r}")
-        make, key = _MAPS.get(phi.get("kind"), (None, None))
+        make, key = _MAPS.get(phi.get("kind") if isinstance(phi, dict) else None, (None, None))
         if make is None:
             raise ValueError(f"instance 'map' kind must be one of {tuple(_MAPS)}, got {phi!r}")
         if key is not None and key not in phi:
@@ -405,11 +423,7 @@ def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
             maps = _one_map(make(n) if key is None else make(phi[key]), n)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"instance 'map' of kind {phi['kind']}: {exc}") from exc
-
-    def row(group):
-        return {k: np.array([v], dtype=float) for k, v in instance[group].items()}
-    return StackedView(params, dim, *map(row, _GROUPS), instance["classical"], probes=probes,
-                       maps=maps)
+    return StackedView(params, dim, *groups.values(), classical, probes=probes, maps=maps)
 
 
 def _witness(dim: int, params: BoundParams, spectra: dict, frames=(), vectors=(),
@@ -494,12 +508,13 @@ _register("scalar_amgm", RegimeId.PLAIN, (BoundParams(m=0.25, M=4.0),), _space_s
 def _lemma_amgm(a, b, m, tol, validate):
     """m is a scalar or each row's own; validate checks mA <= B with 1 < m, failing a NaN m."""
     if validate:
-        rows_m = np.broadcast_to(m, a.eigenvalues.shape[:1])
-        require_rows(rows_m > 1.0, lambda r: f"relative needs 1 < m: m = {rows_m[r]}")
+        rows_m = np.broadcast_to(m, a.eigenvalues.shape[:-1])
+        require_rows(rows_m > 1.0, lambda r: f"relative needs 1 < m: m = {rows_m.flat[r]}")
         inv_root = a.inv_sqrt().entries
         low = least_eigenvalue(inv_root @ b.entries @ inv_root)
         require_rows(low >= rows_m * (1.0 - _REGIME_TOL), lambda r: (
-            f"relative needs mA <= B: min relative eigenvalue {low[r]:.8g} < m = {rows_m[r]}"))
+            f"relative needs mA <= B: min relative eigenvalue {low.flat[r]:.8g} "
+            f"< m = {rows_m.flat[r]}"))
     kappa = per_value(refinement_factor, m) if isinstance(m, np.ndarray) else refinement_factor(m)
     mean_geo = geometric_mean(a, b)
     rhs = arithmetic_mean(a, b)
@@ -512,7 +527,8 @@ def _lemma_amgm(a, b, m, tol, validate):
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
                              tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """(1 + (ln m)^2 / 8) A#B <= (A+B)/2 under mA <= B with 1 < m."""
-    return _records("lemma_amgm", _lemma_amgm(*_one(a, b), m, tol, validate))[0]
+    _require_same_dim(a, b)
+    return _records("lemma_amgm", _lemma_amgm(a, b, m, tol, validate))[0]
 
 
 # Spectrum window used for the free factor A in the relative regime,
@@ -553,7 +569,7 @@ def check_kantorovich_refined(a: SpdMatrix, x: np.ndarray, m: float, m_prime: fl
     Kantorovich constant is the same bound without the divisor.
     """
     params = BoundParams(m=m, M=M, m_prime=m_prime)
-    return _records("kantorovich", _kantorovich(_one(a), _probe(x), params, tol, validate))[0]
+    return _records("kantorovich", _kantorovich(a, _probe(x), params, tol, validate))[0]
 
 
 def _space_low_vector(dim, params, classical):
@@ -591,7 +607,8 @@ def check_kantorovich_product_refined(a: SpdMatrix, b: SpdMatrix, x: np.ndarray,
     Squared right-hand side; the classical constant drops the kappa^2
     divisor. Regime: mI <= m'A <= B <= MI with m' > 1.
     """
-    rows = _kantorovich_product(*_one(a, b), _probe(x), params, tol, validate)
+    _require_same_dim(a, b)
+    rows = _kantorovich_product(a, b, _probe(x), params, tol, validate)
     return _records("kantorovich_product", rows)[0]
 
 
@@ -619,7 +636,7 @@ def _holder_mccarthy(a, x, params, tol, validate):
     if validate:
         _require_window(a, _LOW, params)
         _require_unit(x)
-    ax = a.entries[:, None] @ x[..., None]
+    ax = a.entries[..., None, :, :] @ x[..., None]
     return scalar_rows((transpose(ax) @ ax)[..., 0, 0], squares(quad_form(a, x)), tol,
                        *_constants("kantorovich", params))
 
@@ -627,7 +644,7 @@ def _holder_mccarthy(a, x, params, tol, validate):
 def check_holder_mccarthy_refined(a: SpdMatrix, x: np.ndarray, params: BoundParams,
                                   tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """<A^2 x,x> <= [(M+m)^2 / (4Mm kappa(m')^2)] <Ax,x>^2 on the low window."""
-    rows = _holder_mccarthy(_one(a), _probe(x), params, tol, validate)
+    rows = _holder_mccarthy(a, _probe(x), params, tol, validate)
     return _records("holder_mccarthy", rows)[0]
 
 
@@ -641,14 +658,15 @@ def _square_order(a, b, params, tol, validate):
         _require_window(a, _LOW, params)
         order = loewner_leq(a, b, _REGIME_TOL)
         require_rows(order.holds, lambda r: (
-            f"square_order needs A <= B: min eig of B - A is {order.gap[r]:.3e}"))
+            f"square_order needs A <= B: min eig of B - A is {order.gap.flat[r]:.3e}"))
     return loewner_rows(a.square(), b.square(), tol, *_constants("kantorovich", params))
 
 
 def check_square_order_refined(a: SpdMatrix, b: SpdMatrix, params: BoundParams,
                                tol: float = DEFAULT_TOL, validate: bool = True) -> IneqRecord:
     """A^2 <= [(M+m)^2 / (4Mm kappa(m')^2)] B^2 when A <= B and A sits on the low window."""
-    return _records("square_order", _square_order(*_one(a, b), params, tol, validate))[0]
+    _require_same_dim(a, b)
+    return _records("square_order", _square_order(a, b, params, tol, validate))[0]
 
 
 def _space_square_order(dim, params, classical):
@@ -707,7 +725,7 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
     The family must satisfy sum U_j^T U_j = I; A sits on the low window.
     """
     phi = _one_map(congruence_sum_map(family), a.dim)
-    return _records("isometry_family", _isometry_family(phi, _one(a), params, tol, validate))[0]
+    return _records("isometry_family", _isometry_family(phi, a, params, tol, validate))[0]
 
 
 def _space_isometry_family(dim, params, classical):
@@ -883,7 +901,7 @@ def check_wielandt_scalar(a: SpdMatrix, x: np.ndarray, y: np.ndarray, m: float, 
     """
     params = BoundParams(m=m, M=M)
     require_feasible(RegimeId.PLAIN, params)
-    rows = _wielandt_scalar(_one(a), _probe(x), _probe(y), params.m, params.M,
+    rows = _wielandt_scalar(a, _probe(x), _probe(y), params.m, params.M,
                             _conjecture_scale(params.m, params.M), tol, validate)
     return _records("wielandt_scalar", rows, classical=False)[0]
 
@@ -947,11 +965,10 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
     """
     if variant not in WIELANDT_VARIANTS:
         raise ValueError(f"variant must be one of {WIELANDT_VARIANTS}, got {variant!r}")
-    a = _one(a)
     if validate:
         _require_window(a, _HIGH if variant == "refined" else _plain, params)
-    rows = _wielandt_operator(variant, _one_map(map_spec, pair.x.shape[1]), a, pair.x[None],
-                              pair.y[None], params, tol)
+    rows = _wielandt_operator(variant, _one_map(map_spec, pair.x.shape[1]), a, pair.x, pair.y,
+                              params, tol)
     (record,) = _records(f"wielandt_{variant}", rows, classical=variant == "refined")
     record.extras["conjecture_scale"] = scale = _conjecture_scale(params.m, params.M)
     if variant != "bhatia_davis":
@@ -1001,8 +1018,7 @@ def _choi(phi, a, tol):
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
                       tol: float = DEFAULT_TOL) -> IneqRecord:
     """(Phi(T))^{-1} <= Phi(T^{-1}) for a unital positive map Phi and T > 0."""
-    t = _one(t)
-    rows = _choi(_one_map(map_spec, t.entries.shape[-1]), t, tol)
+    rows = _choi(_one_map(map_spec, t.dim), t, tol)
     return _records("choi", rows, classical=False)[0]
 
 
@@ -1025,7 +1041,8 @@ def _norm_amgm(a, b, tol):
 
 def check_norm_amgm_record(a: SpdMatrix, b: SpdMatrix, tol: float = DEFAULT_TOL) -> IneqRecord:
     """||AB|| <= ||A+B||^2 / 4; the norm is the largest singular value, as AB is not symmetric."""
-    return _records("norm_amgm", _norm_amgm(*_one(a, b), tol), classical=False)[0]
+    _require_same_dim(a, b)
+    return _records("norm_amgm", _norm_amgm(a, b, tol), classical=False)[0]
 
 
 def _space_plain_two(dim, params, classical):

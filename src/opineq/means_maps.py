@@ -1,8 +1,8 @@
 """Operator means and a catalog of positive unital linear maps.
 
 The means are ``opineq.stacked``'s, on two SpdMatrix of one dimension,
-and give an SpdMatrix; ``apply_map`` calls its stacked namesake on a
-one-row stack, and ``_one_map`` is the one place a PositiveMapSpec
+and give an SpdMatrix; ``apply_map`` calls its stacked namesake on the
+matrix itself, and ``_one_map`` is the one place a PositiveMapSpec
 becomes a ``stacked.StackedMap``.
 The geometric mean is computed by congruence with A^{+-1/2}; the map
 catalog is restricted to five concretely representable kinds, all of
@@ -71,7 +71,7 @@ def compression_map(isometry) -> PositiveMapSpec:
     v = np.array(isometry, dtype=float, order="C")
     if v.ndim != 2 or v.shape[0] < v.shape[1] or v.size == 0:
         raise ValueError(f"compression isometry must be tall n x r with r >= 1, got {v.shape}")
-    v = stacked.compression_isometries(v[None])[0]
+    v = stacked.compression_isometries(v)
     v.setflags(write=False)
     return PositiveMapSpec(kind="compression", in_dim=v.shape[0], out_dim=v.shape[1], isometry=v)
 
@@ -85,7 +85,7 @@ def congruence_sum_map(family) -> PositiveMapSpec:
     if any(u.shape != (n, n) for u in mats) or n == 0:
         raise ValueError(f"congruence family members must share a non-empty square shape, "
                          f"got {[u.shape for u in mats]}")
-    stacked.congruence_family(tuple(u[None] for u in mats))
+    stacked.congruence_family(mats)
     for u in mats:
         u.setflags(write=False)
     return PositiveMapSpec(kind="congruence_sum", in_dim=n, out_dim=n, family=mats)
@@ -102,7 +102,10 @@ def pinching_map(blocks) -> PositiveMapSpec:
 
 
 def _one_map(spec: PositiveMapSpec, n: int) -> stacked.StackedMap:
-    """A PositiveMapSpec on n x n matrices as the map of a one-row stack."""
+    """A PositiveMapSpec on n x n matrices as a StackedMap whose data has one row.
+
+    ``instance_view``'s one-row views pick that row; an (n, n) operand broadcasts against it.
+    """
     if spec.kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {spec.kind!r}")
     if spec.in_dim != n:
@@ -118,4 +121,4 @@ def apply_map(spec: PositiveMapSpec, t) -> np.ndarray:
     t = t.entries if isinstance(t, SpdMatrix) else np.asarray(t, dtype=float)
     if t.shape != (spec.in_dim, spec.in_dim):
         raise ValueError(f"expected {spec.in_dim}x{spec.in_dim} input, got {t.shape}")
-    return stacked.apply_map(_one_map(spec, spec.in_dim), t[None])[0]
+    return stacked.apply_map(_one_map(spec, spec.in_dim), t)

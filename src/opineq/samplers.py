@@ -162,10 +162,10 @@ def regime_window(regime: RegimeId, params: BoundParams) -> SpectralInterval:
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with R-diagonal sign fix; stacked.haar, one row."""
+    """Haar-distributed orthogonal matrix via QR with R-diagonal sign fix: stacked.haar."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return stacked.haar(rng.standard_normal((dim, dim))[None])[0]
+    return stacked.haar(rng.standard_normal((dim, dim)))
 
 
 def _window_spectra(interval: SpectralInterval, uniform: np.ndarray) -> np.ndarray:
@@ -252,7 +252,7 @@ class IsometryPair:
         if x.shape != y.shape or x.ndim != 2 or x.size == 0:
             raise ValueError(f"isometries must share an n x r shape with r >= 1, got "
                              f"{x.shape} and {y.shape}")
-        stacked.require_isometry_pair(x[None], y[None])
+        stacked.require_isometry_pair(x, y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

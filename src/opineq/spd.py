@@ -2,13 +2,14 @@
 
 An SpdMatrix is the ``stacked.StackedSpd`` of one (n, n) matrix, so the
 algebra written there for stacks of any shape (..., n, n) is its own,
-and the order checks and norms here call their stacked namesakes on the
-one matrix: an instance gets the bits it would get as a row of any
-stack. Every SpdMatrix holds its spectrum and eigenframe from the moment
-it is made, and one test (every eigenvalue finite and > 0) decides
-positivity for raw matrices, given spectra and derived matrices alike.
-All order comparisons are tolerance-aware relative to the operator norm
-of the right-hand side.
+and the order checks and norms here, and the ``check_*`` functions of
+``inequalities``, call their stacked namesakes on the one matrix as it
+is, without a row axis: an instance gets the bits it would get as a row
+of any stack. Every SpdMatrix holds its spectrum and eigenframe from the
+moment it is made, and one test (every eigenvalue finite and > 0)
+decides positivity for raw matrices, given spectra and derived matrices
+alike. All order comparisons are tolerance-aware relative to the
+operator norm of the right-hand side.
 """
 
 from __future__ import annotations
@@ -106,10 +107,7 @@ class SpdMatrix(stacked.StackedSpd):
         """
         # Copies, as the matrix may keep them and makes them read-only.
         vals = np.array(eigenvalues, dtype=float).reshape(-1)
-        vecs = np.array(eigenvectors, dtype=float)
-        if vecs.shape != (vals.size, vals.size):
-            raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        return super().from_eigh(vals, vecs)
+        return super().from_eigh(vals, np.array(eigenvectors, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -141,10 +139,10 @@ def _operand(x):
     return x if isinstance(x, SpdMatrix) else _square(x)
 
 
-def _require_same_dim(*mats: SpdMatrix) -> None:
-    """Raise ValueError unless the matrices (one or two) share a dimension."""
-    if len({a.dim for a in mats}) > 1:
-        raise ValueError(f"dimension mismatch: {mats[0].dim} vs {mats[1].dim}")
+def _require_same_dim(a: SpdMatrix, b: SpdMatrix) -> None:
+    """Raise ValueError unless a and b share a dimension."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def _verdict(rows: stacked.Verdicts) -> CheckVerdict:

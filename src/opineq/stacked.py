@@ -1,24 +1,26 @@
 """The package's matrix algebra, on many instances at once.
 
-Every array here carries a leading axis of rows, one row per instance:
-a campaign stacks the draws of a chunk, a search the candidates of a
-block, and a public ``check_*`` call its one instance. A StackedSpd
-takes any leading axes, and ``spd.SpdMatrix`` is the StackedSpd of one
-(n, n) matrix: the per-instance API of ``spd`` and ``means_maps`` calls
-the functions here on it. Each function works on every row alone, so a
-row's bits do not depend on the rows stacked with it. The draw rules
-work on rows too: the Haar frame is ``haar`` here, and the others are
-in ``samplers``, whose samplers apply them to one draw. A vector is a
-(..., 1, n) or (..., n, 1) matrix, as a stacked (k, n) @ (n, n) product
-sums in another order; a Python float operation (``x ** 2``,
-``math.log``) is made value by value, as numpy's rounds differently in
-the last bit.
+An array here is one instance's, or a stack of them on leading axes of
+rows: a campaign stacks the draws of a chunk and a search the candidates
+of a block, while a public ``check_*`` call and the per-instance API of
+``spd`` and ``means_maps`` pass their one instance as it is. Each
+function reads the last axes only, as a StackedSpd takes matrices of
+shape (..., n, n), and ``spd.SpdMatrix`` is the StackedSpd of one (n, n)
+matrix. Each function works on every row alone, so a row's bits do not
+depend on the rows stacked with it. The draw rules work on rows too: the
+Haar frame is ``haar`` here, and the others are in ``samplers``, whose
+samplers apply them to one draw. A vector is a (..., 1, n) or
+(..., n, 1) matrix, as a stacked (k, n) @ (n, n) product sums in another
+order; a Python float operation (``x ** 2``, ``math.log``) is made value
+by value, as numpy's rounds differently in the last bit.
 
 A view's ``params`` is one BoundParams shared by every row, or a tuple
 of each row's own; ``per_row`` reads a constant either way, and the
 record builders take it as a scalar or an array of each row's own. A
-map is a StackedMap, whose parts each apply one kind to their own rows.
-Every check is made on every row and names the first row that fails it.
+map is a StackedMap, whose parts each apply one kind to their own rows;
+its data keeps a row axis, which broadcasts against one instance's
+operand. Every check is made on every row and names the first row that
+fails it, as row 0 for one instance.
 
 A record's ratio is computed when its builder runs, and its order
 verdicts once, on the first read of any verdict field: a search block
@@ -137,19 +139,20 @@ def require_spectrum(a: "StackedSpd", lo, hi, label: str, tol: float) -> None:
 
     lo and hi are scalars or each row's own.
     """
-    vals = a.eigenvalues
-    lo_ok = vals[:, 0] >= lo * (1.0 - tol) - 1e-14
-    hi_ok = vals[:, -1] <= hi * (1.0 + tol) + 1e-14
+    least, most = a.eigenvalues[..., 0], a.eigenvalues[..., -1]
+    lo_ok = least >= lo * (1.0 - tol) - 1e-14
+    hi_ok = most <= hi * (1.0 + tol) + 1e-14
     if not (lo_ok.all() and hi_ok.all()):
         row = _first_bad(lo_ok, hi_ok)
-        lo, hi = (np.broadcast_to(bound, lo_ok.shape)[row] for bound in (lo, hi))
+        least, most, lo, hi = (np.broadcast_to(v, lo_ok.shape).flat[row]
+                               for v in (least, most, lo, hi))
         raise InfeasibleRegime(
-            f"{label} spectrum [{vals[row, 0]:.8g}, {vals[row, -1]:.8g}] "
+            f"{label} spectrum [{least:.8g}, {most:.8g}] "
             f"outside window [{lo:.8g}, {hi:.8g}] (row {row})")
 
 
 def require_rows(ok: np.ndarray, message) -> None:
-    """Raise InfeasibleRegime with message(row) for the first row where ok fails."""
+    """Raise InfeasibleRegime with message(row) for the first row where ok fails, in flat order."""
     if not ok.all():
         row = _first_bad(ok)
         raise InfeasibleRegime(f"{message(row)} (row {row})")
@@ -166,10 +169,10 @@ class StackedSpd:
     """SPD matrices of shape (..., n, n), with ascending spectra (..., n) and frames (..., n, n).
 
     A raw stack is symmetrized and decomposed by one stacked ``eigh``;
-    ``from_eigh`` takes spectral factors, sorts them and checks the
-    frames. Either way every eigenvalue must be finite and > 0. Derived
-    matrices reuse the frames, are memoised, are of the stack's own type,
-    and check an ``eigh`` frame on first use.
+    ``from_eigh`` takes spectral factors whose shapes fit, sorts them and
+    checks the frames. Either way every eigenvalue must be finite and
+    > 0. Derived matrices reuse the frames, are memoised, are of the
+    stack's own type, and check an ``eigh`` frame on first use.
     """
 
     __slots__ = ("entries", "eigenvalues", "eigenvectors", "_frame_checked", "_derived")
@@ -191,6 +194,8 @@ class StackedSpd:
 
     @classmethod
     def from_eigh(cls, vals: np.ndarray, vecs: np.ndarray) -> "StackedSpd":
+        if vecs.shape != vals.shape + vals.shape[-1:]:
+            raise ValueError("eigenvector matrix shape does not match eigenvalues")
         _require_positive(vals)
         require_orthonormal(vecs, "eigenvector", _FRAME_TOL)
         return cls._sorted(vals, vecs)
@@ -242,24 +247,17 @@ class StackedSpd:
         return self._on_frame(like_rows(factor, self.eigenvalues) * self.eigenvalues)
 
 
-def _one_row(a: StackedSpd) -> StackedSpd:
-    """An (n, n) stack as a one-row (1, n, n) stack, its frame Gram-checked where a's is."""
-    row = StackedSpd.__new__(StackedSpd)
-    row._keep(a.entries[None], (a.eigenvalues[None], a.eigenvectors[None]), a._frame_checked)
-    return row
-
-
 def _entries(x) -> np.ndarray:
     return x.entries if isinstance(x, StackedSpd) else x
 
 
 def bilinear(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x A y for probe stacks x, y (S, k, n) against A (S, n, n), as (S, k)."""
-    return ((x[..., None, :] @ _entries(a)[:, None]) @ y[..., :, None])[..., 0, 0]
+    """x A y for probe stacks x, y (..., k, n) against A (..., n, n), as (..., k)."""
+    return ((x[..., None, :] @ _entries(a)[..., None, :, :]) @ y[..., :, None])[..., 0, 0]
 
 
 def quad_form(a, x: np.ndarray) -> np.ndarray:
-    """<Ax, x> for every probe: (S, k) from probes (S, k, n)."""
+    """<Ax, x> for every probe: (..., k) from probes (..., k, n)."""
     return bilinear(a, x, x)
 
 
@@ -367,22 +365,22 @@ def _apply_kind(kind: str, data, t: np.ndarray) -> np.ndarray:
         return sum(transpose(u) @ t @ u for u in data)
     n = t.shape[-1]
     if kind == "trace_normalize":
-        return np.eye(n) * (np.trace(t, axis1=-2, axis2=-1) / n)[:, None, None]
+        return np.eye(n) * (np.trace(t, axis1=-2, axis2=-1) / n)[..., None, None]
     out = np.zeros_like(t)
     for block in data:
         rows, cols = np.ix_(block, block)
-        out[:, rows, cols] = t[:, rows, cols]
+        out[..., rows, cols] = t[..., rows, cols]
     return out
 
 
 def apply_map(phi: StackedMap, t) -> np.ndarray:
-    """Each part's kind on its own rows, put back in row order."""
+    """Each part's kind on its own rows, put back in row order: an array with t's leading axes."""
     t = _entries(t)
     out = None
     for rows, kind, data in phi:
         part = _apply_kind(kind, data, t[rows])
         if out is None:
-            out = np.empty((len(t),) + part.shape[1:], part.dtype)
+            out = np.empty(t.shape[:-2] + part.shape[-2:], part.dtype)
         out[rows] = part
     return out
 

@@ -668,9 +668,18 @@ def _bad_instances(instance: dict, mapped: dict):
         yield {**instance, "dim": dim}, "'dim'"
     for params in ({"m": 1.0}, {"m": 1.0, "M": 4.0, "h": 4.0}, "m=1"):
         yield {**instance, "params": params}, "'params'"
+    yield {**instance, "classical": "yes"}, "'classical'"
     for group in ("spectra", "frames", "vectors", "scalars"):
         yield {**instance, group: [[1.0, 4.0]]}, repr(group)
-    for probe in ({"x": [1.0, 0.0, 0.0]}, {"y": [1.0, 0.0]}, {}, {"x": [[1.0, 0.0]]}):
+    # Each group holds its space's variables, each of its shape and numbers only.
+    yield {**instance, "vectors": {}}, "'vectors'"
+    yield {**instance, "frames": {}}, "'frames'"
+    yield {**instance, "scalars": {"t": 0.5}}, "'scalars'"
+    for spectrum in ([1.0], ["x", 4.0], [[1.0, 4.0]]):
+        yield {**instance, "spectra": {"a": spectrum}}, "'spectra'['a']"
+    yield {**instance, "frames": {"a": [[1.0, 0.0]]}}, "'frames'['a']"
+    for probe in ({"x": [1.0, 0.0, 0.0]}, {"y": [1.0, 0.0]}, {}, {"x": [[1.0, 0.0]]}, "x",
+                  {"x": ["a", 0.0]}):
         yield {**instance, "probe": probe}, "'probe'"
     for phi, named in (({"kind": "compression", "isometry": [[1.0], [0.0], [0.0]]}, "3x3"),
                        ({"kind": "compression"}, "'isometry'"),
@@ -678,7 +687,8 @@ def _bad_instances(instance: dict, mapped: dict):
                        ({"kind": "pinching", "blocks": [[0, 1, 2]]}, "3x3"),
                        ({"kind": "pinching", "blocks": [[0], [2]]}, "blocks"),
                        ({"kind": "congruence_sum", "family": 5}, "'map'"),
-                       ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind")):
+                       ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind"),
+                       ("pinching", "'map' kind")):
         yield {**mapped, "map": phi}, named
 
 
@@ -694,3 +704,7 @@ def test_instance_view_names_what_an_instance_lacks_or_does_not_fit():
         spec = mapped if "map" in bad else units
         with pytest.raises(ValueError, match=re.escape(named)):
             instance_view(bad, spec)
+    # An instance below its spec's min_dim is refused before its groups are read.
+    pairs = THEOREMS["wielandt_scalar"]
+    with pytest.raises(ValueError, match="'dim' of wielandt_scalar must be an integer >= 2"):
+        instance_view({**pairs.witnesses["wielandt scalar equality pair"], "dim": 1}, pairs)

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from opineq import (
     MAP_KINDS,
+    BoundParams,
+    IsometryPair,
     SpdMatrix,
     apply_map,
     arithmetic_mean,
     check_choi_record,
     check_norm_amgm_record,
+    check_wielandt_operator,
     compression_map,
     congruence_sum_map,
     geometric_mean,
@@ -28,7 +31,7 @@ from opineq import (
     spectral_norm,
     trace_normalize_map,
 )
-from opineq import samplers, stacked
+from opineq import inequalities, means_maps, samplers, stacked
 from opineq.spd import SpectralInterval
 
 
@@ -321,6 +324,37 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
             assert np.array_equal(maps["compression"][1](r).isometry, isometries[r])
         assert all(map(np.array_equal, congruence_sum_map([u[r] for u in family]).family,
                        (u[r] for u in family)))
+
+
+def test_one_instance_calls_hand_stacked_their_operands_as_they_are(monkeypatch, rng):
+    # The row axis is optional in stacked, so the per-instance API passes its
+    # (n, n) operands without one: no [None] on the way in, no [0] on the way out.
+    seen = []
+
+    def spy(module, name, operands):
+        real = getattr(module, name)
+
+        def call(*args):
+            seen.extend((name, np.ndim(getattr(x, "entries", x))) for x in operands(*args))
+            return real(*args)
+        monkeypatch.setattr(module, name, call)
+    spy(stacked, "haar", lambda z: (z,))
+    spy(stacked, "compression_isometries", lambda v: (v,))
+    spy(stacked, "congruence_family", lambda family: family)
+    spy(stacked, "require_isometry_pair", lambda x, y: (x, y))
+    for module in (means_maps, inequalities):
+        spy(module, "apply_map", lambda phi, t: (t,))
+    q = haar_orthogonal(4, rng)
+    squeeze = compression_map(q[:, :3])
+    congruence_sum_map(sample_congruence_family(4, 2, rng))
+    pair = IsometryPair(q[:, :2], q[:, 2:])
+    a = _random_spd(4, rng)
+    apply_map(squeeze, a)
+    check_choi_record(squeeze, a)
+    check_wielandt_operator(identity_map(2), a, pair, BoundParams(m=0.1, M=9.0), "gumus")
+    assert {name for name, _ in seen} == {"haar", "compression_isometries", "congruence_family",
+                                          "require_isometry_pair", "apply_map"}
+    assert all(ndim == 2 for _, ndim in seen), seen
 
 
 @pytest.mark.parametrize("build, arg, message", [

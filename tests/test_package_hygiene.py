@@ -99,7 +99,7 @@ def test_stacked_imports_no_package_module_but_errors():
 
 def test_only_spd_and_stacked_read_private_attributes_of_an_spd_matrix():
     # SpdMatrix is a StackedSpd; the other modules use its public face, and
-    # get one-row stacks of it from stacked._one_row.
+    # hand the matrix itself to stacked.
     private = {name for cls in opineq.SpdMatrix.__mro__ for name in vars(cls)
                if name.startswith("_") and not name.endswith("__")}
     assert {"_keep", "_frame_checked", "_derived"} <= private

@@ -9,8 +9,10 @@ from opineq import (
     SpdMatrix,
     SpectralInterval,
     arithmetic_mean,
+    check_lin_chain,
     check_square_order_refined,
     geometric_mean,
+    identity_map,
     loewner_leq,
     loewner_ratio,
     make_spd,
@@ -118,6 +120,9 @@ def test_from_eigh_sorts_and_reconstructs(rng):
 def test_from_eigh_validates_inputs():
     with pytest.raises(ValueError, match="shape"):
         SpdMatrix.from_eigh([1.0, 2.0], np.eye(3))
+    # A stack's factors must fit too: one eigenvalue per row is not a 2 x 2 frame's.
+    with pytest.raises(ValueError, match="eigenvector matrix shape does not match eigenvalues"):
+        stacked.StackedSpd.from_eigh(np.array([[2.0]]), np.eye(2)[None])
     with pytest.raises(NotPositiveDefinite):
         SpdMatrix.from_eigh([1.0, -2.0], np.eye(2))
     skewed = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -189,9 +194,10 @@ def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
 
 
 def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
-    # A check_* call evaluates one-row stacks of its matrices, which keep
-    # whether each frame was Gram-checked: a from_eigh frame is not checked
-    # again, and an eigh frame is checked on its first derived use.
+    # A check_* call evaluates its matrices as they are, and each keeps
+    # whether its frame was Gram-checked: a from_eigh frame is not checked
+    # again, and an eigh frame is checked on its first derived use, in the
+    # first call on it only.
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     a = SpdMatrix.from_eigh([0.6, 0.7], np.eye(2))
     b = SpdMatrix.from_eigh([0.65, 0.8], np.eye(2))
@@ -199,8 +205,31 @@ def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
     monkeypatch.setattr(stacked, "require_orthonormal", lambda *args: checked.append(args[1]))
     check_square_order_refined(a, b, params, validate=False)
     assert checked == []
-    check_square_order_refined(make_spd(np.diag([0.6, 0.7])), b, params, validate=False)
+    computed = make_spd(np.diag([0.6, 0.7]))
+    for _ in range(2):
+        check_square_order_refined(computed, b, params, validate=False)
     assert checked == ["eigenvector"]
+
+
+@pytest.mark.parametrize("check, params, built", [
+    (check_square_order_refined, BoundParams(m=0.5, M=4.0, m_prime=1.5), 8),
+    (lambda a, b, params: check_lin_chain(identity_map(2), a, b, params),
+     BoundParams(m=0.5, m_prime=0.7, M_prime=0.7, M=4.0), 13)])
+def test_repeated_check_calls_reuse_each_matrix_s_derived_matrices(monkeypatch, check, params,
+                                                                   built):
+    # Three calls on one pair build the derived matrices of A and B once, as
+    # each matrix memoises them: square_order's A^2 and B^2 (2) and per call its
+    # scaled core and that core's inverse root (6); lin_chain's A^-1, B^-1,
+    # A^1/2 and A^-1/2 (4) and per call three matrices of its means (9).
+    a = SpdMatrix.from_eigh([0.6, 0.7], np.eye(2))
+    b = SpdMatrix.from_eigh([0.7, 0.8], np.eye(2))
+    sorted_stack = stacked.StackedSpd._sorted.__func__
+    stacks = []
+    monkeypatch.setattr(stacked.StackedSpd, "_sorted", classmethod(
+        lambda cls, vals, vecs: stacks.append(cls) or sorted_stack(cls, vals, vecs)))
+    for _ in range(3):
+        check(a, b, params)
+    assert len(stacks) == built
 
 
 def test_scaled_rescales_spectrum():
