@@ -70,6 +70,7 @@ from .stacked import (
     per_row,
     per_value,
     quad_form,
+    require_frame,
     require_isometry_pair,
     require_rows,
     require_spectrum,
@@ -172,13 +173,20 @@ def _require_window(a: StackedSpd, window, params, label: str = "A") -> None:
     require_spectrum(a, *per_row(bounds, params), label, _REGIME_TOL)
 
 
-def _require_unit(*probes: np.ndarray) -> None:
-    """Raise ValueError unless every probe vector has norm 1, to 1e-10."""
-    for x in probes:
+def _require_unit(*probes: np.ndarray, labels: tuple = ("x", "y")) -> None:
+    """Raise ValueError unless every probe vector has norm 1, to 1e-10; ``labels`` names them."""
+    for label, x in zip(labels, probes):
         norm = np.sqrt(dot(x, x))
         bad = np.abs(norm - 1.0) > 1e-10
         if bad.any():
-            raise ValueError(f"x must be a unit vector, got norm {norm[bad][0]!r}")
+            raise ValueError(f"{label} must be a unit vector, got norm {norm[bad][0]!r}")
+
+
+def _require_orthogonal(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValueError unless every probe pair has |<x,y>| <= 1e-10."""
+    inner = np.abs(dot(x, y))
+    if (inner > 1e-10).any():
+        raise ValueError(f"x and y must be orthogonal, got |<x,y>| = {inner.max():.3e}")
 
 
 def _require_shifted(a: StackedSpd, b: StackedSpd, params) -> None:
@@ -356,14 +364,29 @@ def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
     return out
 
 
-def _values(key: str, value, shape: tuple) -> np.ndarray:
+def _check_value(group: str, name: str, values: np.ndarray) -> None:
+    """Raise ValueError unless an instance's value is what its group holds, beyond its shape.
+
+    Spectra and weights are finite and > 0, frames orthonormal, and vectors
+    and probes of unit length.
+    """
+    if group == "spectra" and not (np.isfinite(values).all() and (values > 0.0).all()):
+        raise ValueError(f"values must be finite and > 0, got {values[0].tolist()}")
+    if group == "frames":
+        require_frame(values, "frame")
+    if group in ("vectors", "probe"):
+        _require_unit(values, labels=(name,))
+
+
+def _values(group: str, name: str, value, shape: tuple) -> np.ndarray:
     """An instance's value as one row of floats of ``shape``, or a ValueError naming its key."""
     try:
         array = np.array([value], dtype=float)
+        if array.shape[1:] != shape:
+            raise ValueError(f"expected shape {shape}, got {array.shape[1:]}")
+        _check_value(group, name, array)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"instance {key}: {exc}") from exc
-    if array.shape[1:] != shape:
-        raise ValueError(f"instance {key}: expected shape {shape}, got {array.shape[1:]}")
+        raise ValueError(f"instance {group!r}[{name!r}]: {exc}") from exc
     return array
 
 
@@ -405,11 +428,16 @@ def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
         if not (isinstance(given, dict) and set(given) == set(shapes)):
             raise ValueError(f"instance {group!r} of {spec.theorem_id} must map exactly "
                              f"{sorted(shapes)} to values, got {given!r}")
-        groups[group] = {name: _values(f"{group!r}[{name!r}]", given[name], shape)
+        groups[group] = {name: _values(group, name, given[name], shape)
                          for name, shape in shapes.items()}
     probes = maps = None
     if probe is not None:
         probes = tuple(x[None] for x in groups.pop("probe").values())
+        if len(probes) == 2:
+            try:
+                _require_orthogonal(*probes)
+            except ValueError as exc:
+                raise ValueError(f"instance 'probe'['y']: {exc}") from exc
     if phi is not None:
         if not spec.map_divisor:
             raise ValueError(f"instance 'map' given, but {spec.theorem_id} reads none: {phi!r}")
@@ -473,8 +501,8 @@ def _scalar_amgm(a, b, tol):
     mean_geo = np.sqrt(a * b)
     lhs = kappa * mean_geo
     rhs = 0.5 * (a + b)
-    return make_rows(lhs / rhs, scalar_leq(lhs, rhs, tol), scalar_leq(mean_geo, rhs, tol), lhs,
-                     rhs, 1.0 / kappa, 1.0, 1.0 / kappa)
+    return make_rows(lhs / rhs, scalar_leq(lhs, rhs, tol), scalar_leq(mean_geo, rhs, tol),
+                     lambda: (lhs, rhs), 1.0 / kappa, 1.0, 1.0 / kappa)
 
 
 def scalar_refined_amgm(a: float, b: float, tol: float = DEFAULT_TOL) -> IneqRecord:
@@ -520,8 +548,9 @@ def _lemma_amgm(a, b, m, tol, validate):
     rhs = arithmetic_mean(a, b)
     return make_rows(kappa * loewner_ratio(mean_geo.entries, rhs),
                      loewner_leq(like_rows(kappa, rhs.entries) * mean_geo.entries, rhs, tol),
-                     loewner_leq(mean_geo, rhs, tol), kappa * operator_norm(mean_geo),
-                     operator_norm(rhs), 1.0 / kappa, 1.0, 1.0 / kappa)
+                     loewner_leq(mean_geo, rhs, tol),
+                     lambda: (kappa * operator_norm(mean_geo), operator_norm(rhs)), 1.0 / kappa,
+                     1.0, 1.0 / kappa)
 
 
 def check_lemma_refined_amgm(a: SpdMatrix, b: SpdMatrix, m: float,
@@ -885,9 +914,7 @@ def _wielandt_scalar(a, x, y, m, M, c, tol, validate):
     if validate:
         require_spectrum(a, m, M, "A", _REGIME_TOL)
         _require_unit(x, y)
-    inner = np.abs(dot(x, y))
-    if (inner > 1e-10).any():
-        raise ValueError(f"x and y must be orthogonal, got |<x,y>| = {inner.max():.3e}")
+    _require_orthogonal(x, y)
     product = quad_form(a, x) * quad_form(a, y)
     return scalar_rows(squares(bilinear(a, x, y)), product, tol, c, scale=product)
 

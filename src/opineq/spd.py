@@ -79,7 +79,9 @@ class SpdMatrix(stacked.StackedSpd):
     arrays: its derived matrices ``sqrt``, ``inv``, ``inv_sqrt``,
     ``square`` and ``scaled``, and its means, are SpdMatrix too. A raw
     matrix is symmetrized and decomposed by ``eigh`` once, at
-    construction; :meth:`from_eigh` takes known spectral factors instead.
+    construction, with no Cholesky first (a raw stack defers its ``eigh``
+    to the first read of its spectrum); :meth:`from_eigh` takes known
+    spectral factors instead.
     Either way the matrix is accepted only if every eigenvalue is finite
     and > 0, and the ascending spectrum and its frame are set before
     construction returns. Each frame's orthonormality (a Gram check) is
@@ -90,11 +92,13 @@ class SpdMatrix(stacked.StackedSpd):
     __slots__ = ()
 
     def __init__(self, entries):
-        super().__init__(_square(entries))
+        # Decomposed when made, as make_spd promises, so no Cholesky first.
+        self._keep(stacked.symmetrize(_square(entries)), None, False)
+        self._spectrum()
 
     def _keep(self, entries, eig, frame_checked: bool) -> None:
         super()._keep(entries, eig, frame_checked)
-        for part in (self.entries, self.eigenvalues, self.eigenvectors):
+        for part in (entries, *(eig or ())):
             part.setflags(write=False)
 
     @classmethod

@@ -22,9 +22,11 @@ its data keeps a row axis, which broadcasts against one instance's
 operand. Every check is made on every row and names the first row that
 fails it, as row 0 for one instance.
 
-A record's ratio is computed when its builder runs, and its order
-verdicts once, on the first read of any verdict field: a search block
-reads only ratios and so decomposes only for them, while a campaign or
+A raw StackedSpd is checked by one stacked Cholesky and decomposed by
+``eigh`` on the first read of its spectrum, and a record's ratio is
+computed when its builder runs, its order verdicts and its sides (lhs,
+rhs) once, on the first read of one of them: a search block reads only
+ratios and so decomposes only the stacks they read, while a campaign or
 a ``check_*`` call reads every field. Every numpy.linalg call of the
 package is made here. This module imports no other package module but
 ``errors``.
@@ -118,11 +120,27 @@ def _require_positive(vals: np.ndarray) -> None:
             f"eigenvalues must be finite and > 0, got min {lo.ravel()[row]} (row {row})")
 
 
+def _cholesky_accepts(entries: np.ndarray) -> bool:
+    """Whether every entry is finite and one stacked Cholesky factors every row."""
+    if not np.isfinite(entries).all():
+        return False
+    try:
+        np.linalg.cholesky(entries)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
     """Raise ValueError unless every row's columns are orthonormal to ``tol``."""
     defect = np.abs(transpose(vecs) @ vecs - np.eye(vecs.shape[-1])).max(axis=(-2, -1))
     if (defect > tol).any():
         raise ValueError(f"{label} columns not orthonormal (defect {defect.max():.3e})")
+
+
+def require_frame(vecs: np.ndarray, label: str = "eigenvector") -> None:
+    """Raise ValueError unless every row's columns are an orthonormal frame, to _FRAME_TOL."""
+    require_orthonormal(vecs, label, _FRAME_TOL)
 
 
 def require_isometry_pair(x: np.ndarray, y: np.ndarray) -> None:
@@ -168,36 +186,49 @@ def haar(z: np.ndarray) -> np.ndarray:
 class StackedSpd:
     """SPD matrices of shape (..., n, n), with ascending spectra (..., n) and frames (..., n, n).
 
-    A raw stack is symmetrized and decomposed by one stacked ``eigh``;
-    ``from_eigh`` takes spectral factors whose shapes fit, sorts them and
-    checks the frames. Either way every eigenvalue must be finite and
-    > 0. Derived matrices reuse the frames, are memoised, are of the
-    stack's own type, and check an ``eigh`` frame on first use.
+    A raw stack is symmetrized and checked by one stacked Cholesky; where
+    an entry is not finite or the Cholesky fails, its ``eigh`` is made at
+    once to name the first bad row. Else the ``eigh`` waits for the first
+    read of the spectrum, frames or a derived matrix, where every
+    eigenvalue must be finite and > 0 too. ``from_eigh`` takes spectral
+    factors whose shapes fit, sorts them and checks the frames. Derived
+    matrices reuse the frames, are memoised, are of the stack's own type,
+    and check an ``eigh`` frame on first use.
     """
 
-    __slots__ = ("entries", "eigenvalues", "eigenvectors", "_frame_checked", "_derived")
+    __slots__ = ("entries", "_eig", "_frame_checked", "_derived")
 
     def __init__(self, entries: np.ndarray):
-        entries = symmetrize(entries)
-        try:
-            eig = np.linalg.eigh(entries)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
-        _require_positive(eig[0])
-        self._keep(entries, eig, False)
+        self._keep(symmetrize(entries), None, False)
+        if not _cholesky_accepts(self.entries):
+            self._spectrum()
 
     def _keep(self, entries, eig, frame_checked: bool) -> None:
         self.entries = entries
-        self.eigenvalues, self.eigenvectors = eig
+        self._eig = eig
         self._frame_checked = frame_checked
         self._derived = {}
+
+    def _spectrum(self) -> tuple:
+        """(eigenvalues, eigenvectors): one stacked ``eigh`` on the first call."""
+        if self._eig is None:
+            try:
+                eig = np.linalg.eigh(self.entries)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
+            _require_positive(eig[0])
+            self._keep(self.entries, eig, False)
+        return self._eig
+
+    eigenvalues = property(lambda self: self._spectrum()[0])
+    eigenvectors = property(lambda self: self._spectrum()[1])
 
     @classmethod
     def from_eigh(cls, vals: np.ndarray, vecs: np.ndarray) -> "StackedSpd":
         if vecs.shape != vals.shape + vals.shape[-1:]:
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
         _require_positive(vals)
-        require_orthonormal(vecs, "eigenvector", _FRAME_TOL)
+        require_frame(vecs)
         return cls._sorted(vals, vecs)
 
     @classmethod
@@ -220,7 +251,7 @@ class StackedSpd:
     def _on_frame(self, vals) -> "StackedSpd":
         _require_positive(vals)
         if not self._frame_checked:
-            require_orthonormal(self.eigenvectors, "eigenvector", _FRAME_TOL)
+            require_frame(self.eigenvectors)
             self._frame_checked = True
         return type(self)._sorted(vals, self.eigenvectors)
 
@@ -385,11 +416,10 @@ def apply_map(phi: StackedMap, t) -> np.ndarray:
     return out
 
 
-class Verdicts:
-    """Rows of ordering checks: whether each holds, its gap and its slack, as spd.CheckVerdict.
+class Deferred:
+    """The arrays ``make`` returns, computed once, on the first read of any of them.
 
-    ``make`` returns the three arrays. It runs once, on the first read of
-    any of them, so a caller that reads no verdict pays for none.
+    A caller that reads none of them pays for none.
     """
 
     __slots__ = ("_make", "_values")
@@ -398,15 +428,24 @@ class Verdicts:
         self._make = make
         self._values = None
 
-    def _read(self, field: int) -> np.ndarray:
+    def __getitem__(self, field: int) -> np.ndarray:
         if self._values is None:
             self._values = self._make()
             self._make = None
         return self._values[field]
 
-    holds = property(lambda self: self._read(0))
-    gap = property(lambda self: self._read(1))
-    slack = property(lambda self: self._read(2))
+
+class Verdicts(Deferred):
+    """Rows of ordering checks: whether each holds, its gap and its slack, as spd.CheckVerdict.
+
+    ``make`` returns the three arrays.
+    """
+
+    __slots__ = ()
+
+    holds = property(lambda self: self[0])
+    gap = property(lambda self: self[1])
+    slack = property(lambda self: self[2])
 
 
 def _divide(num, den, where) -> np.ndarray:
@@ -449,24 +488,24 @@ class Rows:
 
     ``holds``, ``gap`` and ``slack`` are the refined verdict's and the
     ``classical_*`` fields the classical one's; a record without one has
-    ``classical`` True and the refined gap and slack. ``scale`` is c /
+    ``classical`` True and the refined gap and slack. ``lhs`` and ``rhs``
+    are the sides' sizes (an operator norm for matrices). ``scale`` is c /
     kappa^p, ``classical_scale`` c and ``improvement`` 1 / kappa^p. The
-    verdict fields are each Verdicts' own, computed on first read.
-    Iterates as its ``_fields``, which reads every verdict.
+    verdict fields are each Verdicts' own and the sides one Deferred's,
+    computed on first read. Iterates as its ``_fields``, which reads all.
     """
 
-    __slots__ = ("ratio", "lhs", "rhs", "improvement", "scale", "classical_scale", "_verdict",
-                 "_classical")
+    __slots__ = ("ratio", "improvement", "scale", "classical_scale", "_verdict", "_classical",
+                 "_sides")
     _fields = ("ratio", "holds", "classical", "lhs", "rhs", "improvement", "gap", "slack",
                "classical_gap", "classical_slack", "scale", "classical_scale")
 
-    def __init__(self, ratio, verdict: Verdicts, classical: Verdicts, lhs, rhs, improvement,
-                 scale, classical_scale):
+    def __init__(self, ratio, verdict: Verdicts, classical: Verdicts, sides: Deferred,
+                 improvement, scale, classical_scale):
         self.ratio = ratio
         self._verdict = verdict
         self._classical = classical
-        self.lhs = lhs
-        self.rhs = rhs
+        self._sides = sides
         self.improvement = improvement
         self.scale = scale
         self.classical_scale = classical_scale
@@ -477,6 +516,8 @@ class Rows:
     classical = property(lambda self: self._classical.holds)
     classical_gap = property(lambda self: self._classical.gap)
     classical_slack = property(lambda self: self._classical.slack)
+    lhs = property(lambda self: self._sides[0])
+    rhs = property(lambda self: self._sides[1])
 
     def __iter__(self):
         return (getattr(self, name) for name in self._fields)
@@ -487,8 +528,8 @@ class Rows:
         (ratio, holds, classical, lhs, rhs, improvement, gap, slack, classical_gap,
          classical_slack, scale, classical_scale) = fields
         return cls(ratio, Verdicts(lambda: (holds, gap, slack)),
-                   Verdicts(lambda: (classical, classical_gap, classical_slack)), lhs, rhs,
-                   improvement, scale, classical_scale)
+                   Verdicts(lambda: (classical, classical_gap, classical_slack)),
+                   Deferred(lambda: (lhs, rhs)), improvement, scale, classical_scale)
 
     @classmethod
     def columns(cls, parts) -> "Rows":
@@ -496,12 +537,15 @@ class Rows:
         return cls._make(np.stack(field, axis=-1) for field in zip(*parts))
 
 
-def make_rows(ratio, verdict: Verdicts, classical, lhs, rhs, scale, classical_scale,
+def make_rows(ratio, verdict: Verdicts, classical, sides, scale, classical_scale,
               improvement) -> Rows:
-    """Rows from their parts; ``classical`` None: no classical verdict. Scales may be per row."""
+    """Rows from their parts; ``classical`` None: no classical verdict. Scales may be per row.
+
+    ``sides()`` returns (lhs, rhs), on the first read of either.
+    """
     if classical is None:
         classical = Verdicts(lambda: (np.ones_like(verdict.holds), verdict.gap, verdict.slack))
-    return Rows(ratio, verdict, classical, lhs, rhs, per_record(improvement, ratio),
+    return Rows(ratio, verdict, classical, Deferred(sides), per_record(improvement, ratio),
                 per_record(scale, ratio), per_record(classical_scale, ratio))
 
 
@@ -529,8 +573,8 @@ def scalar_rows(lhs, core, tol: float, c=1.0, kappa_pow=None, **leq) -> Rows:
     verdict = scalar_leq(lhs, rhs, tol, **leq)
     classical = (None if kappa_pow is None
                  else scalar_leq(lhs, like_rows(c, lhs) * core, tol, **leq))
-    return make_rows(_ratio(lhs, rhs, verdict), verdict, classical, lhs, rhs, refined, c,
-                     1.0 if kappa_pow is None else 1.0 / kappa_pow)
+    return make_rows(_ratio(lhs, rhs, verdict), verdict, classical, lambda: (lhs, rhs), refined,
+                     c, 1.0 if kappa_pow is None else 1.0 / kappa_pow)
 
 
 def loewner_rows(lhs, core: StackedSpd, tol: float, c=1.0, kappa_pow=None, atol=0.0) -> Rows:
@@ -539,8 +583,6 @@ def loewner_rows(lhs, core: StackedSpd, tol: float, c=1.0, kappa_pow=None, atol=
     verdict = loewner_leq(lhs, like_rows(refined, core.entries) * core.entries, tol, atol)
     classical = (None if kappa_pow is None
                  else loewner_leq(lhs, like_rows(c, core.entries) * core.entries, tol, atol))
-    top = operator_norm(lhs)
-    rhs = refined * operator_norm(core)
     # A row whose refined constant is 0 takes the degenerate ratio; scaling
     # its CORE by 1 instead keeps the stack positive definite.
     nonzero = refined != 0.0
@@ -549,7 +591,8 @@ def loewner_rows(lhs, core: StackedSpd, tol: float, c=1.0, kappa_pow=None, atol=
     else:
         ratio = np.where(nonzero, loewner_ratio(lhs, core.scaled(np.where(nonzero, refined, 1.0))),
                          np.where(verdict.holds, 1.0, np.inf))
-    return make_rows(ratio, verdict, classical, top, rhs, refined, c,
+    return make_rows(ratio, verdict, classical,
+                     lambda: (operator_norm(lhs), refined * operator_norm(core)), refined, c,
                      1.0 if kappa_pow is None else 1.0 / kappa_pow)
 
 
@@ -569,8 +612,8 @@ def identity_rows(lhs, tol: float, c, kappa_pow=None, classical_lhs=None) -> Row
         classical = loewner_leq(lhs if classical_lhs is None else classical_lhs,
                                 like_rows(c, entries) * eye, tol)
     top = operator_norm(lhs)
-    return make_rows(_ratio(top, refined, verdict), verdict, classical, top,
-                     per_record(refined, top), refined, c,
+    return make_rows(_ratio(top, refined, verdict), verdict, classical,
+                     lambda: (top, per_record(refined, top)), refined, c,
                      1.0 if kappa_pow is None else 1.0 / kappa_pow)
 
 

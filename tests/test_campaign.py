@@ -647,11 +647,13 @@ def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
 
 
 def test_a_sweep_computes_every_verdict_inside_its_errstate(linalg_calls):
-    # A campaign reads every field of every record, so every verdict is decomposed:
-    # 424 eigvalsh and 264 eigh on the benchmark's sweep shape. Every zero division
-    # stays silent.
+    # A campaign reads every field of every record, so every verdict and side is
+    # decomposed: 424 eigvalsh on the benchmark's sweep shape. Each of the 264 raw
+    # stacks is checked by one Cholesky, and 204 of them have their spectrum read.
+    # Every zero division stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_campaign(CampaignConfig(dims=(2, 3, 4, 8), samples=25, seed=42))
     assert report.total_checks == 9975
-    assert (linalg_calls["eigvalsh"], linalg_calls["eigh"]) == (424, 264)
+    assert (linalg_calls["eigvalsh"], linalg_calls["eigh"], linalg_calls["cholesky"]) == (
+        424, 204, 264)

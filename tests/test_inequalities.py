@@ -598,7 +598,8 @@ def test_rows_give_the_same_fields_in_any_order_of_reads(theorem_id, classical, 
 
 def test_degenerate_ratios_read_their_verdicts(linalg_calls):
     # Where the right side is 0 the ratio is 1 if the check holds, else inf;
-    # the builder reads the verdict for it, and later reads reuse it.
+    # the builder reads the verdict for it, and later reads reuse it. The sides
+    # are computed on their first read: a Loewner lhs's norm is one eigvalsh.
     eye = np.eye(2)
     lhs = np.stack([0.0 * eye, eye, eye])
     c = np.array([0.0, 0.0, 2.0])
@@ -609,12 +610,36 @@ def test_degenerate_ratios_read_their_verdicts(linalg_calls):
         (stacked.loewner_rows(lhs, stacked.StackedSpd(np.stack([eye] * 3)), DEFAULT_TOL, c),
          [1.0, math.inf, 0.5], [True, False, True]),
     ]
-    for rows, ratio, holds in built:
+    for (rows, ratio, holds), side_calls in zip(built, (0, 0, 1)):
         assert rows.ratio.tolist() == pytest.approx(ratio)
         before = linalg_calls["eigvalsh"]
         assert rows.holds.tolist() == holds
         assert all(np.isfinite(field).all() for field in tuple(rows)[3:])
-        assert linalg_calls["eigvalsh"] == before
+        assert linalg_calls["eigvalsh"] == before + side_calls
+
+
+def _rows_of(theorem_id: str) -> list:
+    """Every field of the rows of each witness and of three drawn states, both kinds, at dim 3."""
+    spec = THEOREMS[theorem_id]
+    views = [instance_view(witness, spec) for witness in spec.witnesses.values()]
+    for classical in (False, True):
+        rng = np.random.default_rng(7)
+        dim = max(3, spec.min_dim)
+        views.append(search_block([_first_state(spec, spec.cells[0], dim, rng, classical)
+                                   for _ in range(3)], dim, classical))
+    return [tuple(spec.evaluate(view, DEFAULT_TOL)) for view in views]
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_deferred_spectra_and_sides_give_the_eager_bits(theorem_id, monkeypatch):
+    # A raw stack decomposed at construction, as when every Cholesky refuses,
+    # gives every field, lhs and rhs included, the bits of the lazy stacks.
+    lazy = _rows_of(theorem_id)
+    monkeypatch.setattr(stacked, "_cholesky_accepts", lambda entries: False)
+    eager = _rows_of(theorem_id)
+    for lazy_rows, eager_rows in zip(lazy, eager, strict=True):
+        for name, got, want in zip(stacked.Rows._fields, lazy_rows, eager_rows, strict=True):
+            assert np.array_equal(got, want, equal_nan=True), name
 
 
 @pytest.mark.parametrize("theorem_id", [t for t, spec in THEOREMS.items() if spec.witnesses])
@@ -690,6 +715,39 @@ def _bad_instances(instance: dict, mapped: dict):
                        ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind"),
                        ("pinching", "'map' kind")):
         yield {**mapped, "map": phi}, named
+
+
+_R = 1.0 / math.sqrt(2.0)
+
+
+def _edited(instance: dict, group: str, name: str, value) -> dict:
+    return {**instance, group: {**instance[group], name: value}}
+
+
+def test_instance_view_refuses_values_no_state_holds():
+    # A state read back from a report must be one the evaluators accept: a
+    # vector of norm sqrt 2 scored the kantorovich witness 4.0 with holds False,
+    # and a negative spectrum or a skewed frame raised without naming its key.
+    units, pairs = THEOREMS["kantorovich"], THEOREMS["wielandt_scalar"]
+    witness = units.witnesses["kantorovich equality witness"]
+    probed = {**witness, "probe": {"x": witness["vectors"]["x"]}}
+    pair = {**pairs.witnesses["wielandt scalar equality pair"],
+            "probe": {"x": [_R, _R], "y": [_R, -_R]}}
+    assert instance_view(probed, units).probes[0].shape == (1, 1, 2)
+    assert [p.shape for p in instance_view(pair, pairs).probes] == [(1, 1, 2)] * 2
+    bad = [(units, _edited(witness, "vectors", "x", [1.0, 1.0]), "'vectors'['x']", "unit"),
+           (units, _edited(probed, "probe", "x", [0.6, 0.6]), "'probe'['x']", "unit"),
+           (units, _edited(witness, "frames", "a", [[1.0, 0.5], [0.0, 1.0]]), "'frames'['a']",
+            "orthonormal"),
+           (units, _edited(witness, "frames", "a", [[2.0, 0.0], [0.0, 1.0]]), "'frames'['a']",
+            "orthonormal"),
+           (pairs, _edited(pair, "probe", "y", [_R, _R]), "'probe'['y']", "orthogonal"),
+           (pairs, _edited(pair, "probe", "y", [0.0, 2.0]), "'probe'['y']", "y must be a unit")]
+    bad += [(units, _edited(witness, "spectra", "a", [value, 4.0]), "'spectra'['a']", "> 0")
+            for value in (-1.0, 0.0, math.nan, math.inf)]
+    for spec, instance, key, why in bad:
+        with pytest.raises(ValueError, match=re.escape(key) + ".*" + why):
+            instance_view(instance, spec)
 
 
 def test_instance_view_names_what_an_instance_lacks_or_does_not_fit():

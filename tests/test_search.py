@@ -197,9 +197,10 @@ def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
     assert max(np.ravel(ratios).tolist()).hex() == result.ratio.hex()
 
 
-# eigh calls of each golden job's box at budget 300 and seed 42. They build
-# the states and the means that a ratio reads; no order verdict makes one.
-BLOCK_EIGH = {"kantorovich": 0, "polya_szego": 189, "lemma_amgm": 80}
+# (eigh, cholesky) calls of each golden job's box at budget 300 and seed 42.
+# Each raw stack is checked by one Cholesky, and the eigh calls decompose
+# only the stacks whose spectra a ratio reads; no order verdict or side makes one.
+BLOCK_LINALG = {"kantorovich": (0, 0), "polya_szego": (108, 189), "lemma_amgm": (40, 80)}
 
 
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
@@ -210,7 +211,7 @@ def test_search_blocks_decompose_only_for_the_ratio(theorem_id, linalg_calls):
     result = maximize_ratio(theorem_id, budget=300, rng=42, **kwargs)
     ratio_calls = 0 if kwargs.get("classical") else sum(result.blocks)
     assert linalg_calls["eigvalsh"] == ratio_calls
-    assert linalg_calls["eigh"] == BLOCK_EIGH[theorem_id]
+    assert (linalg_calls["eigh"], linalg_calls["cholesky"]) == BLOCK_LINALG[theorem_id]
 
 
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))

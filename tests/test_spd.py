@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,13 +67,65 @@ def _rejected_or_usable(raw):
     assert np.isfinite(a.sqrt().entries).all()
 
 
+# Cholesky accepts this matrix, but eigh gives it lambda_min = -2.19e-16.
+ROUNDED_NEGATIVE = np.array([
+    [0.7517228797308769, -0.4181938302694806, -0.41130179477267015],
+    [-0.4181938302694806, 0.5513891686022028, -0.2677730723594696],
+    [-0.41130179477267015, -0.2677730723594696, 0.9987004962444757],
+])
+
+
 def test_matrix_with_negative_rounded_eigenvalue_is_rejected_or_usable():
-    # Cholesky accepts this matrix, but eigh gives it lambda_min = -2.19e-16.
-    _rejected_or_usable([
-        [0.7517228797308769, -0.4181938302694806, -0.41130179477267015],
-        [-0.4181938302694806, 0.5513891686022028, -0.2677730723594696],
-        [-0.41130179477267015, -0.2677730723594696, 0.9987004962444757],
-    ])
+    _rejected_or_usable(ROUNDED_NEGATIVE)
+
+
+def test_make_spd_decomposes_when_made_without_a_cholesky(linalg_calls):
+    a = make_spd(np.diag([1.0, 2.0]))
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (0, 1)
+    assert a.eigenvalues.tolist() == [1.0, 2.0]
+    with pytest.raises(NotPositiveDefinite, match="-2.19"):
+        make_spd(ROUNDED_NEGATIVE)
+
+
+def test_a_stack_read_for_its_entries_makes_one_cholesky_and_no_eigh(rng, linalg_calls):
+    q = np.linalg.qr(rng.standard_normal((4, 3, 3)))[0]
+    raw = (q * rng.uniform(0.5, 2.0, (4, 1, 3))) @ stacked.transpose(q)
+    entries = stacked.StackedSpd(raw).entries
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (1, 0)
+    assert np.array_equal(entries, stacked.symmetrize(raw))
+    # Its spectrum is decomposed on the first read, once.
+    a = stacked.StackedSpd(raw)
+    assert a.eigenvalues is a.eigenvalues and a.sqrt() is a.sqrt()
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (2, 1)
+
+
+def test_a_stack_cholesky_refuses_is_decomposed_at_once_and_names_its_row(linalg_calls):
+    raw = np.stack([np.eye(2), np.diag([2.0, 3.0]), np.diag([1.0, -0.5]), np.diag([1.0, 0.0])])
+    with pytest.raises(NotPositiveDefinite,
+                       match=re.escape("eigenvalues must be finite and > 0, got min -0.5 (row 2)")):
+        stacked.StackedSpd(raw)
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (1, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_stack_with_a_non_finite_entry_raises_when_made(bad, linalg_calls):
+    raw = np.stack([np.eye(2)] * 3)
+    raw[1, 0, 1] = bad
+    with pytest.raises(NotPositiveDefinite, match="finite"):
+        stacked.StackedSpd(raw)
+    # The finite check comes first: a Cholesky of a NaN row can return NaN without raising.
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (0, 1)
+
+
+@pytest.mark.parametrize("read", [lambda a: a.eigenvalues, lambda a: a.eigenvectors,
+                                  lambda a: a.sqrt(), lambda a: a.inv(), lambda a: a.scaled(2.0)],
+                         ids=["eigenvalues", "eigenvectors", "sqrt", "inv", "scaled"])
+def test_a_stack_cholesky_accepts_but_eigh_refuses_raises_on_its_first_spectral_read(read):
+    a = stacked.StackedSpd(np.stack([np.eye(3), ROUNDED_NEGATIVE]))
+    assert np.array_equal(a.entries[1], ROUNDED_NEGATIVE)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite, match=r"got min -2\.19\d*e-16 \(row 1\)"):
+            read(a)
 
 
 @settings(max_examples=200, deadline=None)
