@@ -66,6 +66,7 @@ from .stacked import (
     loewner_ratio,
     loewner_rows,
     make_rows,
+    map_spd,
     operator_norm,
     per_row,
     per_value,
@@ -716,8 +717,8 @@ _register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_square_or
 
 
 def _polya_szego(phi, a, b, params, tol):
-    lhs = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, b)))
-    target = StackedSpd(apply_map(phi, geometric_mean(a, b)))
+    lhs = geometric_mean(map_spd(phi, a), map_spd(phi, b))
+    target = map_spd(phi, geometric_mean(a, b))
     return loewner_rows(lhs, target, tol, *_constants("polya_szego", params))
 
 
@@ -743,7 +744,7 @@ _register("polya_szego", RegimeId.SHIFTED, _SHIFTED_CELL, _space_shifted, _evalu
 def _isometry_family(phi, a, params, tol, validate):
     if validate:
         _require_window(a, _LOW, params)
-    lhs = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, a.inv())))
+    lhs = geometric_mean(map_spd(phi, a), map_spd(phi, a.inv()))
     return identity_rows(lhs, tol, *_constants("polya_szego", params))
 
 
@@ -780,11 +781,11 @@ LIN_VARIANTS = ("mapped_mean", "mean_of_maps")
 
 
 def _lin_squared(variant, phi, a, b, params, tol):
-    half = StackedSpd(apply_map(phi, arithmetic_mean(a, b)))
+    half = map_spd(phi, arithmetic_mean(a, b))
     if variant == "mapped_mean":
-        target = StackedSpd(apply_map(phi, geometric_mean(a, b)))
+        target = map_spd(phi, geometric_mean(a, b))
     else:
-        target = geometric_mean(StackedSpd(apply_map(phi, a)), StackedSpd(apply_map(phi, b)))
+        target = geometric_mean(map_spd(phi, a), map_spd(phi, b))
     return loewner_rows(half.square(), target.square(), tol,
                         *_constants("lin_squared", params))
 
@@ -851,7 +852,7 @@ def _lin_chain(phi, a, b, params, tol):
     mean_geo = geometric_mean(a, b)
     geo_inv = mean_geo.inv().entries
     mapped_half = symmetrize(apply_map(phi, half))
-    mapped_geo = StackedSpd(apply_map(phi, mean_geo))
+    mapped_geo = map_spd(phi, mean_geo)
     mapped_geo_inv = symmetrize(apply_map(phi, geo_inv))
     inv_mapped_geo = mapped_geo.inv().entries
 

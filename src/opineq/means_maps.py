@@ -4,10 +4,11 @@ The means are ``opineq.stacked``'s, on two SpdMatrix of one dimension,
 and give an SpdMatrix; ``apply_map`` calls its stacked namesake on the
 matrix itself, and ``_one_map`` is the one place a PositiveMapSpec
 becomes a ``stacked.StackedMap``.
-The geometric mean is computed by congruence with A^{+-1/2}; the map
-catalog is restricted to five concretely representable kinds, all of
-them completely positive (hence 2-positive). Arbitrary user-supplied
-maps are rejected rather than certified.
+The geometric mean is computed by congruence with A's Cholesky factor
+L, A#B = L (L^{-1} B L^{-T})^{1/2} L^T; the map catalog is restricted
+to five concretely representable kinds, all of them completely positive
+(hence 2-positive). Arbitrary user-supplied maps are rejected rather
+than certified.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pi
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
-    """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}."""
+    """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}.
+
+    Computed as L (L^{-1} B L^{-T})^{1/2} L^T with A = L L^T by A's
+    Cholesky factor (Iannazzo, NLAA 2016); the one ``eigh`` is the inner
+    matrix's, for its square root.
+    """
     _require_same_dim(a, b)
     return stacked.geometric_mean(a, b)
 

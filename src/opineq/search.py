@@ -28,8 +28,11 @@ a parameter move is applied per row, gives its row its own params and
 makes no row where it leaves the regime. So a restart keeps exactly
 what a climb that scores one proposal at a time keeps, bit for bit. A
 block evaluates only its rows' ratios: the records' order verdicts are
-computed on first read, and the climb reads none. A block whose
-evaluation raises is scored row by row.
+computed on first read, and the climb reads none. A ratio reads the
+Cholesky factor a raw stack keeps from its positivity check, and a
+geometric mean decomposes only its inner matrix, so a stack that only a
+ratio or a mean reads is decided positive by its Cholesky alone. A block
+whose evaluation raises is scored row by row.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in
@@ -260,7 +263,8 @@ def _candidates(spec, best, windows: dict, targets: list, moves: dict, box, regi
 def _ratios(spec, block: stacked.StackedView, tol) -> list:
     """Each row's ratio, the largest of its records', from one stacked evaluation.
 
-    Only the ratios are computed: no verdict is read, so none is decomposed.
+    Only the ratios are computed: no verdict is read, so none is decomposed,
+    and a stack read only for a ratio is decided positive by its Cholesky.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = spec.evaluate(block, tol)

@@ -84,22 +84,24 @@ class SpdMatrix(stacked.StackedSpd):
     spectral factors instead.
     Either way the matrix is accepted only if every eigenvalue is finite
     and > 0, and the ascending spectrum and its frame are set before
-    construction returns. Each frame's orthonormality (a Gram check) is
-    verified once: by ``from_eigh`` for the frame it is given, and on
-    first use for a frame computed by ``eigh``.
+    construction returns. Its Cholesky factor, which a geometric mean or
+    a Loewner ratio reads, is made on first need. Each frame's
+    orthonormality (a Gram check) is verified once: by ``from_eigh`` for
+    the frame it is given, and on first use for a frame computed by
+    ``eigh``.
     """
 
     __slots__ = ()
 
     def __init__(self, entries):
         # Decomposed when made, as make_spd promises, so no Cholesky first.
-        self._keep(stacked.symmetrize(_square(entries)), None, False)
+        self._start(stacked.symmetrize(_square(entries)), None, False)
         self._spectrum()
 
-    def _keep(self, entries, eig, frame_checked: bool) -> None:
-        super()._keep(entries, eig, frame_checked)
-        for part in (entries, *(eig or ())):
-            part.setflags(write=False)
+    def _keep(self, array: np.ndarray) -> np.ndarray:
+        """An array the matrix holds, made read-only."""
+        array.setflags(write=False)
+        return array
 
     @classmethod
     def from_eigh(cls, eigenvalues, eigenvectors) -> "SpdMatrix":

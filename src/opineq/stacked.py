@@ -22,12 +22,15 @@ its data keeps a row axis, which broadcasts against one instance's
 operand. Every check is made on every row and names the first row that
 fails it, as row 0 for one instance.
 
-A raw StackedSpd is checked by one stacked Cholesky and decomposed by
-``eigh`` on the first read of its spectrum, and a record's ratio is
-computed when its builder runs, its order verdicts and its sides (lhs,
-rhs) once, on the first read of one of them: a search block reads only
-ratios and so decomposes only the stacks they read, while a campaign or
-a ``check_*`` call reads every field. Every numpy.linalg call of the
+A raw StackedSpd is checked by one stacked Cholesky, whose factor it
+keeps, and decomposed by ``eigh`` on the first read of its spectrum. A
+geometric mean and a Loewner ratio are congruences by a Cholesky factor,
+so they read no spectrum of their operands: a mean decomposes only its
+inner matrix, for its square root. A record's ratio is computed when its
+builder runs, its order verdicts and its sides (lhs, rhs) once, on the
+first read of one of them: a search block reads only ratios and so
+decomposes only the inner matrices of its means, while a campaign or a
+``check_*`` call reads every field. Every numpy.linalg call of the
 package is made here. This module imports no other package module but
 ``errors``.
 """
@@ -120,15 +123,14 @@ def _require_positive(vals: np.ndarray) -> None:
             f"eigenvalues must be finite and > 0, got min {lo.ravel()[row]} (row {row})")
 
 
-def _cholesky_accepts(entries: np.ndarray) -> bool:
-    """Whether every entry is finite and one stacked Cholesky factors every row."""
+def _cholesky(entries: np.ndarray) -> np.ndarray | None:
+    """Each row's lower Cholesky factor; None if an entry is not finite or a row is refused."""
     if not np.isfinite(entries).all():
-        return False
+        return None
     try:
-        np.linalg.cholesky(entries)
+        return np.linalg.cholesky(entries)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
@@ -186,28 +188,40 @@ def haar(z: np.ndarray) -> np.ndarray:
 class StackedSpd:
     """SPD matrices of shape (..., n, n), with ascending spectra (..., n) and frames (..., n, n).
 
-    A raw stack is symmetrized and checked by one stacked Cholesky; where
-    an entry is not finite or the Cholesky fails, its ``eigh`` is made at
-    once to name the first bad row. Else the ``eigh`` waits for the first
-    read of the spectrum, frames or a derived matrix, where every
-    eigenvalue must be finite and > 0 too. ``from_eigh`` takes spectral
-    factors whose shapes fit, sorts them and checks the frames. Derived
-    matrices reuse the frames, are memoised, are of the stack's own type,
-    and check an ``eigh`` frame on first use.
+    A raw stack is symmetrized and checked by one stacked Cholesky, whose
+    lower factor L (entries = L L^T) it keeps; where an entry is not finite
+    or the Cholesky fails, its ``eigh`` is made at once to name the first
+    bad row. Else the ``eigh`` waits for the first read of the spectrum,
+    frames or a derived matrix, where every eigenvalue must be finite and
+    > 0 too: a stack read only for its entries and factor, as a ratio or a
+    geometric mean reads it, is decided positive by its Cholesky alone.
+    ``from_eigh`` takes spectral factors whose shapes fit, sorts them and
+    checks the frames; such a stack, like a derived one, makes its factor
+    by one Cholesky on first need. Derived matrices reuse the frames, are
+    memoised, are of the stack's own type, and check an ``eigh`` frame on
+    first use.
     """
 
-    __slots__ = ("entries", "_eig", "_frame_checked", "_derived")
+    __slots__ = ("entries", "_eig", "_frame_checked", "_derived", "_factor", "_inv_factor")
 
     def __init__(self, entries: np.ndarray):
-        self._keep(symmetrize(entries), None, False)
-        if not _cholesky_accepts(self.entries):
+        entries = symmetrize(entries)
+        self._start(entries, None, False, _cholesky(entries))
+        if self._factor is None:
             self._spectrum()
 
-    def _keep(self, entries, eig, frame_checked: bool) -> None:
-        self.entries = entries
-        self._eig = eig
+    def _start(self, entries, eig, frame_checked: bool, factor=None) -> None:
+        """A new stack's fields; a spectrum or factor not given is made on first need."""
+        self.entries = self._keep(entries)
+        self._eig = None if eig is None else tuple(map(self._keep, eig))
         self._frame_checked = frame_checked
+        self._factor = None if factor is None else self._keep(factor)
+        self._inv_factor = None
         self._derived = {}
+
+    def _keep(self, array: np.ndarray) -> np.ndarray:
+        """An array the stack holds, as it is."""
+        return array
 
     def _spectrum(self) -> tuple:
         """(eigenvalues, eigenvectors): one stacked ``eigh`` on the first call."""
@@ -217,11 +231,36 @@ class StackedSpd:
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
             _require_positive(eig[0])
-            self._keep(self.entries, eig, False)
+            self._eig = tuple(map(self._keep, eig))
         return self._eig
 
     eigenvalues = property(lambda self: self._spectrum()[0])
     eigenvectors = property(lambda self: self._spectrum()[1])
+
+    def _lower(self) -> np.ndarray:
+        """Each row's F with F F^T = entries: its lower Cholesky factor, kept or made on first need.
+
+        A row the Cholesky refuses, whose eigenvalues are finite and > 0
+        nonetheless, takes its square root. Rows are factored one by one
+        only when the stacked Cholesky refuses, so a row's factor does not
+        depend on the rows stacked with it.
+        """
+        if self._factor is None:
+            factor = _cholesky(self.entries)
+            if factor is None:
+                root = self.sqrt().entries
+                factor = np.empty_like(self.entries)
+                for row in np.ndindex(self.entries.shape[:-2]):
+                    alone = _cholesky(self.entries[row])
+                    factor[row] = root[row] if alone is None else alone
+            self._factor = self._keep(factor)
+        return self._factor
+
+    def _inv_lower(self) -> np.ndarray:
+        """Each row's F^{-1}, for the F of ``_lower``."""
+        if self._inv_factor is None:
+            self._inv_factor = self._keep(np.linalg.inv(self._lower()))
+        return self._inv_factor
 
     @classmethod
     def from_eigh(cls, vals: np.ndarray, vecs: np.ndarray) -> "StackedSpd":
@@ -245,7 +284,7 @@ class StackedSpd:
             vals = np.take_along_axis(vals, order, axis=-1)
             vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         stack = cls.__new__(cls)
-        stack._keep(symmetrize((vecs * vals[..., None, :]) @ transpose(vecs)), (vals, vecs), True)
+        stack._start(symmetrize((vecs * vals[..., None, :]) @ transpose(vecs)), (vals, vecs), True)
         return stack
 
     def _on_frame(self, vals) -> "StackedSpd":
@@ -315,10 +354,14 @@ def spectral_norm(x: np.ndarray) -> np.ndarray:
 
 
 def geometric_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
-    root = a.sqrt().entries
-    inv_root = a.inv_sqrt().entries
-    inner = StackedSpd(inv_root @ b.entries @ inv_root)
-    return type(a)(root @ inner.sqrt().entries @ root)
+    """A # B = L (L^{-1} B L^{-T})^{1/2} L^T, with A = L L^T by A's kept factor.
+
+    The inner matrix's square root is its one ``eigh``; A's spectrum and
+    the mean's are not read.
+    """
+    low, inv_low = a._lower(), a._inv_lower()
+    inner = StackedSpd(inv_low @ b.entries @ transpose(inv_low))
+    return type(a)(low @ inner.sqrt().entries @ transpose(low))
 
 
 def arithmetic_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
@@ -404,6 +447,13 @@ def _apply_kind(kind: str, data, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def map_spd(phi: StackedMap, a: StackedSpd) -> StackedSpd:
+    """Phi(A) as a stack: A itself where phi is one identity on every row, else a raw stack."""
+    if len(phi) == 1 and phi[0].kind == "identity" and isinstance(phi[0].rows, slice):
+        return a
+    return StackedSpd(apply_map(phi, a))
+
+
 def apply_map(phi: StackedMap, t) -> np.ndarray:
     """Each part's kind on its own rows, put back in row order: an array with t's leading axes."""
     t = _entries(t)
@@ -479,8 +529,9 @@ def scalar_leq(lhs, rhs, tol: float, scale=None, atol=0.0) -> Verdicts:
 
 
 def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
-    w = rhs.inv_sqrt().entries
-    return np.linalg.eigvalsh(symmetrize(w @ _entries(lhs) @ w))[..., -1]
+    """lambda_max(L^{-1} X L^{-T}) for X the lhs and RHS = L L^T by its kept factor."""
+    w = rhs._inv_lower()
+    return np.linalg.eigvalsh(symmetrize(w @ _entries(lhs) @ transpose(w)))[..., -1]
 
 
 class Rows:
@@ -577,20 +628,26 @@ def scalar_rows(lhs, core, tol: float, c=1.0, kappa_pow=None, **leq) -> Rows:
                      c, 1.0 if kappa_pow is None else 1.0 / kappa_pow)
 
 
+def _require_scales(scale, rows: tuple) -> None:
+    """Raise NotPositiveDefinite unless each row's scale is 0, or finite and > 0."""
+    scale = np.broadcast_to(scale, rows)
+    ok = (scale == 0.0) | ((scale > 0.0) & (scale < np.inf))
+    if not ok.all():
+        row = _first_bad(ok)
+        raise NotPositiveDefinite(
+            f"refined constant must be finite and > 0, got {scale.flat[row]} (row {row})")
+
+
 def loewner_rows(lhs, core: StackedSpd, tol: float, c=1.0, kappa_pow=None, atol=0.0) -> Rows:
     """L <= (c / kappa_pow) CORE, for L an SPD stack or symmetric entries."""
     refined = c if kappa_pow is None else c / kappa_pow
+    _require_scales(refined, core.entries.shape[:-2])
     verdict = loewner_leq(lhs, like_rows(refined, core.entries) * core.entries, tol, atol)
     classical = (None if kappa_pow is None
                  else loewner_leq(lhs, like_rows(c, core.entries) * core.entries, tol, atol))
-    # A row whose refined constant is 0 takes the degenerate ratio; scaling
-    # its CORE by 1 instead keeps the stack positive definite.
-    nonzero = refined != 0.0
-    if np.all(nonzero):
-        ratio = loewner_ratio(lhs, core.scaled(refined))
-    else:
-        ratio = np.where(nonzero, loewner_ratio(lhs, core.scaled(np.where(nonzero, refined, 1.0))),
-                         np.where(verdict.holds, 1.0, np.inf))
+    # The ratio to the refined CORE is the ratio to CORE over the constant;
+    # a row whose constant is 0 takes the degenerate ratio.
+    ratio = _ratio(loewner_ratio(lhs, core), like_rows(refined, core.entries[..., 0, 0]), verdict)
     return make_rows(ratio, verdict, classical,
                      lambda: (operator_norm(lhs), refined * operator_norm(core)), refined, c,
                      1.0 if kappa_pow is None else 1.0 / kappa_pow)

@@ -15,9 +15,9 @@ def rng():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """A Counter of the np.linalg eigvalsh, eigh and cholesky calls made while the test runs."""
+    """A Counter of the np.linalg eigvalsh, eigh, cholesky, inv and solve calls made in the test."""
     calls = collections.Counter()
-    for name in ("eigvalsh", "eigh", "cholesky"):
+    for name in ("eigvalsh", "eigh", "cholesky", "inv", "solve"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)

@@ -1,12 +1,18 @@
 """Independent closed-form oracles used to cross-check the library.
 
-Everything here is pure scalar arithmetic on eigenvalues; nothing
-imports the package under test, so agreement is meaningful evidence.
+Everything here is pure scalar arithmetic on eigenvalues, but for one
+high-precision matrix oracle in mpmath; nothing imports the package
+under test, so agreement is meaningful evidence.
 """
 
 import math
 
 import numpy as np
+
+try:
+    import mpmath
+except ImportError:  # the high-precision oracle is optional
+    mpmath = None
 
 
 def kappa(c: float) -> float:
@@ -135,3 +141,24 @@ def ratio_norm_amgm(avals, bvals):
     lhs = float(np.max(avals * bvals))
     rhs = 0.25 * float(np.max(avals + bvals)) ** 2
     return lhs / rhs
+
+
+def geometric_mean_error(g, a, b, digits: int = 30):
+    """||G - A#B||_F / ||A#B||_F for float matrices, with A#B in mpmath at ``digits`` digits.
+
+    A#B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}, each square root by
+    a symmetric eigendecomposition. None when mpmath is not installed.
+    """
+    if mpmath is None:
+        return None
+    ctx = mpmath.MPContext()
+    ctx.dps = digits
+
+    def root(m):
+        vals, vecs = ctx.eigsy(m)
+        return vecs * ctx.diag([ctx.sqrt(v) for v in vals]) * vecs.T
+
+    root_a = root(ctx.matrix(np.asarray(a).tolist()))
+    inv_root_a = ctx.inverse(root_a)
+    mean = root_a * root(inv_root_a * ctx.matrix(np.asarray(b).tolist()) * inv_root_a) * root_a
+    return float(ctx.mnorm(ctx.matrix(np.asarray(g).tolist()) - mean, "f") / ctx.mnorm(mean, "f"))

@@ -109,13 +109,13 @@ def _loewner_record(theorem_id: str, lhs, core: SpdMatrix, tol: float, c: float 
     verdict = loewner_leq(lhs, refined * core.entries, tol, **leq)
     classical = None if kappa_pow is None else loewner_leq(lhs, c * core.entries, tol, **leq)
     top = operator_norm(lhs)
-    # CORE's eigenframe first, so that scaled() builds on it.
     rhs = refined * operator_norm(core)
     return IneqRecord(
         theorem_id=theorem_id,
         lhs_value=top,
         rhs_value=rhs,
-        ratio=(loewner_ratio(lhs, core.scaled(refined)) if refined != 0.0
+        # The ratio to refined * CORE, as the ratio to CORE over the constant.
+        ratio=(loewner_ratio(lhs, core) / refined if refined != 0.0
                else _degenerate_ratio(verdict)),
         verdict=verdict,
         classical_verdict=classical,

@@ -298,7 +298,7 @@ def test_seed_42_report_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     raw = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes())
     assert hashlib.sha256(raw).hexdigest() == (
-        "275a6b692ec15def1d8751da34085ac88b8a542a530a8bc24a79a1beb3b4fb56")
+        "f9decbc22205d82aacb6cdb4ebc3bfc3f856a51f5b7d8ecff502cdea3ee9b298")
 
 
 # The theorems whose maps act on the r = dim // 2 compressions of A.
@@ -648,12 +648,13 @@ def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
 
 def test_a_sweep_computes_every_verdict_inside_its_errstate(linalg_calls):
     # A campaign reads every field of every record, so every verdict and side is
-    # decomposed: 424 eigvalsh on the benchmark's sweep shape. Each of the 264 raw
-    # stacks is checked by one Cholesky, and 204 of them have their spectrum read.
-    # Every zero division stays silent.
+    # decomposed: 424 eigvalsh on the benchmark's sweep shape. Each raw stack is
+    # checked by one Cholesky and each spectral stack a mean or ratio reads is
+    # factored by one (316), and 98 factors are inverted; 184 stacks have their
+    # spectrum read by eigh. Every zero division stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_campaign(CampaignConfig(dims=(2, 3, 4, 8), samples=25, seed=42))
     assert report.total_checks == 9975
-    assert (linalg_calls["eigvalsh"], linalg_calls["eigh"], linalg_calls["cholesky"]) == (
-        424, 204, 264)
+    assert (linalg_calls["eigvalsh"], linalg_calls["eigh"], linalg_calls["cholesky"],
+            linalg_calls["inv"]) == (424, 184, 316, 98)

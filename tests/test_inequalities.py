@@ -632,10 +632,16 @@ def _rows_of(theorem_id: str) -> list:
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_deferred_spectra_and_sides_give_the_eager_bits(theorem_id, monkeypatch):
-    # A raw stack decomposed at construction, as when every Cholesky refuses,
-    # gives every field, lhs and rhs included, the bits of the lazy stacks.
+    # A raw stack decomposed at construction, after its Cholesky factor is
+    # kept, gives every field, lhs and rhs included, the bits of the lazy stacks.
     lazy = _rows_of(theorem_id)
-    monkeypatch.setattr(stacked, "_cholesky_accepts", lambda entries: False)
+    made = stacked.StackedSpd.__init__
+
+    def decompose_when_made(stack, entries):
+        made(stack, entries)
+        stack._spectrum()
+
+    monkeypatch.setattr(stacked.StackedSpd, "__init__", decompose_when_made)
     eager = _rows_of(theorem_id)
     for lazy_rows, eager_rows in zip(lazy, eager, strict=True):
         for name, got, want in zip(stacked.Rows._fields, lazy_rows, eager_rows, strict=True):

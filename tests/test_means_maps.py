@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,80 @@ def test_geometric_mean_idempotent_and_inverse(rng):
     a = _random_spd(3, rng)
     assert np.allclose(geometric_mean(a, a).entries, a.entries)
     assert np.allclose(geometric_mean(a, a.inv()).entries, np.eye(3), atol=1e-10)
+
+
+def _spread_pair(dim, h, rng, spans=False):
+    """A and B, spectra log-uniform on [1, h], on Haar frames; ``spans``: A's reaches both ends."""
+    frames = stacked.haar(rng.standard_normal((2, dim, dim)))
+    vals = np.exp(rng.uniform(0.0, math.log(h), (2, dim)))
+    if spans:
+        vals[0, 0], vals[0, -1] = 1.0, h
+    return [SpdMatrix.from_eigh(v, q) for v, q in zip(vals, frames)]
+
+
+@pytest.mark.parametrize("h", [1e2, 1e4, 1e8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_geometric_mean_is_symmetric_and_solves_its_riccati_equation(dim, h):
+    # A#B = B#A and (A#B) A^-1 (A#B) = B, each to 16 n eps kappa^2, kappa = h.
+    rng = np.random.default_rng([dim, int(h)])
+    tol = 16 * dim * np.finfo(float).eps * h ** 2
+    for _ in range(8):
+        a, b = _spread_pair(dim, h, rng, spans=True)
+        g = geometric_mean(a, b).entries
+        assert np.linalg.norm(g - geometric_mean(b, a).entries, 2) <= tol * np.linalg.norm(g, 2)
+        assert (np.linalg.norm(g @ a.inv().entries @ g - b.entries, 2)
+                <= tol * np.linalg.norm(b.entries, 2))
+
+
+def _root_congruence_mean(a, b):
+    """A#B by congruence with A^{+-1/2}, the formula the Cholesky form replaced."""
+    root, inv_root = a.sqrt().entries, a.inv_sqrt().entries
+    inner = stacked.StackedSpd(inv_root @ b.entries @ inv_root)
+    return root @ inner.sqrt().entries @ root
+
+
+# At dim 8 the Cholesky form is the less accurate: median relative errors
+# (Cholesky form vs root congruence) over the test's 24 pairs.
+_LESS_ACCURATE = pytest.mark.xfail(strict=True, reason=(
+    "dim 8: 2.61e-15 vs 2.50e-15 at h = 1e2, 7.26e-8 vs 3.76e-8 at h = 1e8"))
+
+
+@pytest.mark.parametrize("h", [1e2, 1e8])
+@pytest.mark.parametrize("dim", [2, 3, 4, pytest.param(8, marks=_LESS_ACCURATE)])
+def test_cholesky_mean_is_as_accurate_as_the_root_congruence(dim, h):
+    # Against an mpmath A#B, the median error over 24 pairs is no larger.
+    rng = np.random.default_rng([dim, int(h)])
+    errors = {"cholesky": [], "roots": []}
+    for _ in range(24):
+        a, b = _spread_pair(dim, h, rng)
+        for name, g in (("cholesky", geometric_mean(a, b).entries),
+                        ("roots", _root_congruence_mean(a, b))):
+            errors[name].append(oracles.geometric_mean_error(g, a.entries, b.entries))
+    if errors["cholesky"][0] is None:
+        pytest.skip("mpmath is not installed")
+    assert np.median(errors["cholesky"]) <= np.median(errors["roots"])
+
+
+def _built(built, vals, frames):
+    if built == "from_eigh":
+        return stacked.StackedSpd.from_eigh(vals, frames)
+    return stacked.StackedSpd((frames * vals[..., None, :]) @ stacked.transpose(frames))
+
+
+@pytest.mark.parametrize("built", ["raw", "from_eigh"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_a_stack_s_mean_and_ratio_are_each_row_s_own(dim, built):
+    # Each row's mean and ratio have the bits the row gets alone.
+    rng = np.random.default_rng(dim)
+    vals = rng.uniform(0.3, 5.0, (2, 64, dim))
+    frames = stacked.haar(rng.standard_normal((2, 64, dim, dim)))
+    x = stacked.symmetrize(rng.standard_normal((64, dim, dim)))
+    a, b = (_built(built, v, q) for v, q in zip(vals, frames))
+    mean, ratio = stacked.geometric_mean(a, b), stacked.loewner_ratio(x, b)
+    for r in range(64):
+        a_r, b_r = (_built(built, v[r], q[r]) for v, q in zip(vals, frames))
+        assert np.array_equal(stacked.geometric_mean(a_r, b_r).entries, mean.entries[r])
+        assert np.array_equal(stacked.loewner_ratio(x[r], b_r), ratio[r])
 
 
 def test_geometric_mean_symmetry(rng):

@@ -121,7 +121,7 @@ def _linalg_names(node) -> set[str]:
 
 
 # The numpy.linalg decompositions; the package makes each of them in stacked only.
-STACKED_LINALG = {"qr", "eigh", "eigvalsh", "svd", "cholesky"}
+STACKED_LINALG = {"qr", "eigh", "eigvalsh", "svd", "cholesky", "inv", "solve"}
 
 
 def test_each_draw_rule_is_written_once():

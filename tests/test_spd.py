@@ -99,6 +99,63 @@ def test_a_stack_read_for_its_entries_makes_one_cholesky_and_no_eigh(rng, linalg
     assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (2, 1)
 
 
+def test_a_ratio_or_a_mean_reads_factors_and_no_spectrum_of_its_operands(rng, linalg_calls):
+    # A raw stack keeps its positivity Cholesky factor, and a ratio against it
+    # inverts that factor once. A spectral stack makes its factor by one Cholesky
+    # on first need; a mean of it checks its inner matrix and itself by one
+    # Cholesky each and decomposes only the inner matrix, for its square root.
+    q = stacked.haar(rng.standard_normal((2, 4, 3, 3)))
+    vals = rng.uniform(0.5, 2.0, (2, 4, 3))
+    raw = stacked.StackedSpd((q[0] * vals[0][..., None, :]) @ stacked.transpose(q[0]))
+    spectral = stacked.StackedSpd.from_eigh(vals[1], q[1])
+    x = stacked.symmetrize(rng.standard_normal((4, 3, 3)))
+    assert np.array_equal(stacked.loewner_ratio(x, raw), stacked.loewner_ratio(x, raw))
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"], linalg_calls["inv"]) == (1, 0, 1)
+    stacked.geometric_mean(spectral, raw)
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"], linalg_calls["inv"]) == (4, 1, 2)
+
+
+# Eigenvalues 1e-20 and 1 on a rotation by pi/6: from_eigh accepts them, and
+# the entries' Cholesky refuses (their eigvalsh reads 0 and 1).
+_REFUSED = (np.array([1e-20, 1.0]), np.array([[np.cos(np.pi / 6), -np.sin(np.pi / 6)],
+                                              [np.sin(np.pi / 6), np.cos(np.pi / 6)]]))
+
+
+def test_a_row_cholesky_refuses_is_factored_by_its_square_root_alone(rng):
+    # Only the refused row takes its square root as its factor, and every
+    # row's factor and ratio are the bits it gets alone.
+    frames = np.stack([stacked.haar(rng.standard_normal((2, 2))), _REFUSED[1],
+                       stacked.haar(rng.standard_normal((2, 2)))])
+    vals = np.stack([rng.uniform(0.5, 2.0, 2), _REFUSED[0], rng.uniform(0.5, 2.0, 2)])
+    a = stacked.StackedSpd.from_eigh(vals, frames)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a.entries[1])
+    x = stacked.symmetrize(rng.standard_normal((3, 2, 2)))
+    low, ratio = a._lower(), stacked.loewner_ratio(x, a)
+    assert np.array_equal(low[1], a.sqrt().entries[1])
+    assert np.array_equal(low[0], np.linalg.cholesky(a.entries[0]))
+    for r in range(3):
+        a_r = stacked.StackedSpd.from_eigh(vals[r], frames[r])
+        assert np.array_equal(a_r._lower(), low[r])
+        assert np.array_equal(stacked.loewner_ratio(x[r], a_r), ratio[r])
+
+
+@pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf])
+def test_loewner_rows_refuses_a_refined_constant_that_is_not_a_scale(bad):
+    # The ratio to c CORE is the ratio to CORE over c, so each row's c must be
+    # finite and > 0, or 0 for the degenerate ratio.
+    eye = np.eye(2)
+    core = stacked.StackedSpd(np.stack([eye] * 3))
+    lhs = np.stack([0.5 * eye, 0.0 * eye, eye])
+    with pytest.raises(NotPositiveDefinite, match=re.escape(
+            f"refined constant must be finite and > 0, got {bad} (row 2)")):
+        stacked.loewner_rows(lhs, core, 1e-8, np.array([2.0, 0.0, bad]))
+    with pytest.raises(NotPositiveDefinite, match=re.escape(f"got {bad} (row 0)")):
+        stacked.loewner_rows(lhs, core, 1e-8, bad)
+    rows = stacked.loewner_rows(lhs, core, 1e-8, np.array([2.0, 0.0, 4.0]))
+    assert rows.ratio.tolist() == [0.25, 1.0, 0.25]
+
+
 def test_a_stack_cholesky_refuses_is_decomposed_at_once_and_names_its_row(linalg_calls):
     raw = np.stack([np.eye(2), np.diag([2.0, 3.0]), np.diag([1.0, -0.5]), np.diag([1.0, 0.0])])
     with pytest.raises(NotPositiveDefinite,
@@ -266,15 +323,16 @@ def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
 
 
 @pytest.mark.parametrize("check, params, built", [
-    (check_square_order_refined, BoundParams(m=0.5, M=4.0, m_prime=1.5), 8),
+    (check_square_order_refined, BoundParams(m=0.5, M=4.0, m_prime=1.5), 2),
     (lambda a, b, params: check_lin_chain(identity_map(2), a, b, params),
-     BoundParams(m=0.5, m_prime=0.7, M_prime=0.7, M=4.0), 13)])
+     BoundParams(m=0.5, m_prime=0.7, M_prime=0.7, M=4.0), 8)])
 def test_repeated_check_calls_reuse_each_matrix_s_derived_matrices(monkeypatch, check, params,
                                                                    built):
     # Three calls on one pair build the derived matrices of A and B once, as
-    # each matrix memoises them: square_order's A^2 and B^2 (2) and per call its
-    # scaled core and that core's inverse root (6); lin_chain's A^-1, B^-1,
-    # A^1/2 and A^-1/2 (4) and per call three matrices of its means (9).
+    # each matrix memoises them: square_order's A^2 and B^2 (2), whose ratio
+    # reads B^2's Cholesky factor and builds none; lin_chain's A^-1 and B^-1 (2)
+    # and per call the mean's inner square root and the mean's inverse (6), as
+    # the identity map hands the mean itself to Phi(A#B).
     a = SpdMatrix.from_eigh([0.6, 0.7], np.eye(2))
     b = SpdMatrix.from_eigh([0.7, 0.8], np.eye(2))
     sorted_stack = stacked.StackedSpd._sorted.__func__
