@@ -148,8 +148,15 @@ def _map_kind(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     return np.array([0, 0, 1, 1, 2, 2, 3, 4, 5, 5])[drawn]
 
 
-def _pinching_blocks(dim: int) -> tuple:
-    return (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
+# Each Kraus kind's arrays from its rows' Haar frames q (S, n, n) and k weights w (S, k, n).
+_KRAUS_DRAWS = {
+    "compression": lambda q, w: stacked.unital_family(
+        (q[..., :-1],), "compression columns not orthonormal"),
+    "congruence_sum": lambda q, w: stacked.unital_family(
+        samplers._congruence_family(q, w), "congruence family not normalized"),
+    "pinching": lambda q, w: tuple(np.broadcast_to(p, q.shape) for p in stacked.pinching_projectors(
+        np.split(np.arange(q.shape[-1]), [q.shape[-1] // 2]))),
+}
 
 
 class _Draws:
@@ -212,14 +219,9 @@ class _Draws:
         for group in np.flatnonzero(member.any(axis=0)).tolist():
             rows = np.flatnonzero(member[:, group])
             kind, k = _MAP_GROUPS[group]
-            data = _pinching_blocks(n) if kind == "pinching" else None
-            if kind == "compression":
-                data = stacked.compression_isometries(q[rows, :, : n - 1])
-            elif kind == "congruence_sum":
-                # Each row's family from its frame and the first k rows of its weights.
-                data = stacked.congruence_family(samplers._congruence_family(q[rows], w[rows, :k]))
-            parts.append(stacked.MapPart(rows, kind, data))
-        return stacked.StackedMap(parts)
+            draw = _KRAUS_DRAWS.get(kind)
+            parts.append(stacked.MapPart(rows, kind, draw(q[rows], w[rows, :k]) if draw else ()))
+        return stacked.StackedMap(parts, n)
 
 
 def _chunk(spec, draws: _Draws, params: BoundParams, count: int) -> stacked.StackedView:

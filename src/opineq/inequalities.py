@@ -34,8 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .means_maps import (PositiveMapSpec, _one_map, compression_map, congruence_sum_map,
-                         identity_map, pinching_map, trace_normalize_map)
+from .means_maps import PositiveMapSpec, congruence_sum_map
 from .samplers import (
     BoundParams,
     RegimeId,
@@ -55,7 +54,6 @@ from .stacked import (
     apply_map,
     arithmetic_mean,
     bilinear,
-    congruence_family,
     dot,
     geometric_mean,
     haar,
@@ -81,6 +79,7 @@ from .stacked import (
     squares,
     symmetrize,
     transpose,
+    unital_family,
 )
 
 LOG_BASE_NOTE = "natural (base e)"
@@ -229,7 +228,7 @@ def _mapped_pair(bound, require, map_spec: PositiveMapSpec, a: SpdMatrix, b: Spd
     _require_same_dim(a, b)
     if validate:
         require(a, b, params)
-    return bound(_one_map(map_spec, a.dim), a, b, params, tol)
+    return bound(map_spec, a, b, params, tol)
 
 
 def _records(theorem_id: str, rows: Rows, classical: bool = True,
@@ -332,18 +331,12 @@ def _unit_probes(view: StackedView) -> np.ndarray:
     return view.vectors["x"][:, None, :] if view.probes is None else view.probes[0]
 
 
-# Each map kind's PositiveMapSpec constructor and the key of its data in an instance.
-_MAPS = {"identity": (identity_map, None), "trace_normalize": (trace_normalize_map, None),
-         "compression": (compression_map, "isometry"),
-         "congruence_sum": (congruence_sum_map, "family"), "pinching": (pinching_map, "blocks")}
-
-
 def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
     """Row ``row`` of a view as JSON values, with the view's ``dim`` and ``classical`` flag.
 
     from_eigh(spectra[k], frames[k]) rebuilds matrix k. Where the view has
     probes, ``probe`` holds the row's probe number ``probe``, its x (and y);
-    where its map is not the identity, ``map`` holds the kind and its data.
+    where its map is not the identity, ``map`` holds its ``StackedMap.to_json``.
     """
     params = view.params[row] if isinstance(view.params, tuple) else view.params
     out = {"dim": view.dim, "classical": view.classical, "params": params.as_dict(),
@@ -351,17 +344,8 @@ def snapshot(view: StackedView, row: int, probe: int = 0) -> dict:
               for group in _GROUPS}}
     if view.probes is not None:
         out["probe"] = dict(zip("xy", (p[row, probe].tolist() for p in view.probes)))
-    if view.maps is not None:
-        ((_, kind, data),) = view.maps.pick([row])
-        key = _MAPS[kind][1]
-        if kind == "compression":
-            out["map"] = {"kind": kind, key: data[0].tolist()}
-        elif kind == "congruence_sum":
-            out["map"] = {"kind": kind, key: [u[0].tolist() for u in data]}
-        elif kind == "pinching":
-            out["map"] = {"kind": kind, key: [list(block) for block in data]}
-        elif kind != "identity":
-            out["map"] = {"kind": kind}
+    if view.maps is not None and (phi := view.maps.to_json(row)) is not None:
+        out["map"] = phi
     return out
 
 
@@ -400,8 +384,8 @@ def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
     the variables of ``spec.space(dim, params, classical)`` to values of
     their shapes, or where the probe or the map is not one ``spec`` reads:
     a probe maps x for unit probes and x and y for pairs to dim values,
-    and a map takes (dim // map_divisor) x (dim // map_divisor) matrices
-    and is checked by its PositiveMapSpec constructor.
+    and a map is read by ``StackedMap.from_json`` on (dim // map_divisor) x
+    (dim // map_divisor) matrices.
     """
     missing = [k for k in ("dim", "classical", "params", *_GROUPS) if k not in instance]
     if missing:
@@ -442,16 +426,7 @@ def instance_view(instance: dict, spec: TheoremSpec) -> StackedView:
     if phi is not None:
         if not spec.map_divisor:
             raise ValueError(f"instance 'map' given, but {spec.theorem_id} reads none: {phi!r}")
-        make, key = _MAPS.get(phi.get("kind") if isinstance(phi, dict) else None, (None, None))
-        if make is None:
-            raise ValueError(f"instance 'map' kind must be one of {tuple(_MAPS)}, got {phi!r}")
-        if key is not None and key not in phi:
-            raise ValueError(f"instance 'map' of kind {phi['kind']} has no {key!r}")
-        n = dim // spec.map_divisor
-        try:
-            maps = _one_map(make(n) if key is None else make(phi[key]), n)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"instance 'map' of kind {phi['kind']}: {exc}") from exc
+        maps = StackedMap.from_json(phi, dim // spec.map_divisor)
     return StackedView(params, dim, *groups.values(), classical, probes=probes, maps=maps)
 
 
@@ -717,8 +692,10 @@ _register("square_order", RegimeId.SELF_INVERSE_LOW, _LOW_CELL, _space_square_or
 
 
 def _polya_szego(phi, a, b, params, tol):
-    lhs = geometric_mean(map_spd(phi, a), map_spd(phi, b))
-    target = map_spd(phi, geometric_mean(a, b))
+    mapped_a = map_spd(phi, a)
+    lhs = geometric_mean(mapped_a, map_spd(phi, b))
+    # Under the identity, map_spd hands back A and B, and Phi(A)#Phi(B) is Phi(A#B).
+    target = lhs if mapped_a is a else map_spd(phi, geometric_mean(a, b))
     return loewner_rows(lhs, target, tol, *_constants("polya_szego", params))
 
 
@@ -754,8 +731,8 @@ def check_isometry_family_bound(family, a: SpdMatrix, params: BoundParams,
 
     The family must satisfy sum U_j^T U_j = I; A sits on the low window.
     """
-    phi = _one_map(congruence_sum_map(family), a.dim)
-    return _records("isometry_family", _isometry_family(phi, a, params, tol, validate))[0]
+    return _records("isometry_family", _isometry_family(congruence_sum_map(family), a, params, tol,
+                                                         validate))[0]
 
 
 def _space_isometry_family(dim, params, classical):
@@ -768,8 +745,8 @@ def _evaluate_isometry_family(view, tol):
     """The family (sqrt(w) Q, sqrt(1-w) Q) sums to the identity."""
     w = np.clip(view.spectra["w"], 0.01, 0.99)
     q = view.frames["q"]
-    phi = StackedMap.single("congruence_sum", congruence_family(
-        (np.sqrt(w)[..., None] * q, np.sqrt(1.0 - w)[..., None] * q)))
+    phi = StackedMap.single(view.dim, "congruence_sum", unital_family(
+        (np.sqrt(w)[..., None] * q, np.sqrt(1.0 - w)[..., None] * q), "isometry family"))
     return _isometry_family(phi, view.spd("a"), view.params, tol, view.validate)
 
 
@@ -995,8 +972,7 @@ def check_wielandt_operator(map_spec: PositiveMapSpec, a: SpdMatrix, pair,
         raise ValueError(f"variant must be one of {WIELANDT_VARIANTS}, got {variant!r}")
     if validate:
         _require_window(a, _HIGH if variant == "refined" else _plain, params)
-    rows = _wielandt_operator(variant, _one_map(map_spec, pair.x.shape[1]), a, pair.x, pair.y,
-                              params, tol)
+    rows = _wielandt_operator(variant, map_spec, a, pair.x, pair.y, params, tol)
     (record,) = _records(f"wielandt_{variant}", rows, classical=variant == "refined")
     record.extras["conjecture_scale"] = scale = _conjecture_scale(params.m, params.M)
     if variant != "bhatia_davis":
@@ -1046,7 +1022,7 @@ def _choi(phi, a, tol):
 def check_choi_record(map_spec: PositiveMapSpec, t: SpdMatrix,
                       tol: float = DEFAULT_TOL) -> IneqRecord:
     """(Phi(T))^{-1} <= Phi(T^{-1}) for a unital positive map Phi and T > 0."""
-    rows = _choi(_one_map(map_spec, t.dim), t, tol)
+    rows = _choi(map_spec, t, tol)
     return _records("choi", rows, classical=False)[0]
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import stacked
 from .errors import InfeasibleRegime
 from .spd import SpdMatrix, SpectralInterval, _is_real
+from .stacked import _is_int
 
 # A Gaussian draw is redrawn when its norm is at or below the floor:
 # unit vectors at _UNIT_FLOOR, the second vector of a pair (after
@@ -122,11 +123,6 @@ def regime_feasible(regime: RegimeId, params: BoundParams) -> tuple[bool, str]:
             return False, f"{regime.value} needs sqrt(m_prime) <= M: {root} > {M}"
         return True, ""
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _require_seed(seed) -> None:

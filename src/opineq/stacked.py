@@ -17,10 +17,10 @@ by value, as numpy's rounds differently in the last bit.
 A view's ``params`` is one BoundParams shared by every row, or a tuple
 of each row's own; ``per_row`` reads a constant either way, and the
 record builders take it as a scalar or an array of each row's own. A
-map is a StackedMap, whose parts each apply one kind to their own rows;
-its data keeps a row axis, which broadcasts against one instance's
-operand. Every check is made on every row and names the first row that
-fails it, as row 0 for one instance.
+map is a StackedMap: on each part of its rows a Kraus family
+sum_j V_j^T T V_j, whose arrays keep a row axis that broadcasts against
+one instance's operand, or a closed form. Every check is made on every
+row and names the first row that fails it, as row 0 for one instance.
 
 A raw StackedSpd is checked by one stacked Cholesky, whose factor it
 keeps, and decomposed by ``eigh`` on the first read of its spectrum. A
@@ -368,32 +368,109 @@ def arithmetic_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
     return type(a)(0.5 * (a.entries + b.entries))
 
 
+MAP_KINDS = ("identity", "compression", "congruence_sum", "trace_normalize", "pinching")
+
+
 class MapPart(NamedTuple):
-    """The rows of a stack whose maps share one kind, with each row's own data.
+    """The rows of a stack whose maps share one kind, with each row's own Kraus family.
 
     ``rows`` indexes the stack, or is slice(None) for every row. ``data``
-    is the isometries of compression, one (n, r) per row; the members of
-    congruence_sum, each one (n, n) per row; the index partition of
-    pinching; else None.
+    is the Kraus arrays V_j of T -> sum_j V_j^T T V_j, each (S, n, r):
+    a compression's isometry (V,), a congruence_sum's members or a
+    pinching's 0/1 block projectors; none for identity and trace_normalize.
     """
 
     rows: object
     kind: str
-    data: object = None
+    data: tuple = ()
+
+    def size(self, n: int) -> int:
+        """The part's output size on n x n matrices."""
+        return self.data[0].shape[-1] if self.data else n
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def unital_family(family: tuple, label: str) -> tuple:
+    """The Kraus arrays, C-contiguous, after checking sum_j V_j^T V_j = I on every row."""
+    family = tuple(map(np.ascontiguousarray, family))
+    total = sum(transpose(v) @ v for v in family)
+    defect = np.abs(total - np.eye(total.shape[-1])).max(axis=(-2, -1))
+    if (defect > _MAP_TOL).any():
+        raise ValueError(f"{label}: sum V^T V defect {defect.max():.3e}")
+    return family
+
+
+def pinching_projectors(blocks) -> tuple:
+    """The n x n 0/1 diagonal projectors onto blocks of integer indices that partition 0..n-1."""
+    blocks = tuple(tuple(block) for block in blocks)
+    flat = [i for block in blocks for i in block]
+    if not all(map(_is_int, flat)):
+        raise ValueError(f"block indices must be integers, got {blocks}")
+    if sorted(flat) != list(range(len(flat))) or not flat:
+        raise ValueError(f"blocks must partition 0..n-1, got {blocks}")
+    return tuple(np.diag(np.isin(np.arange(len(flat)), block) * 1.0) for block in blocks)
+
+
+def _compression(isometry) -> tuple:
+    v = np.array(isometry, dtype=float)
+    if v.ndim != 2 or v.shape[0] < v.shape[1] or v.size == 0:
+        raise ValueError(f"compression isometry must be tall n x r with r >= 1, got {v.shape}")
+    return unital_family((v,), "compression columns not orthonormal")
+
+
+def _congruence_sum(family) -> tuple:
+    mats = tuple(np.array(u, dtype=float) for u in family)
+    n = mats[0].shape[0] if mats and mats[0].ndim else 0
+    if any(u.shape != (n, n) for u in mats) or n == 0:
+        raise ValueError(f"congruence family members must share a non-empty square shape, "
+                         f"got {[u.shape for u in mats]}")
+    return unital_family(mats, "congruence family not normalized")
+
+
+# Each Kraus kind's key in an instance's ``map``, its Kraus arrays (one row) from
+# that key's value, and that value from them.
+_KRAUS = {
+    "compression": ("isometry", _compression, lambda family: family[0].tolist()),
+    "congruence_sum": ("family", _congruence_sum, lambda family: [u.tolist() for u in family]),
+    "pinching": ("blocks", pinching_projectors,
+                 lambda family: [np.flatnonzero(np.diagonal(p)).tolist() for p in family]),
+}
 
 
 class StackedMap(tuple):
-    """Each row's positive unital map, as MapParts that partition the rows.
+    """Each row's positive unital map on in_dim x in_dim matrices, as MapParts of its rows.
 
     One evaluator pass takes every row whose map has the same output size,
     whatever its kind: a view's ``per_map`` makes one pass per size. A map
-    of one kind on every row, such as a witness's, is one part.
+    of one kind on every row, such as one instance's, is one part.
     """
 
+    def __new__(cls, parts, in_dim: int):
+        self = super().__new__(cls, parts)
+        self.in_dim = in_dim
+        return self
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self), self.in_dim
+
     @classmethod
-    def single(cls, kind: str, data=None) -> "StackedMap":
+    def single(cls, in_dim: int, kind: str, data: tuple = ()) -> "StackedMap":
         """The map of one kind on every row."""
-        return cls((MapPart(slice(None), kind, data),))
+        return cls((MapPart(slice(None), kind, data),), in_dim)
+
+    @classmethod
+    def catalog(cls, kind: str, value) -> "StackedMap":
+        """One instance's map, read-only: ``value`` is a closed form's n, else its key's value."""
+        if kind not in _KRAUS:
+            if not value >= 1:
+                raise ValueError(f"{kind} map needs sizes >= 1, got {value} -> {value}")
+            return cls.single(value, kind)
+        family = tuple(np.broadcast_to(v, (1, *v.shape)) for v in _KRAUS[kind][1](value))
+        return cls.single(family[0].shape[1], kind, family)
 
     def pick(self, rows: list) -> "StackedMap":
         """The maps of the stack's rows ``rows``, in that order, as a map of those rows."""
@@ -405,58 +482,62 @@ class StackedMap(tuple):
                 index = {row: i for i, row in enumerate(part.rows)}
                 where = [i for i, row in enumerate(rows) if row in index]
                 at = [index[rows[i]] for i in where]
-            data = part.data
-            if part.kind == "compression":
-                data = data[at]
-            elif part.kind == "congruence_sum":
-                data = tuple(u[at] for u in data)
             if at:
-                parts.append(MapPart(where, part.kind, data))
-        return StackedMap(parts)
+                parts.append(MapPart(where, part.kind, tuple(v[at] for v in part.data)))
+        return StackedMap(parts, self.in_dim)
+
+    def to_json(self, row: int) -> dict | None:
+        """Row ``row``'s map as an instance's ``map``: its kind and data; None for the identity."""
+        ((_, kind, data),) = self.pick([row])
+        if kind not in _KRAUS:
+            return None if kind == "identity" else {"kind": kind}
+        key, _, encode = _KRAUS[kind]
+        return {"kind": kind, key: encode([v[0] for v in data])}
+
+    @classmethod
+    def from_json(cls, obj, n: int) -> "StackedMap":
+        """to_json's inverse on n x n matrices, one row's map; a ValueError naming 'map' if bad."""
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in MAP_KINDS:
+            raise ValueError(f"instance 'map' kind must be one of {MAP_KINDS}, got {obj!r}")
+        key = _KRAUS[kind][0] if kind in _KRAUS else None
+        keys = sorted({"kind", key} - {None})
+        if sorted(obj) != keys:
+            raise ValueError(f"instance 'map' of kind {kind} must hold {keys}, got {sorted(obj)}")
+        try:
+            phi = cls.catalog(kind, n if key is None else obj[key])
+            _require_input(phi, (n, n))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"instance 'map' of kind {kind}: {exc}") from exc
+        return phi
 
 
-def compression_isometries(v: np.ndarray) -> np.ndarray:
-    """The (S, n, r) isometries, C-contiguous, after checking every row's columns orthonormal."""
-    require_orthonormal(v, "compression", _MAP_TOL)
-    return np.ascontiguousarray(v)
+def _require_input(phi: StackedMap, shape: tuple) -> None:
+    """Raise ValueError unless matrices of shape (..., n, n) are phi's inputs."""
+    if shape[-2:] != (phi.in_dim,) * 2:
+        raise ValueError(f"expected {phi.in_dim}x{phi.in_dim} input, got {shape[-2:]}")
 
 
-def congruence_family(family: tuple) -> tuple:
-    """The family, after checking sum_j U_j^T U_j = I on every row."""
-    total = sum(transpose(u) @ u for u in family)
-    defect = np.abs(total - np.eye(family[0].shape[-1])).max(axis=(-2, -1))
-    if (defect > _MAP_TOL).any():
-        raise ValueError(f"congruence family not normalized: sum U^T U defect {defect.max():.3e}")
-    return family
-
-
-def _apply_kind(kind: str, data, t: np.ndarray) -> np.ndarray:
+def _apply_kind(kind: str, data: tuple, t: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return t
-    if kind == "compression":
-        return transpose(data) @ t @ data
-    if kind == "congruence_sum":
-        return sum(transpose(u) @ t @ u for u in data)
-    n = t.shape[-1]
     if kind == "trace_normalize":
+        n = t.shape[-1]
         return np.eye(n) * (np.trace(t, axis1=-2, axis2=-1) / n)[..., None, None]
-    out = np.zeros_like(t)
-    for block in data:
-        rows, cols = np.ix_(block, block)
-        out[..., rows, cols] = t[..., rows, cols]
-    return out
+    return sum(transpose(v) @ t @ v for v in data)
 
 
 def map_spd(phi: StackedMap, a: StackedSpd) -> StackedSpd:
     """Phi(A) as a stack: A itself where phi is one identity on every row, else a raw stack."""
-    if len(phi) == 1 and phi[0].kind == "identity" and isinstance(phi[0].rows, slice):
-        return a
-    return StackedSpd(apply_map(phi, a))
+    _require_input(phi, a.entries.shape)
+    whole = len(phi) == 1 and phi[0].kind == "identity" and isinstance(phi[0].rows, slice)
+    return a if whole else StackedSpd(apply_map(phi, a))
 
 
 def apply_map(phi: StackedMap, t) -> np.ndarray:
     """Each part's kind on its own rows, put back in row order: an array with t's leading axes."""
     t = _entries(t)
+    _require_input(phi, t.shape)
     out = None
     for rows, kind, data in phi:
         part = _apply_kind(kind, data, t[rows])
@@ -715,17 +796,16 @@ class StackedView:
     def per_map(self, n: int, evaluate) -> Rows:
         """evaluate(view, map) once per map output size, on every row of that size.
 
-        Each row's map takes n x n matrices: a compression maps them to its
-        isometries' column count, every other kind keeps n. The passes'
+        Each row's map takes n x n matrices to its part's ``size``: its
+        Kraus arrays' column count, or n for a closed form. The passes'
         results are put back in row order. Without maps, every row is
         evaluated in one pass under the identity.
         """
         if self.maps is None:
-            return evaluate(self, StackedMap.single("identity"))
+            return evaluate(self, StackedMap.single(n, "identity"))
         sizes = {}
         for part in self.maps:
-            size = part.data.shape[-1] if part.kind == "compression" else n
-            sizes.setdefault(size, []).append(part.rows)
+            sizes.setdefault(part.size(n), []).append(part.rows)
         if len(sizes) == 1:
             return evaluate(self, self.maps)
         passes = [np.concatenate(sizes[size]) for size in sorted(sizes, reverse=True)]

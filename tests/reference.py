@@ -46,7 +46,6 @@ from opineq import (
     trace_normalize_map,
 )
 from opineq import campaign, samplers, stacked
-from opineq.campaign import _pinching_blocks
 from opineq.inequalities import (
     _DEGENERATE_ATOL,
     _REGIME_TOL,
@@ -798,30 +797,30 @@ class Replay:
         return not self._draws
 
 
-def _row_map(n: int, group: int, z: np.ndarray, w: np.ndarray) -> PositiveMapSpec:
-    """One draw's map from the catalog, built from its drawn fields by the per-instance samplers."""
+def _pinching_blocks(dim: int) -> tuple:
+    return (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
+
+
+def _row_map(n: int, group: int, z: np.ndarray, w: np.ndarray) -> tuple:
+    """One draw's map from the catalog, built from its drawn fields by the per-instance samplers.
+
+    With it comes its instance ``map``, written from the data its
+    constructor took: the kind, and the isometry, family or blocks; None
+    for the identity.
+    """
     name, k = campaign._MAP_GROUPS[group]
     if name == "identity":
-        return identity_map(n)
+        return identity_map(n), None
     if name == "trace_normalize":
-        return trace_normalize_map(n)
+        return trace_normalize_map(n), {"kind": name}
     if name == "compression":
-        return compression_map(haar_orthogonal(n, Replay(z))[:, : n - 1])
+        v = haar_orthogonal(n, Replay(z))[:, : n - 1]
+        return compression_map(v), {"kind": name, "isometry": v.tolist()}
     if name == "congruence_sum":
-        return congruence_sum_map(sample_congruence_family(n, k, Replay(z, w[:k])))
-    return pinching_map(_pinching_blocks(n))
-
-
-def _map_payload(spec) -> dict:
-    """A map as an instance's ``map``: its kind and the data of its PositiveMapSpec."""
-    payload = {"kind": spec.kind}
-    if spec.isometry is not None:
-        payload["isometry"] = spec.isometry.tolist()
-    if spec.family is not None:
-        payload["family"] = [u.tolist() for u in spec.family]
-    if spec.blocks is not None:
-        payload["blocks"] = [list(block) for block in spec.blocks]
-    return payload
+        family = sample_congruence_family(n, k, Replay(z, w[:k]))
+        return congruence_sum_map(family), {"kind": name, "family": [u.tolist() for u in family]}
+    blocks = _pinching_blocks(n)
+    return pinching_map(blocks), {"kind": name, "blocks": [list(block) for block in blocks]}
 
 
 class DrawView(InstanceView):
@@ -831,14 +830,14 @@ class DrawView(InstanceView):
     checked, as the campaign checks them on every draw.
     """
 
-    __slots__ = ("_state", "_units", "_pairs", "_phi", "_probes", "_map")
+    __slots__ = ("_state", "_units", "_pairs", "_phi", "_payload", "_probes", "_map")
 
-    def __init__(self, state: dict, dim: int, units: list, pairs: list, phi: PositiveMapSpec):
+    def __init__(self, state: dict, dim: int, units: list, pairs: list, phi: tuple):
         super().__init__(state, dim, validate=True)
         self._state = state
         self._units = units
         self._pairs = pairs
-        self._phi = phi
+        self._phi, self._payload = phi
         self._probes = ()
         self._map = None
 
@@ -875,8 +874,8 @@ class DrawView(InstanceView):
         out = {"dim": self.dim, "classical": self.classical, **snapshot(self._state)}
         if self._probes:
             out["probe"] = dict(zip("xy", (v.tolist() for v in self._probes[item])))
-        if self._map is not None and self._map.kind != "identity":
-            out["map"] = _map_payload(self._map)
+        if self._map is not None and self._payload is not None:
+            out["map"] = self._payload
         return out
 
 

@@ -14,6 +14,7 @@ from opineq import (
     THEOREMS,
     BoundParams,
     CampaignConfig,
+    MAP_KINDS,
     InfeasibleRegime,
     RegimeId,
     maximize_ratio,
@@ -232,6 +233,24 @@ def test_instance_view_refuses_a_probe_or_map_its_spec_does_not_read(theorem_id,
     assert _replayed_ratio(theorem_id, instance, config.tol) == cell.max_ratio
     with pytest.raises(ValueError, match=named):
         spec.evaluate(instance_view(edit(instance), spec), config.tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_every_drawn_map_reads_back_from_its_json(dim):
+    # Each row of a chunk's drawn maps, written as an instance's map and read back
+    # from the JSON text a report holds, applies to the same bytes as its part.
+    count = 64
+    maps = campaign._Draws([42, 0, dim, 0], {}, dim).maps(dim, count)
+    t = np.random.default_rng(dim).standard_normal((count, dim, dim))
+    kinds = set()
+    for part in maps:
+        rows = part.rows.tolist()
+        for row, want in zip(rows, stacked.apply_map(maps.pick(rows), t[rows])):
+            written = json.loads(canonical_dumps(maps.to_json(row) or {"kind": "identity"}))
+            kinds.add(written["kind"])
+            read = stacked.StackedMap.from_json(written, dim)
+            assert stacked.apply_map(read, t[row]).tobytes() == want.tobytes(), written
+    assert kinds == set(MAP_KINDS)
 
 
 def test_extremal_instance_carries_the_worst_draw():

@@ -258,7 +258,7 @@ def test_polya_szego_on_regime_draws(rng):
     params = BoundParams(m=1.0, M=8.0, m_prime=2.0)
     for _ in range(10):
         rows = _evaluate("polya_szego", params, 4, rng,
-                         stacked.StackedMap.single("trace_normalize"))
+                         stacked.StackedMap.single(4, "trace_normalize"))
         assert rows.holds.all()
         assert rows.improvement == pytest.approx(1.0 / kappa(2.0))
 
@@ -719,7 +719,15 @@ def _bad_instances(instance: dict, mapped: dict):
                        ({"kind": "pinching", "blocks": [[0], [2]]}, "blocks"),
                        ({"kind": "congruence_sum", "family": 5}, "'map'"),
                        ({"kind": "rotation"}, "'map' kind"), ({}, "'map' kind"),
-                       ("pinching", "'map' kind")):
+                       ("pinching", "'map' kind"), ({"kind": ["pinching"]}, "'map' kind"),
+                       ({"kind": {}}, "'map' kind"),
+                       # A float or bool index is not truncated or read as 0 or 1.
+                       ({"kind": "pinching", "blocks": [[0, 1.7]]}, "integers"),
+                       ({"kind": "pinching", "blocks": [[False, True]]}, "integers"),
+                       ({"kind": "pinching", "blocks": "01"}, "integers"),
+                       ({"kind": "congruence_sum", "family": [5]}, "square shape"),
+                       ({"kind": "identity", "isometry": [[1.0]]}, "'isometry'"),
+                       ({"kind": "trace_normalize", "blocks": [[0, 1]]}, "'blocks'")):
         yield {**mapped, "map": phi}, named
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import oracles
@@ -176,6 +178,10 @@ def test_map_catalog_is_unital(rng):
     specs = _catalog(4, rng)
     assert set(specs) == set(MAP_KINDS)
     for kind, spec in specs.items():
+        assert not any(v.flags.writeable for v in spec[0].data), kind
+        # A copy or a pickled map is the same map.
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert (twin.in_dim, twin.to_json(0)) == (spec.in_dim, spec.to_json(0)), kind
         out = apply_map(spec, np.eye(spec.in_dim))
         assert np.allclose(out, np.eye(spec.out_dim), atol=1e-10), kind
 
@@ -230,6 +236,11 @@ def test_pinching_map_validation():
         pinching_map(((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="partition"):
         pinching_map(((0, 2),))
+    # An index is an integer: 1.7 is not truncated to 1, nor a bool read as 0 or 1.
+    for blocks in (((0, 1.7), (2, 3)), ((False, True), (2, 3)), "0123", ((0, 1.0),)):
+        with pytest.raises(ValueError, match="integers"):
+            pinching_map(blocks)
+    assert pinching_map((np.array([0, 1]), np.array([2]))).in_dim == 3
     spec = pinching_map(((0,), (1, 2)))
     t = np.arange(9.0).reshape(3, 3)
     out = apply_map(spec, t)
@@ -285,21 +296,21 @@ def test_stacked_map_parts_equal_each_kind_on_its_own_rows(rng):
     dim, count = 4, 14
     t = rng.standard_normal((count, dim, dim))
     rows = np.split(rng.permutation(count), [3, 5, 8, 12])
-    pinch = (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
-    square = [("identity", None), ("trace_normalize", None),
+    pinch = stacked.pinching_projectors((tuple(range(dim // 2)), tuple(range(dim // 2, dim))))
+    square = [("identity", ()), ("trace_normalize", ()),
               ("congruence_sum", _stacked_family(dim, 2, len(rows[2]), rng)),
               ("congruence_sum", _stacked_family(dim, 3, len(rows[3]), rng)),
-              ("pinching", pinch)]
+              ("pinching", tuple(np.broadcast_to(p, (len(rows[4]), dim, dim)) for p in pinch))]
     halves = np.split(rng.permutation(count), [6])
     # The last map is one part whose rows are not 0..k-1 in order.
     for parts in ([stacked.MapPart(r, kind, data) for r, (kind, data) in zip(rows, square)],
-                  [stacked.MapPart(r, "compression", stacked.haar(
-                      rng.standard_normal((len(r), dim, dim)))[..., : dim - 1]) for r in halves],
+                  [stacked.MapPart(r, "compression", (stacked.haar(
+                      rng.standard_normal((len(r), dim, dim)))[..., : dim - 1],)) for r in halves],
                   [stacked.MapPart(rng.permutation(count), "congruence_sum",
                                    _stacked_family(dim, 2, count, rng))]):
-        got = stacked.apply_map(stacked.StackedMap(parts), t)
+        got = stacked.apply_map(stacked.StackedMap(parts, dim), t)
         for part in parts:
-            want = stacked.apply_map(stacked.StackedMap.single(part.kind, part.data),
+            want = stacked.apply_map(stacked.StackedMap.single(dim, part.kind, part.data),
                                      t[part.rows])
             assert got[part.rows].tobytes() == want.tobytes(), part.kind
 
@@ -328,24 +339,37 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
     b_rows = stacked.StackedSpd(raw)
     weights = rng.uniform(0.2, 1.0, size=(2, count, dim))
     weights /= np.sqrt((weights ** 2).sum(axis=0))
-    family = stacked.congruence_family(tuple(w[..., None] * frames for w in weights))
-    blocks = (tuple(range(dim // 2)), tuple(range(dim // 2, dim))) if dim > 1 else ((0,),)
-    maps = {"identity": (None, lambda r: identity_map(dim)),
-            "trace_normalize": (None, lambda r: trace_normalize_map(dim)),
+    family = stacked.unital_family(tuple(w[..., None] * frames for w in weights), "family")
+    blocks = (tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
+    pinch = tuple(np.broadcast_to(p, (count, dim, dim))
+                  for p in stacked.pinching_projectors(blocks))
+    # Each kind's Kraus arrays for every row, and its one-instance map of row r.
+    maps = {"identity": ((), lambda r: identity_map(dim)),
+            "trace_normalize": ((), lambda r: trace_normalize_map(dim)),
             "congruence_sum": (family, lambda r: congruence_sum_map([u[r] for u in family])),
-            "pinching": (blocks, lambda r: pinching_map(blocks))}
+            "pinching": (pinch, lambda r: pinching_map(blocks))}
     if dim > 1:
-        isometries = stacked.compression_isometries(frames[..., : dim - 1])
-        maps["compression"] = (isometries, lambda r: compression_map(frames[r, :, : dim - 1]))
+        (isometries,) = stacked.unital_family((frames[..., : dim - 1],), "compression")
+        maps["compression"] = ((isometries,), lambda r: compression_map(frames[r, :, : dim - 1]))
+    stacked_maps = {kind: stacked.StackedMap.single(dim, kind, data)
+                    for kind, (data, _) in maps.items()}
     stacked_calls = {
         "loewner_leq": stacked.loewner_leq(a_rows, b_rows, 1e-8),
         "scalar_leq": stacked.scalar_leq(lhs, rhs, 1e-8),
         "loewner_ratio": stacked.loewner_ratio(a_rows.entries, b_rows),
         "operator_norm": stacked.operator_norm(t),
         "spectral_norm": stacked.spectral_norm(a_rows.entries @ b_rows.entries),
-        **{kind: stacked.apply_map(stacked.StackedMap.single(kind, data), t)
-           for kind, (data, _) in maps.items()},
+        **{kind: stacked.apply_map(phi, t) for kind, phi in stacked_maps.items()},
     }
+    # A pinching's Kraus sum is the block copy, and a compression's V^T T V, bit for bit.
+    block_copy = np.zeros_like(t)
+    for block in blocks:
+        at = np.ix_(block, block)
+        block_copy[..., at[0], at[1]] = t[..., at[0], at[1]]
+    assert stacked_calls["pinching"].tobytes() == block_copy.tobytes()
+    if dim > 1:
+        assert stacked_calls["compression"].tobytes() == (
+            stacked.transpose(isometries) @ t @ isometries).tobytes()
     geo = stacked.geometric_mean(a_rows, b_rows)
     mean = stacked.arithmetic_mean(a_rows, b_rows)
     # The draw rules: row r's draws come from generator (seed, r, rule), as its sampler's do.
@@ -397,10 +421,14 @@ def test_each_per_instance_function_is_a_row_of_its_stacked_call(seed, count, di
             else:
                 want = want[r]
             assert np.array_equal(got, want), name
-        if dim > 1:
-            assert np.array_equal(maps["compression"][1](r).isometry, isometries[r])
-        assert all(map(np.array_equal, congruence_sum_map([u[r] for u in family]).family,
-                       (u[r] for u in family)))
+        for kind, (data, spec) in maps.items():
+            # Row r's map holds row r's Kraus arrays; its JSON is row r's, and reads
+            # back to a map that applies to the same bytes.
+            assert all(map(np.array_equal, spec(r)[0].data, (v[r][None] for v in data))), kind
+            written = stacked_maps[kind].to_json(r)
+            assert written == spec(r).to_json(0) and (written is None) == (kind == "identity")
+            read = stacked.StackedMap.from_json(written or {"kind": kind}, dim)
+            assert stacked.apply_map(read, t[r]).tobytes() == stacked_calls[kind][r].tobytes()
 
 
 def test_one_instance_calls_hand_stacked_their_operands_as_they_are(monkeypatch, rng):
@@ -416,8 +444,7 @@ def test_one_instance_calls_hand_stacked_their_operands_as_they_are(monkeypatch,
             return real(*args)
         monkeypatch.setattr(module, name, call)
     spy(stacked, "haar", lambda z: (z,))
-    spy(stacked, "compression_isometries", lambda v: (v,))
-    spy(stacked, "congruence_family", lambda family: family)
+    spy(stacked, "unital_family", lambda family, label: family)
     spy(stacked, "require_isometry_pair", lambda x, y: (x, y))
     for module in (means_maps, inequalities):
         spy(module, "apply_map", lambda phi, t: (t,))
@@ -429,8 +456,8 @@ def test_one_instance_calls_hand_stacked_their_operands_as_they_are(monkeypatch,
     apply_map(squeeze, a)
     check_choi_record(squeeze, a)
     check_wielandt_operator(identity_map(2), a, pair, BoundParams(m=0.1, M=9.0), "gumus")
-    assert {name for name, _ in seen} == {"haar", "compression_isometries", "congruence_family",
-                                          "require_isometry_pair", "apply_map"}
+    assert {name for name, _ in seen} == {"haar", "unital_family", "require_isometry_pair",
+                                          "apply_map"}
     assert all(ndim == 2 for _, ndim in seen), seen
 
 

@@ -110,6 +110,28 @@ def test_only_spd_and_stacked_read_private_attributes_of_an_spd_matrix():
     assert not readers, readers
 
 
+# The map's owner in stacked: the map types and the functions that apply a map.
+MAP_OWNER = {"MapPart", "StackedMap", "_apply_kind", "map_spd"}
+
+
+def test_only_the_map_owner_reads_a_map_by_its_kind():
+    # A kind's data layout is decided once: no other code compares a kind to a map
+    # kind's name, and no other definition reads a part's data beside its kind.
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.stem == "stacked" and getattr(node, "name", None) in MAP_OWNER:
+                continue
+            inner = list(ast.walk(node))
+            readers += [f"{path.name}:{n.lineno} compares a map kind" for n in inner
+                        if isinstance(n, ast.Compare)
+                        and any(isinstance(side, ast.Constant) and side.value in opineq.MAP_KINDS
+                                for side in (n.left, *n.comparators))]
+            if {"kind", "data"} <= {n.attr for n in inner if isinstance(n, ast.Attribute)}:
+                readers.append(f"{path.name}:{node.lineno} reads a part's kind and data")
+    assert not readers, readers
+
+
 def _linalg_names(node) -> set[str]:
     """The numpy.linalg functions a node names: ``np.linalg.f``, or an import from numpy.linalg."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
