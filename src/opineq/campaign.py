@@ -84,6 +84,10 @@ class CampaignConfig:
             empty = sorted(t for t, cells in grids.items() if not cells)
             if empty:
                 raise ValueError(f"grids give no cells for: {empty}")
+            untyped = sorted(t for t, cells in grids.items()
+                             if not all(isinstance(cell, BoundParams) for cell in cells))
+            if untyped:
+                raise ValueError(f"grids give cells that are not BoundParams for: {untyped}")
             object.__setattr__(self, "grids", grids)
         _require_tol(self.tol)
 

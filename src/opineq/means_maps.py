@@ -4,9 +4,9 @@ The means are ``opineq.stacked``'s, on two SpdMatrix of one dimension,
 and give an SpdMatrix. A PositiveMapSpec is the ``stacked.StackedMap``
 of one instance, and ``apply_map`` calls its stacked namesake on it.
 The geometric mean is computed by congruence with A's Cholesky factor
-L, A#B = L (L^{-1} B L^{-T})^{1/2} L^T; the map catalog is restricted
-to five concretely representable kinds, all of them completely positive
-(hence 2-positive). Arbitrary user-supplied maps are rejected rather
+L, made on first need, A#B = L (L^{-1} B L^{-T})^{1/2} L^T; the map
+catalog is restricted to five concretely representable kinds, all of
+them completely positive (hence 2-positive). Arbitrary user-supplied maps are rejected rather
 than certified.
 """
 

@@ -28,11 +28,11 @@ a parameter move is applied per row, gives its row its own params and
 makes no row where it leaves the regime. So a restart keeps exactly
 what a climb that scores one proposal at a time keeps, bit for bit. A
 block evaluates only its rows' ratios: the records' order verdicts are
-computed on first read, and the climb reads none. A ratio reads the
-Cholesky factor a raw stack keeps from its positivity check, and a
-geometric mean decomposes only its inner matrix, so a stack that only a
-ratio or a mean reads is decided positive by its Cholesky alone. A block
-whose evaluation raises is scored row by row.
+computed on first read, and the climb reads none. A ratio and a mean
+read a Cholesky factor, made on first need, and a mean decomposes only
+its inner matrix, so a stack that a ratio or a mean factors is decided
+positive by its Cholesky alone, and one read only for its entries is
+not decomposed. A block whose evaluation raises is scored row by row.
 
 compare_bounds tabulates classical versus refined constants over a
 parameter grid and asserts the refined constant decreases strictly in

@@ -6,9 +6,9 @@ and the order checks and norms here, and the ``check_*`` functions of
 ``inequalities``, call their stacked namesakes on the one matrix as it
 is, without a row axis: an instance gets the bits it would get as a row
 of any stack. Every SpdMatrix holds its spectrum and eigenframe from the
-moment it is made, and one test (every eigenvalue finite and > 0)
-decides positivity for raw matrices, given spectra and derived matrices
-alike. All order comparisons are tolerance-aware relative to the
+moment it is made, so the spectrum's test (every eigenvalue finite and
+> 0) decides positivity for raw matrices, given spectra and derived
+matrices alike. All order comparisons are tolerance-aware relative to the
 operator norm of the right-hand side.
 """
 
@@ -78,10 +78,9 @@ class SpdMatrix(stacked.StackedSpd):
     A ``stacked.StackedSpd`` of one (n, n) matrix, with read-only
     arrays: its derived matrices ``sqrt``, ``inv``, ``inv_sqrt``,
     ``square`` and ``scaled``, and its means, are SpdMatrix too. A raw
-    matrix is symmetrized and decomposed by ``eigh`` once, at
-    construction, with no Cholesky first (a raw stack defers its ``eigh``
-    to the first read of its spectrum); :meth:`from_eigh` takes known
-    spectral factors instead.
+    matrix is made as a raw stack is, and then decomposed by ``eigh`` at
+    once, with no Cholesky (a raw stack waits for the first read of its
+    spectrum); :meth:`from_eigh` takes known spectral factors instead.
     Either way the matrix is accepted only if every eigenvalue is finite
     and > 0, and the ascending spectrum and its frame are set before
     construction returns. Its Cholesky factor, which a geometric mean or
@@ -94,8 +93,8 @@ class SpdMatrix(stacked.StackedSpd):
     __slots__ = ()
 
     def __init__(self, entries):
-        # Decomposed when made, as make_spd promises, so no Cholesky first.
-        self._start(stacked.symmetrize(_square(entries)), None, False)
+        # Decomposed when made, as make_spd promises.
+        super().__init__(_square(entries))
         self._spectrum()
 
     def _keep(self, array: np.ndarray) -> np.ndarray:

@@ -22,13 +22,13 @@ sum_j V_j^T T V_j, whose arrays keep a row axis that broadcasts against
 one instance's operand, or a closed form. Every check is made on every
 row and names the first row that fails it, as row 0 for one instance.
 
-A raw StackedSpd is checked by one stacked Cholesky, whose factor it
-keeps, and decomposed by ``eigh`` on the first read of its spectrum. A
-geometric mean and a Loewner ratio are congruences by a Cholesky factor,
-so they read no spectrum of their operands: a mean decomposes only its
-inner matrix, for its square root. A record's ratio is computed when its
-builder runs, its order verdicts and its sides (lhs, rhs) once, on the
-first read of one of them: a search block reads only ratios and so
+A StackedSpd is decomposed where it is read, and each decomposition
+checks positivity: ``eigh`` for its spectrum, a Cholesky for its factor.
+A geometric mean and a Loewner ratio are congruences by the factor, so
+they read no spectrum of their operands: a mean decomposes only its
+inner matrix, for its square root. A record's ratio is computed when
+its builder runs, its order verdicts and its sides (lhs, rhs) once, on
+the first read of one of them: a search block reads only ratios and so
 decomposes only the inner matrices of its means, while a campaign or a
 ``check_*`` call reads every field. Every numpy.linalg call of the
 package is made here. This module imports no other package module but
@@ -123,20 +123,10 @@ def _require_positive(vals: np.ndarray) -> None:
             f"eigenvalues must be finite and > 0, got min {lo.ravel()[row]} (row {row})")
 
 
-def _cholesky(entries: np.ndarray) -> np.ndarray | None:
-    """Each row's lower Cholesky factor; None if an entry is not finite or a row is refused."""
-    if not np.isfinite(entries).all():
-        return None
-    try:
-        return np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def require_orthonormal(vecs: np.ndarray, label: str, tol: float) -> None:
     """Raise ValueError unless every row's columns are orthonormal to ``tol``."""
     defect = np.abs(transpose(vecs) @ vecs - np.eye(vecs.shape[-1])).max(axis=(-2, -1))
-    if (defect > tol).any():
+    if not (defect <= tol).all():
         raise ValueError(f"{label} columns not orthonormal (defect {defect.max():.3e})")
 
 
@@ -188,34 +178,30 @@ def haar(z: np.ndarray) -> np.ndarray:
 class StackedSpd:
     """SPD matrices of shape (..., n, n), with ascending spectra (..., n) and frames (..., n, n).
 
-    A raw stack is symmetrized and checked by one stacked Cholesky, whose
-    lower factor L (entries = L L^T) it keeps; where an entry is not finite
-    or the Cholesky fails, its ``eigh`` is made at once to name the first
-    bad row. Else the ``eigh`` waits for the first read of the spectrum,
-    frames or a derived matrix, where every eigenvalue must be finite and
-    > 0 too: a stack read only for its entries and factor, as a ratio or a
-    geometric mean reads it, is decided positive by its Cholesky alone.
+    A raw stack is only symmetrized when made; where an entry is not
+    finite, its ``eigh`` is made at once to name the first bad row.
     ``from_eigh`` takes spectral factors whose shapes fit, sorts them and
-    checks the frames; such a stack, like a derived one, makes its factor
-    by one Cholesky on first need. Derived matrices reuse the frames, are
-    memoised, are of the stack's own type, and check an ``eigh`` frame on
-    first use.
+    checks the frames. Every stack makes its spectrum (``_spectrum``) and
+    its factor (``_lower``) on first need, and each checks positivity
+    there, so a stack read only for its entries is not decomposed.
+    Derived matrices reuse the frames, are memoised, are of the stack's
+    own type, and check an ``eigh`` frame on first use.
     """
 
     __slots__ = ("entries", "_eig", "_frame_checked", "_derived", "_factor", "_inv_factor")
 
     def __init__(self, entries: np.ndarray):
         entries = symmetrize(entries)
-        self._start(entries, None, False, _cholesky(entries))
-        if self._factor is None:
+        self._start(entries, None, False)
+        if not np.isfinite(entries).all():
             self._spectrum()
 
-    def _start(self, entries, eig, frame_checked: bool, factor=None) -> None:
-        """A new stack's fields; a spectrum or factor not given is made on first need."""
+    def _start(self, entries, eig, frame_checked: bool) -> None:
+        """A new stack's fields; a spectrum not given is made on first need, as is the factor."""
         self.entries = self._keep(entries)
         self._eig = None if eig is None else tuple(map(self._keep, eig))
         self._frame_checked = frame_checked
-        self._factor = None if factor is None else self._keep(factor)
+        self._factor = None
         self._inv_factor = None
         self._derived = {}
 
@@ -238,21 +224,24 @@ class StackedSpd:
     eigenvectors = property(lambda self: self._spectrum()[1])
 
     def _lower(self) -> np.ndarray:
-        """Each row's F with F F^T = entries: its lower Cholesky factor, kept or made on first need.
+        """Each row's F with F F^T = entries: its lower Cholesky factor, made on first need.
 
-        A row the Cholesky refuses, whose eigenvalues are finite and > 0
-        nonetheless, takes its square root. Rows are factored one by one
-        only when the stacked Cholesky refuses, so a row's factor does not
-        depend on the rows stacked with it.
+        A row the Cholesky refuses takes its square root, whose spectrum
+        must be finite and > 0 as every spectrum's. Rows are factored one
+        by one only when the stacked Cholesky refuses, so a row's factor
+        does not depend on the rows stacked with it.
         """
         if self._factor is None:
-            factor = _cholesky(self.entries)
-            if factor is None:
+            try:
+                factor = np.linalg.cholesky(self.entries)
+            except np.linalg.LinAlgError:
                 root = self.sqrt().entries
                 factor = np.empty_like(self.entries)
                 for row in np.ndindex(self.entries.shape[:-2]):
-                    alone = _cholesky(self.entries[row])
-                    factor[row] = root[row] if alone is None else alone
+                    try:
+                        factor[row] = np.linalg.cholesky(self.entries[row])
+                    except np.linalg.LinAlgError:
+                        factor[row] = root[row]
             self._factor = self._keep(factor)
         return self._factor
 
@@ -354,7 +343,7 @@ def spectral_norm(x: np.ndarray) -> np.ndarray:
 
 
 def geometric_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
-    """A # B = L (L^{-1} B L^{-T})^{1/2} L^T, with A = L L^T by A's kept factor.
+    """A # B = L (L^{-1} B L^{-T})^{1/2} L^T, with A = L L^T by A's Cholesky factor.
 
     The inner matrix's square root is its one ``eigh``; A's spectrum and
     the mean's are not read.
@@ -399,7 +388,7 @@ def unital_family(family: tuple, label: str) -> tuple:
     family = tuple(map(np.ascontiguousarray, family))
     total = sum(transpose(v) @ v for v in family)
     defect = np.abs(total - np.eye(total.shape[-1])).max(axis=(-2, -1))
-    if (defect > _MAP_TOL).any():
+    if not (defect <= _MAP_TOL).all():
         raise ValueError(f"{label}: sum V^T V defect {defect.max():.3e}")
     return family
 
@@ -538,6 +527,10 @@ def apply_map(phi: StackedMap, t) -> np.ndarray:
     """Each part's kind on its own rows, put back in row order: an array with t's leading axes."""
     t = _entries(t)
     _require_input(phi, t.shape)
+    sizes = sorted({part.size(phi.in_dim) for part in phi})
+    if len(sizes) > 1:
+        raise ValueError(f"map parts give outputs of different sizes {sizes}: "
+                         f"StackedView.per_map splits their rows")
     out = None
     for rows, kind, data in phi:
         part = _apply_kind(kind, data, t[rows])
@@ -610,7 +603,7 @@ def scalar_leq(lhs, rhs, tol: float, scale=None, atol=0.0) -> Verdicts:
 
 
 def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
-    """lambda_max(L^{-1} X L^{-T}) for X the lhs and RHS = L L^T by its kept factor."""
+    """lambda_max(L^{-1} X L^{-T}) for X the lhs and RHS = L L^T by its Cholesky factor."""
     w = rhs._inv_lower()
     return np.linalg.eigvalsh(symmetrize(w @ _entries(lhs) @ transpose(w)))[..., -1]
 

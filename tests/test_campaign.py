@@ -109,6 +109,13 @@ def test_grid_for_accepts_single_params():
     assert CampaignConfig(grids={"choi": iter([cell])}).grid_for("choi") == (cell,)
 
 
+@pytest.mark.parametrize("cells", [[{"m": 1.0, "M": 2.0}], [(1.0, 2.0)], "ab"],
+                         ids=["dict", "tuple", "str"])
+def test_config_refuses_grid_cells_that_are_not_bound_params(cells):
+    with pytest.raises(ValueError, match=r"not BoundParams for: \['choi'\]"):
+        CampaignConfig(theorem_ids=("choi",), grids={"choi": cells})
+
+
 def test_small_campaign_across_all_theorems_has_no_violations():
     config = CampaignConfig(dims=(2, 3), samples=6, seed=11)
     report = run_campaign(config)
@@ -667,13 +674,12 @@ def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
 
 def test_a_sweep_computes_every_verdict_inside_its_errstate(linalg_calls):
     # A campaign reads every field of every record, so every verdict and side is
-    # decomposed: 424 eigvalsh on the benchmark's sweep shape. Each raw stack is
-    # checked by one Cholesky and each spectral stack a mean or ratio reads is
-    # factored by one (316), and 98 factors are inverted; 184 stacks have their
-    # spectrum read by eigh. Every zero division stays silent.
+    # decomposed: 424 eigvalsh on the benchmark's sweep shape. Each stack a mean
+    # or ratio reads is factored by one Cholesky (98), and each factor inverted;
+    # 184 stacks have their spectrum read by eigh. Every zero division stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_campaign(CampaignConfig(dims=(2, 3, 4, 8), samples=25, seed=42))
     assert report.total_checks == 9975
     assert (linalg_calls["eigvalsh"], linalg_calls["eigh"], linalg_calls["cholesky"],
-            linalg_calls["inv"]) == (424, 184, 316, 98)
+            linalg_calls["inv"]) == (424, 184, 98, 98)

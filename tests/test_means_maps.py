@@ -207,6 +207,17 @@ def test_apply_map_accepts_nonsymmetric_input():
     assert np.allclose(out, 2.0 * np.eye(2))
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["identity_first", "compression_first"])
+def test_apply_map_refuses_parts_with_different_output_sizes(swap):
+    # Row 0 under the identity (2 x 2 out), row 1 under a 2 -> 1 compression.
+    parts = [stacked.MapPart([0], "identity"),
+             stacked.MapPart([1], "compression", (np.array([[[1.0], [0.0]]]),))]
+    phi = stacked.StackedMap(parts[::-1] if swap else parts, 2)
+    t = np.stack([np.diag([2.0, 3.0]), np.diag([5.0, 7.0])])
+    with pytest.raises(ValueError, match=r"different sizes \[1, 2\]"):
+        stacked.apply_map(phi, t)
+
+
 def test_apply_map_rejects_wrong_shape():
     with pytest.raises(ValueError, match="expected"):
         apply_map(identity_map(2), np.eye(3))
@@ -217,6 +228,8 @@ def test_compression_map_validation(rng):
         compression_map(np.ones((2, 3)))
     with pytest.raises(ValueError, match="orthonormal"):
         compression_map(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="defect nan"):
+        compression_map([[np.nan], [0.0]])
     q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     spec = compression_map(q[:, :2])
     assert (spec.in_dim, spec.out_dim) == (4, 2)

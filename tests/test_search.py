@@ -198,13 +198,13 @@ def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
 
 
 # (eigh, cholesky, inv) calls of each golden job's box at budget 300 and seed 42.
-# Each raw stack is checked by one Cholesky and keeps its factor; a spectral
-# stack factors on first need. A geometric mean and a Loewner ratio each invert
+# A stack is factored by one Cholesky on first need, so only the stacks a mean
+# or ratio factors make one. A geometric mean and a Loewner ratio each invert
 # one factor, and the only eigh per mean is its inner square root's: one per
 # polya_szego block, whose target Phi(A#B) under the identity is its mean
 # Phi(A)#Phi(B) itself, and one per lemma_amgm block. No order verdict or side makes one.
-BLOCK_LINALG = {"kantorovich": (0, 0, 0), "polya_szego": (16, 48, 32),
-                "lemma_amgm": (16, 80, 32)}
+BLOCK_LINALG = {"kantorovich": (0, 0, 0), "polya_szego": (16, 32, 32),
+                "lemma_amgm": (16, 32, 32)}
 
 
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))

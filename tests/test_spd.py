@@ -57,6 +57,12 @@ def test_construction_rejects_non_finite_input(build):
         build()
 
 
+def test_from_eigh_refuses_a_frame_that_is_not_finite():
+    # A NaN Gram defect fails the check, so a stack's entries are finite.
+    with pytest.raises(ValueError, match="defect nan"):
+        SpdMatrix.from_eigh([1.0, 2.0], [[np.nan, 0.0], [0.0, 1.0]])
+
+
 def _rejected_or_usable(raw):
     """make_spd either refuses raw or returns a matrix whose functions are finite."""
     try:
@@ -87,23 +93,23 @@ def test_make_spd_decomposes_when_made_without_a_cholesky(linalg_calls):
         make_spd(ROUNDED_NEGATIVE)
 
 
-def test_a_stack_read_for_its_entries_makes_one_cholesky_and_no_eigh(rng, linalg_calls):
+def test_a_stack_read_for_its_entries_makes_no_decomposition(rng, linalg_calls):
     q = np.linalg.qr(rng.standard_normal((4, 3, 3)))[0]
     raw = (q * rng.uniform(0.5, 2.0, (4, 1, 3))) @ stacked.transpose(q)
     entries = stacked.StackedSpd(raw).entries
-    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (1, 0)
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (0, 0)
     assert np.array_equal(entries, stacked.symmetrize(raw))
     # Its spectrum is decomposed on the first read, once.
     a = stacked.StackedSpd(raw)
     assert a.eigenvalues is a.eigenvalues and a.sqrt() is a.sqrt()
-    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (2, 1)
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (0, 1)
 
 
 def test_a_ratio_or_a_mean_reads_factors_and_no_spectrum_of_its_operands(rng, linalg_calls):
-    # A raw stack keeps its positivity Cholesky factor, and a ratio against it
-    # inverts that factor once. A spectral stack makes its factor by one Cholesky
-    # on first need; a mean of it checks its inner matrix and itself by one
-    # Cholesky each and decomposes only the inner matrix, for its square root.
+    # A stack makes its factor by one Cholesky on first need, and a ratio against
+    # it inverts that factor once. A mean factors its first operand and
+    # decomposes only its inner matrix, for its square root; the inner matrix
+    # and the mean make no Cholesky.
     q = stacked.haar(rng.standard_normal((2, 4, 3, 3)))
     vals = rng.uniform(0.5, 2.0, (2, 4, 3))
     raw = stacked.StackedSpd((q[0] * vals[0][..., None, :]) @ stacked.transpose(q[0]))
@@ -112,7 +118,7 @@ def test_a_ratio_or_a_mean_reads_factors_and_no_spectrum_of_its_operands(rng, li
     assert np.array_equal(stacked.loewner_ratio(x, raw), stacked.loewner_ratio(x, raw))
     assert (linalg_calls["cholesky"], linalg_calls["eigh"], linalg_calls["inv"]) == (1, 0, 1)
     stacked.geometric_mean(spectral, raw)
-    assert (linalg_calls["cholesky"], linalg_calls["eigh"], linalg_calls["inv"]) == (4, 1, 2)
+    assert (linalg_calls["cholesky"], linalg_calls["eigh"], linalg_calls["inv"]) == (2, 1, 2)
 
 
 # Eigenvalues 1e-20 and 1 on a rotation by pi/6: from_eigh accepts them, and
@@ -156,12 +162,21 @@ def test_loewner_rows_refuses_a_refined_constant_that_is_not_a_scale(bad):
     assert rows.ratio.tolist() == [0.25, 1.0, 0.25]
 
 
-def test_a_stack_cholesky_refuses_is_decomposed_at_once_and_names_its_row(linalg_calls):
+@pytest.mark.parametrize("read", [
+    lambda a: stacked.loewner_ratio(np.stack([np.eye(2)] * 4), a),
+    lambda a: stacked.geometric_mean(a, a),
+    lambda a: a.eigenvalues,
+    lambda a: a.sqrt(),
+], ids=["loewner_ratio", "geometric_mean", "eigenvalues", "sqrt"])
+def test_a_stack_that_is_not_positive_is_made_undecomposed_and_raises_on_its_first_read(
+        read, linalg_calls):
+    # Each decomposition checks positivity when it is first made, and names the row.
     raw = np.stack([np.eye(2), np.diag([2.0, 3.0]), np.diag([1.0, -0.5]), np.diag([1.0, 0.0])])
+    a = stacked.StackedSpd(raw)
+    assert sum(linalg_calls.values()) == 0
     with pytest.raises(NotPositiveDefinite,
                        match=re.escape("eigenvalues must be finite and > 0, got min -0.5 (row 2)")):
-        stacked.StackedSpd(raw)
-    assert (linalg_calls["cholesky"], linalg_calls["eigh"]) == (1, 1)
+        read(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
