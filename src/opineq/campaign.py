@@ -18,12 +18,14 @@ built by ``inequalities._draw_states``, its probes by the unit vector
 and pair rules of ``samplers`` and its congruence maps by its family
 rule; frames are ``stacked.haar``'s.
 
-A cell is evaluated in chunks of at most _CHUNK draws, each one
-``stacked.StackedView`` with its probes and maps, by the spec's
-evaluator: once, or once per map output size. The hypotheses are checked
-on every draw. The statistics are folded in draw order, and the
-extremal instance is the ``inequalities.snapshot`` of the draw with the
-first largest ratio, the probe that scored it and its map included.
+A cell is evaluated in chunks of at most ``stacked.stack_rows(dim)``
+draws, each one ``stacked.StackedView`` with its probes and maps, by the
+spec's evaluator: once, or once per map output size. A draw's bits do
+not depend on its chunk, so the chunk size, the element budget every
+stack shares, moves no result. The hypotheses are checked on every
+draw. The statistics are folded in draw order, and the extremal instance
+is the ``inequalities.snapshot`` of the draw with the first largest
+ratio, the probe that scored it and its map included.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ from .spd import DEFAULT_TOL, _require_tol
 NEAR_TIGHT_REL = 1e-3
 # Random unit vectors (or orthonormal pairs) each vector-based draw checks.
 VECTORS_PER_INSTANCE = 16
-# Most draws a cell evaluates at once, so that memory does not grow with
-# samples; larger chunks gain little time and raise the peak RSS.
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -284,8 +283,9 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
     draws = _Draws([cfg.seed, theorem_index, dim, cell_index], spec.space(dim, params, False),
                    dim)
     fold = _Fold()
-    for start in range(0, cfg.samples, _CHUNK):
-        count = min(_CHUNK, cfg.samples - start)
+    size = stacked.stack_rows(dim)
+    for start in range(0, cfg.samples, size):
+        count = min(size, cfg.samples - start)
         chunk = _chunk(spec, draws, params, count)
         # Rows such as a zero right side divide silently, here and where the
         # reshape reads the verdicts, which are computed on first read.
@@ -311,7 +311,7 @@ def _run_cell(theorem_id: str, theorem_index: int, dim: int, cell_index: int,
             "lhs": float(row.lhs[item]),
             "rhs": float(row.rhs[item]),
             **params.as_dict(),
-            "instance": snapshot(best, draw % _CHUNK, item),
+            "instance": snapshot(best, draw % size, item),
         }
     return CellStats(
         theorem_id=theorem_id,

@@ -20,9 +20,10 @@ then climbs in speculative blocks: it applies the next few moves to
 the best state, scores those candidates in one call of the spec's
 evaluator, keeps the first row that beats the best, a one-row subset
 of the block, and resumes after it. A block doubles after no gain, up
-to _BLOCK_CAP, and halves after one: blocks sized from the accept rate
-scored fewer rows but took more blocks, each an evaluator call, and
-ran slower. The candidates are the rows of stacked arrays, one
+to ``stacked.stack_rows(dim)`` rows, the element budget every stack
+shares, and halves after one: blocks sized from the accept rate scored
+fewer rows but took more blocks, each an evaluator call, and ran
+slower. The candidates are the rows of stacked arrays, one
 vectorised step per variable, by the rules a first state is drawn by;
 a parameter move is applied per row, gives its row its own params and
 makes no row where it leaves the regime. So a restart keeps exactly
@@ -42,7 +43,7 @@ its refinement argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +58,6 @@ DEFAULT_BUDGET = 10_000
 _DELTA_START = 0.1
 _DELTA_END = 1e-4
 _EVALS_PER_RESTART = 2000
-# Most proposals a restart scores in one stacked block. A restart accepts
-# few of its proposals, so blocks grow to this size between gains.
-_BLOCK_CAP = 64
 _PARAM_KEYS = ("m", "m_prime", "M_prime", "M")
 
 
@@ -187,13 +185,15 @@ def _draw_moves(best: stacked.StackedView, box: dict, count: int, rng) -> tuple[
 
 
 def _moved_params(params, name, factor, box, regime):
-    """params after a move of parameter ``name``, or None where it leaves the regime."""
+    """params after a move of parameter ``name``, or None where it leaves the regime.
+
+    The moved params are built from the box's keys alone, as a first draw's
+    are, so a parameter the box omits takes its default from the moved
+    values (m' = m, M' = M) and the regime chain stays whole.
+    """
     lo, hi = box[name]
     moved = min(max(getattr(params, name) * factor, lo), hi)
-    try:
-        params = replace(params, **{name: moved})
-    except ValueError:
-        return None
+    params = BoundParams(**{key: moved if key == name else getattr(params, key) for key in box})
     return params if regime_feasible(regime, params)[0] else None
 
 
@@ -304,9 +304,10 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
     The best state is a one-row view, the first one drawn from the spec's space.
     The next ``size`` proposals move it and are scored in one block; the
     climb keeps the first row that beats the best and goes on after it. A
-    block without a gain doubles ``size`` up to _BLOCK_CAP, one with a
-    gain halves it. The best's windows change only with its params.
+    block without a gain doubles ``size`` up to ``stacked.stack_rows(dim)``,
+    one with a gain halves it. The best's windows change only with its params.
     """
+    cap = stacked.stack_rows(dim)
     rng = np.random.default_rng(seed)
     params = _draw_params(box, regime, rng)
     space = spec.space(dim, params, classical)
@@ -328,7 +329,7 @@ def _run_restart(spec, dim, box, regime, classical, tol, budget, seed):
              if ratio > best_ratio), None)
         if gain is None:
             start += size
-            size = min(2 * size, _BLOCK_CAP)
+            size = min(2 * size, cap)
         else:
             row, best_ratio = gain
             moved, best = best.params, block.subset([row])

@@ -49,6 +49,18 @@ from .errors import InfeasibleRegime, NotPositiveDefinite
 _FRAME_TOL = 1e-10
 _MAP_TOL = 1e-10
 _ISOMETRY_TOL = 1e-12
+# Most entries of an n x n operand's rows a campaign chunk or a search block
+# stacks, so that memory does not grow with samples or budget. A stacked
+# call at these sizes costs mostly a fixed overhead, so the rows are
+# bounded by entries, not by one count for every dim: 2048 rows at dim 2,
+# 512 at dim 4 and 128 at dim 8.
+_STACK_ELEMENTS = 8192
+
+
+def stack_rows(n: int) -> int:
+    """Most rows a stack of n x n operands holds: _STACK_ELEMENTS // n², at least one."""
+    return max(1, _STACK_ELEMENTS // (n * n))
+
 
 _SCALAR_FUNCS = {
     "sqrt": np.sqrt,

@@ -21,7 +21,7 @@ from opineq import (
     regime_feasible,
     run_campaign,
 )
-from opineq import campaign, samplers, stacked
+from opineq import campaign, samplers, search, stacked
 from opineq.campaign import NEAR_TIGHT_REL, CellStats
 from opineq.cli import cli_main
 from opineq.inequalities import instance_view
@@ -456,7 +456,7 @@ def test_stacked_cells_equal_the_per_draw_loop(theorem_id):
 @pytest.mark.parametrize("theorem_id,dim", [("choi", 3), ("wielandt_scalar", 2)])
 def test_stacked_cells_cross_a_chunk_boundary(theorem_id, dim):
     _assert_matches_reference(CampaignConfig(theorem_ids=(theorem_id,), dims=(dim,),
-                                             samples=campaign._CHUNK + 1, seed=4))
+                                             samples=stacked.stack_rows(dim) + 1, seed=4))
 
 
 PLAIN_IDS = tuple(t for t in THEOREM_IDS if THEOREMS[t].regime is RegimeId.PLAIN)
@@ -490,13 +490,45 @@ def _report_bytes(args: list, path) -> bytes:
 def test_results_do_not_depend_on_the_chunk_size(theorem_id, tmp_path, capsys, monkeypatch):
     config = CampaignConfig(theorem_ids=(theorem_id,), dims=(2, 3, 4), samples=70, seed=6)
     seen = []
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(campaign, "_CHUNK", chunk)
+    # Chunks of one draw; of 16, 7 and 4 draws at dims 2, 3 and 4; and one whole cell.
+    for budget in (1, 64, stacked._STACK_ELEMENTS):
+        monkeypatch.setattr(stacked, "_STACK_ELEMENTS", budget)
         report = _report_bytes(["--theorems", theorem_id, "--dims", "2,3,4", "--samples", "70",
-                                "--seed", "6"], tmp_path / f"{chunk}.json")
+                                "--seed", "6"], tmp_path / f"{budget}.json")
         seen.append((run_campaign(config).cells, report))
     capsys.readouterr()
     assert seen[0] == seen[1] == seen[2]
+
+
+def _count_rows(theorem_id, monkeypatch) -> list:
+    """Patch theorem_id's evaluator to record the rows of each stack it evaluates."""
+    counts = []
+    evaluate = THEOREMS[theorem_id].evaluate
+
+    def counting(view, tol):
+        counts.append(len(next(iter(view.spectra.values()))))
+        return evaluate(view, tol)
+
+    monkeypatch.setitem(THEOREMS, theorem_id,
+                        dataclasses.replace(THEOREMS[theorem_id], evaluate=counting))
+    return counts
+
+
+@pytest.mark.parametrize("dim", (2, 8))
+def test_no_chunk_or_block_holds_more_rows_than_the_element_budget(dim, monkeypatch):
+    cap = stacked.stack_rows(dim)
+    chunks = _count_rows("wielandt_scalar", monkeypatch)
+    run_campaign(CampaignConfig(theorem_ids=("wielandt_scalar",), dims=(dim,),
+                                samples=2 * cap + 1, seed=3))
+    assert chunks == [cap, cap, 1]
+    # At m = M no move gains, so blocks double until the cap stops them: one
+    # restart of 4 * cap evaluations scores blocks of 1, 1, 2, ..., cap / 2 and
+    # cap, then two more of cap where an uncapped climb would score one of 2 * cap.
+    blocks = _count_rows("scalar_amgm", monkeypatch)
+    monkeypatch.setattr(search, "_EVALS_PER_RESTART", 4 * cap)
+    result = maximize_ratio("scalar_amgm", {"m": 2.0, "M": 2.0}, budget=4 * cap, rng=3, dim=dim)
+    assert result.accepted == (0,)
+    assert blocks == [1, *(2 ** k for k in range(cap.bit_length())), cap, cap]
 
 
 def _recorded_probes(monkeypatch) -> dict:
@@ -537,8 +569,9 @@ def test_rejected_probes_are_drawn_again(monkeypatch):
     config = CampaignConfig(theorem_ids=("kantorovich", "kantorovich_product",
                                          "wielandt_scalar"), dims=(2, 3), samples=20, seed=9)
     runs = []
-    for chunk in (64, 64, 3):
-        monkeypatch.setattr(campaign, "_CHUNK", chunk)
+    # One chunk per cell, twice; then chunks of 6 draws at dim 2 and 3 at dim 3.
+    for budget in (stacked._STACK_ELEMENTS, stacked._STACK_ELEMENTS, 27):
+        monkeypatch.setattr(stacked, "_STACK_ELEMENTS", budget)
         with pytest.MonkeyPatch.context() as patch:
             recorded = _recorded_probes(patch)
             runs.append(run_campaign(config).cells)
@@ -660,11 +693,13 @@ def test_a_chunk_without_compression_rows_equals_the_per_draw_loop(theorem_id, d
 
 def test_a_chunk_evaluates_once_per_map_output_size(monkeypatch):
     chunks = _record_passes(monkeypatch)
-    run_campaign(CampaignConfig(theorem_ids=("polya_szego", "lin_squared_mapped",
-                                             "lin_squared_means", "lin_chain",
-                                             "wielandt_bhatia_davis", "wielandt_refined",
-                                             "choi"),
-                                dims=(1, 2, 3, 4, 8), samples=campaign._CHUNK + 5, seed=1))
+    for dim in (1, 2, 3, 4, 8):
+        # Every cell spans two chunks, the second of 5 draws.
+        run_campaign(CampaignConfig(theorem_ids=("polya_szego", "lin_squared_mapped",
+                                                 "lin_squared_means", "lin_chain",
+                                                 "wielandt_bhatia_davis", "wielandt_refined",
+                                                 "choi"),
+                                    dims=(dim,), samples=stacked.stack_rows(dim) + 5, seed=1))
     assert len(chunks) > 2 * 6
     for passes in chunks:
         sizes = [size for sizes, _ in passes for size in sizes]

@@ -23,7 +23,7 @@ from opineq import (
     maximize_ratio,
     regime_feasible,
 )
-from opineq import search
+from opineq import search, stacked
 from opineq.inequalities import instance_view
 from opineq.inequalities import snapshot as view_snapshot
 from oracles import big_k, kappa
@@ -71,19 +71,19 @@ GOLDEN_JOBS = {
 }
 
 # Each golden job's rows scored per restart, speculative rows included:
-# 4,493, 4,067 and 4,112 rows for 4,000 evaluations.
+# 5,229, 4,387 and 4,144 rows for 4,000 evaluations.
 GOLDEN_SCORED = {
-    "kantorovich": (2159, 2334),
-    "polya_szego": (2053, 2014),
-    "lemma_amgm": (2054, 2058),
+    "kantorovich": (2671, 2558),
+    "polya_szego": (2373, 2014),
+    "lemma_amgm": (2118, 2026),
 }
 
 # Each golden job's blocks (stacked evaluations) per restart, the first
-# state's included: 113, 87 and 92 in all.
+# state's included: 79, 40 and 65 in all.
 GOLDEN_BLOCKS = {
-    "kantorovich": (58, 55),
-    "polya_szego": (45, 42),
-    "lemma_amgm": (47, 45),
+    "kantorovich": (40, 39),
+    "polya_szego": (22, 18),
+    "lemma_amgm": (34, 31),
 }
 
 
@@ -203,8 +203,8 @@ def test_search_instances_round_trip_through_instance_view(theorem_id, kwargs):
 # one factor, and the only eigh per mean is its inner square root's: one per
 # polya_szego block, whose target Phi(A#B) under the identity is its mean
 # Phi(A)#Phi(B) itself, and one per lemma_amgm block. No order verdict or side makes one.
-BLOCK_LINALG = {"kantorovich": (0, 0, 0), "polya_szego": (16, 32, 32),
-                "lemma_amgm": (16, 32, 32)}
+BLOCK_LINALG = {"kantorovich": (0, 0, 0), "polya_szego": (15, 30, 30),
+                "lemma_amgm": (15, 30, 30)}
 
 
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
@@ -217,6 +217,11 @@ def test_search_blocks_decompose_only_for_the_ratio(theorem_id, linalg_calls):
     assert linalg_calls["eigvalsh"] == ratio_calls
     assert (linalg_calls["eigh"], linalg_calls["cholesky"], linalg_calls["inv"]) == \
         BLOCK_LINALG[theorem_id]
+
+
+# Each golden job's largest block: stacked.stack_rows(dim) at dims 4 and 8. At
+# dim 2 a restart's 2,000 evaluations never fill a block of stack_rows(2) = 2048.
+LARGEST_BLOCK = {"kantorovich": 512, "polya_szego": 512, "lemma_amgm": 128}
 
 
 @pytest.mark.parametrize("theorem_id", list(GOLDEN_JOBS))
@@ -234,7 +239,8 @@ def test_search_scores_state_by_state_when_a_block_raises(theorem_id, monkeypatc
     spec = dataclasses.replace(THEOREMS[theorem_id], evaluate=refuse)
     monkeypatch.setitem(THEOREMS, theorem_id, spec)
     _assert_golden(theorem_id)
-    assert calls and max(calls) == search._BLOCK_CAP
+    assert calls and max(calls) == LARGEST_BLOCK[theorem_id]
+    assert max(calls) <= stacked.stack_rows(GOLDEN_JOBS[theorem_id][0]["dim"])
 
 
 def _givens(size, i, j, theta):
@@ -305,10 +311,9 @@ def _reference_propose(spec, state, dim, box, regime, classical, delta, move):
     else:
         lo, hi = box[name]
         moved = min(max(getattr(state["params"], name) * factor, lo), hi)
-        try:
-            candidate = dataclasses.replace(state["params"], **{name: moved})
-        except ValueError:
-            return None
+        # The box's own keys: a parameter it omits takes its default again.
+        candidate = BoundParams(**{key: moved if key == name else getattr(state["params"], key)
+                                   for key in box})
         if not regime_feasible(regime, candidate)[0]:
             return None
         windows = search._windows(spec.space(dim, candidate, classical))
@@ -387,8 +392,10 @@ def test_block_search_keeps_what_the_one_at_a_time_search_keeps(theorem_id, kwar
 
     # No row of these jobs makes a stacked evaluator raise.
     monkeypatch.setattr(search, "_lone_ratio", unscored)
-    for cap in (1, 2, 64):
-        monkeypatch.setattr(search, "_BLOCK_CAP", cap)
+    dim = kwargs["dim"]
+    for cap in (1, 2, 64, stacked.stack_rows(dim)):
+        # An element budget of cap rows of dim x dim operands caps a block at cap rows.
+        monkeypatch.setattr(stacked, "_STACK_ELEMENTS", cap * dim * dim)
         got = maximize_ratio(theorem_id, **kwargs)
         assert got.ratio.hex() == want.ratio.hex(), (theorem_id, cap)
         assert got.instance == want.instance, (theorem_id, cap)
@@ -557,6 +564,20 @@ def test_search_result_unpacks():
     assert instance["theorem_id"] == "choi"
     assert instance["dim"] == 2
     assert set(instance["params"]) == {"m", "m_prime", "M_prime", "M"}
+
+
+@pytest.mark.parametrize("theorem_id, box, rng", [
+    ("lemma_amgm", {"m": (3.0, 4.0), "M": (8.0, 9.0)}, 3),
+    ("kantorovich", {"m": (0.5, 0.8), "m_prime": (1.2, 2.0), "M": (3.0, 4.0)}, 1),
+])
+def test_parameter_moves_keep_omitted_parameters_at_their_defaults(theorem_id, box, rng):
+    # A parameter the box omits defaults to the moved values (m' = m, M' = M)
+    # after every move, as in a first draw, so the regime chain m <= m' <= M' <= M holds.
+    params = maximize_ratio(theorem_id, box, budget=600, rng=rng, dim=2).instance["params"]
+    for key, default in (("m_prime", "m"), ("M_prime", "M")):
+        if key not in box:
+            assert params[key] == params[default], (theorem_id, key, params)
+    assert params["m"] <= params["m_prime"] <= params["M_prime"] <= params["M"], params
 
 
 def test_wielandt_refined_stays_well_inside_its_bound():
