@@ -6,10 +6,11 @@ and the order checks and norms here, and the ``check_*`` functions of
 ``inequalities``, call their stacked namesakes on the one matrix as it
 is, without a row axis: an instance gets the bits it would get as a row
 of any stack. Every SpdMatrix holds its spectrum and eigenframe from the
-moment it is made, so the spectrum's test (every eigenvalue finite and
-> 0) decides positivity for raw matrices, given spectra and derived
-matrices alike. All order comparisons are tolerance-aware relative to the
-operator norm of the right-hand side.
+moment it is made, and each decomposition checks what it makes, when it
+makes it, so the spectrum's test (every eigenvalue finite and > 0, on an
+orthonormal frame) decides positivity for raw matrices, given spectra
+and derived matrices alike. All order comparisons are tolerance-aware
+relative to the operator norm of the right-hand side.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ class SpdMatrix(stacked.StackedSpd):
     once, with no Cholesky (a raw stack waits for the first read of its
     spectrum); :meth:`from_eigh` takes known spectral factors instead.
     Either way the matrix is accepted only if every eigenvalue is finite
-    and > 0, and the ascending spectrum and its frame are set before
-    construction returns. Its Cholesky factor, which a geometric mean or
-    a Loewner ratio reads, is made on first need. Each frame's
-    orthonormality (a Gram check) is verified once: by ``from_eigh`` for
-    the frame it is given, and on first use for a frame computed by
-    ``eigh``.
+    and > 0 and its frame is orthonormal (a Gram check), and the
+    ascending spectrum and its frame are set before construction
+    returns. Each decomposition checks what it makes, when it makes it:
+    the frame ``from_eigh`` is given, or the one ``eigh`` computes, is
+    Gram-checked once, there. Its Cholesky factor and the factor's
+    inverse, which a geometric mean or a Loewner ratio reads, are made
+    together on first need.
     """
 
     __slots__ = ()

@@ -23,16 +23,16 @@ one instance's operand, or a closed form. Every check is made on every
 row and names the first row that fails it, as row 0 for one instance.
 
 A StackedSpd is decomposed where it is read, and each decomposition
-checks positivity: ``eigh`` for its spectrum, a Cholesky for its factor.
-A geometric mean and a Loewner ratio are congruences by the factor, so
-they read no spectrum of their operands: a mean decomposes only its
-inner matrix, for its square root. A record's ratio is computed when
-its builder runs, its order verdicts and its sides (lhs, rhs) once, on
-the first read of one of them: a search block reads only ratios and so
-decomposes only the inner matrices of its means, while a campaign or a
-``check_*`` call reads every field. Every numpy.linalg call of the
-package is made here. This module imports no other package module but
-``errors``.
+checks what it makes, when it makes it: ``eigh`` a spectrum finite and
+> 0 on an orthonormal frame, a Cholesky a positive factor. A geometric
+mean and a Loewner ratio are congruences by the factor, so they read no
+spectrum of their operands: a mean decomposes only its inner matrix,
+for its square root. A record's ratio is computed when its builder
+runs, its order verdicts and its sides (lhs, rhs) once, on the first
+read of one of them: a search block reads only ratios and so decomposes
+only the inner matrices of its means, while a campaign or a ``check_*``
+call reads every field. Every numpy.linalg call of the package is made
+here. This module imports no other package module but ``errors``.
 """
 
 from __future__ import annotations
@@ -193,57 +193,58 @@ class StackedSpd:
     A raw stack is only symmetrized when made; where an entry is not
     finite, its ``eigh`` is made at once to name the first bad row.
     ``from_eigh`` takes spectral factors whose shapes fit, sorts them and
-    checks the frames. Every stack makes its spectrum (``_spectrum``) and
-    its factor (``_lower``) on first need, and each checks positivity
-    there, so a stack read only for its entries is not decomposed.
-    Derived matrices reuse the frames, are memoised, are of the stack's
-    own type, and check an ``eigh`` frame on first use.
+    checks them. Each decomposition checks what it makes, when it makes
+    it: ``_spectrum``'s ``eigh`` requires every eigenvalue finite and > 0
+    and its frame orthonormal, and ``_factors``' Cholesky requires
+    positivity. Each is made on first need, so a stack read only for its
+    entries is not decomposed, and kept in the stack's one memo with its
+    derived matrices, which reuse its frame and are of its own type.
     """
 
-    __slots__ = ("entries", "_eig", "_frame_checked", "_derived", "_factor", "_inv_factor")
+    __slots__ = ("entries", "_memo")
 
     def __init__(self, entries: np.ndarray):
         entries = symmetrize(entries)
-        self._start(entries, None, False)
+        self._start(entries, {})
         if not np.isfinite(entries).all():
             self._spectrum()
 
-    def _start(self, entries, eig, frame_checked: bool) -> None:
-        """A new stack's fields; a spectrum not given is made on first need, as is the factor."""
+    def _start(self, entries, memo: dict) -> None:
+        """A new stack's fields: its entries and its memo, whose arrays are kept already."""
         self.entries = self._keep(entries)
-        self._eig = None if eig is None else tuple(map(self._keep, eig))
-        self._frame_checked = frame_checked
-        self._factor = None
-        self._inv_factor = None
-        self._derived = {}
+        self._memo = memo
 
     def _keep(self, array: np.ndarray) -> np.ndarray:
         """An array the stack holds, as it is."""
         return array
 
     def _spectrum(self) -> tuple:
-        """(eigenvalues, eigenvectors): one stacked ``eigh`` on the first call."""
-        if self._eig is None:
+        """(eigenvalues, eigenvectors): one stacked ``eigh`` on the first call, checked."""
+        spectrum = self._memo.get("spectrum")
+        if spectrum is None:
             try:
-                eig = np.linalg.eigh(self.entries)
+                spectrum = np.linalg.eigh(self.entries)
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
-            _require_positive(eig[0])
-            self._eig = tuple(map(self._keep, eig))
-        return self._eig
+            _require_positive(spectrum[0])
+            require_frame(spectrum[1])
+            spectrum = self._memo["spectrum"] = tuple(map(self._keep, spectrum))
+        return spectrum
 
     eigenvalues = property(lambda self: self._spectrum()[0])
     eigenvectors = property(lambda self: self._spectrum()[1])
 
-    def _lower(self) -> np.ndarray:
-        """Each row's F with F F^T = entries: its lower Cholesky factor, made on first need.
+    def _factors(self) -> tuple:
+        """(F, F^{-1}) for each row's F with F F^T = entries, its lower Cholesky factor.
 
-        A row the Cholesky refuses takes its square root, whose spectrum
-        must be finite and > 0 as every spectrum's. Rows are factored one
-        by one only when the stacked Cholesky refuses, so a row's factor
-        does not depend on the rows stacked with it.
+        Both are made together on the first call. A row the Cholesky
+        refuses takes its square root, whose spectrum must be finite and
+        > 0 as every spectrum's. Rows are factored one by one only when
+        the stacked Cholesky refuses, so a row's factor does not depend
+        on the rows stacked with it.
         """
-        if self._factor is None:
+        factors = self._memo.get("factors")
+        if factors is None:
             try:
                 factor = np.linalg.cholesky(self.entries)
             except np.linalg.LinAlgError:
@@ -254,14 +255,9 @@ class StackedSpd:
                         factor[row] = np.linalg.cholesky(self.entries[row])
                     except np.linalg.LinAlgError:
                         factor[row] = root[row]
-            self._factor = self._keep(factor)
-        return self._factor
-
-    def _inv_lower(self) -> np.ndarray:
-        """Each row's F^{-1}, for the F of ``_lower``."""
-        if self._inv_factor is None:
-            self._inv_factor = self._keep(np.linalg.inv(self._lower()))
-        return self._inv_factor
+            factors = self._memo["factors"] = (self._keep(factor),
+                                               self._keep(np.linalg.inv(factor)))
+        return factors
 
     @classmethod
     def from_eigh(cls, vals: np.ndarray, vecs: np.ndarray) -> "StackedSpd":
@@ -285,20 +281,18 @@ class StackedSpd:
             vals = np.take_along_axis(vals, order, axis=-1)
             vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         stack = cls.__new__(cls)
-        stack._start(symmetrize((vecs * vals[..., None, :]) @ transpose(vecs)), (vals, vecs), True)
+        stack._start(symmetrize((vecs * vals[..., None, :]) @ transpose(vecs)),
+                     {"spectrum": (stack._keep(vals), stack._keep(vecs))})
         return stack
 
     def _on_frame(self, vals) -> "StackedSpd":
         _require_positive(vals)
-        if not self._frame_checked:
-            require_frame(self.eigenvectors)
-            self._frame_checked = True
         return type(self)._sorted(vals, self.eigenvectors)
 
     def _apply(self, name: str) -> "StackedSpd":
-        derived = self._derived.get(name)
+        derived = self._memo.get(name)
         if derived is None:
-            derived = self._derived[name] = self._on_frame(_SCALAR_FUNCS[name](self.eigenvalues))
+            derived = self._memo[name] = self._on_frame(_SCALAR_FUNCS[name](self.eigenvalues))
         return derived
 
     def sqrt(self) -> "StackedSpd":
@@ -360,7 +354,7 @@ def geometric_mean(a: StackedSpd, b: StackedSpd) -> StackedSpd:
     The inner matrix's square root is its one ``eigh``; A's spectrum and
     the mean's are not read.
     """
-    low, inv_low = a._lower(), a._inv_lower()
+    low, inv_low = a._factors()
     inner = StackedSpd(inv_low @ b.entries @ transpose(inv_low))
     return type(a)(low @ inner.sqrt().entries @ transpose(low))
 
@@ -616,7 +610,7 @@ def scalar_leq(lhs, rhs, tol: float, scale=None, atol=0.0) -> Verdicts:
 
 def loewner_ratio(lhs, rhs: StackedSpd) -> np.ndarray:
     """lambda_max(L^{-1} X L^{-T}) for X the lhs and RHS = L L^T by its Cholesky factor."""
-    w = rhs._inv_lower()
+    w = rhs._factors()[1]
     return np.linalg.eigvalsh(symmetrize(w @ _entries(lhs) @ transpose(w)))[..., -1]
 
 

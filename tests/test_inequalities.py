@@ -523,6 +523,48 @@ def test_symmetric_ratios_are_invariant_under_swapping_a_and_b(theorem_id):
                 dim, seed)
 
 
+def _scaled(state, c, kept):
+    """The state with its matrices A and B, and its box but for ``kept``, multiplied by c."""
+    params = {k: v if k in kept else c * v for k, v in state["params"].as_dict().items()}
+    return {**state, "params": BoundParams(**params),
+            "spectra": {k: c * v if k in ("a", "b") else v for k, v in state["spectra"].items()}}
+
+
+# Each homogeneous bound's box parameters that stay when its state scales: none
+# of a plain or sandwich box, a shifted box's m' and every one of a relative box.
+_KEPT_UNDER_SCALING = {
+    **dict.fromkeys(("scalar_amgm", "wielandt_scalar", "wielandt_bhatia_davis",
+                     "wielandt_gumus", "choi", "norm_amgm", "lin_squared_mapped",
+                     "lin_squared_means", "lin_chain"), ()),
+    "kantorovich_product": ("m_prime",), "polya_szego": ("m_prime",),
+    "lemma_amgm": ("m", "m_prime", "M_prime", "M")}
+
+
+@pytest.mark.parametrize("theorem_id", _KEPT_UNDER_SCALING)
+def test_homogeneous_ratios_are_invariant_under_scaling_the_state_and_box(theorem_id):
+    # Each of these bounds is homogeneous: both sides take the same power of c
+    # when A, B and the box scale by c > 0, and its constants read only ratios
+    # of the box. A plain box's m' and M' are m and M, and scale with them, as a
+    # sandwich box's four parameters do. A shifted B = (1-t) m' A + t M I scales
+    # with A and M, its m' a ratio; a relative B = A^{1/2} C A^{1/2} scales with
+    # A, its box bounding C alone. The ratio moves only by rounding, bounded as
+    # under a rotation. The self-inverse regimes are left out: their hypothesis
+    # mI <= m'A^{-1} <= A <= MI ties A to A^{-1}, which scale oppositely, so
+    # their windows [max(m/m', 1/M), 1/sqrt(m')] and [sqrt(m'), min(m'/m, M)]
+    # do not scale with the box.
+    spec = THEOREMS[theorem_id]
+    for dim in (d for d in (2, 3, 4, 8) if d >= spec.min_dim):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, dim])
+            state = _first_state(spec, spec.cells[0], dim, rng)
+            for c in (3.7, 0.29):
+                ratios = [np.ravel(spec.evaluate(search_block([s], dim), DEFAULT_TOL).ratio)
+                          for s in (state, _scaled(state, c, _KEPT_UNDER_SCALING[theorem_id]))]
+                moved = np.abs(ratios[1] - ratios[0]) / np.maximum(np.abs(ratios[0]), 1.0)
+                assert moved.max() <= 16 * dim * np.finfo(float).eps * _kappa(state) ** 2, (
+                    dim, seed, c)
+
+
 def _as_bytes(state: dict) -> dict:
     """A state's every value as (type, shape, bytes), group by group."""
     return {group: values if group == "params" else

@@ -102,7 +102,7 @@ def test_only_spd_and_stacked_read_private_attributes_of_an_spd_matrix():
     # hand the matrix itself to stacked.
     private = {name for cls in opineq.SpdMatrix.__mro__ for name in vars(cls)
                if name.startswith("_") and not name.endswith("__")}
-    assert {"_keep", "_frame_checked", "_derived"} <= private
+    assert {"_keep", "_memo", "_factors"} <= private
     readers = [f"{path.name}:{node.lineno} {node.attr}"
                for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("spd", "stacked")
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

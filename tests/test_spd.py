@@ -137,12 +137,12 @@ def test_a_row_cholesky_refuses_is_factored_by_its_square_root_alone(rng):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(a.entries[1])
     x = stacked.symmetrize(rng.standard_normal((3, 2, 2)))
-    low, ratio = a._lower(), stacked.loewner_ratio(x, a)
+    low, ratio = a._factors()[0], stacked.loewner_ratio(x, a)
     assert np.array_equal(low[1], a.sqrt().entries[1])
     assert np.array_equal(low[0], np.linalg.cholesky(a.entries[0]))
     for r in range(3):
         a_r = stacked.StackedSpd.from_eigh(vals[r], frames[r])
-        assert np.array_equal(a_r._lower(), low[r])
+        assert np.array_equal(a_r._factors()[0], low[r])
         assert np.array_equal(stacked.loewner_ratio(x[r], a_r), ratio[r])
 
 
@@ -302,28 +302,39 @@ def test_derived_matrices_match_a_fresh_from_eigh(rng, built_by):
     assert np.array_equal(a.scaled(2.5).entries, fresh.entries)
 
 
-def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
-    # The Gram check must also cover frames that eigh computes.
+def _skew_eigh(monkeypatch):
+    """Patch np.linalg.eigh to return a frame 1e-6 off orthonormal."""
     true_eigh = np.linalg.eigh
 
     def skewed_eigh(x):
         vals, vecs = true_eigh(x)
         return vals, vecs + 1e-6 * np.triu(np.ones_like(vecs))
 
-    x = np.array([[2.0, 0.5], [0.5, 1.0]])
     monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+
+
+def test_derived_matrix_of_skewed_eigh_frame_is_rejected(monkeypatch):
+    # The Gram check also covers frames that eigh computes, and is made with
+    # the eigh: make_spd decomposes at once, so it raises when the matrix is
+    # made, before any derived matrix reads the frame.
+    _skew_eigh(monkeypatch)
     with pytest.raises(ValueError, match="orthonormal"):
-        make_spd(x).sqrt()
-    eig_known = make_spd(x)
+        make_spd(np.array([[2.0, 0.5], [0.5, 1.0]]))
+
+
+def test_a_stack_gram_checks_its_eigh_frame_when_its_spectrum_is_read(monkeypatch):
+    # A raw stack's first read of its spectrum makes its eigh, which checks the
+    # frame then, before any derived matrix reads it.
+    _skew_eigh(monkeypatch)
+    a = stacked.StackedSpd(np.array([[[2.0, 0.5], [0.5, 1.0]]] * 3))
     with pytest.raises(ValueError, match="orthonormal"):
-        eig_known.scaled(2.0)
+        a.eigenvalues
 
 
 def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
-    # A check_* call evaluates its matrices as they are, and each keeps
-    # whether its frame was Gram-checked: a from_eigh frame is not checked
-    # again, and an eigh frame is checked on its first derived use, in the
-    # first call on it only.
+    # A check_* call evaluates its matrices as they are, and each frame is
+    # Gram-checked where it is made: a from_eigh frame by from_eigh, and an
+    # eigh frame by the eigh of make_spd, so no call checks either again.
     params = BoundParams(m=0.5, M=4.0, m_prime=1.5)
     a = SpdMatrix.from_eigh([0.6, 0.7], np.eye(2))
     b = SpdMatrix.from_eigh([0.65, 0.8], np.eye(2))
@@ -332,6 +343,7 @@ def test_a_check_call_gram_checks_each_eigh_frame_once(monkeypatch):
     check_square_order_refined(a, b, params, validate=False)
     assert checked == []
     computed = make_spd(np.diag([0.6, 0.7]))
+    assert checked == ["eigenvector"]
     for _ in range(2):
         check_square_order_refined(computed, b, params, validate=False)
     assert checked == ["eigenvector"]
